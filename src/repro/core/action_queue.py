@@ -71,6 +71,17 @@ class ActionQueue:
             for action_id in bucket:
                 del self._red[action_id]
 
+    def cover(self, applied_cut: Dict[int, int]) -> None:
+        """Raise the red cut over an inherited database's
+        ``applied_cut``: actions known only as snapshot state (a
+        joiner's transfer, a compacted log) count as received, or
+        their successors would be rejected as FIFO gaps.  Creators no
+        longer in the membership are not resurrected into the cuts."""
+        red_cut = self.red_cut
+        for server_id, index in applied_cut.items():
+            if index > red_cut.get(server_id, index):
+                red_cut[server_id] = index
+
     @property
     def servers(self) -> List[int]:
         return sorted(self.red_cut)

@@ -14,7 +14,9 @@ from ..db import ActionId
 from ..gcs import GcsSettings
 from ..net import Network, NetworkProfile, Topology
 from ..obs import Observability
-from ..runtime import SimRuntime
+# The submodule, not the package: repro.runtime's __init__ pulls in
+# LiveCluster, which imports repro.core, so either may be first.
+from ..runtime.sim_runtime import SimRuntime
 from ..sim import RandomStreams, Tracer
 from ..storage import DiskProfile
 from .client import Client
@@ -216,13 +218,7 @@ class ReplicaCluster:
         # applied log (Theorem 2): the red cut must reflect that, or the
         # first exchange would wait for retransmission of actions that
         # exist only as inherited state.
-        # Creators no longer in the membership (servers that left) must
-        # not be resurrected into the cuts.
-        for action_id in replica.database.applied_log:
-            if action_id.server_id not in engine.queue.red_cut:
-                continue
-            if action_id.index > engine.queue.red_cut[action_id.server_id]:
-                engine.queue.red_cut[action_id.server_id] = action_id.index
+        engine.queue.cover(replica.database.applied_cut)
         engine.prim_component = type(engine.prim_component)(
             prim_index=0, attempt_index=0,
             servers=tuple(sorted(header.servers)))

@@ -46,14 +46,8 @@ def recover_engine(engine: ReplicationEngine) -> None:
 
     engine.queue.green_offset = base_green
     # Actions subsumed by the snapshot (log compaction, or a joiner's
-    # transfer) are known without their payloads: the red cut must
-    # reflect them or replayed red/ongoing actions would be rejected
-    # as FIFO gaps.
-    for action_id in engine.database.applied_log:
-        if action_id.server_id not in engine.queue.red_cut:
-            continue
-        if action_id.index > engine.queue.red_cut[action_id.server_id]:
-            engine.queue.red_cut[action_id.server_id] = action_id.index
+    # transfer) are known without their payloads.
+    engine.queue.cover(engine.database.applied_cut)
     greens: Dict[int, Action] = {}
     for record in store.wal.recover_kind("green"):
         position, action = record.data

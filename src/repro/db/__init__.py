@@ -3,6 +3,7 @@ snapshot transfer, and the mini statement language."""
 
 from .action import (Action, ActionId, ActionType, join_action,
                      leave_action)
+from .applied_log import AppliedLog
 from .database import Database
 from .dirty import DirtyView
 from .partition import (KEYSPACE, KeyRange, RangeMap, ShardedDatabase,
@@ -15,6 +16,7 @@ __all__ = [
     "Action",
     "ActionId",
     "ActionType",
+    "AppliedLog",
     "Database",
     "DirtyView",
     "KEYSPACE",

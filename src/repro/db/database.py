@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .action import Action, ActionId, ActionType
+from .applied_log import AppliedLog
 from .sql import Procedure, StatementError, execute_query, execute_update
 
 
@@ -22,14 +23,17 @@ class Database:
 
     ``applied_count`` counts applied actions; ``applied_log`` records
     their ids in application order (used by the correctness property
-    tests: Global Total Order compares these logs across replicas).
+    tests: Global Total Order compares these logs across replicas);
+    ``applied_cut`` maps each creator to its highest applied index,
+    which is all that recovery and a joiner need of the history.
     """
 
     def __init__(self) -> None:
         self.state: Dict[str, Any] = {}
         self.applied_count = 0
-        self.applied_log: List[ActionId] = []
+        self.applied_cut: Dict[int, int] = {}
         self.last_applied: Optional[ActionId] = None
+        self._adopt_log(AppliedLog())
         self._procedures: Dict[str, Procedure] = {}
 
     # ------------------------------------------------------------------
@@ -42,6 +46,11 @@ class Database:
     @property
     def procedures(self) -> Dict[str, Procedure]:
         return self._procedures
+
+    def _adopt_log(self, log: AppliedLog) -> None:
+        self.applied_log = log
+        # Bound once: apply() packs inline and appends at C level.
+        self._append_word = log.words.append
 
     # ------------------------------------------------------------------
     # application
@@ -60,6 +69,9 @@ class Database:
         deterministically so, since every replica applies the same
         statements to the same state.
         """
+        server_id, index = action_id = action.action_id
+        if (server_id | index) >> 32:
+            raise ValueError(f"action id {action_id} out of range")
         result = None
         if action.type is ActionType.ACTION and action.update is not None:
             try:
@@ -68,8 +80,11 @@ class Database:
             except StatementError as error:
                 result = ("error", str(error))
         self.applied_count += 1
-        self.applied_log.append(action.action_id)
-        self.last_applied = action.action_id
+        self._append_word((server_id << 32) | index)
+        # Global FIFO Order: a creator's actions are applied in index
+        # order, so its latest applied index is its highest.
+        self.applied_cut[server_id] = index
+        self.last_applied = action_id
         return result
 
     def query(self, query: Tuple) -> Any:
@@ -84,7 +99,8 @@ class Database:
         return {
             "state": json.loads(json.dumps(self.state)),
             "applied_count": self.applied_count,
-            "applied_log": list(self.applied_log),
+            "applied_log": AppliedLog(self.applied_log),
+            "applied_cut": dict(self.applied_cut),
             "last_applied": self.last_applied,
         }
 
@@ -92,8 +108,9 @@ class Database:
         """Adopt a snapshot (the joiner's database transfer)."""
         self.state = json.loads(json.dumps(snapshot["state"]))
         self.applied_count = snapshot["applied_count"]
-        self.applied_log = list(snapshot["applied_log"])
+        self.applied_cut = dict(snapshot["applied_cut"])
         self.last_applied = snapshot["last_applied"]
+        self._adopt_log(AppliedLog(snapshot["applied_log"]))
 
     # ------------------------------------------------------------------
     # verification helpers

@@ -29,7 +29,8 @@ from .flight import (FlightHub, FlightRecorder, action_trace_id,
                      txn_trace_id)
 from .metrics import (LATENCY_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, ShardScopedRegistry, percentile)
-from .spans import ActionSpan, MembershipSpan, SpanTracker, TxnSpans
+from .spans import (DEFAULT_MAX_COMPLETED, ActionSpan, MembershipSpan,
+                    SpanTracker, TxnSpans)
 
 
 class Observability:
@@ -48,7 +49,7 @@ class Observability:
 
     def __init__(self, enabled: bool = True,
                  registry: Optional[MetricsRegistry] = None,
-                 max_completed_spans: int = 100_000,
+                 max_completed_spans: int = DEFAULT_MAX_COMPLETED,
                  flight: bool = False,
                  flight_capacity: int = 8192,
                  staleness: bool = False):

@@ -49,6 +49,11 @@ from .metrics import MetricsRegistry
 #: on the ordering hot path to a counter increment.
 STALENESS_STRIDE = 8
 
+#: Default capacity of every completed-span ring.  The histograms hold
+#: the exact whole-run aggregates; the rings are a recent-samples debug
+#: aid, so they stay small enough never to weigh on the heap.
+DEFAULT_MAX_COMPLETED = 4096
+
 
 class ActionSpan:
     """One action's lifecycle at one node."""
@@ -118,7 +123,7 @@ class SpanTracker:
                  "_registry", "staleness_hist", "green_lag")
 
     def __init__(self, registry: MetricsRegistry, node: Any,
-                 max_completed: int = 100_000):
+                 max_completed: int = DEFAULT_MAX_COMPLETED):
         label = str(node)
         self.node = node
         self._registry = registry
@@ -369,7 +374,7 @@ class TxnSpans:
     __slots__ = ("_registry", "_open", "completed", "_families")
 
     def __init__(self, registry: MetricsRegistry,
-                 max_completed: int = 100_000):
+                 max_completed: int = DEFAULT_MAX_COMPLETED):
         self._registry = registry
         self._open: Dict[str, TxnSpan] = {}
         self.completed: Deque[TxnSpan] = deque(maxlen=max_completed)

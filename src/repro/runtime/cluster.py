@@ -103,6 +103,8 @@ class LiveCluster:
         # With tracing on, mirror tracer records into the flight rings.
         if self.obs.flight_hub is not None:
             self.obs.flight_hub.attach(self.tracer)
+        if isinstance(self.transport, AsyncioTransport):
+            self.transport.observe(self.obs, self.tracer)
         self._metrics_server: Optional[MetricsServer] = None
         self.directory: Set[int] = set(self.server_ids)
         self.gcs_settings = gcs_settings or live_gcs_settings()
@@ -110,10 +112,6 @@ class LiveCluster:
         self.disk_profile = disk_profile or live_disk_profile()
         self.replicas: Dict[int, Replica] = {}
         self._client_counter: Dict[int, int] = {}
-        # Green actions recorded as they are applied: the action queue
-        # itself truncates its green prefix at checkpoints, so reading
-        # it back later only yields a window.
-        self._green_log: Dict[int, List[ActionId]] = {}
         for node in self.hosted:
             self.replicas[node] = Replica(
                 self.runtime, node, self.transport, self.directory,
@@ -121,10 +119,6 @@ class LiveCluster:
                 gcs_settings=self.gcs_settings,
                 engine_config=self.engine_config, tracer=self.tracer,
                 obs=self.obs, shard=shard)
-            log = self._green_log[node] = []
-            self.replicas[node].add_green_listener(
-                lambda action, _pos, _res, _log=log:
-                _log.append(action.action_id))
 
     # ==================================================================
     # lifecycle
@@ -178,7 +172,7 @@ class LiveCluster:
                 "running": replica.running,
                 "engine_state": str(replica.engine.state),
                 "daemon_state": replica.daemon.state,
-                "green_applied": len(self._green_log[node]),
+                "green_applied": replica.database.applied_count,
                 "green_count": replica.engine.queue.green_count,
                 "forced_writes": replica.disk.forced_writes,
             }
@@ -250,12 +244,10 @@ class LiveCluster:
     async def wait_green(self, count: int, timeout: float,
                          nodes: Optional[Sequence[int]] = None) -> None:
         """Await every target node having *applied* ``count`` green
-        actions.  Waits on the green listener log, not the queue's
-        ``green_count``: ordering precedes application by one CPU
-        service delay, and callers want the applied state."""
+        actions to its database."""
         targets = list(nodes) if nodes is not None else list(self.replicas)
         await self.wait_until(
-            lambda: all(len(self._green_log[n]) >= count
+            lambda: all(self.replicas[n].database.applied_count >= count
                         for n in targets),
             timeout, what=f"nodes {targets} applying {count} green actions")
 
@@ -267,26 +259,27 @@ class LiveCluster:
 
     def green_counts(self) -> Dict[int, int]:
         """Applied green actions per node (see :meth:`wait_green`)."""
-        return {n: len(self._green_log[n]) for n in self.replicas}
+        return {n: r.database.applied_count
+                for n, r in self.replicas.items()}
 
     def green_order(self, node: int) -> List[ActionId]:
-        """All green action ids applied at ``node``, in order, since the
-        cluster was built (recorded via the green listener, so checkpoint
-        truncation of the action queue does not window the history)."""
-        return list(self._green_log[node])
+        """All green action ids applied at ``node``, in order (the
+        database's applied log: checkpoint truncation of the action
+        queue does not window it)."""
+        return list(self.replicas[node].database.applied_log)
 
     def assert_same_green_order(self) -> List[ActionId]:
         """All hosted replicas hold the identical green action order
         (Theorem 1's observable); returns that order."""
-        orders = {n: self.green_order(n) for n in self.replicas}
-        nodes = sorted(orders)
-        reference = orders[nodes[0]]
+        nodes = sorted(self.replicas)
+        reference = self.replicas[nodes[0]].database.applied_log
         for node in nodes[1:]:
-            if orders[node] != reference:
+            order = self.replicas[node].database.applied_log
+            if order != reference:
                 raise AssertionError(
                     f"green order diverges between {nodes[0]} and {node}: "
-                    f"{reference} vs {orders[node]}")
-        return reference
+                    f"{list(reference)} vs {list(order)}")
+        return list(reference)
 
     def assert_converged(self) -> None:
         """Green orders and database digests identical at every hosted

@@ -21,23 +21,36 @@ schedule locally; there is no hidden global coordinator.
 
 UDP is lossy by nature and these transports make no reliability
 promises — exactly the contract the GCS daemon's NACK and flush
-machinery is built for.
+machinery is built for.  That includes size: a frame that encodes
+larger than ``_MAX_DGRAM`` is a counted drop (``oversize_dropped``,
+``repro_transport_oversize_dropped_total``, one ``transport.oversize``
+trace record), never an exception inside an event-loop callback.
+Nothing upstream bounds message size yet: NACK stamp replies and flush
+plans grow with the backlog, and the joiner's ``TransferHeader`` still
+carries the representative's whole applied log (one 8-byte word per
+entry, so a join after some 7,400 applied actions is dropped here and
+the joiner keeps retrying).  Bounding those messages is ROADMAP
+1(b)/2(a).
 """
 
 from __future__ import annotations
 
 import socket
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 from ..net import codec
 from ..net.message import Datagram
+from ..sim.trace import Tracer
 from .asyncio_runtime import AsyncioRuntime
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs import Observability
 
 Handler = Callable[[Datagram], None]
 
 # Practical UDP payload ceiling on loopback (the kernel fragments up to
-# 64 KiB; snapshot chunks are 8 KiB, so this is headroom, not a limit
-# the protocol layers ever approach).
+# 64 KiB; snapshot chunks are 8 KiB).
 _MAX_DGRAM = 60000
 
 
@@ -167,7 +180,23 @@ class AsyncioTransport:
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.datagrams_dropped = 0
+        self.oversize_dropped = 0
         self.bytes_sent = 0
+        self._tracer: Optional[Tracer] = None
+
+    def observe(self, obs: "Observability", tracer: Tracer) -> None:
+        """Export the oversize-drop count through ``obs`` and trace
+        each drop on ``tracer``.  The first caller wins: the clusters
+        of a shard fabric share one transport, and the count is
+        transport-wide."""
+        if self._tracer is not None:
+            return
+        self._tracer = tracer
+        obs.registry.counter_callback(
+            "repro_transport_oversize_dropped_total",
+            lambda: self.oversize_dropped,
+            "Frames dropped at send because they encode larger than "
+            "one UDP datagram.")
 
     # -- socket lifecycle ----------------------------------------------
     def open(self, node: int,
@@ -248,9 +277,15 @@ class AsyncioTransport:
             if blob is None:
                 blob = codec.encode_frame(src, payload)
                 if len(blob) > _MAX_DGRAM:
-                    raise ValueError(
-                        f"datagram payload too large for UDP: "
-                        f"{len(blob)} bytes ({type(payload).__name__})")
+                    self.oversize_dropped += 1
+                    if self._tracer is not None:
+                        self._tracer.emit(
+                            self.runtime.now, src, "transport.oversize",
+                            bytes=len(blob),
+                            payload=type(payload).__name__)
+            if len(blob) > _MAX_DGRAM:
+                self.datagrams_dropped += 1
+                continue
             self.bytes_sent += len(blob)
             try:
                 sock.sendto(blob, addr)

@@ -11,8 +11,11 @@ import asyncio
 
 import pytest
 
-from repro.runtime import (AsyncioRuntime, Handle, MemoryTransport,
-                           PartitionFilter, Runtime, SimRuntime, Transport)
+from repro.obs import Observability
+from repro.runtime import (AsyncioRuntime, AsyncioTransport, Handle,
+                           MemoryTransport, PartitionFilter, Runtime,
+                           SimRuntime, Transport, loopback_addresses)
+from repro.sim import Tracer
 from repro.sim.kernel import SimulationError
 
 
@@ -240,3 +243,36 @@ def test_memory_transport_partition_cuts_in_flight():
     got, dropped = run(scenario())
     assert got == ["after"]
     assert dropped == 2
+
+
+def test_udp_oversize_frame_is_a_counted_drop_not_an_exception():
+    async def scenario():
+        rt = AsyncioRuntime()
+        net = AsyncioTransport(rt, loopback_addresses([1, 2]))
+        obs, tracer = Observability(flight=True), Tracer()
+        obs.flight_hub.attach(tracer)
+        net.observe(obs, tracer)
+        got = []
+        try:
+            net.attach(1, lambda d: got.append((1, d.payload)))
+            net.attach(2, lambda d: got.append((2, d.payload)))
+            huge = b"x" * 70_000
+            # The loopback leg is never encoded, so it still arrives.
+            net.multicast(1, (1, 2), huge, size=len(huge))
+            net.send(1, 2, "small")
+            await asyncio.sleep(0.05)
+        finally:
+            net.close()
+        return net, obs, tracer, got, huge
+
+    net, obs, tracer, got, huge = run(scenario())
+    assert sorted(got) == [(1, huge), (2, "small")]
+    assert net.oversize_dropped == 1
+    assert net.datagrams_dropped == 1
+    assert obs.snapshot()["repro_transport_oversize_dropped_total"] \
+        == {"": 1.0}
+    [record] = tracer.select("transport.oversize")
+    assert record.node == 1 and record.detail["payload"] == "bytes"
+    assert record.detail["bytes"] > len(huge)
+    assert [kind for _t, kind, _trace, _detail
+            in obs.flight(1).events()] == ["transport.oversize"]

@@ -132,6 +132,16 @@ def _live_trace(wire=None):
             disk_profile=DiskProfile(forced_write_latency=0.0002,
                                      async_write_latency=0.00001))
         recorder = _Recorder(cluster.replicas, cluster.tracer)
+
+        async def heard(count, timeout, nodes=NODES):
+            # Like the sim side, wait on the recorder's own listener:
+            # the green upcall trails the database apply by the CPU
+            # service delay, so wait_green alone can return before it.
+            await cluster.wait_until(
+                lambda: all(len(recorder.greens[n]) >= count
+                            for n in nodes),
+                timeout, what=f"{count} green upcalls at {nodes}")
+
         try:
             cluster.start_all()
             await cluster.wait_all_engine_state(EngineState.REG_PRIM,
@@ -140,7 +150,7 @@ def _live_trace(wire=None):
 
             for i in range(3):
                 cluster.submit(1, ("SET", f"pre-{i}", i))
-            await cluster.wait_green(3, timeout=10)
+            await heard(3, timeout=10)
 
             cluster.partition(MAJORITY, MINORITY)
             await cluster.wait_all_engine_state(EngineState.REG_PRIM,
@@ -150,10 +160,10 @@ def _live_trace(wire=None):
             cluster.submit(1, ("SET", "maj-0", 0))
             cluster.submit(1, ("SET", "maj-1", 1))
             cluster.submit(3, ("SET", "min-0", 0))
-            await cluster.wait_green(5, timeout=10, nodes=MAJORITY)
+            await heard(5, timeout=10, nodes=MAJORITY)
 
             cluster.heal()
-            await cluster.wait_green(6, timeout=20)
+            await heard(6, timeout=20)
             await cluster.wait_all_engine_state(EngineState.REG_PRIM,
                                                 timeout=15)
             digests = {n: r.database.digest()
