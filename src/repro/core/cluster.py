@@ -225,7 +225,7 @@ class ReplicaCluster:
         replica.store.wal.append("db_snapshot",
                                  replica.database.snapshot(), forced=False)
         engine._persist_records()
-        replica.store.sync()
+        engine._sync()
         engine.state = EngineState.NON_PRIM
         replica.daemon.join()
         self.tracer.emit(self.sim.now, replica.node, "replica.joined",

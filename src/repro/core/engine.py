@@ -206,6 +206,11 @@ class ReplicationEngine:
         # permanent failure or disconnection of a majority" (Sec. 5.1).
         self.removed_servers: set = set()
         self.exited = False
+        # Green actions whose WAL records a completed sync covers: a
+        # crash cannot roll this server back below it, so it is the
+        # green line this server advertises (action messages and GCS
+        # heartbeats) for the white line.
+        self.durable_green_count = 0
 
         # per-exchange volatile state
         self._state_messages: Dict[int, EngineStateMsg] = {}
@@ -231,6 +236,7 @@ class ReplicationEngine:
         # wire up GCS callbacks
         channel.message_handler = self._on_gcs_message
         channel.conf_handler = self._on_gcs_conf
+        channel.green_line_handler = self._on_green_line
 
         # statistics: registry counters (fresh children — a rebuilt
         # engine after crash recovery starts from zero, exactly like
@@ -329,19 +335,22 @@ class ReplicationEngine:
             self.store.wal.append("ongoing", action,
                                   forced=False)
         if self.config.forced_client_writes:
-            self.store.sync(lambda: self._generate(actions, generation))
+            # The line is read before the sync: greens applied while it
+            # is in flight are staged behind it, not made durable by it.
+            line = self.queue.green_count
+            self._sync(lambda: self._generate(actions, generation, line))
         else:
             # Delayed-writes mode (Figure 5b): no forced write in the
             # client path; the checkpoint timer makes it durable later.
-            self._generate(actions, generation)
+            self._generate(actions, generation, self.durable_green_count)
 
-    def _generate(self, actions: List[Action], generation: int) -> None:
+    def _generate(self, actions: List[Action], generation: int,
+                  green_line: int) -> None:
         if self.exited:
             return
         rec = self._flight_append
         for action in actions:
-            msg = EngineActionMsg(action=action,
-                                  green_line=self.queue.green_count)
+            msg = EngineActionMsg(action=action, green_line=green_line)
             if rec is None:
                 self.channel.multicast(msg, ServiceLevel.SAFE,
                                        size=action.size)
@@ -658,7 +667,7 @@ class ReplicationEngine:
         self._set_state(EngineState.EXCHANGE_STATES)
         self._persist_records()
         self.store.put("red_actions", self.queue.red_actions())
-        self.store.sync(lambda: self._send_state_msg(generation))
+        self._sync(lambda: self._send_state_msg(generation))
 
     def _send_state_msg(self, generation: int) -> None:
         if (generation != self._generation or self.exited
@@ -780,11 +789,11 @@ class ReplicationEngine:
                 self._spans.open_vulnerable(self.sim.now)
             self._persist_records()
             self._set_state(EngineState.CONSTRUCT)
-            self.store.sync(lambda: self._send_cpc(generation))
+            self._sync(lambda: self._send_cpc(generation))
         else:
             self._persist_records()
             self._set_state(EngineState.NON_PRIM)
-            self.store.sync(lambda: self._after_nonprim_sync(generation))
+            self._sync(lambda: self._after_nonprim_sync(generation))
 
     def _is_quorum(self, knowledge: Knowledge) -> bool:
         """IsQuorum (A.8): no live vulnerability, then the policy.
@@ -882,7 +891,7 @@ class ReplicationEngine:
             if self.exited:
                 return
         self._persist_records()
-        self.store.sync()
+        self._sync()
         if self._spans is not None:
             self._spans.on_install(self.sim.now)
         self.tracer.emit(self.sim.now, self.server_id, "engine.install",
@@ -892,6 +901,24 @@ class ReplicationEngine:
     # ==================================================================
     # persistence
     # ==================================================================
+    def _sync(self, then: Optional[Callable[[], None]] = None) -> None:
+        """``** sync to disk``.  Every green's WAL record is staged
+        before this call, so once the sync completes the current green
+        count is durable and becomes the advertised line — recorded
+        inside the sync itself, at no simulator event of its own."""
+        line = self.queue.green_count
+        self.store.sync(then, on_durable=lambda: self._note_durable(line))
+
+    def _note_durable(self, line: int) -> None:
+        if line > self.durable_green_count:
+            self.durable_green_count = line
+            self.channel.advertise_green_line(line)
+
+    def _on_green_line(self, server_id: int, line: int) -> None:
+        """A member's heartbeat carried its durable green count."""
+        if server_id in self.queue.green_lines:
+            self.queue.set_green_line(server_id, line)
+
     def _persist_records(self) -> None:
         self.store.put("prim_component", self.prim_component)
         self.store.put("vulnerable", self.vulnerable)
@@ -913,7 +940,7 @@ class ReplicationEngine:
         """
         self._persist_records()
         self.store.put("red_actions", self.queue.red_actions())
-        self.store.sync()
+        self._sync()
         if self.config.truncate_white:
             self.queue.truncate_white()
         threshold = self.config.log_compaction_threshold

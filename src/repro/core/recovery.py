@@ -117,4 +117,4 @@ def recover_engine(engine: ReplicationEngine) -> None:
 
     engine.state = EngineState.NON_PRIM
     engine._persist_records()
-    store.sync()
+    engine._sync()

@@ -95,9 +95,15 @@ class Database:
     # snapshot / restore (database transfer for joiners)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """A self-contained copy of the database contents + position."""
+        """A self-contained copy of the database contents + position.
+
+        ``state`` is the contents serialized as one JSON string — what a
+        disk holds — rather than a second object graph of every value;
+        :meth:`restore` and :class:`~repro.db.snapshot.SnapshotSender`
+        parse it.
+        """
         return {
-            "state": json.loads(json.dumps(self.state)),
+            "state": json.dumps(self.state),
             "applied_count": self.applied_count,
             "applied_log": AppliedLog(self.applied_log),
             "applied_cut": dict(self.applied_cut),
@@ -106,7 +112,7 @@ class Database:
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
         """Adopt a snapshot (the joiner's database transfer)."""
-        self.state = json.loads(json.dumps(snapshot["state"]))
+        self.state = json.loads(snapshot["state"])
         self.applied_count = snapshot["applied_count"]
         self.applied_cut = dict(snapshot["applied_cut"])
         self.last_applied = snapshot["last_applied"]

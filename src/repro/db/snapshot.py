@@ -38,7 +38,7 @@ class SnapshotSender:
         self.header = {k: snapshot[k] for k in
                        ("applied_count", "applied_log", "applied_cut",
                         "last_applied")}
-        items = sorted(snapshot["state"].items(),
+        items = sorted(json.loads(snapshot["state"]).items(),
                        key=lambda kv: str(kv[0]))
         if chunk_items <= 0:
             raise ValueError("chunk_items must be positive")
@@ -101,7 +101,8 @@ class SnapshotReceiver:
                 and self.header is not None)
 
     def assemble(self) -> Dict[str, Any]:
-        """Produce a snapshot dict accepted by ``Database.restore``."""
+        """Produce a snapshot dict accepted by ``Database.restore``
+        (``state`` serialized, as :meth:`Database.snapshot` makes it)."""
         if not self.complete:
             raise ValueError("transfer incomplete")
         state: Dict[str, Any] = {}
@@ -110,5 +111,5 @@ class SnapshotReceiver:
                 state[key] = value
         assert self.header is not None
         snapshot = dict(self.header)
-        snapshot["state"] = json.loads(json.dumps(state))
+        snapshot["state"] = json.dumps(state)
         return snapshot

@@ -11,7 +11,9 @@ Roles within a view:
 
 * the lowest-id member is the **sequencer** (order stamps, batched);
 * every member multicasts cumulative **stability acks** (coalesced in a
-  short window) so each member tracks the safe-delivery line;
+  short window) so each member tracks the safe-delivery line — with
+  ``GcsSettings.idle_immediate`` a stamp batch or ack that finds its
+  window idle leaves at the end of the current dispatch instead;
 * missing data/stamps are recovered by **NACK** from peers.
 
 Membership is a gather → propose → flush → install protocol driven by
@@ -57,6 +59,9 @@ class GcsListener:
                    in_transitional: bool,
                    service: ServiceLevel) -> None:
         """An ordered message delivery."""
+
+    def on_green_line(self, node: int, line: int) -> None:
+        """``node``'s heartbeat advertised its durable green count."""
 
 
 class DaemonState:
@@ -132,6 +137,17 @@ class GcsDaemon(Actor):
         self._last_heard: Dict[int, float] = {}
         self._known_joined: Set[int] = set()
         self._nack_signature: Tuple = ()
+        # The application's durable green count, advertised on every
+        # heartbeat (set by the replication engine through its channel).
+        self.green_line = 0
+
+        # Idle→immediate policy (settings.idle_immediate): when the last
+        # stamp batch / ack went out, and whether an immediate flush is
+        # already posted for the end of the current dispatch.
+        self._stamp_sent_at = float("-inf")
+        self._ack_sent_at = float("-inf")
+        self._stamp_posted = False
+        self._ack_posted = False
 
         s = self.settings
         self._hb_timer = self.make_timer("heartbeat", self._send_heartbeat,
@@ -258,6 +274,7 @@ class GcsDaemon(Actor):
         self._outbox = []
         self._last_heard = {}
         self._known_joined = set()
+        self.green_line = 0
 
     def recover(self) -> None:
         """Restart after a crash with fresh (empty) volatile state."""
@@ -384,10 +401,21 @@ class GcsDaemon(Actor):
         if self.settings.ordering_mode != "sequencer":
             return
         if (self.ordering is not None and self.ordering.pending_stamp
-                and not self._stamp_timer.armed):
-            self._stamp_timer.start()
+                and not self._stamp_timer.armed and not self._stamp_posted):
+            if (self.settings.idle_immediate
+                    and self.sim.now - self._stamp_sent_at
+                    >= self.settings.stamp_window):
+                # Idle: stamp at the end of this dispatch, never inside
+                # it — a readable burst still coalesces into one batch,
+                # and a delivery upcall that multicasts cannot recurse
+                # into delivery (a one-member view delivers on stamping).
+                self._stamp_posted = True
+                self.sim.post(0.0, self._flush_stamps)
+            else:
+                self._stamp_timer.start()
 
     def _flush_stamps(self) -> None:
+        self._stamp_posted = False
         if (self.state != DaemonState.OPERATIONAL
                 or self.ordering is None
                 or self.node != self.ordering.sequencer):
@@ -395,6 +423,7 @@ class GcsDaemon(Actor):
         batch = self.ordering.take_stamp_batch()
         if not batch:
             return
+        self._stamp_sent_at = self.sim.now
         msg = StampMsg(self.ordering.view_id, tuple(batch))
         size = (self.settings.header_size
                 + self.settings.stamp_entry_size * len(batch))
@@ -409,13 +438,23 @@ class GcsDaemon(Actor):
             return
         if (self.settings.ordering_mode == "sequencer"
                 and self.ordering.needs_ack()
-                and not self._ack_timer.armed):
-            self._ack_timer.start()
+                and not self._ack_timer.armed and not self._ack_posted):
+            if (self.settings.idle_immediate
+                    and self.sim.now - self._ack_sent_at
+                    >= self.settings.ack_window):
+                # Idle: ack at the end of this dispatch (see
+                # _arm_stamp_timer).
+                self._ack_posted = True
+                self.sim.post(0.0, self._flush_ack)
+            else:
+                self._ack_timer.start()
         self._try_deliver()
 
     def _flush_ack(self) -> None:
+        self._ack_posted = False
         if self.ordering is None or not self.ordering.needs_ack():
             return
+        self._ack_sent_at = self.sim.now
         ordering = self.ordering
         msg = AckMsg(ordering.view_id, self.node, ordering.ack_seq)
         ordering.note_ack_sent()
@@ -601,7 +640,7 @@ class GcsDaemon(Actor):
         self._control_multicast(
             self._other_directory(),
             HeartbeatMsg(self.node, view_id, self.joined, ack,
-                         self.group),
+                         self.group, self.green_line),
             self.settings.ack_size)
 
     def _on_heartbeat(self, msg: HeartbeatMsg) -> None:
@@ -609,6 +648,9 @@ class GcsDaemon(Actor):
             # Foreign replication group sharing the transport: not our
             # liveness, and above all not a merge candidate.
             return
+        if msg.green_line:
+            # Lines start at zero and only grow: zero tells nothing.
+            self.listener.on_green_line(msg.node, msg.green_line)
         if msg.joined:
             self._known_joined.add(msg.node)
         else:

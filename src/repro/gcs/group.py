@@ -22,12 +22,14 @@ class GroupChannel(GcsListener):
 
     message_handler(payload, origin, in_transitional, service)
     conf_handler(configuration)      — regular AND transitional confs
+    green_line_handler(node, line)   — a member's heartbeat line
     """
 
     def __init__(self, daemon: GcsDaemon) -> None:
         self.daemon = daemon
         self.message_handler: Optional[Callable] = None
         self.conf_handler: Optional[Callable[[Configuration], None]] = None
+        self.green_line_handler: Optional[Callable[[int, int], None]] = None
         daemon.listener = self
 
     # -- membership -----------------------------------------------------
@@ -47,6 +49,10 @@ class GroupChannel(GcsListener):
                   size: int = 200, trace: int = 0) -> None:
         self.daemon.multicast(payload, service, size, trace)
 
+    def advertise_green_line(self, line: int) -> None:
+        """Publish this member's durable green count on its heartbeats."""
+        self.daemon.green_line = line
+
     # -- GcsListener ------------------------------------------------------
     def on_regular_conf(self, conf: Configuration) -> None:
         if self.conf_handler is not None:
@@ -60,3 +66,7 @@ class GroupChannel(GcsListener):
                    in_transitional: bool, service: ServiceLevel) -> None:
         if self.message_handler is not None:
             self.message_handler(payload, origin, in_transitional, service)
+
+    def on_green_line(self, node: int, line: int) -> None:
+        if self.green_line_handler is not None:
+            self.green_line_handler(node, line)

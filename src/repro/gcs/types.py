@@ -89,6 +89,14 @@ class GcsSettings:
     phase_timeout: float = 0.400
     stamp_window: float = 0.0004
     ack_window: float = 0.0010
+    # Idle→immediate stamps and acks: when no stamp batch (ack) went
+    # out during the last stamp_window (ack_window), send the next one
+    # at the end of the current dispatch instead of waiting out the
+    # window; under load the windows coalesce exactly as without it.
+    # Live runs turn it on (an event loop rounds each timer up to a
+    # millisecond, paid twice per safe delivery); the simulator keeps
+    # the paper-calibrated window timing its figures are pinned to.
+    idle_immediate: bool = False
     nack_timeout: float = 0.020
     use_topology_hints: bool = True
     header_size: int = 48
@@ -174,6 +182,12 @@ class HeartbeatMsg:
     share one transport (the shard fabric): daemons drop foreign-group
     heartbeats, so they can never feed failure detection or trigger a
     cross-group membership merge.
+
+    ``green_line`` is the sender's *durable* green count — globally
+    ordered actions whose log records a completed sync covers, so a
+    crash cannot roll the sender back below it.  Every member
+    heartbeats, so members that originate no actions still publish
+    their line and the white line advances with them.
     """
 
     node: int
@@ -181,6 +195,7 @@ class HeartbeatMsg:
     joined: bool
     ack_seq: int
     group: int = 0
+    green_line: int = 0
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,11 @@ class CodecError(ValueError):
 
 MAGIC = 0xC3
 # Version 2: DataMsg, ChanData, and retransmission items carry a
-# signed 64-bit trace-context field (0 = untraced).  Version-1 frames
-# are rejected with :class:`CodecError` — mixed-version deployments
-# would silently strip causal identity from half the traffic.
-VERSION = 2
+# signed 64-bit trace-context field (0 = untraced).  Version 3: the
+# HeartbeatMsg body ends with the sender's durable green line.  Frames
+# of any other version are rejected with :class:`CodecError` — a
+# mixed-version peer would otherwise be misparsed, not refused.
+VERSION = 3
 
 TAG_PICKLE = 0
 TAG_BATCH = 1
@@ -73,6 +74,7 @@ _STAMP_ENTRY = struct.Struct("!qiq")     # seq, origin, fifo_seq
 _VIEW_COUNT = struct.Struct("!iiI")      # view + entry count
 _ACK = struct.Struct("!iiiq")            # view, node, ack_seq
 _HEARTBEAT = struct.Struct("!iiB")       # node, group, flags
+_HEARTBEAT_TAIL = struct.Struct("!qq")   # ack_seq, green_line
 _VIEW = struct.Struct("!ii")
 _SEQ = struct.Struct("!q")
 _TOKEN = struct.Struct("!iiqI")          # view, next_seq, ack count
@@ -120,7 +122,7 @@ def _enc_heartbeat(msg: HeartbeatMsg) -> bytes:
     body = _HEARTBEAT.pack(msg.node, msg.group, flags)
     if msg.view_id is not None:
         body += _enc_view(msg.view_id)
-    return body + _SEQ.pack(msg.ack_seq)
+    return body + _HEARTBEAT_TAIL.pack(msg.ack_seq, msg.green_line)
 
 
 def _enc_token(msg: TokenMsg) -> bytes:
@@ -265,11 +267,12 @@ def _dec_heartbeat(body: bytes) -> HeartbeatMsg:
         _need(body, offset, _VIEW.size)
         view_id = ViewId(*_VIEW.unpack_from(body, offset))
         offset += _VIEW.size
-    _need(body, offset, _SEQ.size)
-    (ack_seq,) = _SEQ.unpack_from(body, offset)
-    if offset + _SEQ.size != len(body):
+    _need(body, offset, _HEARTBEAT_TAIL.size)
+    ack_seq, green_line = _HEARTBEAT_TAIL.unpack_from(body, offset)
+    if offset + _HEARTBEAT_TAIL.size != len(body):
         raise CodecError("trailing bytes in HeartbeatMsg body")
-    return HeartbeatMsg(node, view_id, bool(flags & 1), ack_seq, group)
+    return HeartbeatMsg(node, view_id, bool(flags & 1), ack_seq, group,
+                        green_line)
 
 
 def _dec_token(body: bytes) -> TokenMsg:

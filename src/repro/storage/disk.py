@@ -164,13 +164,19 @@ class SimulatedDisk:
         self._queue.append(request)
         self._maybe_start_sync()
 
-    def flush(self, callback: Optional[Callback] = None) -> None:
+    def flush(self, callback: Optional[Callback] = None,
+              on_durable: Optional[Callback] = None) -> None:
         """Force everything buffered (async region) onto the platter.
 
         An empty buffer means there is nothing to make durable: no
         platter sync is scheduled (and no forced write is counted) —
         the callback fires on the next kernel tick, after anything
         already queued for the current instant.
+
+        ``on_durable`` runs inside the sync that makes this call's
+        staged records durable, just before ``callback``.  It is never
+        scheduled on its own: with nothing staged it is dropped (every
+        earlier record went to an earlier sync), so it costs no event.
         """
         if not self.volatile:
             if callback is not None:
@@ -182,12 +188,14 @@ class SimulatedDisk:
             return
         staged = self.volatile
         self.volatile = []
-        def on_durable() -> None:
+        def durable() -> None:
             self.durable.extend(staged)
             self.durable_version += 1
+            if on_durable is not None:
+                on_durable()
             if callback is not None:
                 callback()
-        request = WriteRequest(None, on_durable, True, self.sim.now)
+        request = WriteRequest(None, durable, True, self.sim.now)
         self.forced_writes += 1
         self._queue.append(request)
         self._maybe_start_sync()

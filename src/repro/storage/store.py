@@ -39,9 +39,11 @@ class StableStore:
         self._view[key] = value
         self.wal.append(_KIND, (key, value), forced=False)
 
-    def sync(self, callback: Optional[Callable[[], None]] = None) -> None:
-        """Force all staged puts to stable storage."""
-        self.wal.sync(callback)
+    def sync(self, callback: Optional[Callable[[], None]] = None,
+             on_durable: Optional[Callable[[], None]] = None) -> None:
+        """Force all staged puts to stable storage (``on_durable``: see
+        :meth:`SimulatedDisk.flush`)."""
+        self.wal.sync(callback, on_durable)
 
     def put_sync(self, key: str, value: Any,
                  callback: Optional[Callable[[], None]] = None) -> None:

@@ -100,9 +100,11 @@ class WriteAheadLog:
         self.disk.write(LogRecord(kind, data), callback=callback,
                         forced=forced)
 
-    def sync(self, callback: Optional[Callable[[], None]] = None) -> None:
-        """Flush buffered records and wait for platter sync."""
-        self.disk.flush(callback)
+    def sync(self, callback: Optional[Callable[[], None]] = None,
+             on_durable: Optional[Callable[[], None]] = None) -> None:
+        """Flush buffered records and wait for platter sync
+        (``on_durable``: see :meth:`SimulatedDisk.flush`)."""
+        self.disk.flush(callback, on_durable)
 
     def rewrite(self, records: List[LogRecord],
                 callback: Optional[Callable[[], None]] = None) -> None:

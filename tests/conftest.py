@@ -38,6 +38,22 @@ def make_cluster(n: int = 3, seed: int = 0, **kwargs) -> ReplicaCluster:
     return ReplicaCluster(n=n, seed=seed, **kwargs)
 
 
+def recoverable_greens(replica) -> int:
+    """The green count recovery would rebuild from ``replica``'s disk
+    right now: the last snapshot's base plus the contiguous durable
+    green records above it (``recover_engine``'s walk)."""
+    base, positions = 0, set()
+    for record in replica.disk.durable:
+        if record.kind == "db_snapshot":
+            base = record.data["applied_count"]
+        elif record.kind == "green":
+            positions.add(record.data[0])
+    count = base
+    while count in positions:
+        count += 1
+    return count
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()

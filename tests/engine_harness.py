@@ -28,10 +28,15 @@ class FakeChannel:
     def __init__(self) -> None:
         self.message_handler = None
         self.conf_handler = None
+        self.green_line_handler = None
+        self.green_line = 0
         self.sent: List[Tuple[Any, ServiceLevel]] = []
 
     def multicast(self, payload, service=ServiceLevel.SAFE, size=200):
         self.sent.append((payload, service))
+
+    def advertise_green_line(self, line):
+        self.green_line = line
 
     # -- test-side delivery helpers -------------------------------------
     def deliver(self, payload, origin=0, in_transitional=False,

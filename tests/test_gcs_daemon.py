@@ -4,6 +4,7 @@ import pytest
 
 from repro.gcs import (Configuration, DaemonState, GcsDaemon, GcsListener,
                        GcsSettings, ServiceLevel)
+from repro.gcs.types import DataMsg
 from repro.net import Network, NetworkProfile, Topology
 from repro.sim import RandomStreams, Simulator
 
@@ -266,3 +267,148 @@ def test_safe_delivery_latency_is_milliseconds():
     h.daemons[1].multicast("timed")
     h.run(0.2)
     assert latency and latency[0] < 0.01
+
+
+# ----------------------------------------------------------------------
+# idle→immediate stamps and acks (GcsSettings.idle_immediate)
+# ----------------------------------------------------------------------
+def _spy_sends(h):
+    """Record (time, src, message type) of every multicast."""
+    sent = []
+    original = h.network.multicast
+
+    def multicast(src, dsts, payload, size=200):
+        sent.append((h.sim.now, src, type(payload).__name__))
+        original(src, dsts, payload, size)
+    h.network.multicast = multicast
+    return sent
+
+
+def _spy_timer_starts(h):
+    """Record which node armed a stamp or ack window timer."""
+    armed = []
+    for node, daemon in h.daemons.items():
+        for name, timer in (("stamp", daemon._stamp_timer),
+                            ("ack", daemon._ack_timer)):
+            original = timer.start
+
+            def start(interval=None, _n=node, _k=name, _f=original):
+                armed.append((_n, _k))
+                _f(interval)
+            timer.start = start
+    return armed
+
+
+def test_idle_stamp_and_acks_leave_without_arming_timers():
+    h = Harness(idle_immediate=True)
+    h.join_all()
+    sent = _spy_sends(h)
+    armed = _spy_timer_starts(h)
+    began = h.sim.now
+    h.daemons[1].multicast("lone")
+    # Deferred to the end of the dispatch, not sent inside multicast().
+    assert h.daemons[1]._stamp_posted
+    assert not any(kind == "StampMsg" for _t, _s, kind in sent)
+    h.run(0.05)
+    assert armed == []
+    stamps = [(t, src) for t, src, kind in sent if kind == "StampMsg"]
+    assert stamps == [(began, 1)]
+    acks = sorted(src for _t, src, kind in sent if kind == "AckMsg")
+    assert acks == [1, 2, 3]
+    for recorder in h.recorders.values():
+        assert recorder.messages() == ["lone"]
+
+
+def test_idle_safe_delivery_beats_the_window_timers():
+    """A lone SAFE message stabilizes in network round trips, not in
+    stamp_window + ack_window (the window policy's floor)."""
+    latency = {}
+    for idle in (False, True):
+        h = Harness(idle_immediate=idle)
+        h.join_all()
+        began = h.sim.now
+        delivered = []
+
+        class Probe(GcsListener):
+            def on_message(self, payload, origin, in_transitional,
+                           service):
+                delivered.append(h.sim.now - began)
+
+        h.daemons[2].listener = Probe()
+        h.daemons[2].multicast("timed")
+        h.run(0.05)
+        latency[idle] = delivered[0]
+    assert latency[False] > h.settings.stamp_window + h.settings.ack_window
+    assert latency[True] < h.settings.ack_window
+
+
+def test_burst_inside_one_window_yields_at_most_two_stamp_batches():
+    h = Harness(idle_immediate=True)
+    h.join_all()
+    sent = _spy_sends(h)
+    sequencer = h.daemons[1]
+    arrivals = []
+    on_data = sequencer._dispatch[DataMsg]
+
+    def arrive(msg):
+        arrivals.append(h.sim.now)
+        on_data(msg)
+    sequencer._dispatch[DataMsg] = arrive
+    for i in range(5):
+        sequencer.multicast(("burst", i))       # one dispatch
+        h.daemons[2].multicast(("burst", 5 + i))  # spread by the wire
+    h.run(0.05)
+    assert max(arrivals) - min(arrivals) < h.settings.stamp_window
+    batches = [t for t, src, kind in sent
+               if src == 1 and kind == "StampMsg"]
+    assert len(batches) <= 2
+    for recorder in h.recorders.values():
+        assert sorted(recorder.messages()) == \
+            [("burst", i) for i in range(10)]
+
+
+def test_busy_sequencer_coalesces_under_the_window():
+    """Under steady load the timers coalesce exactly as without the
+    policy: stamps and acks go out at most twice per window."""
+    h = Harness(idle_immediate=True)
+    h.join_all()
+    sent = _spy_sends(h)
+    step = h.settings.stamp_window / 8
+    for i in range(80):
+        h.daemons[1 + i % 3].multicast(("load", i))
+        h.run(step)
+    h.run(0.05)
+    span = 80 * step
+    stamps = [t for t, src, kind in sent if kind == "StampMsg"]
+    acks = [t for t, src, kind in sent if kind == "AckMsg" and src == 2]
+    assert len(stamps) <= 2 * (span / h.settings.stamp_window + 1)
+    assert len(acks) <= 2 * (span / h.settings.ack_window + 1)
+
+
+@pytest.mark.parametrize("stamp_window", [0.0004, 0.0])
+def test_singleton_upcall_multicast_never_nests_delivery(stamp_window):
+    """In a one-member view stamping is delivery; a delivery upcall that
+    multicasts must not recurse into delivery or overtake messages
+    stamped before its own — even with a zero window, where every
+    stamp batch finds the window idle."""
+    h = Harness(nodes=(5,), idle_immediate=True, stamp_window=stamp_window)
+    h.join_all()
+    daemon = h.daemons[5]
+    order, depth = [], [0, 0]          # current, deepest
+
+    class Echo(GcsListener):
+        def on_message(self, payload, origin, in_transitional, service):
+            depth[0] += 1
+            depth[1] = max(depth[1], depth[0])
+            order.append(payload)
+            if payload[0] == "a":
+                daemon.multicast(("b", payload[1]))
+            depth[0] -= 1
+
+    daemon.listener = Echo()
+    for i in range(3):
+        daemon.multicast(("a", i))
+    h.run(0.05)
+    assert depth[1] == 1
+    assert order == [("a", 0), ("a", 1), ("a", 2),
+                     ("b", 0), ("b", 1), ("b", 2)]

@@ -78,15 +78,26 @@ class TestJoin:
 
     def test_duplicate_persistent_join_ignored(self, cluster):
         """Only the first ordered PERSISTENT_JOIN defines the entry
-        point; later announcements for the same server are ignored."""
+        point; a later announcement for the same server neither re-adds
+        it (no second transfer) nor resets its cuts.  Its green line
+        still moves: heartbeats carry server 4's durable line."""
         cluster.add_replica(4, peer=2)
         cluster.run_for(4.0)
-        engine = cluster.replicas[1].engine
-        before = dict(engine.queue.green_lines)
-        from repro.db import join_action
-        engine.submit_action(join_action(engine.next_action_id(), 4))
+        cluster.client(4).submit(("SET", "from4", 1))
         cluster.run_for(1.0)
-        assert engine.queue.green_lines[4] == before[4]
+        replica = cluster.replicas[1]
+        queue = replica.engine.queue
+        servers, red_cut = queue.servers, queue.red_cut[4]
+        line = queue.green_lines[4]
+        senders = dict(replica.representative._senders)
+        from repro.db import join_action
+        replica.engine.submit_action(
+            join_action(replica.engine.next_action_id(), 4))
+        cluster.run_for(1.0)
+        assert queue.servers == servers
+        assert queue.red_cut[4] == red_cut == 1
+        assert queue.green_lines[4] >= line
+        assert replica.representative._senders == senders
         cluster.assert_converged()
 
     def test_joiner_switches_representative_on_crash(self, cluster):

@@ -32,6 +32,9 @@ CORPUS = [
     # namespaced heartbeats of a shard fabric (group != 0)
     HeartbeatMsg(109, VIEW, True, 55, 1),
     HeartbeatMsg(209, None, False, -1, 2),
+    # durable green line (wire v3)
+    HeartbeatMsg(9, VIEW, True, 55, 0, 3627),
+    HeartbeatMsg(109, None, True, -1, 1, 2 ** 40),
     TokenMsg(VIEW, 42, ((1, 40), (2, 41))),
     NackMsg(VIEW, 3, (7, 9, 11), 5),
     NackMsg(VIEW, 3, (), 0),
@@ -93,14 +96,18 @@ def test_bad_magic_and_version_raise():
 
 
 def test_version1_frames_are_rejected():
-    """Pre-trace (v1) frames must be refused, not mis-decoded: the v2
-    DataMsg/ChanData bodies are 8 bytes wider, so a silent accept would
-    shear every field after the header."""
-    assert codec.VERSION == 2
-    v1 = codec._HEADER.pack(codec.MAGIC, 1, 7) \
-        + codec.encode_payload(("x",))
-    with pytest.raises(codec.CodecError, match="wire version 1"):
-        codec.decode_frame(v1)
+    """Frames of an older wire version must be refused, not mis-decoded:
+    v1 DataMsg/ChanData bodies lack the trace field and v2 heartbeats
+    lack the green line, so a silent accept would shear every field
+    after the header (v2 heartbeat bodies would even fail only on
+    length)."""
+    assert codec.VERSION == 3
+    for old in (1, 2):
+        frame = codec._HEADER.pack(codec.MAGIC, old, 7) \
+            + codec.encode_payload(("x",))
+        with pytest.raises(codec.CodecError,
+                           match=f"wire version {old}"):
+            codec.decode_frame(frame)
 
 
 @settings(max_examples=100, deadline=None)
@@ -113,6 +120,25 @@ def test_trace_field_roundtrips_any_64bit_value(trace):
     assert codec.decode_frame(codec.encode_frame(1, data))[1] == data
     chan = ChanData(1, 9, "payload", 64, trace)
     assert codec.decode_frame(codec.encode_frame(1, chan))[1] == chan
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1),
+       st.booleans())
+def test_heartbeat_green_line_roundtrips_any_64bit_value(line, in_view):
+    """The durable green line survives the compact heartbeat encoding
+    for the full signed 64-bit range, with and without a view id."""
+    msg = HeartbeatMsg(4, VIEW if in_view else None, in_view, 12, 1, line)
+    blob = codec.encode_frame(1, msg)
+    assert blob[codec._HEADER.size] == codec.TAG_HEARTBEAT
+    assert codec.decode_frame(blob)[1] == msg
+
+
+def test_heartbeat_green_line_out_of_range_takes_escape_hatch():
+    msg = HeartbeatMsg(4, VIEW, True, 12, 0, 2 ** 64)
+    blob = codec.encode_frame(1, msg)
+    assert blob[codec._HEADER.size] == codec.TAG_PICKLE
+    assert codec.decode_frame(blob)[1] == msg
 
 
 def test_trace_field_out_of_range_takes_escape_hatch():

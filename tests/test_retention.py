@@ -5,6 +5,11 @@ nothing the garbage collector tracks: the action queue truncates at the
 white line, the WAL compacts, the span ring wraps.  Deterministic — the
 gate counts ``gc.get_objects()``, no wall clock — on both runtimes,
 with every retention knob at its library default.
+
+The white line advances even when only one member originates actions:
+the quiet members publish their durable green lines on their GCS
+heartbeats, so the green actions a replica retains stay within what one
+heartbeat interval plus one checkpoint interval delivers.
 """
 
 import asyncio
@@ -15,7 +20,7 @@ from repro.core.state_machine import EngineState
 from repro.obs import DEFAULT_MAX_COMPLETED, Observability
 from repro.runtime import LiveCluster
 
-from conftest import make_cluster
+from conftest import make_cluster, recoverable_greens
 
 NODES = (1, 2, 3)
 # Every node originates a third of the load (a silent member pins the
@@ -100,6 +105,88 @@ def test_live_cluster_heap_is_flat_per_green_action():
             await drive(N, 2 * N)
             after = _tracked_objects()
             _assert_flat(before, after, cluster)
+        finally:
+            cluster.shutdown()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# one submitter: retained greens bounded by heartbeat + checkpoint
+# ----------------------------------------------------------------------
+def _probe_retention(cluster, now):
+    """Record green times per replica and, right after every
+    checkpoint (where the queue truncates), the greens still retained;
+    also check each heartbeat line against the disk at that instant."""
+    greens = {node: [] for node in cluster.replicas}
+    samples = []
+    for node, replica in cluster.replicas.items():
+        replica.add_green_listener(
+            lambda *_green, _n=node: greens[_n].append(now()))
+        engine = replica.engine
+        checkpoint = engine.checkpoint
+
+        def probe(_engine=engine, _checkpoint=checkpoint, _n=node,
+                  _replica=replica):
+            _checkpoint()
+            queue = _engine.queue
+            samples.append((_n, now(),
+                            queue.green_count - queue.green_offset))
+            assert _replica.daemon.green_line \
+                <= recoverable_greens(_replica)
+        engine.checkpoint = probe
+    return greens, samples
+
+
+def _assert_bounded(greens, samples, window, since):
+    measured = [(node, at, retained) for node, at, retained in samples
+                if at >= since]
+    assert len(measured) >= 3 * len(NODES)
+    for node, at, retained in measured:
+        delivered = sum(1 for t in greens[node] if at - window < t <= at)
+        assert retained <= delivered, (node, at, retained, delivered)
+    total = min(len(times) for times in greens.values())
+    assert max(retained for _n, _t, retained in measured) * 5 < total
+
+
+def _closed_loop(replica):
+    def submit(*_completion):
+        replica.submit(("INC", "n", 1), on_complete=submit)
+    submit()
+
+
+def test_single_submitter_retention_is_bounded_in_simulation():
+    cluster = make_cluster(3)
+    cluster.start_all(settle=1.0)
+    greens, samples = _probe_retention(cluster, lambda: cluster.sim.now)
+    began = cluster.sim.now
+    _closed_loop(cluster.replicas[1])
+    cluster.run_for(3.0)
+    # One heartbeat plus one checkpoint interval, plus the forced write
+    # and delivery of the line itself.
+    window = (cluster.gcs_settings.heartbeat_interval
+              + EngineConfig().checkpoint_interval + 0.01)
+    _assert_bounded(greens, samples, window, since=began + 0.5)
+
+
+def test_single_submitter_retention_is_bounded_on_a_live_cluster():
+    async def scenario():
+        cluster = LiveCluster(
+            NODES, engine_config=EngineConfig(apply_cpu=0.0))
+        try:
+            cluster.start_all()
+            await cluster.wait_all_engine_state(EngineState.REG_PRIM,
+                                                timeout=10)
+            greens, samples = _probe_retention(
+                cluster, lambda: cluster.runtime.now)
+            began = cluster.runtime.now
+            _closed_loop(cluster.replicas[1])
+            await asyncio.sleep(2.0)
+            # Event-loop scheduling jitter on top of the simulated
+            # bound's slack.
+            window = (cluster.gcs_settings.heartbeat_interval
+                      + EngineConfig().checkpoint_interval + 0.1)
+            _assert_bounded(greens, samples, window, since=began + 0.5)
         finally:
             cluster.shutdown()
 
