@@ -9,12 +9,26 @@ body    := struct-packed fields of the hot message types; nested
            application payloads recurse into another *item*
 
 Hot GCS/channel message types get dedicated encoders (a DataMsg header
-packs to 30 bytes — including the trace-context id — vs ~200 for its
-pickle); everything else — engine
-messages, snapshot chunks, arbitrary application payloads — falls back
-to the :data:`TAG_PICKLE` escape hatch, so the codec never constrains
-what the protocol can carry.  A :class:`Batch` encodes its entries
-recursively, so one UDP datagram carries many compact payloads.
+packs to 33 bytes — including the trace-context id — vs ~200 for its
+pickle), and so does the engine's per-action message
+(:class:`~repro.core.messages.EngineActionMsg`, :data:`TAG_ACTION`):
+its fixed fields are struct-packed, and the free-form ``client``,
+``query``, ``update`` and ``meta`` travel as *plain values* — ``None``,
+``bool``, 64-bit ``int``, ``float``, ``str``, ``bytes``, ``tuple``,
+``list`` and ``dict`` of those, each tagged and length-checked.
+Decoding an engine action therefore never resolves a global or calls
+anything, and every count is checked against the bytes left before a
+container is built, so a corrupt frame costs time and memory bounded
+by its length.  (Neither ``marshal`` nor a restricted unpickler gives
+that bound: a corrupted length or memo index makes them pre-allocate
+or zero gigabytes for a frame of a few bytes.)
+
+Everything else — an engine action holding any other value type,
+exchange/CPC/membership messages, snapshot chunks, arbitrary
+application payloads — falls back whole to the :data:`TAG_PICKLE`
+escape hatch, so the codec never constrains what the protocol can
+carry.  A :class:`Batch` encodes its entries recursively, so one UDP
+datagram carries many compact payloads.
 
 Trust model: the pickle escape hatch means frames must only be accepted
 from trusted endpoints, exactly like the previous all-pickle format —
@@ -35,6 +49,8 @@ import pickle
 import struct
 from typing import Any, Callable, Dict, List, Tuple
 
+from ..core.messages import EngineActionMsg
+from ..db.action import Action, ActionId, ActionType
 from ..gcs.types import (AckMsg, ChanAck, ChanData, DataMsg, HeartbeatMsg,
                          NackMsg, RetransDataMsg, ServiceLevel, StampMsg,
                          TokenMsg, ViewId)
@@ -48,10 +64,11 @@ class CodecError(ValueError):
 MAGIC = 0xC3
 # Version 2: DataMsg, ChanData, and retransmission items carry a
 # signed 64-bit trace-context field (0 = untraced).  Version 3: the
-# HeartbeatMsg body ends with the sender's durable green line.  Frames
-# of any other version are rejected with :class:`CodecError` — a
+# HeartbeatMsg body ends with the sender's durable green line.
+# Version 4: engine actions have their own tag instead of a pickle.
+# Frames of any other version are rejected with :class:`CodecError` — a
 # mixed-version peer would otherwise be misparsed, not refused.
-VERSION = 3
+VERSION = 4
 
 TAG_PICKLE = 0
 TAG_BATCH = 1
@@ -64,6 +81,7 @@ TAG_NACK = 7
 TAG_RETRANS = 8
 TAG_CHANDATA = 9
 TAG_CHANACK = 10
+TAG_ACTION = 11
 
 _HEADER = struct.Struct("!BBi")          # magic, version, src
 _ITEM = struct.Struct("!BI")             # tag, body length
@@ -85,10 +103,46 @@ _RETRANS_ITEM = struct.Struct("!qiqBiq")  # seq, origin, fifo, svc,
 _CHANDATA = struct.Struct("!iqiq")       # src, seq, size, trace
 _CHANACK = struct.Struct("!iq")          # src, ack_seq
 _SIZE = struct.Struct("!i")
+_ACTION = struct.Struct("!iqqiB")        # creator, index, message green
+                                         # line, size, flags
+_ACTION_ID = struct.Struct("!iq")        # Action.green_line
+_SERVER = struct.Struct("!i")            # join_id / leave_id
+
+# Engine-action flags.  The low two bits are the ActionType index; each
+# set presence bit appends its optional field after the fixed part, in
+# bit order.
+_A_TYPE = 0x03
+_A_RETRANS = 0x04
+_A_GREEN_POS = 0x08                      # + _SEQ
+_A_JOIN = 0x10                           # + _SERVER
+_A_LEAVE = 0x20                          # + _SERVER
+_A_LINE = 0x40                           # + _ACTION_ID
+_A_KNOWN = 0x7F
+
+# Plain-value tags of an engine action's free-form fields.
+_V_NONE = 0
+_V_FALSE = 1
+_V_TRUE = 2
+_V_INT = 3                               # + i64
+_V_FLOAT = 4                             # + f64
+_V_STR = 5                               # + u32 length, utf-8
+_V_BYTES = 6                             # + u32 length, raw
+_V_TUPLE = 7                             # + u32 count, items
+_V_LIST = 8                              # + u32 count, items
+_V_DICT = 9                              # + u32 count, key/value pairs
+_V_HEAD = struct.Struct("!BI")           # tag + length or count
+_V_INT_ITEM = struct.Struct("!Bq")
+_V_FLOAT_ITEM = struct.Struct("!Bd")
+_V_NONE_ITEM = bytes((_V_NONE,))
+_V_FALSE_ITEM = bytes((_V_FALSE,))
+_V_TRUE_ITEM = bytes((_V_TRUE,))
 
 _SERVICE_INDEX = {level: index for index, level
                   in enumerate(ServiceLevel)}
 _SERVICE_BY_INDEX = tuple(ServiceLevel)
+_ACTION_TYPE_INDEX = {kind: index for index, kind
+                      in enumerate(ActionType)}
+_ACTION_TYPE_BY_INDEX = tuple(ActionType)
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +222,70 @@ def _enc_batch(batch: Batch) -> bytes:
     return b"".join(parts)
 
 
+def _enc_value(value: Any, parts: List[bytes]) -> None:
+    """Append one plain value; TypeError for anything else (exact
+    builtin types only: an IntEnum or a str subclass would come back as
+    its base type, so it takes the escape hatch instead)."""
+    cls = value.__class__
+    if cls is str:
+        data = value.encode()
+        parts.append(_V_HEAD.pack(_V_STR, len(data)))
+        parts.append(data)
+    elif value is None:
+        parts.append(_V_NONE_ITEM)
+    elif cls is int:
+        parts.append(_V_INT_ITEM.pack(_V_INT, value))
+    elif cls is tuple or cls is list:
+        parts.append(_V_HEAD.pack(_V_TUPLE if cls is tuple else _V_LIST,
+                                  len(value)))
+        for item in value:
+            _enc_value(item, parts)
+    elif cls is dict:
+        parts.append(_V_HEAD.pack(_V_DICT, len(value)))
+        for key, item in value.items():
+            _enc_value(key, parts)
+            _enc_value(item, parts)
+    elif cls is bool:
+        parts.append(_V_TRUE_ITEM if value else _V_FALSE_ITEM)
+    elif cls is float:
+        parts.append(_V_FLOAT_ITEM.pack(_V_FLOAT, value))
+    elif cls is bytes:
+        parts.append(_V_HEAD.pack(_V_BYTES, len(value)))
+        parts.append(value)
+    else:
+        raise TypeError(f"not plain data: {cls.__name__}")
+
+
+def _enc_action(msg: EngineActionMsg) -> bytes:
+    action = msg.action
+    if action.__class__ is not Action:
+        raise TypeError("Action subclass")
+    flags = _ACTION_TYPE_INDEX[action.type]
+    parts = [b""]
+    if msg.retrans:
+        flags |= _A_RETRANS
+    if msg.green_pos is not None:
+        flags |= _A_GREEN_POS
+        parts.append(_SEQ.pack(msg.green_pos))
+    if action.join_id is not None:
+        flags |= _A_JOIN
+        parts.append(_SERVER.pack(action.join_id))
+    if action.leave_id is not None:
+        flags |= _A_LEAVE
+        parts.append(_SERVER.pack(action.leave_id))
+    if action.green_line is not None:
+        flags |= _A_LINE
+        parts.append(_ACTION_ID.pack(*action.green_line))
+    creator, index = action.action_id
+    parts[0] = _ACTION.pack(creator, index, msg.green_line, action.size,
+                            flags)
+    _enc_value(action.client, parts)
+    _enc_value(action.query, parts)
+    _enc_value(action.update, parts)
+    _enc_value(action.meta, parts)
+    return b"".join(parts)
+
+
 _ENCODERS: Dict[type, Tuple[int, Callable[[Any], bytes]]] = {
     DataMsg: (TAG_DATA, _enc_data),
     StampMsg: (TAG_STAMP, _enc_stamp),
@@ -179,6 +297,7 @@ _ENCODERS: Dict[type, Tuple[int, Callable[[Any], bytes]]] = {
     ChanData: (TAG_CHANDATA, _enc_chandata),
     ChanAck: (TAG_CHANACK, _enc_chanack),
     Batch: (TAG_BATCH, _enc_batch),
+    EngineActionMsg: (TAG_ACTION, _enc_action),
 }
 
 
@@ -192,9 +311,10 @@ def encode_payload(obj: Any) -> bytes:
             body = encoder(obj)
             return _ITEM.pack(tag, len(body)) + body
         except (struct.error, OverflowError, KeyError, TypeError,
-                ValueError):
-            # A field out of the packed range, an exotic subtype, or an
-            # unexpected item shape: the escape hatch below carries it.
+                ValueError, RecursionError):
+            # A field out of the packed range, an exotic subtype, a
+            # value that is not plain data, or an unexpected item
+            # shape: the escape hatch below carries it.
             pass
     body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     return _ITEM.pack(TAG_PICKLE, len(body)) + body
@@ -347,6 +467,93 @@ def _dec_batch(body: bytes) -> Batch:
     return Batch(entries)
 
 
+def _dec_value(buf: bytes, offset: int) -> Tuple[Any, int]:
+    """One plain value at ``offset``; returns it and the next offset.
+    Every item takes at least one byte, so a count larger than the
+    bytes left is refused before anything is built."""
+    tag = buf[offset]
+    if tag == _V_STR or tag == _V_BYTES:
+        length = _V_HEAD.unpack_from(buf, offset)[1]
+        start = offset + _V_HEAD.size
+        end = start + length
+        if end > len(buf):
+            raise CodecError("truncated plain value")
+        data = buf[start:end]
+        return (data.decode() if tag == _V_STR else data), end
+    if tag == _V_NONE:
+        return None, offset + 1
+    if tag == _V_INT:
+        return (_V_INT_ITEM.unpack_from(buf, offset)[1],
+                offset + _V_INT_ITEM.size)
+    if tag == _V_TUPLE or tag == _V_LIST or tag == _V_DICT:
+        count = _V_HEAD.unpack_from(buf, offset)[1]
+        offset += _V_HEAD.size
+        width = 2 if tag == _V_DICT else 1
+        if count * width > len(buf) - offset:
+            raise CodecError("plain container count exceeds its frame")
+        if tag == _V_DICT:
+            mapping: Dict[Any, Any] = {}
+            for _ in range(count):
+                key, offset = _dec_value(buf, offset)
+                mapping[key], offset = _dec_value(buf, offset)
+            return mapping, offset
+        items: List[Any] = []
+        for _ in range(count):
+            item, offset = _dec_value(buf, offset)
+            items.append(item)
+        return (tuple(items) if tag == _V_TUPLE else items), offset
+    if tag == _V_FALSE or tag == _V_TRUE:
+        return tag == _V_TRUE, offset + 1
+    if tag == _V_FLOAT:
+        return (_V_FLOAT_ITEM.unpack_from(buf, offset)[1],
+                offset + _V_FLOAT_ITEM.size)
+    raise CodecError(f"unknown plain value tag {tag}")
+
+
+def _dec_action(body: bytes) -> EngineActionMsg:
+    _need(body, 0, _ACTION.size)
+    creator, index, green_line, size, flags = _ACTION.unpack_from(body, 0)
+    kind = flags & _A_TYPE
+    if flags & ~_A_KNOWN or kind >= len(_ACTION_TYPE_BY_INDEX):
+        raise CodecError(f"bad engine action flags 0x{flags:02x}")
+    offset = _ACTION.size
+    green_pos = join_id = leave_id = None
+    line = None
+    if flags & _A_GREEN_POS:
+        _need(body, offset, _SEQ.size)
+        (green_pos,) = _SEQ.unpack_from(body, offset)
+        offset += _SEQ.size
+    if flags & _A_JOIN:
+        _need(body, offset, _SERVER.size)
+        (join_id,) = _SERVER.unpack_from(body, offset)
+        offset += _SERVER.size
+    if flags & _A_LEAVE:
+        _need(body, offset, _SERVER.size)
+        (leave_id,) = _SERVER.unpack_from(body, offset)
+        offset += _SERVER.size
+    if flags & _A_LINE:
+        _need(body, offset, _ACTION_ID.size)
+        line = ActionId(*_ACTION_ID.unpack_from(body, offset))
+        offset += _ACTION_ID.size
+    try:
+        client, offset = _dec_value(body, offset)
+        query, offset = _dec_value(body, offset)
+        update, offset = _dec_value(body, offset)
+        meta, offset = _dec_value(body, offset)
+    except (IndexError, struct.error, UnicodeDecodeError, TypeError,
+            RecursionError) as exc:
+        # Truncated, a non-utf-8 string, an unhashable dict key, or
+        # nesting past the interpreter's limit.
+        raise CodecError(f"bad engine action value: {exc!r}") from None
+    if offset != len(body):
+        raise CodecError("trailing bytes in EngineActionMsg body")
+    action = Action(ActionId(creator, index), line, client, query, update,
+                    _ACTION_TYPE_BY_INDEX[kind], join_id, leave_id, size,
+                    meta)
+    return EngineActionMsg(action, green_line, green_pos,
+                           bool(flags & _A_RETRANS))
+
+
 _DECODERS: Dict[int, Callable[[bytes], Any]] = {
     TAG_PICKLE: _dec_pickle,
     TAG_DATA: _dec_data,
@@ -359,6 +566,7 @@ _DECODERS: Dict[int, Callable[[bytes], Any]] = {
     TAG_CHANDATA: _dec_chandata,
     TAG_CHANACK: _dec_chanack,
     TAG_BATCH: _dec_batch,
+    TAG_ACTION: _dec_action,
 }
 
 

@@ -4,7 +4,10 @@ Implements the :class:`~repro.runtime.base.Runtime` protocol over
 ``asyncio``: ``now`` is the loop's monotonic clock re-based to zero at
 runtime creation, timers map onto ``loop.call_later``/``call_at``, and
 ``call_soon`` preserves the kernel's FIFO-at-now semantics via the
-loop's ready queue.
+loop's ready queue.  Work that is due now — ``post(0.0, ...)`` and
+``post_at`` a time already reached — goes to the ready queue too, not
+the timer heap: FIFO with ``call_soon`` exactly as on the kernel, and
+no heap push and pop for a callback with nothing to wait for.
 
 Semantics mirror :class:`~repro.sim.kernel.Simulator` where the
 protocol stack can observe the difference:
@@ -21,12 +24,17 @@ One deliberate divergence: ``post_at``/``schedule_at`` with a time in
 the past *clamp to now* instead of raising.  Virtual time never drifts,
 wall-clock time always does; a live component computing an absolute
 deadline from a slightly stale ``now`` must not crash the node.
+
+An exception escaping a callback does not stop the loop; asyncio hands
+it to the loop's exception handler.  The runtime installs one that
+counts it (:attr:`AsyncioRuntime.callback_errors`, with the last
+context kept) before passing it on to the handler it replaced.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..sim.kernel import SimulationError
 
@@ -83,6 +91,10 @@ class AsyncioRuntime:
         self._origin = self._loop.time()
         self._events_processed = 0
         self.stopped = asyncio.Event()
+        self.callback_errors = 0
+        self.last_callback_error: Optional[Dict[str, Any]] = None
+        self._previous_handler = self._loop.get_exception_handler()
+        self._loop.set_exception_handler(self._on_loop_exception)
 
     # ------------------------------------------------------------------
     # time
@@ -106,17 +118,21 @@ class AsyncioRuntime:
     # ------------------------------------------------------------------
     def post(self, delay: float, callback: Callback, *args: Any) -> None:
         """Fire-and-forget ``callback(*args)`` after ``delay`` seconds."""
-        if delay < 0:
+        if delay > 0:
+            self._loop.call_later(delay, self._dispatch, callback, args)
+        elif delay == 0:
+            self._loop.call_soon(self._dispatch, callback, args)
+        else:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        self._loop.call_later(delay, self._dispatch, callback, args)
 
     def post_at(self, time: float, callback: Callback, *args: Any) -> None:
-        """Fire-and-forget at absolute runtime time ``time`` (clamped to
-        now if the wall clock already passed it)."""
+        """Fire-and-forget at absolute runtime time ``time`` (run with
+        the work due now if the wall clock already reached it)."""
         when = self._origin + time
-        loop_now = self._loop.time()
-        self._loop.call_at(when if when > loop_now else loop_now,
-                           self._dispatch, callback, args)
+        if when > self._loop.time():
+            self._loop.call_at(when, self._dispatch, callback, args)
+        else:
+            self._loop.call_soon(self._dispatch, callback, args)
 
     def schedule(self, delay: float, callback: Callback,
                  *args: Any) -> AsyncioHandle:
@@ -161,6 +177,15 @@ class AsyncioRuntime:
         handle._fired = True
         self._events_processed += 1
         callback(*args)
+
+    def _on_loop_exception(self, loop: asyncio.AbstractEventLoop,
+                           context: Dict[str, Any]) -> None:
+        self.callback_errors += 1
+        self.last_callback_error = context
+        if self._previous_handler is None:
+            loop.default_exception_handler(context)
+        else:
+            self._previous_handler(loop, context)
 
     # ------------------------------------------------------------------
     # lifecycle

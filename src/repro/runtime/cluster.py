@@ -49,9 +49,11 @@ class LiveClusterTimeout(AssertionError):
 def live_disk_profile() -> DiskProfile:
     """Disk timings for live runs: real fsync latency would make every
     wall-clock test crawl; 0.5 ms keeps the durability ordering
-    observable without dominating the run."""
+    observable without dominating the run.  Buffered writes complete at
+    once: a microsecond timer is below the event loop's granularity,
+    and no live caller waits on one."""
     return DiskProfile(forced_write_latency=0.0005,
-                       async_write_latency=0.00002)
+                       async_write_latency=0.0)
 
 
 def live_gcs_settings(**overrides: Any) -> GcsSettings:
@@ -109,10 +111,17 @@ class LiveCluster:
             self.obs.flight_hub.attach(self.tracer)
         if isinstance(self.transport, AsyncioTransport):
             self.transport.observe(self.obs, self.tracer)
+        self.obs.registry.counter_callback(
+            "repro_runtime_callback_errors_total",
+            lambda: self.runtime.callback_errors,
+            "Exceptions raised by callbacks on this cluster's event loop.")
         self._metrics_server: Optional[MetricsServer] = None
         self.directory: Set[int] = set(self.server_ids)
         self.gcs_settings = gcs_settings or live_gcs_settings()
-        self.engine_config = engine_config or EngineConfig()
+        # EngineConfig's apply_cpu models the paper's per-action service
+        # time for the simulator; on a real loop it would only cap
+        # throughput at 1 / apply_cpu.
+        self.engine_config = engine_config or EngineConfig(apply_cpu=0.0)
         self.disk_profile = disk_profile or live_disk_profile()
         self.replicas: Dict[int, Replica] = {}
         self._client_counter: Dict[int, int] = {}

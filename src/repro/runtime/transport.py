@@ -157,9 +157,10 @@ class AsyncioTransport:
     (``open(node, sock=...)``), which lets a parent process bind all
     ports race-free and fork the cluster.
 
-    Wire format: the struct-packed frames of :mod:`repro.net.codec`
-    (compact encoders for the hot protocol messages, pickle escape
-    hatch for everything else).  The escape hatch means frames are only
+    Wire format: the struct-packed frames of :mod:`repro.net.codec`.
+    The GCS data plane and the engine's action messages have compact
+    encoders and never unpickle; exchange, membership and transfer
+    messages still take the pickle escape hatch, so frames are only
     safe from trusted endpoints — every node of a deployment is part of
     one trust domain, exactly as with multiprocessing.  Do not expose
     these ports to untrusted networks.

@@ -140,8 +140,12 @@ class SimulatedDisk:
         else:
             self.async_writes += 1
             self.volatile.append(payload)
-            self.sim.post(self.profile.async_write_latency,
-                          self._async_done, callback, self._incarnation)
+            latency = self.profile.async_write_latency
+            # A completion nobody waits on, due now, would be an empty
+            # event; the simulator's nonzero latency keeps its event.
+            if callback is not None or latency:
+                self.sim.post(latency, self._async_done, callback,
+                              self._incarnation)
 
     def _async_done(self, callback: Optional[Callback],
                     incarnation: int) -> None:

@@ -1,11 +1,15 @@
 """Binary wire codec: differential round-trips and frame fuzzing."""
 
+import enum
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.messages import EngineActionMsg
+from repro.db import Action, ActionId, join_action, leave_action
 from repro.gcs.channel import ChanAck, ChanData
 from repro.gcs.types import (AckMsg, DataMsg, HeartbeatMsg, NackMsg,
                              RetransDataMsg, ServiceLevel, StampMsg,
@@ -14,6 +18,34 @@ from repro.net import codec
 from repro.net.batching import Batch
 
 VIEW = ViewId(3, 1)
+
+#: Engine actions as the engine sends them (all take TAG_ACTION).
+ENGINE_ACTIONS = [
+    # fresh, as on the saturated hot path
+    EngineActionMsg(Action(ActionId(2, 7), update=("SET", "c12", 3456)),
+                    green_line=12000),
+    # traced: the flight recorder's id and the staleness timestamp
+    EngineActionMsg(Action(ActionId(2, 8), update=("SET", "k", 1),
+                           meta={"trace": (2 << 32) | 8, "ts": 1.25}),
+                    green_line=4),
+    # exchange retransmission of a green action
+    EngineActionMsg(Action(ActionId(3, 1), update=("SET", "k", 2),
+                           client="client-3.1"),
+                    green_line=9, green_pos=41, retrans=True),
+    EngineActionMsg(join_action(ActionId(1, 5), 4)),
+    EngineActionMsg(leave_action(ActionId(1, 6), 2), retrans=True),
+    # query-only
+    EngineActionMsg(Action(ActionId(1, 9), query=("GET", "k"))),
+    # an active action with nested arguments
+    EngineActionMsg(Action(ActionId(2, 9), update=(
+        "CALL", "txn_prepare",
+        (7, [("SET", "a", 1), ("DEL", "b")], {"keys": ["a", "b"],
+                                              "blob": b"\x00\xff",
+                                              "ok": True, "w": -0.5})))),
+    # Action.green_line set (white-line gossip in the action itself)
+    EngineActionMsg(Action(ActionId(3, 2), green_line=ActionId(1, 40),
+                           update=("SET", "k", None)), green_line=40),
+]
 
 #: One of every wire type the codec packs compactly, plus payloads that
 #: must take the pickle escape hatch.
@@ -49,7 +81,7 @@ CORPUS = [
     ("raw", "tuple"),
     {"a": 1},
     None,
-]
+] + ENGINE_ACTIONS
 
 
 @pytest.mark.parametrize("payload", CORPUS,
@@ -67,6 +99,11 @@ def test_compact_encoding_beats_pickle_for_hot_types():
     assert len(codec.encode_frame(1, msg)) < len(pickle.dumps(msg))
     ack = AckMsg(VIEW, 4, 1234)
     assert len(codec.encode_frame(1, ack)) < len(pickle.dumps(ack))
+    action = ENGINE_ACTIONS[0]
+    assert len(codec.encode_frame(1, action)) < len(pickle.dumps(action)) / 3
+    # One fresh action in its DataMsg, as the GCS sends it.
+    data = DataMsg(VIEW, 2, 7, action, ServiceLevel.SAFE, 200)
+    assert len(codec.encode_frame(1, data)) <= 120
 
 
 def test_nested_batch_roundtrip():
@@ -100,9 +137,10 @@ def test_version1_frames_are_rejected():
     v1 DataMsg/ChanData bodies lack the trace field and v2 heartbeats
     lack the green line, so a silent accept would shear every field
     after the header (v2 heartbeat bodies would even fail only on
-    length)."""
-    assert codec.VERSION == 3
-    for old in (1, 2):
+    length), and a v3 peer pickles the engine actions a v4 peer no
+    longer unpickles."""
+    assert codec.VERSION == 4
+    for old in (1, 2, 3):
         frame = codec._HEADER.pack(codec.MAGIC, old, 7) \
             + codec.encode_payload(("x",))
         with pytest.raises(codec.CodecError,
@@ -211,3 +249,138 @@ def test_single_byte_corruption_is_contained(pos, value):
         codec.decode_frame(bytes(blob))
     except codec.CodecError:
         pass
+
+
+# ----------------------------------------------------------------------
+# engine actions (TAG_ACTION)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("msg", ENGINE_ACTIONS,
+                         ids=lambda m: str(m.action.action_id))
+def test_engine_actions_take_their_own_tag(msg):
+    blob = codec.encode_frame(1, msg)
+    assert blob[codec._HEADER.size] == codec.TAG_ACTION
+    assert codec.decode_frame(blob)[1] == msg
+
+
+def _shape(value):
+    """``value`` with every container and leaf tagged by its exact type,
+    so equality also compares types (``(1,) == [1]`` is False here, and
+    ``True == 1`` is too)."""
+    if isinstance(value, (tuple, list)):
+        return (type(value), [_shape(item) for item in value])
+    if isinstance(value, dict):
+        return (dict, [(_shape(k), _shape(v)) for k, v in value.items()])
+    return (type(value), value)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_KEYS = _TEXT | st.integers(-2 ** 63, 2 ** 63 - 1) | st.binary(max_size=8)
+_PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 63, 2 ** 63 - 1)
+    | st.floats(allow_nan=False) | _TEXT | st.binary(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PLAIN, _PLAIN, _PLAIN)
+def test_plain_values_roundtrip_type_exactly(update, meta_value, client):
+    """Plain data in the free-form fields survives the compact encoding
+    with every type intact: a tuple stays a tuple, a list a list, bytes
+    bytes — no pickle involved."""
+    msg = EngineActionMsg(Action(ActionId(1, 2), client=client,
+                                 update=update, meta={"v": meta_value}))
+    blob = codec.encode_frame(1, msg)
+    assert blob[codec._HEADER.size] == codec.TAG_ACTION
+    decoded = codec.decode_frame(blob)[1]
+    assert decoded == msg
+    assert _shape(decoded.action.update) == _shape(update)
+    assert _shape(decoded.action.meta) == _shape({"v": meta_value})
+    assert _shape(decoded.action.client) == _shape(client)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+class _Name(str):
+    pass
+
+
+class _Opaque:
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Opaque) and other.value == self.value
+
+
+@pytest.mark.parametrize("value", [_Level.HIGH, _Name("k"), _Opaque(3),
+                                   2 ** 64, {1, 2}],
+                         ids=["IntEnum", "str-subclass", "object",
+                              "bigint", "set"])
+def test_non_plain_values_take_the_escape_hatch_whole(value):
+    msg = EngineActionMsg(Action(ActionId(1, 2), update=("SET", "k", value)))
+    blob = codec.encode_frame(1, msg)
+    assert blob[codec._HEADER.size] == codec.TAG_PICKLE
+    decoded = codec.decode_frame(blob)[1]
+    assert decoded == msg
+    assert type(decoded.action.update[2]) is type(value)
+
+
+_RESOLVED = []
+
+
+def _resolved():        # what a GLOBAL opcode below would name
+    _RESOLVED.append(True)
+
+
+def test_engine_action_body_never_resolves_a_global():
+    """A pickle program where a plain value belongs is refused as an
+    unknown value tag: nothing is imported, looked up or called."""
+    fixed = codec._ACTION.pack(1, 2, 0, 200, 0)
+    program = (b"c" + __name__.encode() + b"\n_resolved\n)R.")
+    for body in (fixed + program,
+                 fixed + codec._V_NONE_ITEM * 3 + program):
+        frame = (codec._HEADER.pack(codec.MAGIC, codec.VERSION, 1)
+                 + codec._ITEM.pack(codec.TAG_ACTION, len(body)) + body)
+        with pytest.raises(codec.CodecError, match="value tag"):
+            codec.decode_frame(frame)
+    assert _RESOLVED == []
+
+
+def test_engine_action_counts_larger_than_the_frame_are_refused():
+    """A corrupt count is checked against the bytes left before any
+    container is built (``marshal`` would allocate it first)."""
+    fixed = codec._ACTION.pack(1, 2, 0, 200, 0)
+    for tag in (codec._V_TUPLE, codec._V_LIST, codec._V_DICT,
+                codec._V_STR, codec._V_BYTES):
+        body = fixed + codec._V_HEAD.pack(tag, 2 ** 32 - 1) + b"\x00" * 8
+        frame = (codec._HEADER.pack(codec.MAGIC, codec.VERSION, 1)
+                 + codec._ITEM.pack(codec.TAG_ACTION, len(body)) + body)
+        with pytest.raises(codec.CodecError):
+            codec.decode_frame(frame)
+
+
+def test_every_single_byte_corruption_of_an_engine_action_is_bounded():
+    """Every value at every byte of a traced action's frame either
+    decodes or raises CodecError, and no corruption allocates more than
+    a small multiple of the frame."""
+    blob = codec.encode_frame(1, ENGINE_ACTIONS[1])
+    tracemalloc.start()
+    try:
+        for pos in range(len(blob)):
+            corrupt = bytearray(blob)
+            for value in range(256):
+                corrupt[pos] = value
+                try:
+                    codec.decode_frame(bytes(corrupt))
+                except codec.CodecError:
+                    pass
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

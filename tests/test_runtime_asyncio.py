@@ -158,6 +158,63 @@ def test_call_soon_cancellable_before_tick():
     assert not keep_active
 
 
+def test_due_now_posts_are_fifo_with_call_soon_and_skip_the_timer_heap():
+    """``post(0.0)`` and ``post_at`` a time already passed run with the
+    work due now, in submission order with ``call_soon`` (the kernel's
+    FIFO-at-now), and never push a loop timer."""
+    async def scenario():
+        rt = AsyncioRuntime()
+        await asyncio.sleep(0.005)
+        timers = []
+        call_at = rt.loop.call_at
+
+        def counting_call_at(*args, **kwargs):
+            timers.append(args[0])
+            return call_at(*args, **kwargs)
+        rt.loop.call_at = counting_call_at   # call_later goes through it
+        order = []
+        rt.post(0.0, order.append, 1)
+        rt.call_soon(order.append, 2)
+        rt.post_at(0.0, order.append, 3)
+        rt.post_at(rt.now, order.append, 4)
+        rt.call_soon(order.append, 5)
+        rt.post(0.0, order.append, 6)
+        due_now_timers = len(timers)
+        rt.post(0.001, order.append, 7)
+        all_timers = len(timers)
+        del rt.loop.call_at
+        await asyncio.sleep(0.02)
+        return order, due_now_timers, all_timers, rt.events_processed
+
+    order, due_now_timers, timers, processed = run(scenario())
+    assert order == [1, 2, 3, 4, 5, 6, 7]
+    assert due_now_timers == 0
+    assert timers == 1                  # only the delayed post
+    assert processed == 7
+
+
+def test_callback_exceptions_are_counted_and_passed_on():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        seen = []
+        loop.set_exception_handler(lambda _loop, context: seen.append(
+            type(context.get("exception")).__name__))
+        rt = AsyncioRuntime()
+
+        def boom():
+            raise KeyError("lost")
+        rt.post(0.0, boom)
+        rt.post(0.001, boom)
+        rt.call_soon(lambda: None)
+        await asyncio.sleep(0.02)
+        return rt.callback_errors, rt.last_callback_error, seen
+
+    errors, last, seen = run(scenario())
+    assert errors == 2
+    assert isinstance(last["exception"], KeyError)
+    assert seen == ["KeyError", "KeyError"]      # chained, not swallowed
+
+
 def test_negative_delay_rejected_like_kernel():
     async def scenario():
         rt = AsyncioRuntime()

@@ -168,6 +168,8 @@ def _live_trace(wire=None):
                                                 timeout=15)
             digests = {n: r.database.digest()
                        for n, r in cluster.replicas.items()}
+            assert cluster.runtime.callback_errors == 0, \
+                cluster.runtime.last_callback_error
             return recorder.trace(digests)
         finally:
             cluster.shutdown()

@@ -92,6 +92,8 @@ def _live_trace(udp):
                 await fabric.wait_green(shard, count, timeout=20)
             await fabric.wait_no_inflight(timeout=10)
             fabric.assert_converged()
+            assert fabric.runtime.callback_errors == 0, \
+                fabric.runtime.last_callback_error
             return _trace(fabric, outcomes)
         finally:
             fabric.shutdown()
