@@ -97,8 +97,12 @@ async def scrape_own_metrics(cluster, label):
     problems = lint_prometheus(text)
     if problems:
         raise AssertionError(f"{label}: /metrics lint: {problems[:3]}")
-    if "repro_engine_green_actions_total" not in text:
-        raise AssertionError(f"{label}: /metrics missing engine counters")
+    for family, what in (("repro_engine_green_actions_total",
+                          "engine counters"),
+                         ("repro_gcs_gather_seconds",
+                          "the gather histogram")):
+        if family not in text:
+            raise AssertionError(f"{label}: /metrics missing {what}")
     await fetch_http("127.0.0.1", server.port, "/status")
     print(f"{label}: scraped :{server.port}/metrics "
           f"({len(text.splitlines())} lines, lint clean)", flush=True)

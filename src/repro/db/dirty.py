@@ -13,6 +13,7 @@ the red suffix changes.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .action import Action, ActionType
@@ -46,7 +47,9 @@ class DirtyView:
         if (self._state is None
                 or pending[:self._applied] != self._suffix[:self._applied]
                 or len(pending) < self._applied):
-            self._state = dict(self.database.state)
+            # Deep: replaying an APPEND must not grow a list the green
+            # state holds.
+            self._state = copy.deepcopy(self.database.state)
             self._applied = 0
         for action in pending[self._applied:]:
             if (action.type is ActionType.ACTION

@@ -21,6 +21,7 @@ instance (see :class:`repro.db.database.Database`).
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 Statement = Tuple
@@ -93,12 +94,15 @@ def execute_update(state: Dict[str, Any], update: Tuple,
 def execute_query(state: Dict[str, Any], query: Tuple,
                   procedures: Optional[Dict[str, Procedure]] = None
                   ) -> Any:
-    """Evaluate a query part against a read-only view of ``state``.
+    """Evaluate a query part without changing ``state``.
 
-    Queries must not mutate; they run against a shallow copy so a
-    buggy "query" cannot corrupt the replicated state.
+    A lone ``GET`` reads in place.  Anything else runs against a deep
+    copy: a buggy "query" or a procedure that writes must not reach the
+    replicated state, nor any list or dict nested inside it.
     """
-    view = dict(state)
     if query and isinstance(query[0], str):
-        return execute_statement(view, query, procedures)
+        if query[0] == "GET":
+            return execute_statement(state, query, procedures)
+        return execute_statement(copy.deepcopy(state), query, procedures)
+    view = copy.deepcopy(state)
     return [execute_statement(view, q, procedures) for q in query]

@@ -18,7 +18,10 @@ Roles within a view:
 
 Membership is a gather → propose → flush → install protocol driven by
 the coordinator (lowest id of the gathered set), with attempt numbers
-making restarts safe.  The flush retransmits old-view messages so that
+making restarts safe.  A gather settles when ``gather_settle`` passes
+with no new member — or, with ``idle_immediate``, at the end of the
+dispatch in which every directory member has answered or is presumed
+failed.  The flush retransmits old-view messages so that
 members coming from the same old view deliver the same message set
 (virtual synchrony), splits delivery at the known-stability line
 (regular vs transitional delivery, Section 4.1's three cases), and
@@ -148,6 +151,11 @@ class GcsDaemon(Actor):
         self._ack_sent_at = float("-inf")
         self._stamp_posted = False
         self._ack_posted = False
+        # ... and for the gather: when the round began, and when this
+        # daemon (re)started (a member never heard from may still be
+        # starting until failure_timeout after that).
+        self._gather_began = 0.0
+        self._started_at = 0.0
 
         s = self.settings
         self._hb_timer = self.make_timer("heartbeat", self._send_heartbeat,
@@ -180,12 +188,25 @@ class GcsDaemon(Actor):
         self.deliveries = 0
         self.views_installed = 0
         self._c_gathers = None
+        self._h_gather = None
+        self._c_settled: Dict[str, Any] = {}
         if obs is not None and obs.enabled:
             registry = obs.registry
             self._c_gathers = registry.counter(
                 "repro_gcs_gather_rounds_total",
                 "Membership gather rounds entered.",
                 ("server",)).labels(node)
+            self._h_gather = registry.histogram(
+                "repro_gcs_gather_seconds",
+                "Membership gather entered to settled.",
+                ("server",)).labels(node)
+            settled = registry.counter(
+                "repro_gcs_gather_settled_total",
+                "Gather rounds settled, by what settled them: every "
+                "expected member answered, or the settle timer.",
+                ("server", "how"))
+            self._c_settled = {how: settled.labels(node, how)
+                               for how in ("answered", "timer")}
             for name, help, fn in (
                     ("repro_gcs_messages_multicast",
                      "Application messages multicast by the daemon.",
@@ -233,6 +254,7 @@ class GcsDaemon(Actor):
         """Boot the daemon (not yet a group member)."""
         self.network.attach(self.node, self._on_datagram)
         self.state = DaemonState.IDLE
+        self._started_at = self.sim.now
         self._hb_timer.start()
         self._fd_timer.start()
         self._nack_timer.start()
@@ -721,11 +743,13 @@ class GcsDaemon(Actor):
         if self._c_gathers is not None:
             self._c_gathers.inc()
         self._perceived = {self.node}
+        self._gather_began = self.sim.now
         self.tracer.emit(self.sim.now, self.node, "gcs.gather",
                          attempt=self.attempt)
         self._announce_gather()
         self._gather_announce.start()
         self._settle_timer.start()
+        self._settle_if_answered()
 
     def _announce_gather(self) -> None:
         if self.state != DaemonState.GATHER:
@@ -755,10 +779,43 @@ class GcsDaemon(Actor):
             if msg.attempt > self.attempt:
                 self._enter_gather(msg.attempt)
                 self._perceived.add(msg.node)
+        self._settle_if_answered()
 
-    def _gather_settled(self) -> None:
+    def _all_answered(self) -> bool:
+        """Nothing is left to collect: every directory member is in the
+        gathered set or presumed failed — heard from, but not within
+        ``failure_timeout`` (a member never heard from counts as heard
+        at start-up: it may still be starting)."""
+        if self.state != DaemonState.GATHER:
+            return False
+        deadline = self.sim.now - self.settings.failure_timeout
+        for member in self.directory:
+            if (member not in self._perceived
+                    and self._last_heard.get(member, self._started_at)
+                    >= deadline):
+                return False
+        return True
+
+    def _settle_if_answered(self) -> None:
+        """Idle→immediate gather (settings.idle_immediate): once every
+        expected member answered, settle at the end of this dispatch
+        instead of waiting out ``gather_settle``.  Never inside the
+        handler, as for stamps and acks; the timer stays the fallback."""
+        if self.settings.idle_immediate and self._all_answered():
+            self.sim.post(0.0, self._settle_answered)
+
+    def _settle_answered(self) -> None:
+        # Re-check: a newer round entered since the post gathers afresh.
+        if self._all_answered():
+            self._settle_timer.stop()
+            self._gather_settled("answered")
+
+    def _gather_settled(self, how: str = "timer") -> None:
         if self.state != DaemonState.GATHER:
             return
+        if self._h_gather is not None:
+            self._h_gather.observe(self.sim.now - self._gather_began)
+            self._c_settled[how].inc()
         members = tuple(sorted(self._perceived))
         coordinator = members[0]
         self._gather_announce.stop()

@@ -89,13 +89,18 @@ class GcsSettings:
     phase_timeout: float = 0.400
     stamp_window: float = 0.0004
     ack_window: float = 0.0010
-    # Idle→immediate stamps and acks: when no stamp batch (ack) went
-    # out during the last stamp_window (ack_window), send the next one
-    # at the end of the current dispatch instead of waiting out the
-    # window; under load the windows coalesce exactly as without it.
-    # Live runs turn it on (an event loop rounds each timer up to a
-    # millisecond, paid twice per safe delivery); the simulator keeps
-    # the paper-calibrated window timing its figures are pinned to.
+    # Idle→immediate: do not wait out a window that has nothing left to
+    # collect.  When no stamp batch (ack) went out during the last
+    # stamp_window (ack_window), send the next one at the end of the
+    # current dispatch; under load the windows coalesce exactly as
+    # without it.  A membership gather settles at the end of the
+    # dispatch in which every directory member has answered or is
+    # presumed failed (heard from, but not within failure_timeout),
+    # instead of waiting out gather_settle.  Live runs turn it on (an
+    # event loop rounds each timer up to a millisecond, paid twice per
+    # safe delivery, and an idle gather costs a whole gather_settle);
+    # the simulator keeps the paper-calibrated timing its figures are
+    # pinned to.
     idle_immediate: bool = False
     nack_timeout: float = 0.020
     use_topology_hints: bool = True

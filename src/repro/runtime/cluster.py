@@ -61,10 +61,15 @@ def live_gcs_settings(**overrides: Any) -> GcsSettings:
 
     Tighter than the LAN defaults where safe (loopback latency is tens
     of microseconds) but with generous failure/phase timeouts so CI
-    scheduler jitter does not masquerade as a network fault.  Stamps
-    and acks go out idle→immediate: an event loop rounds each coalescing
-    timer up to a whole millisecond, which an idle group would otherwise
-    pay twice per safe delivery.
+    scheduler jitter does not masquerade as a network fault.  Windows
+    with nothing left to collect are not waited out
+    (``idle_immediate``): stamps and acks go out at the end of the
+    dispatch when their window is idle — an event loop rounds each
+    coalescing timer up to a whole millisecond, which an idle group
+    would otherwise pay twice per safe delivery — and a membership
+    gather settles as soon as every expected member has answered,
+    instead of idling out ``gather_settle`` at every start-up,
+    partition and merge.
     """
     params: Dict[str, Any] = dict(
         heartbeat_interval=0.030, failure_timeout=0.300,

@@ -5,7 +5,9 @@ Runs a workload with observability enabled and prints, per replica:
 * action latency percentiles — red→green and submit→green p50/p95/p99
   (exact, over the retained completed spans);
 * membership changes — count and total/max duration from steady state
-  lost to primary installed, plus closed vulnerable windows;
+  lost to primary installed, plus closed vulnerable windows, and the
+  GCS gather rounds: how many settled on every expected member's
+  answer and how many on the settle timer, with the gather p50;
 * fsync accounting — forced writes, platter syncs (group commits), and
   the mean sync wait.
 
@@ -86,14 +88,13 @@ def build_report(obs: Observability, *,
     """
     snapshot = obs.snapshot()
 
-    def sample(name: str, node: Any, default: Any = 0.0) -> Any:
-        entry = snapshot.get(name, {})
-        if str(node) in entry:
-            return entry[str(node)]
-        # Shard-scoped registries key samples as "shard,node": fall
-        # back to the unique key whose node component matches.
-        for key, value in entry.items():
-            if key.split(",")[-1] == str(node):
+    def sample(name: str, node: Any, default: Any = 0.0,
+               *labels: str) -> Any:
+        # Keys are "node[,labels]", prefixed "shard," on shard-scoped
+        # registries: match on the trailing node and label components.
+        suffix = [str(node), *labels]
+        for key, value in snapshot.get(name, {}).items():
+            if key.split(",")[-len(suffix):] == suffix:
                 return value
         return default
 
@@ -106,6 +107,7 @@ def build_report(obs: Observability, *,
         forced = sample("repro_disk_forced_writes", node)
         syncs = sample("repro_disk_syncs", node)
         sync_hist = sample("repro_disk_sync_wait_seconds", node, {})
+        gather_hist = sample("repro_gcs_gather_seconds", node, {})
         doc["replicas"][str(node)] = {
             "actions_completed": tracker.greens_total,
             "red_to_green": dict(zip(("p50", "p95", "p99"), red_green)),
@@ -114,6 +116,11 @@ def build_report(obs: Observability, *,
             "membership_changes": len(durations),
             "membership_total_s": sum(durations),
             "membership_max_s": max(durations) if durations else 0.0,
+            "gathers_answered": int(sample(
+                "repro_gcs_gather_settled_total", node, 0, "answered")),
+            "gathers_timer": int(sample(
+                "repro_gcs_gather_settled_total", node, 0, "timer")),
+            "gather_p50_s": gather_hist.get("p50", 0.0),
             "vulnerable_windows": len(tracker.vulnerable_completed),
             "forced_writes": int(forced),
             "syncs": int(syncs),
@@ -155,18 +162,21 @@ def format_table(doc: Dict[str, Any]) -> str:
     lines = [
         "server  actions   red->green ms (p50/p95/p99)   "
         "submit->green ms (p50/p95/p99)   membership (n, max ms)   "
+        "gathers (answered/timer, p50 ms)   "
         "fsyncs (forced/syncs, mean ms)",
     ]
     lines.append("-" * len(lines[0]))
     for node, entry in doc["replicas"].items():
         rg = entry["red_to_green"]
         sg = entry["submit_to_green"]
+        gathers = f"{entry['gathers_answered']}/{entry['gathers_timer']}"
         lines.append(
             f"{node:>6}  {entry['actions_completed']:>7}   "
             f"{_ms(rg['p50'])}/{_ms(rg['p95'])}/{_ms(rg['p99'])}   "
             f"{_ms(sg['p50'])}/{_ms(sg['p95'])}/{_ms(sg['p99'])}   "
             f"{entry['membership_changes']:>3}, "
             f"{_ms(entry['membership_max_s'])}          "
+            f"{gathers:>7}, {_ms(entry['gather_p50_s'])}             "
             f"{entry['forced_writes']:>6}/{entry['syncs']:<6} "
             f"{_ms(entry['sync_wait_mean_s'])}")
     if any("staleness" in e for e in doc["replicas"].values()):

@@ -82,9 +82,24 @@ class TestStatements:
         assert execute_update(state, ("SET", "a", 1)) == [1]
 
     def test_query_does_not_mutate(self):
-        state = {"k": 1}
+        def grab(state, _args):
+            state["m"]["seen"] = True
+            state["l"].append("call")
+            return len(state["l"])
+
+        state = {"k": 1, "l": ["a"], "m": {"n": [1]}}
+        procedures = {"grab": grab}
         execute_query(state, ("SET", "k", 99))
-        assert state["k"] == 1
+        assert execute_query(state, ("APPEND", "l", "q")) == ["a", "q"]
+        assert execute_query(state, (("APPEND", "l", "x"),
+                                     ("CALL", "grab", None)),
+                             procedures) == [["a", "x"], 3]
+        assert execute_query(state, ("CALL", "grab", None), procedures) == 2
+        assert state == {"k": 1, "l": ["a"], "m": {"n": [1]}}
+
+    def test_lone_get_reads_in_place(self):
+        state = {"l": ["a"]}
+        assert execute_query(state, ("GET", "l")) is state["l"]
 
 
 class TestDatabase:

@@ -1,11 +1,14 @@
 """Integration-level tests of the GCS daemon: views, ordering, EVS."""
 
+import asyncio
+
 import pytest
 
 from repro.gcs import (Configuration, DaemonState, GcsDaemon, GcsListener,
                        GcsSettings, ServiceLevel)
-from repro.gcs.types import DataMsg
+from repro.gcs.types import DataMsg, GatherMsg
 from repro.net import Network, NetworkProfile, Topology
+from repro.obs import Observability
 from repro.sim import RandomStreams, Simulator
 
 
@@ -40,7 +43,8 @@ class Recorder(GcsListener):
 
 
 class Harness:
-    def __init__(self, nodes=(1, 2, 3), seed=0, loss=0.0, **settings):
+    def __init__(self, nodes=(1, 2, 3), seed=0, loss=0.0, obs=None,
+                 **settings):
         self.sim = Simulator()
         self.nodes = list(nodes)
         self.topology = Topology(self.nodes)
@@ -53,7 +57,7 @@ class Harness:
         directory = set(self.nodes)
         for node in self.nodes:
             daemon = GcsDaemon(self.sim, node, self.network, directory,
-                               self.settings)
+                               self.settings, obs=obs)
             self.recorders[node] = Recorder(node)
             daemon.listener = self.recorders[node]
             daemon.start()
@@ -412,3 +416,145 @@ def test_singleton_upcall_multicast_never_nests_delivery(stamp_window):
     assert depth[1] == 1
     assert order == [("a", 0), ("a", 1), ("a", 2),
                      ("b", 0), ("b", 1), ("b", 2)]
+
+
+# ----------------------------------------------------------------------
+# idle→immediate gather: settle once every expected member answered
+# ----------------------------------------------------------------------
+def _settled(obs, node, how):
+    return obs.registry.get_sample("repro_gcs_gather_settled_total",
+                                   node, how).value
+
+
+def test_idle_startup_installs_before_the_settle_window():
+    for idle in (False, True):
+        h = Harness(idle_immediate=idle)
+        h.join_all(settle=h.settings.gather_settle / 2)
+        installed = [d.state == DaemonState.OPERATIONAL
+                     and d.view.members == frozenset(h.nodes)
+                     for d in h.daemons.values()]
+        assert all(installed) is idle
+    assert all(d.attempt == 1 for d in h.daemons.values())
+
+
+def test_never_heard_member_keeps_the_settle_timer():
+    obs = Observability()
+    h = Harness(obs=obs, idle_immediate=True)
+    h.topology.crash(3)
+    h.daemons[3].crash()          # silent from the start: maybe booting
+    for node in (1, 2):
+        h.daemons[node].join()
+    h.run(h.settings.gather_settle / 2)
+    assert h.daemons[1].state == DaemonState.GATHER
+    h.run(0.5)
+    assert h.daemons[1].view.members == frozenset({1, 2})
+    assert _settled(obs, 1, "timer") == 1
+    assert _settled(obs, 1, "answered") == 0
+
+
+def test_never_heard_member_is_presumed_failed_after_the_timeout():
+    obs = Observability()
+    h = Harness(obs=obs, idle_immediate=True)
+    h.topology.crash(3)
+    h.daemons[3].crash()
+    h.run(h.settings.failure_timeout * 1.5)
+    for node in (1, 2):
+        h.daemons[node].join()
+    h.run(h.settings.gather_settle / 2)
+    assert h.daemons[1].view.members == frozenset({1, 2})
+    assert _settled(obs, 1, "answered") == 1
+    assert _settled(obs, 1, "timer") == 0
+
+
+def test_member_silent_past_failure_timeout_is_not_waited_for():
+    obs = Observability()
+    h = Harness(obs=obs, idle_immediate=True)
+    h.join_all()
+    timer_before = _settled(obs, 1, "timer")
+    answered_before = _settled(obs, 1, "answered")
+    h.topology.crash(3)
+    h.daemons[3].crash()
+    h.run(0.5)
+    assert h.daemons[1].view.members == frozenset({1, 2})
+    assert _settled(obs, 1, "timer") == timer_before
+    assert _settled(obs, 1, "answered") == answered_before + 1
+    gather = obs.registry.get_sample("repro_gcs_gather_seconds", 1)
+    assert gather.count == timer_before + answered_before + 1
+    assert gather.quantile(1.0) < h.settings.gather_settle
+
+
+def test_higher_attempt_after_the_post_does_not_settle_the_stale_round():
+    h = Harness(idle_immediate=True)
+    h.join_all()
+    daemon = h.daemons[1]
+    daemon._enter_gather(daemon.attempt + 1)
+    stale = daemon.attempt
+    daemon._on_gather(GatherMsg(2, stale, True))
+    daemon._on_gather(GatherMsg(3, stale, True))
+    assert daemon.state == DaemonState.GATHER   # deferred, not settled
+    daemon._on_gather(GatherMsg(2, stale + 1, True))   # 3 not yet heard
+    h.run(0.0)                                  # the stale post runs
+    assert daemon.state == DaemonState.GATHER
+    assert daemon.attempt == stale + 1
+    h.run(0.5)
+    assert h.common_view() == daemon.view.view_id
+    assert daemon.view.members == frozenset(h.nodes)
+
+
+def test_window_policy_event_count_is_unchanged():
+    """Without idle_immediate a gather posts no early settle: a churn
+    run under the window policy keeps its pinned event count."""
+    h = Harness(nodes=(1, 2, 3, 4))
+    h.join_all()
+    h.topology.partition([[1], [2, 3, 4]])
+    h.run(1.0)
+    h.topology.crash(4)
+    h.daemons[4].crash()
+    h.run(1.0)
+    h.topology.heal()
+    h.topology.recover(4)
+    h.daemons[4].recover()
+    h.daemons[4].join()
+    h.run(1.0)
+    for i in range(3):
+        h.daemons[1 + i].multicast(("m", i))
+    h.run(0.5)
+    assert h.sim.events_processed == 6324
+    assert h.common_view().epoch == 4
+
+
+def test_live_rounds_settle_without_the_timer():
+    """On a live loop with a 2 s gather_settle, start-up and a
+    partition/merge cycle all settle on answers, never on the timer."""
+    from repro.core.state_machine import EngineState
+    from repro.runtime import LiveCluster, live_gcs_settings
+
+    async def scenario():
+        obs = Observability()
+        cluster = LiveCluster([1, 2, 3], observability=obs,
+                              gcs_settings=live_gcs_settings(
+                                  gather_settle=2.0))
+        views = lambda n: {r.daemon.view.view_id   # noqa: E731
+                           for r in cluster.replicas.values()
+                           if r.daemon.view is not None
+                           and len(r.daemon.view.members) == n}
+        try:
+            cluster.start_all()
+            await cluster.wait_all_engine_state(EngineState.REG_PRIM, 10)
+            startup = cluster.runtime.now
+            cluster.partition([1], [2, 3])
+            await cluster.wait_until(lambda: len(views(2)) == 1, 10)
+            cluster.heal()
+            await cluster.wait_until(
+                lambda: len(views(3)) == 1 and all(
+                    r.engine.state == EngineState.REG_PRIM
+                    for r in cluster.replicas.values()), 10)
+        finally:
+            cluster.shutdown()
+        return obs, startup
+
+    obs, startup = asyncio.run(scenario())
+    assert startup < 2.0
+    for node in (1, 2, 3):
+        assert _settled(obs, node, "timer") == 0
+    assert _settled(obs, 1, "answered") >= 3

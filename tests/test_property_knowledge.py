@@ -5,7 +5,7 @@ deterministic, symmetric (every member computes the same result), and
 conservative about vulnerability.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (EngineStateMsg, PrimComponent, Vulnerable,
                         compute_knowledge, plan_retransmission)
@@ -105,22 +105,55 @@ def test_knowledge_invariants(state_msgs):
         s for s, r in state_msgs.items() if r.vulnerable.is_valid}
 
 
+def _vulnerable(prim_index, attempt_index, members, set_bits):
+    record = Vulnerable()
+    record.make_valid(prim_index, attempt_index, members,
+                      self_id=members[0])
+    for member in set_bits:
+        record.bits[member] = True
+    return record
+
+
+def _report(server, prim_servers, vulnerable, yellow_valid):
+    return EngineStateMsg(
+        server_id=server, conf_id=ViewId(1, 1), green_count=0,
+        red_cut={c: 0 for c in SERVERS}, green_lines={}, attempt_index=0,
+        prim_component=PrimComponent(prim_index=0, attempt_index=0,
+                                     servers=prim_servers),
+        vulnerable=vulnerable, yellow_valid=yellow_valid, yellow_ids=())
+
+
 @settings(max_examples=120, deadline=None)
 @given(reports())
+# Two prim members report the same attempt, whose other members are all
+# absent; one of them holds the bits the other lacks, so the union
+# resolves the attempt for both.
+@example({
+    1: _report(1, (1,), _vulnerable(0, 2, (3, 4, 5), (3, 4)), True),
+    5: _report(5, (1, 5), _vulnerable(0, 2, (3, 4, 5), (3,)), False),
+})
 def test_vulnerability_resolution_is_conservative(state_msgs):
     """A record may only be resolved (invalidated) when the evidence
     licenses it: a mismatched/absent... — concretely, if every member
     of the attempt is absent from the round and the reporter is in the
-    maximal prim component, the record must STAY valid (nothing was
-    learned about the attempt)."""
+    maximal prim component, the record must STAY valid unless the bits
+    reported for that attempt by the prim members of the round cover
+    it (otherwise nothing was learned about the attempt)."""
     knowledge = compute_knowledge(state_msgs)
     prim_servers = set(knowledge.prim_component.servers)
     for server, (valid, bits) in knowledge.vulnerable_resolution.items():
         vuln = state_msgs[server].vulnerable
         others = [m for m in vuln.set if m != server]
         all_absent = all(m not in state_msgs for m in others)
+        # Step 4 unions the bits of every prim member that reports a
+        # valid record of this same attempt.
+        reported_bits = {
+            m for s, r in state_msgs.items()
+            if s in prim_servers and r.vulnerable.is_valid
+            and r.vulnerable.attempt_key() == vuln.attempt_key()
+            for m, bit in r.vulnerable.bits.items() if bit}
         unresolved_bits = not all(
-            vuln.bits.get(m, False) or m == server or m in state_msgs
+            m in reported_bits or m == server or m in state_msgs
             for m in vuln.set)
         if (server in prim_servers and others and all_absent
                 and unresolved_bits):

@@ -74,6 +74,35 @@ class TestQueryServices:
         assert svc[1].query(("GET", "k"),
                             service=QueryService.WEAK) is None
 
+    def test_weak_query_cannot_write_into_the_green_state(self, cluster):
+        svc = services(cluster)
+        svc[1].update(("APPEND", "L", "a"))
+        cluster.run_for(1.0)
+        assert svc[1].query(("APPEND", "L", "q"),
+                            service=QueryService.WEAK) == ["a", "q"]
+        cluster.run_for(0.5)
+        cluster.assert_converged()
+        for replica in cluster.replicas.values():
+            assert replica.database.state["L"] == ["a"]
+
+    def test_dirty_read_cannot_replay_into_the_green_state(self, cluster):
+        svc = services(cluster)
+        svc[1].update(("APPEND", "L", "a"))
+        cluster.run_for(1.0)
+        cluster.partition([1], [2, 3])
+        cluster.run_for(1.5)
+        svc[1].update(("APPEND", "L", "red"))
+        cluster.run_for(0.5)
+        assert svc[1].query(("GET", "L"),
+                            service=QueryService.DIRTY) == ["a", "red"]
+        assert svc[1].query(("GET", "L"),
+                            service=QueryService.WEAK) == ["a"]
+        cluster.heal()
+        cluster.run_for(2.5)
+        cluster.assert_converged()
+        for replica in cluster.replicas.values():
+            assert replica.database.state["L"] == ["a", "red"]
+
 
 class TestTimestampSemantics:
     def test_lww_converges_across_partition(self, cluster):

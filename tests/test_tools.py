@@ -200,6 +200,11 @@ class TestObsReport:
             assert entry["vulnerable_windows"] >= 1
             percentiles = entry["submit_to_green"]
             assert 0.0 <= percentiles["p50"] <= percentiles["p99"]
+            # The simulator keeps the gather window.
+            assert entry["gathers_answered"] == 0
+        coordinator = doc["replicas"]["1"]
+        assert coordinator["gathers_timer"] >= 2
+        assert coordinator["gather_p50_s"] > 0.0
 
     def test_scenario_spec_report(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -217,6 +222,8 @@ class TestObsReport:
         for entry in doc["replicas"].values():
             assert "actions_completed" in entry
             assert "forced_writes" in entry
+        # Shard-scoped samples resolve per node, extra labels included.
+        assert doc["replicas"]["101"]["gathers_timer"] >= 1
         # ...and the fabric run gains the per-shard grouping.
         assert sorted(doc["shards"]) == ["0", "1"]
         assert doc["shards"]["0"]["replicas"] == ["1", "2", "3"]
