@@ -12,9 +12,8 @@ survive pytest's output capture.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.baselines import CorelSystem, EngineSystem, TwoPCSystem
 from repro.core import EngineConfig
@@ -25,52 +24,6 @@ from repro.storage import DiskProfile
 N_REPLICAS = 14
 CLIENT_COUNTS = [1, 2, 4, 7, 10, 14]
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-BENCH_WALLCLOCK_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_wallclock.json")
-
-
-#: name → scenario callable ``(smoke: bool) -> stats dict``.  The
-#: wall-clock harness registers every scenario here via the
-#: :func:`scenario` decorator, so the harness CLI, the ablation tests
-#: that reuse scenario runners, and EXPERIMENTS.md all enumerate one
-#: list instead of keeping private copies that drift.
-SCENARIO_REGISTRY: Dict[str, Callable[[bool], Dict[str, Any]]] = {}
-
-
-def scenario(name: str) -> Callable[[Callable[[bool], Dict[str, Any]]],
-                                    Callable[[bool], Dict[str, Any]]]:
-    """Register a wall-clock scenario under ``name`` (last writer wins,
-    so re-importing a benchmark module is harmless)."""
-    def register(fn: Callable[[bool], Dict[str, Any]]
-                 ) -> Callable[[bool], Dict[str, Any]]:
-        SCENARIO_REGISTRY[name] = fn
-        return fn
-    return register
-
-
-def open_loop_burst(cluster: Any, actions: int, *, node: int = 1,
-                    update: Any = ("INC", "n", 1),
-                    sim_deadline: float = 120.0,
-                    label: str = "burst") -> None:
-    """Submit ``actions`` updates at ``node`` up front, then run the
-    simulation until every one is green at the submitting replica.
-
-    This is the shared workload shape of the wire-batching ablation
-    (the sustained per-node send rate is what engages — or doesn't —
-    the coalescer) and the per-shard load of the sharding weak-scaling
-    scenario; it used to be private boilerplate of ``bench_wallclock``.
-    """
-    client = cluster.client(node)
-    base = cluster.replicas[node].green_count
-    for _ in range(actions):
-        client.submit(update)
-    deadline = cluster.sim.now + sim_deadline
-    while cluster.replicas[node].green_count - base < actions:
-        if cluster.sim.now >= deadline:
-            raise SystemExit(f"{label} workload stalled")
-        cluster.run_for(0.25)
-    cluster.assert_converged()
 
 
 def paper_disk() -> DiskProfile:
@@ -122,85 +75,6 @@ def twopc_factory(seed: int = 0):
                            network_profile=lan_profile(),
                            disk_profile=paper_disk())
     return build
-
-
-def record_wallclock(label: str, mode: str,
-                     scenarios: Dict[str, Dict[str, Any]],
-                     path: Optional[str] = None,
-                     timestamp: Optional[float] = None) -> Dict[str, Any]:
-    """Merge one labelled wall-clock measurement into BENCH_wallclock.json.
-
-    The file keeps one entry per label (``baseline``, ``pure``,
-    ``compiled``, ...); re-recording a label replaces its scenarios
-    one by one (scenarios it did not run are kept, so a
-    single-scenario rerun cannot wipe a full entry).  Two derived
-    speedups are maintained at the top level:
-
-    * ``fig5a_events_per_sec_speedup`` — the newest non-baseline entry
-      vs ``baseline`` (the historical perf trajectory);
-    * ``fig5a_compiled_speedup`` — ``compiled`` vs ``pure``, present
-      only when both builds have been measured (the mypyc win).
-
-    ``peak_heap`` is normalised on the way in: a scenario that never
-    sampled the kernel heap must report ``None``, and legacy ``0``
-    placeholders are rewritten to ``None`` (a run that dispatched any
-    event has a peak of at least 1, so 0 always meant "not sampled").
-    """
-    path = path or BENCH_WALLCLOCK_PATH
-    doc: Dict[str, Any] = {"schema": 1, "entries": {}}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
-            if isinstance(loaded, dict):
-                doc = loaded
-        except (OSError, ValueError):
-            pass
-    doc["schema"] = 1
-    entries = doc.setdefault("entries", {})
-    for stats in scenarios.values():
-        if not stats.get("peak_heap"):
-            stats["peak_heap"] = None
-    entry = entries.get(label)
-    if not isinstance(entry, dict):
-        entry = entries[label] = {}
-    entry["mode"] = mode
-    merged = entry.setdefault("scenarios", {})
-    merged.update(scenarios)
-    for other in entries.values():
-        if not isinstance(other, dict):
-            continue
-        for stats in other.get("scenarios", {}).values():
-            if isinstance(stats, dict) and not stats.get("peak_heap"):
-                stats["peak_heap"] = None
-    if timestamp is not None:
-        entry["timestamp"] = timestamp
-
-    def fig5a_rate(name: str) -> Optional[float]:
-        try:
-            return entries[name]["scenarios"]["fig5a_throughput"][
-                "events_per_sec"]
-        except KeyError:
-            return None
-
-    base = fig5a_rate("baseline")
-    # Perf trajectory: the most recently recorded non-baseline fig5a
-    # measurement (by entry timestamp) against the baseline.
-    newest = max(
-        (name for name in entries
-         if name != "baseline" and fig5a_rate(name) is not None),
-        key=lambda name: entries[name].get("timestamp", 0.0),
-        default=None)
-    cur = fig5a_rate(newest) if newest is not None else None
-    if base and cur:
-        doc["fig5a_events_per_sec_speedup"] = round(cur / base, 2)
-    pure, compiled = fig5a_rate("pure"), fig5a_rate("compiled")
-    if pure and compiled:
-        doc["fig5a_compiled_speedup"] = round(compiled / pure, 2)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    return doc
 
 
 def write_report(name: str, lines: List[str]) -> str:

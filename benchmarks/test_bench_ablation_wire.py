@@ -1,7 +1,8 @@
 """Ablation — wire batching (coalesced multicasts + piggybacked acks).
 
-Sweeps ``WireBatchConfig.max_batch`` over the open-loop burst workload
-of the ``wire_batching`` wall-clock scenario.  Batching is a transport
+Sweeps ``WireBatchConfig.max_batch`` over an open-loop burst: every
+action is submitted at one replica up front, so the sustained per-node
+send rate is what engages the coalescer.  Batching is a transport
 optimisation, so the guard is transparency: every variant must converge
 to the identical database digest, and ``max_batch = 1`` must reproduce
 the unbatched datapath exactly (same event count, same datagrams).
@@ -10,12 +11,46 @@ datagram count, the bytes on the wire, and the simulator event count
 (fewer datagrams = fewer delivery events per action).
 """
 
+import time
+
 from bench_common import write_report
-from bench_wallclock import WIRE_SWEEP, _wire_run
+from repro.core import ReplicaCluster
 from repro.gcs import GcsSettings
 from repro.net import WireBatchConfig
+from repro.storage import DiskProfile
 
 ACTIONS = 600
+#: max_batch sweep (1 = batching off).
+WIRE_SWEEP = [1, 4, 16, 64]
+
+
+def _wire_run(settings, actions):
+    """The burst on 5 replicas under the given wire settings: submit
+    every action at replica 1 up front, then run until all are green
+    there."""
+    start = time.perf_counter()
+    cluster = ReplicaCluster(
+        n=5, seed=0, gcs_settings=settings,
+        disk_profile=DiskProfile(forced_write_latency=0.001))
+    cluster.start_all(settle=1.5)
+    replica = cluster.replicas[1]
+    base = replica.green_count
+    client = cluster.client(1)
+    for _ in range(actions):
+        client.submit(("INC", "n", 1))
+    deadline = cluster.sim.now + 120.0
+    while replica.green_count - base < actions:
+        assert cluster.sim.now < deadline, "burst workload stalled"
+        cluster.run_for(0.25)
+    cluster.assert_converged()
+    wall = time.perf_counter() - start
+    stats = {
+        "events": cluster.sim.events_processed,
+        "datagrams": cluster.network.datagrams_sent,
+        "bytes_sent": cluster.network.bytes_sent,
+        "actions_per_wall_sec": round(actions / wall, 1),
+    }
+    return stats, replica.database.digest()
 
 
 def run_sweep():

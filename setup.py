@@ -1,49 +1,6 @@
-"""Build script: plain install by default, mypyc-accelerated on request.
-
-The default build is pure python (also the shim for editable installs
-on toolchains without the wheel package).  Setting ``REPRO_ACCEL=1``
-in the environment compiles the hot-core module set — the exact list
-in ``src/repro/accel/modules.py`` — to C extensions with mypyc::
-
-    pip install mypy setuptools           # mypyc ships with mypy
-    REPRO_ACCEL=1 pip install . --no-build-isolation
-
-The ``.py`` sources are installed either way (the extensions merely
-shadow them on the import path), so ``REPRO_FORCE_PURE=1`` can always
-pin a process back to the pure reference build — that is what the
-``compiled_core`` bench scenario and ``tests/test_accel_parity.py``
-diff against.  If ``REPRO_ACCEL=1`` is set but mypy/mypyc is missing,
-the build fails loudly rather than silently producing a pure install
-that benchmarks would misattribute.
-"""
-
-import os
-import sys
+"""Build shim for editable installs on toolchains without the wheel
+package; all metadata lives in ``pyproject.toml``."""
 
 from setuptools import setup
 
-
-def _accel_module_files():
-    """Load ACCEL_MODULES by file path (the package isn't importable
-    during its own build) and map the names to source files."""
-    import importlib.util
-
-    here = os.path.dirname(os.path.abspath(__file__))
-    modules_py = os.path.join(here, "src", "repro", "accel", "modules.py")
-    spec = importlib.util.spec_from_file_location("_accel_modules",
-                                                  modules_py)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [os.path.join("src", *name.split(".")) + ".py"
-            for name in module.ACCEL_MODULES]
-
-
-if os.environ.get("REPRO_ACCEL", "") not in ("", "0"):
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        sys.exit("REPRO_ACCEL=1 requires mypyc (pip install mypy); "
-                 "unset REPRO_ACCEL for a pure-python install")
-    setup(ext_modules=mypycify(_accel_module_files(), opt_level="3"))
-else:
-    setup()
+setup()

@@ -8,9 +8,3 @@ a benchmark harness regenerating the paper's evaluation.
 """
 
 __version__ = "1.0.0"
-
-# Imported for its side effect before any submodule: when
-# REPRO_FORCE_PURE is set, repro.accel installs the meta-path finder
-# that pins the hot-core modules to their python sources (the
-# differential reference) ahead of any compiled extensions.
-from . import accel as accel  # noqa: E402  (import order is the point)

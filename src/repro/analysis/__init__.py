@@ -1,6 +1,6 @@
 """Static analysis of the protocol implementation.
 
-Three AST-based analyzers (stdlib-only) verify structural properties
+Four AST-based analyzers (stdlib-only) verify structural properties
 that the paper's correctness argument relies on and that runtime
 checks alone catch late or not at all:
 
@@ -15,11 +15,6 @@ checks alone catch late or not at all:
 * :mod:`~repro.analysis.seams` — enforces that protocol code reaches
   clocks, timers, and sockets only through the ``Runtime`` /
   ``Transport`` protocols of :mod:`repro.runtime.base`;
-* :mod:`~repro.analysis.compile_discipline` — keeps the
-  mypyc-accelerated module set (:data:`repro.accel.modules.ACCEL_MODULES`)
-  fully annotated, free of dynamic-attribute constructs, and decoupled
-  from heavyweight protocol modules, so the same files compile natively
-  and interpret identically;
 * :mod:`~repro.analysis.model_sync` — asserts the model checker's
   abstract model (:mod:`repro.check.model`) *derives* its edges from
   ``EDGES_BY_INPUT`` rather than carrying a hand-written copy that
@@ -33,7 +28,6 @@ suppressions: ``# repro: allow[rule-name] -- reason``.
 
 from .common import (Finding, Suppressions, collect_py_files,
                      iter_findings, module_parts, parse_file)
-from .compile_discipline import CompileDisciplineChecker
 from .determinism import DeterminismLinter, PROTOCOL_PACKAGES
 from .model_sync import ModelSyncChecker, model_modules
 from .seams import SEAM_EXEMPT_PACKAGES, SeamEnforcer
@@ -42,7 +36,6 @@ from .state_checker import (StateMachineChecker, default_state_table,
 from .cli import main, run_analyzers
 
 __all__ = [
-    "CompileDisciplineChecker",
     "DeterminismLinter",
     "Finding",
     "ModelSyncChecker",

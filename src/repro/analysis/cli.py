@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .common import Finding, collect_py_files
-from .compile_discipline import CompileDisciplineChecker
 from .determinism import DeterminismLinter
 from .model_sync import ModelSyncChecker, model_modules
 from .seams import SeamEnforcer
@@ -47,7 +46,6 @@ def run_analyzers(paths: Iterable[Path],
         findings.extend(ModelSyncChecker().check_paths(model_files))
     findings.extend(DeterminismLinter().check_paths(files))
     findings.extend(SeamEnforcer().check_paths(files))
-    findings.extend(CompileDisciplineChecker().check_paths(files))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
@@ -61,7 +59,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-analyze",
         description=("Static analysis for the replication protocol: "
                      "state-machine cross-check, determinism lint, "
-                     "runtime-seam enforcement."))
+                     "runtime-seam enforcement, model-derivation "
+                     "check."))
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to analyze "
                              "(default: the installed repro package)")

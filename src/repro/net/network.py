@@ -14,8 +14,6 @@ handle.  A multicast pays the sender's egress serialization once and
 fans out to each destination (hardware multicast on a LAN, as used by
 Spread).
 
-This module is part of the accelerated set (:mod:`repro.accel`); the
-same file is the pure-python reference and the mypyc compilation unit.
 Everything read per datagram — the kernel heap, its sequence counter,
 the bound arrival callbacks, the profile-derived constants — is hoisted
 into attributes at construction; the per-destination loop touches only
@@ -41,7 +39,7 @@ def _zero() -> float:
     """Stand-in RNG draw for the rng-less fabric (never actually drawn:
     jitter and loss are forced to 0.0 when no rng is configured, and the
     draws are guarded by ``> 0.0`` tests — this keeps the draw callable
-    non-optional for the type checker and the compiled build)."""
+    non-optional for the type checker)."""
     return 0.0
 
 

@@ -23,9 +23,9 @@ Cost model (this is what keeps the simulation fast path honest):
   only at collection time — queue depths and state codes cost nothing
   between scrapes — and a disabled registry drops them entirely.
 
-The ``obs_overhead`` scenario in ``benchmarks/bench_wallclock.py``
-gates the enabled-vs-disabled difference on the Figure 5(a) workload
-at under 2%.
+perfbench reports what instrumentation costs per action
+(``obs.self_us_per_action``); ``tests/test_fig5a_pin.py`` checks that
+enabling it leaves the simulation unchanged.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ delivered — carries no information beyond its count, so the engine
 folds it into :attr:`SpanTracker.instant_greens` (one integer add)
 and the tracker flushes that count into the zero bucket of the
 red→green histogram at collection time.  That keeps enabling
-observability under 2% on the paper workloads (the ``obs_overhead``
-wall-clock benchmark gates this).
+observability cheap on the paper workloads (perfbench reports it as
+``obs.self_us_per_action``).
 """
 
 from __future__ import annotations

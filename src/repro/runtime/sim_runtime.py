@@ -7,10 +7,8 @@ so the raw-tuple ``post``/``post_at`` fast path, the heap-compaction
 logic, and the direct heap pushes in :class:`~repro.net.Network` are
 preserved bit-for-bit: a scenario run on ``SimRuntime`` dispatches
 exactly the same events in exactly the same order as on a bare
-``Simulator``.  The ``runtime_adapter`` scenario of
-``benchmarks/bench_wallclock.py`` enforces this structurally — the
-subclass may never define an attribute of its own — and benchmarks the
-dispatch loop against the bare kernel for gross regressions.
+``Simulator``.  ``tests/test_sim_kernel.py`` enforces this
+structurally: the subclass may never define an attribute of its own.
 
 The subclass exists so deployment code can say what it means —
 "build me the deterministic runtime" — and so a future split of kernel

@@ -31,29 +31,17 @@ heap grows with the number of *restarts*, not the number of live
 timers).  Compaction re-heapifies, which cannot perturb dispatch order
 because ``(time, seq)`` is a total order.
 
-This module is part of the accelerated set (:mod:`repro.accel`): the
-same file is the pure-python reference and the mypyc compilation unit,
-so it stays fully annotated, free of dynamic attribute tricks, and
-structured around tight monomorphic loops (``run`` is split by budget
-mode rather than re-testing the mode per event).
+The kernel is the hottest code in every figure, so it stays fully
+annotated, free of dynamic attribute tricks, and structured around
+tight monomorphic loops (``run`` is split by budget mode rather than
+re-testing the mode per event).
 """
 
 from __future__ import annotations
 
 import itertools
 from heapq import heapify, heappop, heappush
-from typing import (Any, Callable, Iterator, List, Optional, Tuple,
-                    TypeVar, final)
-
-_T = TypeVar("_T")
-
-try:
-    from mypy_extensions import mypyc_attr
-except ImportError:  # pragma: no cover - mypy_extensions not installed
-    def mypyc_attr(**_kwargs: Any) -> Callable[[_T], _T]:
-        def _identity(obj: _T) -> _T:
-            return obj
-        return _identity
+from typing import Any, Callable, Iterator, List, Optional, Tuple, final
 
 # Compact only above this heap size: tiny heaps are cheap to scan and
 # compacting them would just add churn.
@@ -108,7 +96,6 @@ class EventHandle:
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class Simulator:
     """The event loop.
 
@@ -119,10 +106,9 @@ class Simulator:
         sim.run()                 # run to quiescence
         sim.run(until=10.0)       # or up to a virtual deadline
 
-    Interpreted subclasses are allowed (``repro.runtime.SimRuntime`` is
-    a zero-override alias registering the class against the Runtime
-    protocol) but must not add behaviour: the compiled and pure builds
-    must stay interchangeable.
+    ``repro.runtime.SimRuntime`` is a zero-override subclass that
+    registers the class against the Runtime protocol; it must not add
+    behaviour (``tests/test_sim_kernel.py`` holds it to that).
     """
 
     __slots__ = ("now", "_heap", "_seq", "_running", "_events_processed",

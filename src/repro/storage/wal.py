@@ -51,8 +51,8 @@ class WriteAheadLog:
         self._by_kind: Dict[str, List[LogRecord]] = {}
         # Native counts on the hot path; the registry mirrors them at
         # collection time only (appends run once per journaled record,
-        # so even one instrument call here would show up in the
-        # obs_overhead gate).
+        # so even one instrument call here would show up in
+        # obs.self_us_per_action).
         self.appends = 0
         self.rewrites = 0
         if obs is not None and obs.enabled:

@@ -4,11 +4,15 @@ The whole reproduction rests on this — property tests shrink, bug
 reports replay, and benchmark numbers are exact.  These tests run the
 same nontrivial scenario twice from scratch and demand bit-identical
 outcomes, then show that changing only the seed changes the fine
-timing but not the invariants.
+timing but not the invariants, and that the history does not depend
+on the interpreter's string-hash seed.
 """
 
-import pytest
+import os
+import subprocess
+import sys
 
+import repro
 from conftest import make_cluster
 
 
@@ -66,3 +70,24 @@ def test_client_ids_do_not_leak_between_runs():
     """Global client-id counters must not change replay outcomes."""
     runs = [run_scenario(seed=7) for _ in range(2)]
     assert runs[0][0] == runs[1][0]
+
+
+def _run_in_subprocess(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.abspath(__file__)),
+                    os.path.dirname(os.path.dirname(repro.__file__)),
+                    env.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from test_determinism import run_scenario; "
+         "print(repr(run_scenario(seed=123)))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_history_is_independent_of_the_hash_seed():
+    """Set iteration order over strings varies with PYTHONHASHSEED; no
+    protocol decision may depend on it."""
+    assert _run_in_subprocess(1) == _run_in_subprocess(2)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime import SimRuntime
 from repro.sim import SimulationError, Simulator
 
 
@@ -187,3 +188,12 @@ def test_events_processed_counter():
         sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.events_processed == 7
+
+
+def test_sim_runtime_adds_nothing_to_the_kernel():
+    # SimRuntime is the kernel behind the Runtime protocol: every
+    # post/schedule must resolve to the kernel's own function object, so
+    # a scenario dispatches the same events on either class.
+    metadata = {"__module__", "__qualname__", "__doc__", "__slots__",
+                "__firstlineno__", "__static_attributes__"}
+    assert set(vars(SimRuntime)) - metadata == set()
