@@ -10,8 +10,9 @@ profile.  Finding: the group-communication protocols *remain* ahead of
 substrate the gap does not widen — the sequencer-based total order
 costs one extra wide-area hop (origin -> sequencer stamp -> members)
 that offsets 2PC's extra forced write once propagation dwarfs disk
-latency.  A ring- or token-ordered GCS would trade those hops
-differently; see EXPERIMENTS.md.
+latency.  A token ring trades that hop for ring rotations, which E10
+measured as slower still on the WAN (637.4 ms against 104.0 ms); see
+EXPERIMENTS.md.
 """
 
 import pytest

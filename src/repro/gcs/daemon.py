@@ -45,7 +45,7 @@ from .types import (AckMsg, Configuration, DataMsg, FlushDoneMsg,
                     FlushPlanMsg, FlushRetransCmd, GatherMsg, GcsSettings,
                     HeartbeatMsg, InstallMsg, LeaveMsg, NackMsg, ProposeMsg,
                     RetransDataMsg, ServiceLevel, StampMsg, StateReportMsg,
-                    TokenMsg, ViewId)
+                    ViewId)
 
 
 class GcsListener:
@@ -108,7 +108,7 @@ class GcsDaemon(Actor):
         self.extra_dispatch = extra_dispatch
         self.listener: GcsListener = GcsListener()
         # Wire batching: data-plane traffic (data, stamps, acks, nacks,
-        # retransmissions, the token) coalesces through the batcher;
+        # retransmissions) coalesces through the batcher;
         # control-plane traffic (heartbeats, membership) stays direct —
         # it is rare and latency-sensitive.  A standalone daemon builds
         # its own batcher; Replica passes one shared with the channel
@@ -176,12 +176,6 @@ class GcsDaemon(Actor):
                                             s.phase_timeout)
         self._nack_timer = self.make_timer("nack", self._nack_check,
                                            s.nack_timeout, periodic=True)
-        # token-mode state
-        self._last_token_seen = 0.0
-        self._token_watch = self.make_timer("token_watch",
-                                            self._token_watch_check,
-                                            s.token_timeout / 2,
-                                            periodic=True)
 
         # statistics
         self.messages_multicast = 0
@@ -231,7 +225,6 @@ class GcsDaemon(Actor):
         # replaces a linear isinstance chain on the hottest receive path
         self._dispatch: Dict[type, Callable[[Any], None]] = {
             DataMsg: self._on_data,
-            TokenMsg: self._on_token,
             StampMsg: self._on_stamps,
             AckMsg: self._on_ack,
             HeartbeatMsg: self._on_heartbeat,
@@ -258,8 +251,6 @@ class GcsDaemon(Actor):
         self._hb_timer.start()
         self._fd_timer.start()
         self._nack_timer.start()
-        if self.settings.ordering_mode == "token":
-            self._token_watch.start()
 
     def join(self) -> None:
         """Join the replication group; triggers a membership round."""
@@ -420,8 +411,6 @@ class GcsDaemon(Actor):
                     self._try_deliver()
 
     def _arm_stamp_timer(self) -> None:
-        if self.settings.ordering_mode != "sequencer":
-            return
         if (self.ordering is not None and self.ordering.pending_stamp
                 and not self._stamp_timer.armed and not self._stamp_posted):
             if (self.settings.idle_immediate
@@ -458,8 +447,7 @@ class GcsDaemon(Actor):
         """Common post-ingestion step: ack coalescing + delivery."""
         if self.ordering is None:
             return
-        if (self.settings.ordering_mode == "sequencer"
-                and self.ordering.needs_ack()
+        if (self.ordering.needs_ack()
                 and not self._ack_timer.armed and not self._ack_posted):
             if (self.settings.idle_immediate
                     and self.sim.now - self._ack_sent_at
@@ -523,14 +511,6 @@ class GcsDaemon(Actor):
             return
         nack = NackMsg(self.ordering.view_id, self.node, missing,
                        want_stamps)
-        if self.settings.ordering_mode == "token":
-            # No single member is guaranteed to hold everything: ask
-            # the group (responders reply only with what they hold).
-            others = [m for m in self.ordering.members if m != self.node]
-            if others:
-                self._net_multicast(others, nack,
-                                    self.settings.control_size)
-            return
         target = self.ordering.sequencer
         if target == self.node:
             # The sequencer asks the member with the highest ack.
@@ -573,74 +553,6 @@ class GcsDaemon(Actor):
             self._check_flush_complete()
         else:
             self._after_progress()
-
-    # ==================================================================
-    # token-ring ordering (ordering_mode == "token")
-    # ==================================================================
-    def _spawn_token(self) -> None:
-        """(View coordinator) create the ordering token for a new view."""
-        assert self.ordering is not None
-        self._last_token_seen = self.sim.now
-        token = TokenMsg(self.ordering.view_id, 0, ())
-        self.sim.post(self.settings.token_hold, self._on_token, token)
-
-    def _on_token(self, msg: TokenMsg) -> None:
-        if (self.state != DaemonState.OPERATIONAL
-                or self.ordering is None
-                or self.ordering.view_id != msg.view_id):
-            return  # stale token dies; the next install spawns a new one
-        self._last_token_seen = self.sim.now
-        ordering = self.ordering
-        acks_before = dict(ordering.acks)
-        for member, ack in msg.acks:
-            ordering.add_ack(member, ack)
-        # Stamp my own pending messages while holding the token.
-        batch = ordering.take_own_stamp_batch(msg.next_seq)
-        if batch:
-            stamp = StampMsg(ordering.view_id, tuple(batch))
-            size = (self.settings.header_size
-                    + self.settings.stamp_entry_size * len(batch))
-            others = [m for m in ordering.members if m != self.node]
-            if others:
-                self._net_multicast(others, stamp, size)
-        self._try_deliver()
-        ordering.prune_stable()
-        # Forward the token with my receipt state folded in.
-        acks = dict(msg.acks)
-        acks[self.node] = ordering.ack_seq
-        token = TokenMsg(msg.view_id, msg.next_seq + len(batch),
-                         tuple(sorted(acks.items())))
-        active = bool(batch) or ordering.acks != acks_before
-        delay = (self.settings.token_hold if active
-                 else max(self.settings.token_hold,
-                          self.settings.ack_window))
-        self.sim.post(delay, self._forward_token, token)
-
-    def _forward_token(self, token: TokenMsg) -> None:
-        if (self.state != DaemonState.OPERATIONAL
-                or self.ordering is None
-                or self.ordering.view_id != token.view_id):
-            return
-        ring = sorted(self.ordering.members)
-        successor = ring[(ring.index(self.node) + 1) % len(ring)]
-        if successor == self.node:
-            self.sim.post(self.settings.ack_window, self._on_token,
-                          token)
-            return
-        size = (self.settings.control_size
-                + 16 * len(self.ordering.members))
-        self._net_send(successor, token, size)
-
-    def _token_watch_check(self) -> None:
-        """The token died (loss, or its holder crashed): re-form the
-        membership, which spawns a fresh token."""
-        if (self.settings.ordering_mode != "token"
-                or self.state != DaemonState.OPERATIONAL
-                or not self.joined):
-            return
-        if self.sim.now - self._last_token_seen \
-                > self.settings.token_timeout:
-            self._enter_gather(self.attempt + 1)
 
     # ==================================================================
     # heartbeats and failure detection
@@ -1079,17 +991,12 @@ class GcsDaemon(Actor):
 
         members = frozenset(msg.members)
         self.view = Configuration(msg.new_view_id, members)
-        self.ordering = ViewOrdering(msg.new_view_id, members, self.node,
-                                     mode=self.settings.ordering_mode)
+        self.ordering = ViewOrdering(msg.new_view_id, members, self.node)
         self.state = DaemonState.OPERATIONAL
         self.views_installed += 1
         self._reset_round()
         for member in members:
             self._last_heard[member] = self.sim.now
-        if self.settings.ordering_mode == "token":
-            self._last_token_seen = self.sim.now
-            if self.node == min(members):
-                self._spawn_token()
         self.tracer.emit(self.sim.now, self.node, "gcs.install",
                          view=str(msg.new_view_id),
                          members=tuple(sorted(members)))

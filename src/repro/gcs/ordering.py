@@ -44,16 +44,15 @@ _SAFE = ServiceLevel.SAFE
 class ViewOrdering:
     """Ordering/stability bookkeeping for one regular configuration."""
 
-    def __init__(self, view_id: ViewId, members: FrozenSet[int], me: int,
-                 mode: str = "sequencer") -> None:
+    def __init__(self, view_id: ViewId, members: FrozenSet[int],
+                 me: int) -> None:
         self.view_id = view_id
         self.members = frozenset(members)
         self.me = me
-        self.mode = mode
         self.sequencer = min(self.members)
         # Hoisted role test: read on every data ingestion, fixed for
         # the lifetime of the view.
-        self._stamping = mode == "sequencer" and me == self.sequencer
+        self._stamping = me == self.sequencer
         # -- data plane --------------------------------------------------
         self.data: Dict[Key, DataMsg] = {}
         self.stamp_of: Dict[Key, int] = {}
@@ -129,28 +128,6 @@ class ViewOrdering:
         self._advance_ack()
         return batch
 
-    def take_own_stamp_batch(self, next_seq: int
-                             ) -> List[Tuple[int, int, int]]:
-        """(Token mode) stamp my own pending data from ``next_seq``.
-
-        Called while holding the token; returns the stamp batch to
-        multicast.  The caller advances the token by ``len(batch)``.
-        """
-        batch: List[Tuple[int, int, int]] = []
-        nxt = self.fifo_stamp_next.get(self.me, 0)
-        # Skip over the pruned/duplicate-filtered prefix.
-        nxt = max(nxt, self.fifo_floor.get(self.me, 0))
-        while (self.me, nxt) in self.data:
-            key = (self.me, nxt)
-            if key not in self.stamp_of:
-                self._record_stamp(next_seq, key)
-                batch.append((next_seq, self.me, nxt))
-                next_seq += 1
-            nxt += 1
-        self.fifo_stamp_next[self.me] = nxt
-        self._advance_ack()
-        return batch
-
     def add_stamps(self, stamps: Tuple[Tuple[int, int, int], ...]) -> None:
         for seq, origin, fifo_seq in stamps:
             if seq < self.pruned_below:
@@ -169,8 +146,6 @@ class ViewOrdering:
             self._stamped_undelivered += 1
         if seq > self.max_stamp:
             self.max_stamp = seq
-        if self.me != self.sequencer and seq >= self.next_seq:
-            self.next_seq = seq + 1
 
     def add_ack(self, node: int, ack_seq: int) -> None:
         old = self.acks.get(node)

@@ -108,13 +108,6 @@ class GcsSettings:
     stamp_entry_size: int = 16
     ack_size: int = 64
     control_size: int = 96
-    # Total-order mechanism within a view: "sequencer" (coordinator
-    # stamps everyone's messages; default) or "token" (a Totem-style
-    # token circulates the ring; each member stamps its own pending
-    # messages while holding it, and the token aggregates stability).
-    ordering_mode: str = "sequencer"
-    token_hold: float = 0.0001
-    token_timeout: float = 0.5
     # Wire batching (repro.net.batching): disabled by default
     # (max_batch=1), in which case no batcher is constructed and the
     # datapath is bit-identical to the unbatched protocol.
@@ -163,20 +156,6 @@ class AckMsg:
     view_id: ViewId
     node: int
     ack_seq: int
-
-
-@dataclass(frozen=True)
-class TokenMsg:
-    """The circulating ordering token (token mode).
-
-    next_seq   the next global sequence number to assign
-    acks       every member's cumulative receipt as last seen on the
-               ring — the token is the stability-aggregation vehicle
-    """
-
-    view_id: ViewId
-    next_seq: int
-    acks: Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from ..core.messages import EngineActionMsg
 from ..db.action import Action, ActionId, ActionType
 from ..gcs.types import (AckMsg, ChanAck, ChanData, DataMsg, HeartbeatMsg,
                          NackMsg, RetransDataMsg, ServiceLevel, StampMsg,
-                         TokenMsg, ViewId)
+                         ViewId)
 from .batching import Batch
 
 
@@ -76,7 +76,7 @@ TAG_DATA = 2
 TAG_STAMP = 3
 TAG_ACK = 4
 TAG_HEARTBEAT = 5
-TAG_TOKEN = 6
+# Tag 6 (a retired ordering message) decodes as unknown; never reuse it.
 TAG_NACK = 7
 TAG_RETRANS = 8
 TAG_CHANDATA = 9
@@ -95,8 +95,6 @@ _HEARTBEAT = struct.Struct("!iiB")       # node, group, flags
 _HEARTBEAT_TAIL = struct.Struct("!qq")   # ack_seq, green_line
 _VIEW = struct.Struct("!ii")
 _SEQ = struct.Struct("!q")
-_TOKEN = struct.Struct("!iiqI")          # view, next_seq, ack count
-_TOKEN_ACK = struct.Struct("!iq")        # member, ack_seq
 _NACK = struct.Struct("!iiiqI")          # view, node, want, missing count
 _RETRANS_ITEM = struct.Struct("!qiqBiq")  # seq, origin, fifo, svc,
                                           # size, trace
@@ -177,13 +175,6 @@ def _enc_heartbeat(msg: HeartbeatMsg) -> bytes:
     if msg.view_id is not None:
         body += _enc_view(msg.view_id)
     return body + _HEARTBEAT_TAIL.pack(msg.ack_seq, msg.green_line)
-
-
-def _enc_token(msg: TokenMsg) -> bytes:
-    parts = [_TOKEN.pack(msg.view_id.epoch, msg.view_id.coordinator,
-                         msg.next_seq, len(msg.acks))]
-    parts.extend(_TOKEN_ACK.pack(member, ack) for member, ack in msg.acks)
-    return b"".join(parts)
 
 
 def _enc_nack(msg: NackMsg) -> bytes:
@@ -291,7 +282,6 @@ _ENCODERS: Dict[type, Tuple[int, Callable[[Any], bytes]]] = {
     StampMsg: (TAG_STAMP, _enc_stamp),
     AckMsg: (TAG_ACK, _enc_ack),
     HeartbeatMsg: (TAG_HEARTBEAT, _enc_heartbeat),
-    TokenMsg: (TAG_TOKEN, _enc_token),
     NackMsg: (TAG_NACK, _enc_nack),
     RetransDataMsg: (TAG_RETRANS, _enc_retrans),
     ChanData: (TAG_CHANDATA, _enc_chandata),
@@ -393,18 +383,6 @@ def _dec_heartbeat(body: bytes) -> HeartbeatMsg:
         raise CodecError("trailing bytes in HeartbeatMsg body")
     return HeartbeatMsg(node, view_id, bool(flags & 1), ack_seq, group,
                         green_line)
-
-
-def _dec_token(body: bytes) -> TokenMsg:
-    _need(body, 0, _TOKEN.size)
-    epoch, coord, next_seq, count = _TOKEN.unpack_from(body, 0)
-    _need(body, _TOKEN.size, count * _TOKEN_ACK.size)
-    acks = tuple(
-        _TOKEN_ACK.unpack_from(body, _TOKEN.size + i * _TOKEN_ACK.size)
-        for i in range(count))
-    if _TOKEN.size + count * _TOKEN_ACK.size != len(body):
-        raise CodecError("trailing bytes in TokenMsg body")
-    return TokenMsg(ViewId(epoch, coord), next_seq, acks)
 
 
 def _dec_nack(body: bytes) -> NackMsg:
@@ -560,7 +538,6 @@ _DECODERS: Dict[int, Callable[[bytes], Any]] = {
     TAG_STAMP: _dec_stamp,
     TAG_ACK: _dec_ack,
     TAG_HEARTBEAT: _dec_heartbeat,
-    TAG_TOKEN: _dec_token,
     TAG_NACK: _dec_nack,
     TAG_RETRANS: _dec_retrans,
     TAG_CHANDATA: _dec_chandata,

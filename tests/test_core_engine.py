@@ -158,3 +158,62 @@ class TestQueryOnlyFastPath:
         client.submit(("SET", "k", "v"))
         cluster3.run_for(1.0)
         assert cluster3.replicas[2].query_consistent(("GET", "k")) == "v"
+
+
+class TestMembershipScenarios:
+    """Commit, partition, crash, join and split end to end."""
+
+    def test_commit_and_convergence(self, cluster3):
+        clients = {n: cluster3.client(n) for n in (1, 2, 3)}
+        for i in range(4):
+            for client in clients.values():
+                client.submit(("APPEND", "log", i))
+        cluster3.run_for(2.0)
+        assert all(c.completed == 4 for c in clients.values())
+        cluster3.assert_converged()
+
+    def test_minority_majority_partition(self, cluster3):
+        cluster3.partition([1], [2, 3])
+        cluster3.run_for(2.0)
+        assert sorted(cluster3.primary_members()) == [2, 3]
+        cluster3.replicas[1].submit(("SET", "red", 1))
+        client = cluster3.client(3)
+        client.submit(("SET", "green", 1))
+        cluster3.run_for(1.5)
+        assert client.completed == 1
+        cluster3.heal()
+        cluster3.run_for(3.0)
+        cluster3.assert_converged()
+        assert cluster3.replicas[2].database.state["red"] == 1
+
+    def test_crash_recovery(self, cluster3):
+        client = cluster3.client(1)
+        for i in range(3):
+            client.submit(("SET", f"k{i}", i))
+        cluster3.run_for(1.5)
+        cluster3.crash(2)
+        cluster3.run_for(1.5)
+        client.submit(("SET", "while-down", 1))
+        cluster3.run_for(1.0)
+        cluster3.recover(2)
+        cluster3.run_for(3.5)
+        cluster3.assert_converged()
+        assert cluster3.replicas[2].database.state["while-down"] == 1
+
+    def test_dynamic_join(self, cluster3):
+        client = cluster3.client(1)
+        client.submit(("SET", "base", 1))
+        cluster3.run_for(1.0)
+        cluster3.add_replica(4, peer=2)
+        cluster3.run_for(6.0)
+        cluster3.assert_converged()
+        assert cluster3.replicas[4].engine.state is EngineState.REG_PRIM
+        assert cluster3.replicas[4].database.state["base"] == 1
+
+    def test_no_quorum_three_way(self, cluster3):
+        cluster3.partition([1], [2], [3])
+        cluster3.run_for(2.0)
+        assert cluster3.primary_members() == []
+        cluster3.heal()
+        cluster3.run_for(3.0)
+        assert len(cluster3.primary_members()) == 3

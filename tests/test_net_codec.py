@@ -13,7 +13,7 @@ from repro.db import Action, ActionId, join_action, leave_action
 from repro.gcs.channel import ChanAck, ChanData
 from repro.gcs.types import (AckMsg, DataMsg, HeartbeatMsg, NackMsg,
                              RetransDataMsg, ServiceLevel, StampMsg,
-                             TokenMsg, ViewId)
+                             ViewId)
 from repro.net import codec
 from repro.net.batching import Batch
 
@@ -67,7 +67,6 @@ CORPUS = [
     # durable green line (wire v3)
     HeartbeatMsg(9, VIEW, True, 55, 0, 3627),
     HeartbeatMsg(109, None, True, -1, 1, 2 ** 40),
-    TokenMsg(VIEW, 42, ((1, 40), (2, 41))),
     NackMsg(VIEW, 3, (7, 9, 11), 5),
     NackMsg(VIEW, 3, (), 0),
     RetransDataMsg(VIEW, ((5, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE,
@@ -192,10 +191,12 @@ def test_untraced_messages_default_to_trace_zero():
 
 
 def test_unknown_tag_raises():
-    frame = codec._HEADER.pack(codec.MAGIC, codec.VERSION, 1) \
-        + codec._ITEM.pack(250, 0)
-    with pytest.raises(codec.CodecError):
-        codec.decode_frame(frame)
+    # 6 is the retired token-ring tag: it must not decode as anything.
+    for tag in (250, 6):
+        frame = codec._HEADER.pack(codec.MAGIC, codec.VERSION, 1) \
+            + codec._ITEM.pack(tag, 0)
+        with pytest.raises(codec.CodecError, match="unknown payload tag"):
+            codec.decode_frame(frame)
 
 
 def test_trailing_bytes_raise():

@@ -23,7 +23,7 @@ membership_step = st.one_of(
 )
 
 
-@settings(max_examples=10, deadline=None,
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(st.lists(membership_step, min_size=1, max_size=8))
