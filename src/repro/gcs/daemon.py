@@ -16,6 +16,13 @@ Roles within a view:
   window idle leaves at the end of the current dispatch instead;
 * missing data/stamps are recovered by **NACK** from peers.
 
+A view member not heard from for more than ``failure_timeout`` is
+suspected and starts a gather.  The check polls every
+``failure_timeout / 2``; with ``idle_immediate`` it runs instead at the
+earliest member's deadline (last heard + ``failure_timeout``), so a
+silent member is suspected when its deadline passes rather than up to
+half a timeout later.  Each suspicion is traced as ``gcs.suspect``.
+
 Membership is a gather → propose → flush → install protocol driven by
 the coordinator (lowest id of the gathered set), with attempt numbers
 making restarts safe.  A gather settles when ``gather_settle`` passes
@@ -46,6 +53,11 @@ from .types import (AckMsg, Configuration, DataMsg, FlushDoneMsg,
                     HeartbeatMsg, InstallMsg, LeaveMsg, NackMsg, ProposeMsg,
                     RetransDataMsg, ServiceLevel, StampMsg, StateReportMsg,
                     ViewId)
+
+#: How long after a member's deadline the deadline-driven failure check
+#: runs (seconds): far below any timer's resolution, far above the
+#: rounding error of ``heard + failure_timeout``.
+_FD_SLACK = 1e-6
 
 
 class GcsListener:
@@ -162,7 +174,7 @@ class GcsDaemon(Actor):
                                          s.heartbeat_interval, periodic=True)
         self._fd_timer = self.make_timer("fd", self._failure_check,
                                          s.failure_timeout / 2,
-                                         periodic=True)
+                                         periodic=not s.idle_immediate)
         self._stamp_timer = self.make_timer("stamp", self._flush_stamps,
                                             s.stamp_window)
         self._ack_timer = self.make_timer("ack", self._flush_ack,
@@ -249,7 +261,9 @@ class GcsDaemon(Actor):
         self.state = DaemonState.IDLE
         self._started_at = self.sim.now
         self._hb_timer.start()
-        self._fd_timer.start()
+        # Explicit interval: a restart must not inherit whatever the
+        # timer was last armed with.
+        self._fd_timer.start(self.settings.failure_timeout / 2)
         self._nack_timer.start()
 
     def join(self) -> None:
@@ -600,16 +614,43 @@ class GcsDaemon(Actor):
             self._enter_gather(self.attempt + 1)
 
     def _failure_check(self) -> None:
+        """Suspect a view member not heard from within
+        ``failure_timeout`` and start a gather.  With ``idle_immediate``
+        the one-shot timer re-arms itself: at the earliest deadline
+        still ahead while operational, otherwise at half a timeout."""
+        next_check = self._suspect_silent()
+        if self.settings.idle_immediate:
+            if next_check is None:
+                self._fd_timer.start(self.settings.failure_timeout / 2)
+            else:
+                self._fd_timer.start_at(next_check)
+
+    def _suspect_silent(self) -> Optional[float]:
+        """Start a gather if some view member is silent; return when the
+        next member could become suspect, or None when no deadline runs
+        (not operational, or a gather just started)."""
         if (self.state != DaemonState.OPERATIONAL or not self.joined
                 or self.view is None):
-            return
-        deadline = self.sim.now - self.settings.failure_timeout
+            return None
+        now = self.sim.now
+        timeout = self.settings.failure_timeout
+        deadline = now - timeout
+        earliest = now
         for member in self.view.members:
             if member == self.node:
                 continue
-            if self._last_heard.get(member, -1.0) < deadline:
+            heard = self._last_heard.get(member, -1.0)
+            if heard < deadline:
+                self.tracer.emit(now, self.node, "gcs.suspect",
+                                 member=member, silent=now - heard)
                 self._enter_gather(self.attempt + 1)
-                return
+                return None
+            if heard < earliest:
+                earliest = heard
+        # The rule is strict (silent for *more* than failure_timeout):
+        # checking exactly at the deadline would find nobody and re-arm
+        # at the same instant.
+        return earliest + timeout + _FD_SLACK
 
     def topology_hint(self) -> None:
         """Fast-path notification that connectivity may have changed.

@@ -96,9 +96,13 @@ class GcsSettings:
     # without it.  A membership gather settles at the end of the
     # dispatch in which every directory member has answered or is
     # presumed failed (heard from, but not within failure_timeout),
-    # instead of waiting out gather_settle.  Live runs turn it on (an
-    # event loop rounds each timer up to a millisecond, paid twice per
-    # safe delivery, and an idle gather costs a whole gather_settle);
+    # instead of waiting out gather_settle, and failure detection checks
+    # at the earliest member's deadline (last heard + failure_timeout)
+    # instead of polling every failure_timeout / 2.  Live runs turn it
+    # on (an event loop rounds each timer up to a millisecond, paid
+    # twice per safe delivery, an idle gather costs a whole
+    # gather_settle, and a poll adds up to half a timeout to every
+    # partition);
     # the simulator keeps the paper-calibrated timing its figures are
     # pinned to.
     idle_immediate: bool = False

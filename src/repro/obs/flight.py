@@ -41,7 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.trace import TraceRecord, Tracer
 
 #: Tracer categories that indicate an anomaly worth dumping on.
-ANOMALY_CATEGORIES = frozenset({"replica.crash", "txn.timeout"})
+ANOMALY_CATEGORIES = frozenset({"replica.crash", "txn.timeout",
+                                "runtime.callback_error"})
 
 #: Bit 62 marks a transaction trace id (see :func:`txn_trace_id`);
 #: action ids stay far below it, so ``trace >= TXN_TRACE_BIT`` is the

@@ -28,15 +28,20 @@ deadline from a slightly stale ``now`` must not crash the node.
 An exception escaping a callback does not stop the loop; asyncio hands
 it to the loop's exception handler.  The runtime installs one that
 counts it (:attr:`AsyncioRuntime.callback_errors`, with the last
-context kept) before passing it on to the handler it replaced.
+context kept), traces it as a ``runtime.callback_error`` record once a
+tracer is attached (:meth:`AsyncioRuntime.observe`), and passes it on
+to the handler it replaced.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..sim.kernel import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.trace import Tracer
 
 Callback = Callable[..., None]
 
@@ -93,6 +98,7 @@ class AsyncioRuntime:
         self.stopped = asyncio.Event()
         self.callback_errors = 0
         self.last_callback_error: Optional[Dict[str, Any]] = None
+        self._tracer: Optional["Tracer"] = None
         self._previous_handler = self._loop.get_exception_handler()
         self._loop.set_exception_handler(self._on_loop_exception)
 
@@ -178,10 +184,23 @@ class AsyncioRuntime:
         self._events_processed += 1
         callback(*args)
 
+    def observe(self, tracer: "Tracer") -> None:
+        """Trace each callback error on ``tracer``.  The first caller
+        wins: the clusters of a shard fabric share one runtime, and each
+        error must be recorded once."""
+        if self._tracer is None:
+            self._tracer = tracer
+
     def _on_loop_exception(self, loop: asyncio.AbstractEventLoop,
                            context: Dict[str, Any]) -> None:
         self.callback_errors += 1
         self.last_callback_error = context
+        if self._tracer is not None:
+            exc = context.get("exception")
+            self._tracer.emit(
+                self.now, "runtime", "runtime.callback_error",
+                error=type(exc).__name__ if exc is not None else "",
+                message=context.get("message", ""))
         if self._previous_handler is None:
             loop.default_exception_handler(context)
         else:

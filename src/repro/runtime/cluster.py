@@ -66,10 +66,12 @@ def live_gcs_settings(**overrides: Any) -> GcsSettings:
     (``idle_immediate``): stamps and acks go out at the end of the
     dispatch when their window is idle — an event loop rounds each
     coalescing timer up to a whole millisecond, which an idle group
-    would otherwise pay twice per safe delivery — and a membership
-    gather settles as soon as every expected member has answered,
-    instead of idling out ``gather_settle`` at every start-up,
-    partition and merge.
+    would otherwise pay twice per safe delivery — a membership gather
+    settles as soon as every expected member has answered, instead of
+    idling out ``gather_settle`` at every start-up, partition and
+    merge, and a silent member is suspected when its
+    ``failure_timeout`` deadline passes, not at the next poll up to
+    half a timeout later.
     """
     params: Dict[str, Any] = dict(
         heartbeat_interval=0.030, failure_timeout=0.300,
@@ -116,6 +118,7 @@ class LiveCluster:
             self.obs.flight_hub.attach(self.tracer)
         if isinstance(self.transport, AsyncioTransport):
             self.transport.observe(self.obs, self.tracer)
+        self.runtime.observe(self.tracer)
         self.obs.registry.counter_callback(
             "repro_runtime_callback_errors_total",
             lambda: self.runtime.callback_errors,

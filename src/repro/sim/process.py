@@ -9,8 +9,9 @@ everything it scheduled in one call (a crash must erase volatile state
 
 Despite living under ``repro.sim``, these helpers are runtime-agnostic:
 they only use the :class:`~repro.runtime.base.Runtime` protocol
-(``now``, ``schedule``), so the same timers drive a node under the
-discrete-event kernel and under :class:`~repro.runtime.AsyncioRuntime`.
+(``now``, ``schedule``, ``schedule_at``), so the same timers drive a
+node under the discrete-event kernel and under
+:class:`~repro.runtime.AsyncioRuntime`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ class Timer:
             self.interval = interval
         self.stop()
         self._handle = self._sim.schedule(self.interval, self._fire)
+
+    def start_at(self, time: float) -> None:
+        """Arm the timer for absolute runtime ``time``, replacing any
+        pending expiry; ``interval`` is left as it was."""
+        self.stop()
+        self._handle = self._sim.schedule_at(time, self._fire)
 
     def restart(self) -> None:
         """Alias for :meth:`start` with the current interval."""

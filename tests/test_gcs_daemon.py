@@ -9,7 +9,7 @@ from repro.gcs import (Configuration, DaemonState, GcsDaemon, GcsListener,
 from repro.gcs.types import DataMsg, GatherMsg
 from repro.net import Network, NetworkProfile, Topology
 from repro.obs import Observability
-from repro.sim import RandomStreams, Simulator
+from repro.sim import RandomStreams, Simulator, Tracer
 
 
 def fast_settings(**overrides):
@@ -44,7 +44,7 @@ class Recorder(GcsListener):
 
 class Harness:
     def __init__(self, nodes=(1, 2, 3), seed=0, loss=0.0, obs=None,
-                 **settings):
+                 tracer=None, **settings):
         self.sim = Simulator()
         self.nodes = list(nodes)
         self.topology = Topology(self.nodes)
@@ -57,7 +57,7 @@ class Harness:
         directory = set(self.nodes)
         for node in self.nodes:
             daemon = GcsDaemon(self.sim, node, self.network, directory,
-                               self.settings, obs=obs)
+                               self.settings, tracer=tracer, obs=obs)
             self.recorders[node] = Recorder(node)
             daemon.listener = self.recorders[node]
             daemon.start()
@@ -558,3 +558,132 @@ def test_live_rounds_settle_without_the_timer():
     for node in (1, 2, 3):
         assert _settled(obs, node, "timer") == 0
     assert _settled(obs, 1, "answered") >= 3
+
+
+# ----------------------------------------------------------------------
+# failure detection: with idle_immediate, at the deadline, not the poll
+# ----------------------------------------------------------------------
+def _suspicions(tracer, node, member):
+    """The silence ``node`` reported for each suspicion of ``member``."""
+    return [r.detail["silent"] for r in tracer.select("gcs.suspect", node)
+            if r.detail["member"] == member]
+
+
+def _silence(h, node):
+    h.topology.crash(node)
+    h.daemons[node].crash()
+
+
+def _detection_delays(idle):
+    """Silence node 3 at 8 offsets spread over one poll period; node 1's
+    reported silence when it suspects 3, per offset."""
+    delays = []
+    for i in range(8):
+        tracer = Tracer()
+        h = Harness(idle_immediate=idle, tracer=tracer)
+        h.join_all()
+        h.run(h.settings.failure_timeout / 2 * i / 8)
+        _silence(h, 3)
+        h.run(2 * h.settings.failure_timeout)
+        [silent] = _suspicions(tracer, 1, 3)
+        delays.append(silent)
+    return delays
+
+
+def test_deadline_detection_suspects_at_the_timeout():
+    timeout = fast_settings().failure_timeout
+    for silent in _detection_delays(idle=True):
+        assert timeout < silent <= timeout + 0.001
+
+
+def test_window_policy_detection_waits_for_the_poll():
+    """The same probe under the window policy: some offset waits out
+    part of a poll period, so the test above tells the two apart."""
+    timeout = fast_settings().failure_timeout
+    delays = _detection_delays(idle=False)
+    assert all(silent > timeout for silent in delays)
+    assert max(delays) > 1.2 * timeout
+
+
+def test_deadline_detection_survives_crash_and_recovery():
+    """A restart arms the check at half a timeout, not at whatever
+    deadline the timer last had."""
+    tracer = Tracer()
+    h = Harness(idle_immediate=True, tracer=tracer)
+    h.join_all()
+    _silence(h, 1)
+    h.run(0.5)
+    h.topology.recover(1)
+    h.daemons[1].recover()
+    h.daemons[1].join()
+    h.run(0.5)
+    assert h.daemons[1].view.members == frozenset(h.nodes)
+    _silence(h, 2)
+    h.run(2 * h.settings.failure_timeout)
+    [silent] = _suspicions(tracer, 1, 2)
+    assert h.settings.failure_timeout < silent \
+        <= h.settings.failure_timeout + 0.001
+
+
+def test_deadline_detection_fault_free_run_installs_no_view():
+    """Five fault-free seconds with traffic: nobody is suspected, no
+    view is installed, and the check runs about once per
+    failure_timeout - heartbeat_interval instead of every half
+    timeout."""
+    tracer = Tracer()
+    h = Harness(idle_immediate=True, tracer=tracer)
+    h.join_all()
+    installed = {n: d.views_installed for n, d in h.daemons.items()}
+    timer = h.daemons[1]._fd_timer
+    checks = []
+    callback = timer._callback
+    timer._callback = lambda: (checks.append(h.sim.now), callback())
+    for i in range(50):
+        h.daemons[1 + i % 3].multicast(("m", i))
+        h.run(0.1)
+    assert tracer.count("gcs.suspect") == 0
+    assert {n: d.views_installed for n, d in h.daemons.items()} == installed
+    s = h.settings
+    assert len(checks) <= 5.0 / (s.failure_timeout - s.heartbeat_interval) + 1
+
+
+def test_live_udp_partition_suspects_at_the_timeout():
+    """Two partition/heal cycles on UDP loopback: the majority suspects
+    the cut-off node 3 within 50 ms of failure_timeout each time (a
+    half-timeout poll took up to one and a half timeouts).  Whichever
+    of nodes 1 and 2 reaches its deadline first suspects; the other may
+    join its gather before its own check runs."""
+    from repro.core.state_machine import EngineState
+    from repro.runtime import udp_cluster
+
+    async def scenario():
+        cluster = udp_cluster([1, 2, 3])
+        daemons = [r.daemon for r in cluster.replicas.values()]
+        cuts = []
+
+        def merged():
+            return all(d.view is not None and len(d.view.members) == 3
+                       for d in daemons) and all(
+                r.engine.state == EngineState.REG_PRIM
+                for r in cluster.replicas.values())
+        try:
+            cluster.start_all()
+            await cluster.wait_until(merged, 15)
+            for _ in range(2):
+                cuts.append(cluster.runtime.now)
+                cluster.partition([1, 2], [3])
+                await cluster.wait_until(
+                    lambda: daemons[0].view.members == {1, 2}, 10)
+                cluster.heal()
+                await cluster.wait_until(merged, 10)
+        finally:
+            cluster.shutdown()
+        return cluster.tracer, cuts, cluster.gcs_settings.failure_timeout
+
+    tracer, cuts, timeout = asyncio.run(scenario())
+    for begin, end in zip(cuts, cuts[1:] + [float("inf")]):
+        silent = [r.detail["silent"] for r in tracer.select("gcs.suspect")
+                  if begin < r.time < end and r.node in (1, 2)
+                  and r.detail["member"] == 3]
+        assert silent and all(timeout < s <= timeout + 0.05
+                              for s in silent), silent

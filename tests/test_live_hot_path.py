@@ -11,7 +11,9 @@ each green action cost the process — counters, not wall-clock:
   own compact encoding;
 * the paper's cost model, which must not move: one multicast and about
   one forced write per action;
-* exceptions escaping loop callbacks: none.
+* exceptions escaping loop callbacks: none;
+* membership: no daemon suspects a busy peer, so no gather starts and
+  no view is installed.
 
 The timers left (about 1.5 per action on a 2-core x86 VM) are protocol
 work: one per platter sync of the group-committing disk and one per
@@ -73,9 +75,11 @@ class _Counts:
 
 
 def _totals(cluster):
-    return (sum(r.daemon.messages_multicast
-                for r in cluster.replicas.values()),
-            sum(r.disk.forced_writes for r in cluster.replicas.values()))
+    replicas = cluster.replicas.values()
+    return (sum(r.daemon.messages_multicast for r in replicas),
+            sum(r.disk.forced_writes for r in replicas),
+            cluster.tracer.count("gcs.gather"),
+            sum(r.daemon.views_installed for r in replicas))
 
 
 def _run(monkeypatch):
@@ -89,7 +93,7 @@ def _run(monkeypatch):
             await cluster.wait_all_engine_state(EngineState.REG_PRIM,
                                                 timeout=15)
             base = cluster.green_counts()[1]
-            multicasts, forced = _totals(cluster)
+            before = _totals(cluster)
             loop = cluster.runtime.loop
             monkeypatch.setattr(loop, "call_at", counts.call_at(loop.call_at))
             monkeypatch.setattr(codec, "encode_payload",
@@ -108,9 +112,9 @@ def _run(monkeypatch):
                     write(node, writer)
             await cluster.wait_green(base + ACTIONS, timeout=30)
             monkeypatch.undo()
-            after_multicasts, after_forced = _totals(cluster)
+            after = _totals(cluster)
             return (cluster.green_counts(), base,
-                    after_multicasts - multicasts, after_forced - forced,
+                    [a - b for a, b in zip(after, before)],
                     cluster.obs.snapshot()[
                         "repro_runtime_callback_errors_total"])
         finally:
@@ -121,7 +125,8 @@ def _run(monkeypatch):
 
 
 def test_live_hot_path_costs_per_green_action(monkeypatch):
-    counts, (greens, base, multicasts, forced, errors) = _run(monkeypatch)
+    counts, (greens, base, deltas, errors) = _run(monkeypatch)
+    multicasts, forced, gathers, views = deltas
     assert set(greens.values()) == {base + ACTIONS}
     assert counts.timers / ACTIONS <= MAX_TIMERS_PER_ACTION, \
         f"{counts.timers / ACTIONS:.2f} loop timers per green action"
@@ -133,3 +138,5 @@ def test_live_hot_path_costs_per_green_action(monkeypatch):
     assert 0.95 <= forced / ACTIONS <= 1.1, \
         f"{forced / ACTIONS:.3f} forced writes per action"
     assert errors == {"": 0.0}
+    assert gathers == 0 and views == 0, \
+        f"{gathers} gathers and {views} views during the run"

@@ -215,6 +215,40 @@ def test_callback_exceptions_are_counted_and_passed_on():
     assert seen == ["KeyError", "KeyError"]      # chained, not swallowed
 
 
+def test_callback_error_is_a_flight_recorded_anomaly():
+    """A LiveCluster traces each loop callback error once — the first
+    cluster on a shared runtime wins — and the flight hub treats it as
+    an anomaly, so the dump sink fires."""
+    from repro.runtime import LiveCluster
+
+    async def scenario():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, _context: None)          # keep the log quiet
+        obs = Observability(flight=True)
+        dumps = []
+        obs.flight_hub.sink = lambda reason, rows: dumps.append(reason)
+        cluster = LiveCluster([1], observability=obs)
+        other = LiveCluster([2], runtime=cluster.runtime)
+
+        def boom():
+            raise KeyError("lost")
+        cluster.runtime.post(0.0, boom)
+        await asyncio.sleep(0.02)
+        other.shutdown()
+        cluster.shutdown()
+        return cluster, other, obs, dumps
+
+    cluster, other, obs, dumps = run(scenario())
+    [record] = cluster.tracer.select("runtime.callback_error")
+    assert record.node == "runtime" and record.detail["error"] == "KeyError"
+    assert other.tracer.count("runtime.callback_error") == 0
+    assert dumps == ["runtime.callback_error"]
+    assert [kind for _t, kind, _trace, _detail
+            in obs.flight("runtime").events()] == ["runtime.callback_error"]
+    assert obs.snapshot()["repro_runtime_callback_errors_total"] \
+        == {"": 1.0}
+
+
 def test_negative_delay_rejected_like_kernel():
     async def scenario():
         rt = AsyncioRuntime()
