@@ -14,20 +14,11 @@ Run:  python examples/live_cluster.py            # three processes, UDP
       python examples/live_cluster.py --in-process   # one process
       python examples/live_cluster.py --metrics-port 9100   # + /metrics
       python examples/live_cluster.py --wire-batch 16   # coalesced wire
-      python examples/live_cluster.py --shards 2     # shard fabric, 2 groups
       python examples/live_cluster.py --trace-out traces/   # flight dumps
 
 The multi-process mode binds all UDP sockets in the parent and forks,
 so children never race for ports.  Exit code 0 means every node
 reported the same green order and database digest.
-
-``--shards N`` runs a live shard fabric instead: N independent
-replication groups (global node ids ``shard*100 + 1..3``) share one
-UDP loopback namespace, each group runs the full partition/merge
-script, and the verdict checks convergence *per shard*.  Multi-process
-mode forks ``3 × N`` processes, one per replica; in-process mode
-additionally commits a cross-shard transaction through the 2PC-style
-coordinator and verifies both fragments applied.
 
 ``--metrics-port`` additionally serves each hosting process's metrics
 registry over HTTP (``/metrics`` Prometheus text, ``/status`` JSON) —
@@ -214,173 +205,6 @@ def run_multiprocess(metrics_port=None, wire_batch=None, trace_out=None):
     return reports
 
 
-async def drive_shard_node(node, server_ids, addresses, sockets, start_at,
-                           results, wire_batch=None, trace_out=None):
-    """One sharded node's life: same script as :func:`drive_node`, but
-    against its own shard's replication group (global node ids)."""
-    from repro.core.state_machine import EngineState
-    from repro.runtime import udp_cluster
-    from repro.shard.router import shard_of
-
-    shard = shard_of(node)
-    obs = tracing_obs(trace_out)
-    cluster = udp_cluster(server_ids, hosted=[node],
-                          addresses=addresses, sockets=sockets,
-                          gcs_settings=cluster_settings(wire_batch),
-                          shard=shard, observability=obs)
-    loop = asyncio.get_event_loop()
-    await asyncio.sleep(max(0.0, start_at - loop.time()))
-    origin = loop.time()
-    cluster.start_all()
-
-    def submit_batch(tag, count):
-        for i in range(count):
-            cluster.submit(node, ("SET", f"{tag}-{node}-{i}", i))
-
-    await cluster.wait_all_engine_state(EngineState.REG_PRIM, timeout=10)
-    submit_batch("pre", 2)
-
-    await asyncio.sleep(max(0.0, origin + T_PARTITION - loop.time()))
-    cluster.partition(server_ids[:2], server_ids[2:])
-    submit_batch("split", 2)
-
-    await asyncio.sleep(max(0.0, origin + T_HEAL - loop.time()))
-    cluster.heal()
-
-    await cluster.wait_green(12, timeout=origin + T_DEADLINE - loop.time())
-    order = [tuple(a) for a in cluster.green_order(node)]
-    digest = cluster.replicas[node].database.digest()
-    results.put((node, order, digest))
-    dump_traces(obs, trace_out, f"node {node}")
-    cluster.shutdown()
-
-
-def shard_node_process(node, server_ids, addresses, sockets, start_at,
-                       results, wire_batch=None, trace_out=None):
-    try:
-        asyncio.run(drive_shard_node(node, server_ids, addresses, sockets,
-                                     start_at, results, wire_batch,
-                                     trace_out))
-    except Exception as failure:  # pragma: no cover - report, don't hang
-        results.put((node, "ERROR", repr(failure)))
-        raise
-
-
-def run_shard_multiprocess(shards, wire_batch=None, trace_out=None):
-    from repro.shard.router import shard_server_ids
-    banner(f"{shards} shards x three processes, UDP loopback"
-           + (f", wire batching x{wire_batch}"
-              if wire_batch and wire_batch > 1 else ""))
-    groups = {shard: shard_server_ids(shard, 3)
-              for shard in range(shards)}
-    all_nodes = [node for ids in groups.values() for node in ids]
-    sockets = {}
-    addresses = {}
-    for node in all_nodes:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.bind(("127.0.0.1", 0))
-        sockets[node] = sock
-        addresses[node] = sock.getsockname()
-    print(f"addresses: {addresses}", flush=True)
-
-    import time
-    ctx = multiprocessing.get_context("fork")
-    results = ctx.Queue()
-    start_at = time.monotonic() + 0.5
-    workers = []
-    for shard, server_ids in groups.items():
-        shard_addresses = {n: addresses[n] for n in server_ids}
-        for node in server_ids:
-            proc = ctx.Process(
-                target=shard_node_process, name=f"replica-{node}",
-                args=(node, server_ids, shard_addresses,
-                      {node: sockets[node]}, start_at, results,
-                      wire_batch, trace_out))
-            proc.start()
-            workers.append(proc)
-    for sock in sockets.values():
-        sock.close()     # children hold their own copies
-
-    reports = {}
-    for _ in all_nodes:
-        node, order, digest = results.get(timeout=T_DEADLINE + 10)
-        reports[node] = (order, digest)
-        print(f"node {node}: {len(order) if order != 'ERROR' else order} "
-              f"green actions, digest {str(digest)[:12]}", flush=True)
-    for proc in workers:
-        proc.join(timeout=10)
-        if proc.is_alive():  # pragma: no cover - watchdog
-            proc.terminate()
-    return reports
-
-
-def run_shard_in_process(shards, wire_batch=None, trace_out=None):
-    banner(f"{shards} shards, one process, in-memory transport"
-           + (f", wire batching x{wire_batch}"
-              if wire_batch and wire_batch > 1 else ""))
-
-    async def main():
-        from repro.shard import LiveShardFabric
-        obs = tracing_obs(trace_out)
-        fabric = LiveShardFabric(
-            shards, 3, gcs_settings=cluster_settings(wire_batch),
-            observability=obs)
-        fabric.start_all()
-        await fabric.wait_all_primary(timeout=10)
-
-        # Shard-local load, routed to each group directly.
-        for shard in range(shards):
-            for i in range(4):
-                fabric.submit_local(shard, ("SET", f"s{shard}-k{i}", i))
-        greens = {shard: 4 for shard in range(shards)}
-
-        # One cross-shard transaction through the coordinator: its
-        # prepare/decide/finish records are green actions too (3 at the
-        # decider shard, 2 at the other participant).
-        outcomes = {}
-        if shards > 1:
-            key_for = {}
-            i = 0
-            while 0 not in key_for or 1 not in key_for:
-                key_for.setdefault(
-                    fabric.router.shard_for_key(f"xk{i}"), f"xk{i}")
-                i += 1
-            fabric.submit([("SET", key_for[0], "x0"),
-                           ("SET", key_for[1], "x1")],
-                          lambda txn, outcome:
-                          outcomes.__setitem__(txn, outcome))
-            greens[0] += 3
-            greens[1] += 2
-        for shard, count in greens.items():
-            await fabric.wait_green(shard, count, timeout=15)
-        await fabric.wait_no_inflight(timeout=10)
-
-        reports = {}
-        for shard in range(shards):
-            cluster = fabric.clusters[shard]
-            for node in cluster.replicas:
-                reports[node] = (
-                    [tuple(a) for a in cluster.green_order(node)],
-                    cluster.replicas[node].database.digest())
-        if shards > 1:
-            if list(outcomes.values()) != ["commit"]:
-                raise AssertionError(
-                    f"cross-shard txn outcome: {outcomes}")
-            db = fabric.sharded_database()
-            applied = (db.get(key_for[0]), db.get(key_for[1]))
-            if applied != ("x0", "x1"):
-                raise AssertionError(
-                    f"cross-shard fragments not applied: {applied}")
-            print(f"cross-shard txn committed atomically: "
-                  f"{key_for[0]}={applied[0]!r} (shard 0), "
-                  f"{key_for[1]}={applied[1]!r} (shard 1)", flush=True)
-        dump_traces(obs, trace_out, "fabric")
-        fabric.shutdown()
-        return reports
-
-    return asyncio.run(main())
-
-
 def run_in_process(metrics_port=None, wire_batch=None, trace_out=None):
     banner("single process, in-memory transport"
            + (f", wire batching x{wire_batch}"
@@ -445,38 +269,6 @@ def check(reports):
     return 0
 
 
-def check_sharded(reports, shards):
-    from repro.shard.router import shard_of
-    banner("verdict (per shard)")
-    if any(order == "ERROR" for order, _ in reports.values()):
-        print(f"FAIL: node error: {reports}")
-        return 1
-    by_shard = {}
-    for node, (order, digest) in reports.items():
-        by_shard.setdefault(shard_of(node), {})[node] = (order, digest)
-    total = 0
-    for shard in range(shards):
-        nodes = sorted(by_shard.get(shard, {}))
-        if not nodes:
-            print(f"FAIL: shard {shard} reported nothing")
-            return 1
-        orders = {n: by_shard[shard][n][0] for n in nodes}
-        digests = {n: by_shard[shard][n][1] for n in nodes}
-        reference = orders[nodes[0]]
-        if any(orders[n] != reference for n in nodes[1:]):
-            print(f"FAIL: shard {shard} green orders diverge: {orders}")
-            return 1
-        if len(set(digests.values())) != 1:
-            print(f"FAIL: shard {shard} digests diverge: {digests}")
-            return 1
-        total += len(reference)
-        print(f"shard {shard}: {len(reference)} green actions, "
-              f"identical order and digest on nodes {nodes}")
-    print(f"OK: {total} green actions across {shards} shards, each "
-          f"shard internally convergent")
-    return 0
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--in-process", action="store_true",
@@ -492,23 +284,11 @@ def main():
                         help="coalesce up to N protocol payloads per "
                              "datagram (wire batching; <=1 = off, the "
                              "bit-identical unbatched datapath)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run a shard fabric of N replication "
-                             "groups (3 replicas each) instead of one "
-                             "group; the verdict checks per shard")
     parser.add_argument("--trace-out", default=None, metavar="DIR",
                         help="enable distributed tracing and dump every "
                              "node's flight recorder into DIR as JSONL "
                              "(merge with repro-trace DIR)")
     args = parser.parse_args()
-    if args.shards is not None:
-        if args.in_process:
-            reports = run_shard_in_process(args.shards, args.wire_batch,
-                                           args.trace_out)
-        else:
-            reports = run_shard_multiprocess(args.shards, args.wire_batch,
-                                             args.trace_out)
-        return check_sharded(reports, args.shards)
     if args.in_process:
         reports = run_in_process(args.metrics_port, args.wire_batch,
                                  args.trace_out)

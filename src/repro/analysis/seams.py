@@ -31,13 +31,6 @@ This analyzer keeps the seam honest:
   caller parameters off the Runtime clock: a recorder that reads its
   own clock would silently diverge between simulated and live runs
   and could perturb the fig5a determinism pin.
-* **shard-isolation** — shard *policy* modules (everything in
-  :mod:`repro.shard` except the composition roots ``fabric`` and
-  ``live``) importing :mod:`repro.core` or :mod:`repro.gcs`, whether
-  absolutely or relatively.  The router, the transaction procedures,
-  and the coordinator are pure data-plane policy reusable against any
-  replication group implementation; only the two composition roots may
-  wire them to actual engines and GCS daemons.
 
 Modules under the packages in :data:`SEAM_EXEMPT_PACKAGES` (the runtime
 adapters themselves, operational tools, and this analysis package) are
@@ -49,7 +42,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set
 
 from .common import (Finding, SourceFile, collect_py_files, iter_findings,
                      module_parts, parse_file, subpackage_of)
@@ -58,7 +51,6 @@ ANALYZER = "runtime-seam"
 RULE_IMPORT = "seam-import"
 RULE_BLOCKING_IO = "seam-blocking-io"
 RULE_FRAMING = "seam-framing"
-RULE_SHARD_ISOLATION = "shard-isolation"
 RULE_FLIGHT_CLOCK = "flight-clock"
 
 #: Subpackages of ``repro`` allowed to touch the host runtime directly.
@@ -78,12 +70,6 @@ _FRAMING_MODULES = frozenset({"struct"})
 
 #: The one module allowed to own the binary wire format.
 _CODEC_MODULE = ("repro", "net", "codec")
-
-#: Shard-package modules allowed to compose with the engine layers.
-_SHARD_COMPOSITION_ROOTS = frozenset({"fabric", "live"})
-
-#: repro subpackages the shard policy modules must not reach into.
-_SHARD_FORBIDDEN_PACKAGES = frozenset({"core", "gcs"})
 
 #: The flight recorder: timestamps are caller parameters, never read.
 _FLIGHT_MODULE = ("repro", "obs", "flight")
@@ -114,43 +100,25 @@ class SeamEnforcer:
         """The flight-clock rule covers exactly the recorder module."""
         return module_parts(path)[-3:] == _FLIGHT_MODULE
 
-    def in_shard_scope(self, path: Path) -> bool:
-        """Shard isolation covers the shard package's policy modules —
-        everything but the composition roots."""
-        if subpackage_of(path) != "shard":
-            return False
-        if path.name == "__init__.py":
-            return True     # may re-export, must not import engines
-        return module_parts(path)[-1] not in _SHARD_COMPOSITION_ROOTS
-
-    def _shard_package(self, path: Path) -> Tuple[str, ...]:
-        """The dotted package containing ``path`` (for resolving
-        relative imports)."""
-        parts = module_parts(path)
-        return parts if path.name == "__init__.py" else parts[:-1]
-
     def check_paths(self, paths: Iterable[Path]) -> List[Finding]:
         findings: List[Finding] = []
         for path in collect_py_files(paths):
             seam = self.in_scope(path)
             framing = self.in_framing_scope(path)
-            shard = self.in_shard_scope(path)
             flight = self.in_flight_scope(path)
-            if not seam and not framing and not shard and not flight:
+            if not seam and not framing and not flight:
                 continue
             source = parse_file(path)
             findings.extend(iter_findings(
-                self._check_source(source, seam, framing, shard, flight),
+                self._check_source(source, seam, framing, flight),
                 source))
         return findings
 
     def _check_source(self, source: SourceFile, seam: bool = True,
                       framing: bool = True,
-                      shard: bool = False,
                       flight: bool = False) -> List[Finding]:
         findings: List[Finding] = []
         path = str(source.path)
-        package = self._shard_package(source.path) if shard else ()
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -170,16 +138,7 @@ class SeamEnforcer:
                     if framing and top in _FRAMING_MODULES:
                         findings.append(self._framing_finding(
                             node.lineno, path, alias.name))
-                    if shard and self._shard_forbidden(
-                            tuple(alias.name.split("."))):
-                        findings.append(self._shard_finding(
-                            node.lineno, path, alias.name))
             elif isinstance(node, ast.ImportFrom):
-                if shard:
-                    resolved = self._resolve_import(node, package)
-                    if self._shard_forbidden(resolved):
-                        findings.append(self._shard_finding(
-                            node.lineno, path, ".".join(resolved)))
                 if node.level:
                     continue               # relative import, in-package
                 top = (node.module or "").split(".")[0]
@@ -205,34 +164,6 @@ class SeamEnforcer:
             elif seam and isinstance(node, ast.Call):
                 findings.extend(self._blocking_call(node, path))
         return findings
-
-    @staticmethod
-    def _resolve_import(node: ast.ImportFrom,
-                        package: Tuple[str, ...]) -> Tuple[str, ...]:
-        """The dotted module an ``ImportFrom`` targets, with relative
-        levels resolved against the importing module's package."""
-        suffix = tuple((node.module or "").split(".")) \
-            if node.module else ()
-        if not node.level:
-            return suffix
-        base = package[:len(package) - (node.level - 1)] \
-            if node.level > 1 else package
-        return base + suffix
-
-    @staticmethod
-    def _shard_forbidden(resolved: Tuple[str, ...]) -> bool:
-        return (len(resolved) >= 2 and resolved[0] == "repro"
-                and resolved[1] in _SHARD_FORBIDDEN_PACKAGES)
-
-    def _shard_finding(self, line: int, path: str,
-                       module: str) -> Finding:
-        return Finding(
-            rule=RULE_SHARD_ISOLATION, path=path, line=line,
-            message=(f"shard policy module imports {module!r}; only the "
-                     f"composition roots (repro.shard.fabric, "
-                     f"repro.shard.live) may touch the engine and GCS "
-                     f"layers"),
-            analyzer=ANALYZER)
 
     def _flight_finding(self, line: int, path: str,
                         what: str) -> Finding:

@@ -37,48 +37,22 @@ class ReplicaCluster:
                  gcs_settings: Optional[GcsSettings] = None,
                  engine_config: Optional[EngineConfig] = None,
                  trace: bool = False,
-                 observability: Optional[Observability] = None,
-                 *,
-                 shard: int = 0,
-                 runtime: Optional[SimRuntime] = None,
-                 network: Optional[Network] = None,
-                 topology: Optional[Topology] = None,
-                 streams: Optional[RandomStreams] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 observability: Optional[Observability] = None) -> None:
         self.server_ids = (list(server_ids) if server_ids is not None
                            else list(range(1, n + 1)))
-        # Which replication group of a fabric this cluster is; 0 (and
-        # every default below) is the standalone single-group system.
-        self.shard = shard
         # Disabled by default: simulated clusters keep plain counters
         # but pay nothing for spans/histograms unless asked.
         self.obs = (observability if observability is not None
                     else Observability.disabled())
         # The deterministic Runtime; `sim` is also reachable as
-        # `runtime` for symmetry with LiveCluster.  A shard fabric
-        # injects one shared kernel/topology/network so N groups run on
-        # a single deterministic event loop; standalone clusters build
-        # their own (the historical, bit-identical path).
-        if runtime is not None:
-            if network is None or topology is None or streams is None \
-                    or tracer is None:
-                raise ValueError(
-                    "injected runtime requires network, topology, "
-                    "streams, and tracer as well")
-            self.sim = runtime
-            self.streams = streams
-            self.tracer = tracer
-            self.topology = topology
-            self.network = network
-        else:
-            self.sim = SimRuntime()
-            self.streams = RandomStreams(seed)
-            self.tracer = Tracer(enabled=trace)
-            self.topology = Topology(self.server_ids)
-            self.network = Network(self.sim, self.topology,
-                                   network_profile,
-                                   rng=self.streams.stream("network"),
-                                   tracer=self.tracer)
+        # `runtime` for symmetry with LiveCluster.
+        self.sim = SimRuntime()
+        self.streams = RandomStreams(seed)
+        self.tracer = Tracer(enabled=trace)
+        self.topology = Topology(self.server_ids)
+        self.network = Network(self.sim, self.topology, network_profile,
+                               rng=self.streams.stream("network"),
+                               tracer=self.tracer)
         self.runtime = self.sim
         # With tracing on, mirror tracer records (state transitions,
         # installs, disk syncs, crashes) into the flight rings.
@@ -105,7 +79,7 @@ class ReplicaCluster:
                        list(server_ids), disk_profile=self.disk_profile,
                        gcs_settings=self.gcs_settings,
                        engine_config=config, tracer=self.tracer,
-                       obs=self.obs, shard=self.shard)
+                       obs=self.obs)
 
     # ==================================================================
     # lifecycle & fault injection

@@ -34,7 +34,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
 from ..db import Action, ActionId, ActionType, Database
 from ..gcs import Configuration, GroupChannel, ServiceLevel, ViewId
 from ..obs import Observability, action_trace_id
-from ..obs.flight import TXN_TRACE_BIT
 from ..obs.spans import STALENESS_STRIDE
 
 # Power-of-two stride lets the sampling test be a single AND.
@@ -153,16 +152,9 @@ class ReplicationEngine:
                  config: Optional[EngineConfig] = None,
                  hooks: Optional[EngineHooks] = None,
                  tracer: Optional[Tracer] = None,
-                 obs: Optional[Observability] = None,
-                 shard: int = 0) -> None:
+                 obs: Optional[Observability] = None) -> None:
         self.sim = sim
         self.server_id = server_id
-        # Which replication group this engine orders for.  The engine
-        # never looks at it — total order is a per-group notion and the
-        # GCS group is already namespaced — but fabric-level tooling
-        # (routers, reports, seam checks) reads identity off the engine
-        # rather than reverse-engineering it from node ids.
-        self.shard = shard
         self.channel = channel
         self.store = store
         self.database = database
@@ -313,8 +305,8 @@ class ReplicationEngine:
         action_id = self.next_action_id()
         rec = self._flight_append
         if rec is not None:
-            # Trace context: deterministic id (pre-assigned ids — e.g.
-            # a transaction's — win), recorded at the submit instant.
+            # Trace context: deterministic id (a pre-assigned id in
+            # meta wins), recorded at the submit instant.
             trace = meta.get("trace")
             if trace is None:
                 trace = meta["trace"] = action_trace_id(
@@ -538,15 +530,7 @@ class ReplicationEngine:
                         hist.count += 1
         rec = self._flight_append
         if rec is not None:
-            trace = meta.get("trace", 0)
-            if trace < TXN_TRACE_BIT:
-                # Plain action: the detail is the bare green position
-                # (no tuple on the steady-state path).
-                rec((now, "green", trace, position))
-            else:
-                phase = meta.get("phase")
-                rec((now, "green", trace,
-                     position if phase is None else (position, phase)))
+            rec((now, "green", meta.get("trace", 0), position))
 
         if (action.type is ActionType.PERSISTENT_JOIN
                 and action.join_id is not None

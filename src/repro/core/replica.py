@@ -71,11 +71,9 @@ class Replica:
                  gcs_settings: Optional[GcsSettings] = None,
                  engine_config: Optional[EngineConfig] = None,
                  tracer: Optional[Tracer] = None,
-                 obs: Optional[Observability] = None,
-                 shard: int = 0) -> None:
+                 obs: Optional[Observability] = None) -> None:
         self.sim = sim
         self.node = node
-        self.shard = shard
         self.network = network
         self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else Observability.disabled()
@@ -102,8 +100,7 @@ class Replica:
         self.daemon = GcsDaemon(sim, node, network, directory,
                                 self.gcs_settings, self.tracer,
                                 extra_dispatch=self._extra_dispatch,
-                                obs=self.obs, batcher=self.batcher,
-                                group=shard)
+                                obs=self.obs, batcher=self.batcher)
         self.channel = GroupChannel(self.daemon)
         self.endpoint = ReliableChannelEndpoint(
             sim, node, network, self._on_channel_message, obs=self.obs,
@@ -112,7 +109,7 @@ class Replica:
         self.engine = ReplicationEngine(
             sim, node, self.channel, self.store, self.database,
             self.server_ids, self.engine_config, _ReplicaHooks(self),
-            self.tracer, obs=self.obs, shard=shard)
+            self.tracer, obs=self.obs)
         self.representative = RepresentativeRole(self)
         if self.obs.enabled:
             # Read through ``self.engine``/``self.running`` at collect
@@ -194,7 +191,7 @@ class Replica:
         self.engine = ReplicationEngine(
             self.sim, self.node, self.channel, self.store, self.database,
             [self.node], self.engine_config, _ReplicaHooks(self),
-            self.tracer, obs=self.obs, shard=self.shard)
+            self.tracer, obs=self.obs)
         recover_engine(self.engine)
         self.daemon.recover()
         self.endpoint.start()

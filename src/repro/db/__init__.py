@@ -6,8 +6,6 @@ from .action import (Action, ActionId, ActionType, join_action,
 from .applied_log import AppliedLog
 from .database import Database
 from .dirty import DirtyView
-from .partition import (KEYSPACE, KeyRange, RangeMap, ShardedDatabase,
-                        even_ranges, hash_key)
 from .snapshot import SnapshotChunk, SnapshotReceiver, SnapshotSender
 from .sql import (StatementError, execute_query, execute_statement,
                   execute_update)
@@ -19,12 +17,6 @@ __all__ = [
     "AppliedLog",
     "Database",
     "DirtyView",
-    "KEYSPACE",
-    "KeyRange",
-    "RangeMap",
-    "ShardedDatabase",
-    "even_ranges",
-    "hash_key",
     "SnapshotChunk",
     "SnapshotReceiver",
     "SnapshotSender",

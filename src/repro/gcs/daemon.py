@@ -102,19 +102,11 @@ class GcsDaemon(Actor):
                  extra_dispatch: Optional[
                      Callable[[Datagram], bool]] = None,
                  obs: Optional["Observability"] = None,
-                 batcher: Optional[WireBatcher] = None,
-                 group: int = 0) -> None:
+                 batcher: Optional[WireBatcher] = None) -> None:
         super().__init__(sim, name=f"gcs{node}")
         self.node = node
-        # Group namespace: N independent daemons (one replication group
-        # each) can share one transport.  The per-group ``directory``
-        # already keeps traffic apart; the group id additionally tags
-        # heartbeats so a stray foreign-group datagram (misconfigured
-        # directory, address reuse) can never trigger a cross-group
-        # membership merge.
-        self.group = group
         self.network = network
-        self.directory = directory          # registry of this group's nodes
+        self.directory = directory          # registry of the group's nodes
         self.settings = settings or GcsSettings()
         self.tracer = tracer or Tracer(enabled=False)
         self.extra_dispatch = extra_dispatch
@@ -588,14 +580,10 @@ class GcsDaemon(Actor):
         self._control_multicast(
             self._other_directory(),
             HeartbeatMsg(self.node, view_id, self.joined, ack,
-                         self.group, self.green_line),
+                         self.green_line),
             self.settings.ack_size)
 
     def _on_heartbeat(self, msg: HeartbeatMsg) -> None:
-        if msg.group != self.group:
-            # Foreign replication group sharing the transport: not our
-            # liveness, and above all not a merge candidate.
-            return
         if msg.green_line:
             # Lines start at zero and only grow: zero tells nothing.
             self.listener.on_green_line(msg.node, msg.green_line)

@@ -166,11 +166,6 @@ class AckMsg:
 class HeartbeatMsg:
     """Liveness + piggybacked stability ack.
 
-    ``group`` namespaces the heartbeat when several replication groups
-    share one transport (the shard fabric): daemons drop foreign-group
-    heartbeats, so they can never feed failure detection or trigger a
-    cross-group membership merge.
-
     ``green_line`` is the sender's *durable* green count — globally
     ordered actions whose log records a completed sync covers, so a
     crash cannot roll the sender back below it.  Every member
@@ -182,7 +177,6 @@ class HeartbeatMsg:
     view_id: Optional[ViewId]
     joined: bool
     ack_seq: int
-    group: int = 0
     green_line: int = 0
 
 

@@ -66,9 +66,10 @@ MAGIC = 0xC3
 # signed 64-bit trace-context field (0 = untraced).  Version 3: the
 # HeartbeatMsg body ends with the sender's durable green line.
 # Version 4: engine actions have their own tag instead of a pickle.
+# Version 5: the HeartbeatMsg body drops its group-namespace field.
 # Frames of any other version are rejected with :class:`CodecError` — a
 # mixed-version peer would otherwise be misparsed, not refused.
-VERSION = 4
+VERSION = 5
 
 TAG_PICKLE = 0
 TAG_BATCH = 1
@@ -91,7 +92,7 @@ _DATA = struct.Struct("!iiiqBiq")        # view, origin, fifo, svc, size,
 _STAMP_ENTRY = struct.Struct("!qiq")     # seq, origin, fifo_seq
 _VIEW_COUNT = struct.Struct("!iiI")      # view + entry count
 _ACK = struct.Struct("!iiiq")            # view, node, ack_seq
-_HEARTBEAT = struct.Struct("!iiB")       # node, group, flags
+_HEARTBEAT = struct.Struct("!iB")        # node, flags
 _HEARTBEAT_TAIL = struct.Struct("!qq")   # ack_seq, green_line
 _VIEW = struct.Struct("!ii")
 _SEQ = struct.Struct("!q")
@@ -171,7 +172,7 @@ def _enc_ack(msg: AckMsg) -> bytes:
 
 def _enc_heartbeat(msg: HeartbeatMsg) -> bytes:
     flags = (1 if msg.joined else 0) | (2 if msg.view_id is not None else 0)
-    body = _HEARTBEAT.pack(msg.node, msg.group, flags)
+    body = _HEARTBEAT.pack(msg.node, flags)
     if msg.view_id is not None:
         body += _enc_view(msg.view_id)
     return body + _HEARTBEAT_TAIL.pack(msg.ack_seq, msg.green_line)
@@ -370,7 +371,7 @@ def _dec_ack(body: bytes) -> AckMsg:
 
 def _dec_heartbeat(body: bytes) -> HeartbeatMsg:
     _need(body, 0, _HEARTBEAT.size)
-    node, group, flags = _HEARTBEAT.unpack_from(body, 0)
+    node, flags = _HEARTBEAT.unpack_from(body, 0)
     offset = _HEARTBEAT.size
     view_id = None
     if flags & 2:
@@ -381,7 +382,7 @@ def _dec_heartbeat(body: bytes) -> HeartbeatMsg:
     ack_seq, green_line = _HEARTBEAT_TAIL.unpack_from(body, offset)
     if offset + _HEARTBEAT_TAIL.size != len(body):
         raise CodecError("trailing bytes in HeartbeatMsg body")
-    return HeartbeatMsg(node, view_id, bool(flags & 1), ack_seq, group,
+    return HeartbeatMsg(node, view_id, bool(flags & 1), ack_seq,
                         green_line)
 
 

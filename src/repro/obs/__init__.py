@@ -25,24 +25,22 @@ from typing import Any, Dict, Optional
 
 from .export import (MetricsServer, fetch_http, lint_prometheus,
                      prometheus_text, snapshot_json)
-from .flight import (FlightHub, FlightRecorder, action_trace_id,
-                     txn_trace_id)
+from .flight import FlightHub, FlightRecorder, action_trace_id
 from .metrics import (LATENCY_BUCKETS, Counter, Gauge, Histogram,
-                      MetricsRegistry, ShardScopedRegistry, percentile)
+                      MetricsRegistry, percentile)
 from .spans import (DEFAULT_MAX_COMPLETED, ActionSpan, MembershipSpan,
-                    SpanTracker, TxnSpans)
+                    SpanTracker)
 
 
 class Observability:
     """Per-deployment bundle: registry + per-node span trackers.
 
     ``flight=True`` additionally turns on distributed tracing: every
-    submitted action gets a deterministic trace id, a per-node
+    submitted action gets a deterministic trace id, and a per-node
     :class:`~repro.obs.flight.FlightRecorder` keeps a bounded ring of
-    protocol events, and cross-shard transaction phases are recorded
-    under the transaction's trace id.  ``staleness=True`` (implies
-    span tracking) lets replicas measure how far their green prefix
-    lags the originator's submission time (see
+    protocol events.  ``staleness=True`` (implies span tracking) lets
+    replicas measure how far their green prefix lags the originator's
+    submission time (see
     :meth:`~repro.obs.spans.SpanTracker.on_remote_green`).  Both are
     off by default so the hot paths stay a ``None``-check.
     """
@@ -61,10 +59,6 @@ class Observability:
         self.staleness = staleness and enabled
         self.flight_hub: Optional[FlightHub] = \
             FlightHub(flight_capacity) if flight else None
-        self._txn_spans: Optional[TxnSpans] = None
-        # Deployment-wide state (txn spans) lives on the root bundle;
-        # shard-scoped views delegate to it.
-        self._root: "Observability" = self
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -75,16 +69,6 @@ class Observability:
         hot paths keep a None-check instead of paying a call)."""
         hub = self.flight_hub
         return hub.recorder(node) if hub is not None else None
-
-    def txn_spans(self) -> Optional[TxnSpans]:
-        """The deployment-wide transaction span tracker (None when
-        disabled)."""
-        root = self._root
-        if not root.enabled:
-            return None
-        if root._txn_spans is None:
-            root._txn_spans = TxnSpans(root.registry)
-        return root._txn_spans
 
     def tracker(self, node: Any) -> Optional[SpanTracker]:
         """The span tracker for ``node`` (None when disabled: callers
@@ -97,30 +81,6 @@ class Observability:
                 self.registry, node,
                 max_completed=self.max_completed_spans)
         return tracker
-
-    def for_shard(self, shard: int) -> "Observability":
-        """A view of this bundle scoped to one replication group.
-
-        Components built against the returned bundle register their
-        instruments with a leading ``shard`` label injected (see
-        :class:`~repro.obs.metrics.ShardScopedRegistry`); span trackers
-        are shared with the parent, keyed by the fabric's globally
-        unique node ids.  On a disabled bundle this returns ``self`` —
-        nothing registers callbacks anyway, and the live counters stay
-        distinguishable by node id alone.
-        """
-        if not self.enabled:
-            return self
-        scoped = Observability.__new__(Observability)
-        scoped.enabled = self.enabled
-        scoped.registry = ShardScopedRegistry(self.registry, shard)
-        scoped.max_completed_spans = self.max_completed_spans
-        scoped.trackers = self.trackers
-        scoped.staleness = self.staleness
-        scoped.flight_hub = self.flight_hub
-        scoped._txn_spans = None
-        scoped._root = self._root
-        return scoped
 
     def prometheus(self) -> str:
         return prometheus_text(self.registry)
@@ -141,14 +101,11 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "Observability",
-    "ShardScopedRegistry",
     "SpanTracker",
-    "TxnSpans",
     "action_trace_id",
     "fetch_http",
     "lint_prometheus",
     "percentile",
     "prometheus_text",
     "snapshot_json",
-    "txn_trace_id",
 ]

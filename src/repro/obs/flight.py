@@ -2,7 +2,7 @@
 
 Post-mortem debugging of a replicated protocol needs the *last N
 things each node did* — state transitions, view installs, message
-send/receive pairs, retransmissions, WAL syncs, transaction phases —
+send/receive pairs, retransmissions, WAL syncs —
 cheap enough to leave on in production and structured enough to merge
 across nodes into one causal timeline (``repro-trace``,
 :mod:`repro.tools.tracecli`).
@@ -24,8 +24,8 @@ Design constraints, in order:
 
 A :class:`FlightHub` owns the per-node recorders for one deployment,
 mirrors :class:`~repro.sim.trace.Tracer` records into them (so existing
-emission sites — ``engine.state``, ``gcs.install``, ``disk.sync``,
-``txn.*`` — need no new plumbing), and triggers dump-on-anomaly through
+emission sites — ``engine.state``, ``gcs.install``, ``disk.sync`` —
+need no new plumbing), and triggers dump-on-anomaly through
 an injected sink.  Writing files is blocking I/O and therefore lives in
 the tools layer (:func:`repro.tools.tracecli.dump_flight`); protocol
 code only ever hands dicts to the sink callback.
@@ -41,13 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.trace import TraceRecord, Tracer
 
 #: Tracer categories that indicate an anomaly worth dumping on.
-ANOMALY_CATEGORIES = frozenset({"replica.crash", "txn.timeout",
+ANOMALY_CATEGORIES = frozenset({"replica.crash",
                                 "runtime.callback_error"})
-
-#: Bit 62 marks a transaction trace id (see :func:`txn_trace_id`);
-#: action ids stay far below it, so ``trace >= TXN_TRACE_BIT`` is the
-#: cheap is-a-transaction test on hot paths.
-TXN_TRACE_BIT = 1 << 62
 
 #: One recorded event: (time, kind, trace id, detail).  Detail is None,
 #: a tuple, or — on the allocation-free fast paths — a bare scalar
@@ -113,7 +108,7 @@ class FlightHub:
     Also bridges the existing :class:`~repro.sim.trace.Tracer` stream:
     every tracer record is mirrored into the emitting node's recorder,
     so categories that components already emit (state transitions, view
-    installs, disk syncs, txn phases, crash/recover) appear in the
+    installs, disk syncs, crash/recover) appear in the
     flight ring without any new instrumentation sites.
     """
 
@@ -134,8 +129,8 @@ class FlightHub:
 
     def attach(self, tracer: "Tracer") -> None:
         """Mirror ``tracer`` records into the per-node rings.
-        Idempotent per tracer — a shard fabric hands the same tracer to
-        every cluster, and each event must land in the ring once."""
+        Idempotent per tracer: clusters sharing one tracer may each
+        attach it, and every event still lands in the ring once."""
         if id(tracer) in self._attached:
             return
         self._attached.add(id(tracer))
@@ -165,24 +160,10 @@ class FlightHub:
 def action_trace_id(server_id: int, index: int) -> int:
     """Deterministic trace id for an action submitted at a replica.
 
-    ``(server_id << 32) | index`` — unique across a shard fabric
-    because fabric node ids are globally unique, identical between a
-    simulated and a live run of the same scenario (both count actions
-    the same way), and always nonzero (server ids start at 1).  Fits a
-    signed 64-bit wire field.
+    ``(server_id << 32) | index`` — unique across the group because
+    server ids are, identical between a simulated and a live run of the
+    same scenario (both count actions the same way), and always nonzero
+    (server ids start at 1).  Fits a signed 64-bit wire field.
     """
     return (server_id << 32) | (index & 0xFFFFFFFF)
 
-
-def txn_trace_id(txn_id: str) -> int:
-    """Deterministic trace id for a cross-shard transaction.
-
-    A stable 62-bit digest of the coordinator-assigned transaction
-    name with bit 62 set, so transaction traces can never collide with
-    action traces (which stay far below 2**52) and still fit the
-    signed 64-bit wire field.
-    """
-    digest = 0
-    for byte in txn_id.encode("utf-8"):
-        digest = (digest * 1000003 + byte) & 0x3FFFFFFFFFFFFFFF
-    return digest | TXN_TRACE_BIT

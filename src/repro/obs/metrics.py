@@ -352,78 +352,3 @@ class MetricsRegistry:
             return None
         return family.children.get(tuple(str(v) for v in labelvalues))
 
-
-class _ScopedFamily(MetricFamily):
-    """A view of a base family that pins a leading label prefix.
-
-    Shares the base family's children dict, so scoped and direct reads
-    observe the same instruments; only ``labels``/``samples`` differ.
-    """
-
-    def __init__(self, base: MetricFamily, prefix: LabelValues):
-        super().__init__(base.name, base.kind, base.help,
-                         base.labelnames[len(prefix):], base.buckets,
-                         live=base.live)
-        self._base = base
-        self._prefix = prefix
-        self.children = base.children
-
-    def labels(self, *values: Any, fresh: bool = False) -> Any:
-        return self._base.labels(*self._prefix, *values, fresh=fresh)
-
-    def samples(self) -> Iterable[Tuple[LabelValues, Any]]:
-        width = len(self._prefix)
-        return ((key[width:], child)
-                for key, child in self._base.children.items()
-                if key[:width] == self._prefix)
-
-
-class ShardScopedRegistry(MetricsRegistry):
-    """A registry view that prepends a ``shard`` label to every family.
-
-    The shard fabric hands each replication group's components a scoped
-    view of one shared base registry: components keep registering under
-    their usual names and labelnames, and the view injects
-    ``("shard",) + labelnames`` / ``(shard,) + labelvalues`` so one
-    exporter sees every group, distinguishable by shard.
-
-    A metric name must be registered either always scoped or always
-    unscoped within one base registry: the first registration fixes the
-    family's labelnames, and a later registration through the other path
-    would produce label tuples of the wrong width (``labels`` raises).
-    Single-group deployments never construct this class, so the
-    established unscoped metric names are untouched.
-    """
-
-    def __init__(self, base: MetricsRegistry, shard: int):
-        super().__init__(enabled=base.enabled)
-        self._base = base
-        self.shard = shard
-        self._shard_value = str(shard)
-        self._prefix: LabelValues = (self._shard_value,)
-
-    def _family(self, name: str, kind: str, help: str,
-                labelnames: Sequence[str],
-                buckets: Optional[Sequence[float]] = None) -> MetricFamily:
-        base_family = self._base._family(
-            name, kind, help, ("shard",) + tuple(labelnames), buckets)
-        return _ScopedFamily(base_family, self._prefix)
-
-    def _callback(self, name: str, kind: str, fn: Callable[[], float],
-                  help: str, labelnames: Sequence[str],
-                  labelvalues: Sequence[Any]) -> None:
-        self._base._callback(
-            name, kind, fn, help, ("shard",) + tuple(labelnames),
-            (self._shard_value,) + tuple(str(v) for v in labelvalues))
-
-    def collect_hook(self, fn: Callable[[], None]) -> None:
-        self._base.collect_hook(fn)
-
-    def collect(self) -> List[MetricFamily]:
-        return self._base.collect()
-
-    def snapshot(self) -> Dict[str, Any]:
-        return self._base.snapshot()
-
-    def get_sample(self, name: str, *labelvalues: Any) -> Optional[Any]:
-        return self._base.get_sample(name, self._shard_value, *labelvalues)

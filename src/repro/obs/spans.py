@@ -334,86 +334,3 @@ class SpanTracker:
                 f"open={len(self._red_at) + len(self._submit_at)} "
                 f"completed={len(self.completed)}>")
 
-
-class TxnSpan:
-    """One cross-shard transaction's lifecycle at the coordinator."""
-
-    __slots__ = ("txn_id", "shards", "began", "phases", "ended",
-                 "outcome")
-
-    def __init__(self, txn_id: str, shards: Tuple[int, ...],
-                 began: float):
-        self.txn_id = txn_id
-        self.shards = shards
-        self.began = began
-        #: (phase, shard, time) checkpoints: prepare/decide/finish acks
-        #: as their green records land in each participant's order.
-        self.phases: List[Tuple[str, int, float]] = []
-        self.ended: Optional[float] = None
-        self.outcome: Optional[str] = None
-
-    @property
-    def duration(self) -> Optional[float]:
-        if self.ended is None:
-            return None
-        return self.ended - self.began
-
-
-class TxnSpans:
-    """Deployment-wide cross-shard transaction spans.
-
-    One instance per :class:`~repro.obs.Observability` bundle (the
-    coordinator is not a replica, so these are not per-node).  Each
-    transaction records its begin instant, per-shard phase checkpoints
-    (``prepare``/``decide``/``finish`` greens as the coordinator learns
-    of them), and its outcome; latencies feed shard-labeled histograms
-    so ``obsreport`` can print a txn-latency percentile table per
-    participant-set shape.
-    """
-
-    __slots__ = ("_registry", "_open", "completed", "_families")
-
-    def __init__(self, registry: MetricsRegistry,
-                 max_completed: int = DEFAULT_MAX_COMPLETED):
-        self._registry = registry
-        self._open: Dict[str, TxnSpan] = {}
-        self.completed: Deque[TxnSpan] = deque(maxlen=max_completed)
-        # One histogram child per (shard-set, outcome) observed.
-        self._families = registry.histogram(
-            "repro_txn_latency_seconds",
-            "Cross-shard transaction begin to outcome, labeled by the "
-            "participant shard set.", labelnames=("shards", "outcome"))
-
-    def on_begin(self, txn_id: str, shards: Tuple[int, ...],
-                 now: float) -> None:
-        self._open[txn_id] = TxnSpan(txn_id, tuple(shards), now)
-
-    def on_phase(self, txn_id: str, phase: str, shard: int,
-                 now: float) -> None:
-        span = self._open.get(txn_id)
-        if span is not None:
-            span.phases.append((phase, shard, now))
-
-    def on_done(self, txn_id: str, outcome: str, now: float) -> None:
-        span = self._open.pop(txn_id, None)
-        if span is None:
-            return
-        span.ended = now
-        span.outcome = outcome
-        label = "+".join(str(s) for s in span.shards)
-        self._families.labels(label, outcome).observe(now - span.began)
-        self.completed.append(span)
-
-    def latency_percentiles(self, qs: Tuple[float, ...] =
-                            (0.50, 0.95, 0.99)
-                            ) -> Dict[Tuple[str, str], Dict[str, float]]:
-        """Per (shard-set, outcome) child: observation count plus
-        latency percentiles, for reports."""
-        out: Dict[Tuple[str, str], Dict[str, float]] = {}
-        for labels, child in sorted(self._families.children.items()):
-            if child.count:
-                entry: Dict[str, float] = {"count": float(child.count)}
-                for q in qs:
-                    entry[f"p{int(q * 100)}"] = child.quantile(q)
-                out[labels] = entry
-        return out

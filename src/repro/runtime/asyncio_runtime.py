@@ -186,8 +186,8 @@ class AsyncioRuntime:
 
     def observe(self, tracer: "Tracer") -> None:
         """Trace each callback error on ``tracer``.  The first caller
-        wins: the clusters of a shard fabric share one runtime, and each
-        error must be recorded once."""
+        wins: clusters built on one shared runtime must record each
+        error once."""
         if self._tracer is None:
             self._tracer = tracer
 

@@ -94,14 +94,9 @@ class LiveCluster:
                  disk_profile: Optional[DiskProfile] = None,
                  trace: bool = True,
                  trace_limit: Optional[int] = 100_000,
-                 observability: Optional[Observability] = None,
-                 shard: int = 0):
+                 observability: Optional[Observability] = None):
         self.server_ids = list(server_ids)
         self.hosted = list(hosted) if hosted is not None else list(server_ids)
-        # Which replication group of a shard fabric this cluster is;
-        # 0 is the standalone single-group deployment.  The shard id
-        # namespaces the GCS group on a shared transport.
-        self.shard = shard
         self.runtime = runtime if runtime is not None else AsyncioRuntime()
         self.transport = (transport if transport is not None
                           else MemoryTransport(self.runtime))
@@ -139,7 +134,7 @@ class LiveCluster:
                 self.server_ids, disk_profile=self.disk_profile,
                 gcs_settings=self.gcs_settings,
                 engine_config=self.engine_config, tracer=self.tracer,
-                obs=self.obs, shard=shard)
+                obs=self.obs)
 
     # ==================================================================
     # lifecycle

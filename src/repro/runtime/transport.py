@@ -187,9 +187,9 @@ class AsyncioTransport:
 
     def observe(self, obs: "Observability", tracer: Tracer) -> None:
         """Export the oversize-drop count through ``obs`` and trace
-        each drop on ``tracer``.  The first caller wins: the clusters
-        of a shard fabric share one transport, and the count is
-        transport-wide."""
+        each drop on ``tracer``.  The first caller wins: the count is
+        transport-wide, so clusters sharing one transport export it
+        once."""
         if self._tracer is not None:
             return
         self._tracer = tracer

@@ -57,46 +57,15 @@ def default_spec(replicas: int = 5, actions: int = 100,
     return {"replicas": replicas, "seed": seed, "steps": steps}
 
 
-def default_shard_spec(shards: int, replicas: int = 3,
-                       actions: int = 100,
-                       seed: int = 0) -> Dict[str, Any]:
-    """The built-in sharded workload: routed single-key updates plus a
-    tail of cross-shard transactions."""
-    steps: List[Dict[str, Any]] = []
-    for i in range(actions - actions // 10):
-        steps.append({"op": "txn", "update": ["SET", f"k{i}", i]})
-    steps.append({"op": "run", "seconds": 2.0})
-    for i in range(actions // 10):
-        steps.append({"op": "txn",
-                      "update": [["SET", f"x{i}", i],
-                                 ["SET", f"y{i}", -i]]})
-    steps.append({"op": "run", "seconds": 3.0})
-    steps.append({"op": "check", "kind": "converged"})
-    return {"shards": shards, "replicas": replicas, "seed": seed,
-            "steps": steps}
-
-
-def build_report(obs: Observability, *,
-                 shards: bool = False) -> Dict[str, Any]:
-    """Per-replica observability digest from a finished run.
-
-    ``shards=True`` additionally groups the replicas by shard (global
-    node ids carry their shard in the id, see
-    :func:`repro.shard.router.shard_of`) under a ``"shards"`` key; the
-    flat ``"replicas"`` table is unchanged, so single-group consumers
-    never notice.
-    """
+def build_report(obs: Observability) -> Dict[str, Any]:
+    """Per-replica observability digest from a finished run."""
     snapshot = obs.snapshot()
 
     def sample(name: str, node: Any, default: Any = 0.0,
                *labels: str) -> Any:
-        # Keys are "node[,labels]", prefixed "shard," on shard-scoped
-        # registries: match on the trailing node and label components.
-        suffix = [str(node), *labels]
-        for key, value in snapshot.get(name, {}).items():
-            if key.split(",")[-len(suffix):] == suffix:
-                return value
-        return default
+        # Snapshot keys are the comma-joined label values, node first.
+        return snapshot.get(name, {}).get(
+            ",".join([str(node), *labels]), default)
 
     doc: Dict[str, Any] = {"replicas": {}}
     for node in sorted(obs.trackers):
@@ -133,23 +102,6 @@ def build_report(obs: Observability, *,
             doc["replicas"][str(node)]["staleness"] = dict(
                 zip(("p50", "p95", "p99"), staleness))
             doc["replicas"][str(node)]["green_lag_s"] = tracker.green_lag
-    txn_spans = obs._root._txn_spans
-    if txn_spans is not None:
-        latencies = txn_spans.latency_percentiles()
-        if latencies:
-            doc["txns"] = {
-                f"{shard_set}/{outcome}": entry
-                for (shard_set, outcome), entry in latencies.items()}
-    if shards:
-        from ..shard.router import shard_of
-        grouped: Dict[str, Any] = {}
-        for node in sorted(obs.trackers):
-            shard = grouped.setdefault(str(shard_of(node)), {
-                "replicas": [], "actions_completed": 0})
-            shard["replicas"].append(str(node))
-            shard["actions_completed"] += \
-                doc["replicas"][str(node)]["actions_completed"]
-        doc["shards"] = grouped
     return doc
 
 
@@ -189,22 +141,6 @@ def format_table(doc: Dict[str, Any]) -> str:
             lines.append(
                 f"{node:>6}  {_ms(st['p50'])}/{_ms(st['p95'])}"
                 f"/{_ms(st['p99'])}      {_ms(entry['green_lag_s'])}")
-    if "txns" in doc:
-        lines.append("")
-        lines.append("txn shards/outcome   count   "
-                     "latency ms (p50/p95/p99)")
-        for label, entry in doc["txns"].items():
-            lines.append(
-                f"{label:>18}  {int(entry['count']):>6}   "
-                f"{_ms(entry['p50'])}/{_ms(entry['p95'])}"
-                f"/{_ms(entry['p99'])}")
-    if "shards" in doc:
-        lines.append("")
-        lines.append("shard   replicas                actions")
-        for shard, entry in sorted(doc["shards"].items(),
-                                   key=lambda kv: int(kv[0])):
-            lines.append(f"{shard:>5}   {','.join(entry['replicas']):<22} "
-                         f"{entry['actions_completed']:>7}")
     return "\n".join(lines)
 
 
@@ -224,9 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=None,
                         help="execution substrate (default: spec's "
                              "'runtime' key, else sim)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="run against a shard fabric of N groups "
-                             "and group the report per shard")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     args = parser.parse_args(argv)
@@ -234,17 +167,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.spec is not None:
         with open(args.spec, encoding="utf-8") as handle:
             spec = json.load(handle)
-        if args.shards is not None:
-            spec["shards"] = args.shards
-    elif args.shards is not None:
-        spec = default_shard_spec(args.shards, args.replicas,
-                                  args.actions, args.seed)
     else:
         spec = default_spec(args.replicas, args.actions, args.seed)
 
     obs = Observability(staleness=True)
     run_scenario(spec, runtime=args.runtime, observability=obs)
-    doc = build_report(obs, shards="shards" in spec)
+    doc = build_report(obs)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

@@ -51,33 +51,6 @@ shrunk fuzzer repro pins its exact timers and policy:
   or ``"both-halves"`` (the deliberately broken tie policy from
   :mod:`repro.check.mutations`, for regression replays of fuzzer
   counterexamples).
-
-Sharded scenarios
------------------
-
-A spec with a ``"shards"`` key (or ``--shards N`` on the command line)
-runs against a :class:`~repro.shard.ShardFabric` of N replication
-groups instead of a single cluster.  Updates are *routed* — submit by
-content, not by node — and may span shards, in which case they commit
-through the cross-shard transaction coordinator::
-
-    {
-      "shards": 2, "replicas": 3,
-      "steps": [
-        {"op": "txn", "update": [["SET", "a", 1], ["SET", "b", 2]]},
-        {"op": "run", "seconds": 2.0},
-        {"op": "crash", "node": 101},
-        {"op": "recover", "node": 101},
-        {"op": "recover_txns"},
-        {"op": "check", "kind": "converged"},
-        {"op": "check", "kind": "key", "key": "a", "value": 1},
-        {"op": "check", "kind": "txns", "commits": 1}
-      ]
-    }
-
-Node ids in sharded scenarios are *global* (shard × 100 + local).
-Sharded scenarios are simulator-only; drive the live fabric with
-``examples/live_cluster.py --shards N`` instead.
 """
 
 from __future__ import annotations
@@ -273,126 +246,6 @@ class ScenarioRunner:
             f"[{self.cluster.sim.now:9.3f}] {message}")
 
 
-class ShardScenarioRunner:
-    """Executes a sharded scenario against a :class:`ShardFabric`.
-
-    Same step vocabulary as :class:`ScenarioRunner` where it applies,
-    plus routed submission (``submit``/``txn``), coordinator recovery
-    (``recover_txns``), and transaction-outcome checks (``txns``).
-    """
-
-    def __init__(self, spec: Dict[str, Any],
-                 observability: Optional[Observability] = None):
-        from ..shard import ShardFabric
-        self.spec = spec
-        self.report = ScenarioReport()
-        self.obs = observability
-        self.fabric = ShardFabric(
-            num_shards=int(spec.get("shards", 2)),
-            replicas_per_shard=int(spec.get("replicas", 3)),
-            seed=int(spec.get("seed", 0)),
-            trace=(observability is not None
-                   and observability.flight_hub is not None),
-            observability=observability)
-        self._completions = 0
-        self.outcomes: Dict[str, int] = {"commit": 0, "abort": 0}
-
-    def run(self) -> ScenarioReport:
-        self.fabric.start_all(settle=float(self.spec.get("settle", 2.0)))
-        for step in self.spec.get("steps", []):
-            self._apply(step)
-            self.report.steps_executed += 1
-        self.report.completions = self._completions
-        for shard, states in self.fabric.states().items():
-            self.report.final_states.update(states)
-        self.report.final_green_counts = {
-            shard: self.fabric.green_count(shard)
-            for shard in sorted(self.fabric.clusters)}
-        return self.report
-
-    def _apply(self, step: Dict[str, Any]) -> None:
-        op = step.get("op")
-        fabric = self.fabric
-        if op in ("submit", "txn"):
-            update = step["update"]
-            self.report.submissions += 1
-
-            def done(txn_id: str, outcome: str) -> None:
-                self._completions += 1
-                self.outcomes[outcome] = \
-                    self.outcomes.get(outcome, 0) + 1
-
-            txn_id = fabric.submit(update, done)
-            self._log(f"submit {txn_id}: {update}")
-        elif op == "run":
-            fabric.run_for(float(step.get("seconds", 1.0)))
-        elif op == "partition":
-            groups = [list(map(int, g)) for g in step["groups"]]
-            fabric.partition(*groups)
-            fabric.run_for(float(step.get("settle", 1.0)))
-            self._log(f"partition {groups}")
-        elif op == "heal":
-            fabric.heal()
-            fabric.run_for(float(step.get("settle", 2.0)))
-            self._log("heal")
-        elif op == "crash":
-            fabric.crash(int(step["node"]))
-            fabric.run_for(float(step.get("settle", 1.0)))
-            self._log(f"crash {step['node']}")
-        elif op == "recover":
-            fabric.recover(int(step["node"]))
-            fabric.run_for(float(step.get("settle", 2.0)))
-            self._log(f"recover {step['node']}")
-        elif op == "recover_txns":
-            if not fabric.coordinator.alive:
-                home = step.get("home")
-                fabric.new_coordinator(
-                    home=int(home) if home is not None else None)
-            swept = fabric.recover_transactions(
-                lambda _txn, outcome: self.outcomes.__setitem__(
-                    outcome, self.outcomes.get(outcome, 0) + 1))
-            fabric.run_for(float(step.get("settle", 2.0)))
-            self._log(f"recover_txns swept {swept}")
-        elif op == "check":
-            self._check(step)
-        else:
-            raise ScenarioError(f"unknown sharded op {op!r}")
-
-    def _check(self, step: Dict[str, Any]) -> None:
-        kind = step.get("kind")
-        try:
-            if kind == "converged":
-                self.fabric.assert_converged()
-            elif kind == "key":
-                value = self.fabric.sharded_database().get(step["key"])
-                if value != step["value"]:
-                    raise AssertionError(
-                        f"{step['key']!r} is {value!r}, "
-                        f"expected {step['value']!r}")
-            elif kind == "txns":
-                for outcome in ("commits", "aborts"):
-                    if outcome in step:
-                        actual = self.outcomes.get(
-                            outcome.rstrip("s"), 0)
-                        if actual != int(step[outcome]):
-                            raise AssertionError(
-                                f"{outcome}={actual}, expected "
-                                f"{step[outcome]}")
-            else:
-                raise ScenarioError(
-                    f"check kind {kind!r} not supported in sharded "
-                    f"scenarios")
-        except AssertionError as failure:
-            raise ScenarioError(f"check {kind!r} failed: {failure}") \
-                from failure
-        self.report.checks_passed += 1
-        self._log(f"check {kind}: ok")
-
-    def _log(self, message: str) -> None:
-        self.report.events.append(
-            f"[{self.fabric.sim.now:9.3f}] {message}")
-
-
 class LiveScenarioRunner:
     """Replays a scenario on the asyncio runtime (:class:`LiveCluster`).
 
@@ -511,12 +364,6 @@ def run_scenario(spec: Dict[str, Any],
     and histograms during the run (``repro.tools.obsreport`` does).
     """
     chosen = runtime or spec.get("runtime", "sim")
-    if "shards" in spec:
-        if chosen != "sim":
-            raise ScenarioError(
-                "sharded scenarios are simulator-only; use "
-                "examples/live_cluster.py --shards for live runs")
-        return ShardScenarioRunner(spec, observability=observability).run()
     if chosen == "sim":
         return ScenarioRunner(spec, observability=observability).run()
     if chosen == "asyncio":
@@ -535,9 +382,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=None,
                         help="execution substrate (default: spec's "
                              "'runtime' key, else sim)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="run against a shard fabric of N groups "
-                             "(overrides the spec's 'shards' key)")
     parser.add_argument("--trace-out", metavar="DIR", default=None,
                         help="enable distributed tracing and dump the "
                              "per-node flight recorders into DIR "
@@ -545,8 +389,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     with open(args.spec, encoding="utf-8") as handle:
         spec = json.load(handle)
-    if args.shards is not None:
-        spec["shards"] = args.shards
     obs = None
     if args.trace_out is not None:
         obs = Observability(flight=True, staleness=True)

@@ -9,10 +9,7 @@ the protocol implies —
 * per-node program order (the ring is already ordered);
 * ``send → recv`` edges, matched by trace id and origin;
 * delivery edges (``submit``/``recv``/``red`` precede the action's
-  ``green`` on the same node);
-* the cross-shard transaction chain: ``txn.begin → prepare greens →
-  txn.decide → decide green → txn.decided → finish greens → txn.done``
-  linked through the coordinator's flight events.
+  ``green`` on the same node).
 
 Exports a plain-text view and Chrome trace-event JSON (load the file
 in Perfetto / ``chrome://tracing``), plus the file-writing helpers the
@@ -37,7 +34,6 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
 
 from ..obs import Observability
 from ..obs.flight import FlightHub
-from ..shard.router import shard_of
 from ..sim import Tracer
 
 #: One merged event row (the JSONL dump schema).
@@ -184,62 +180,6 @@ def happens_before(rows: Sequence[Row]) -> List[Edge]:
             for i in submits + recvs:
                 if rows[i]["node"] == node:
                     edges.append((i, g))
-
-        # 4. The cross-shard transaction chain, stitched through the
-        #    coordinator's own flight events.
-        edges.extend(_txn_edges(rows, idxs, greens, submits))
-    return edges
-
-
-def _txn_edges(rows: Sequence[Row], idxs: Sequence[int],
-               greens: Sequence[int],
-               submits: Sequence[int]) -> List[Edge]:
-    """Causal edges of one transaction trace (empty for plain
-    actions): begin → prepare-greens → prepared → decide →
-    decide-green → decided → finish-greens → finish → done.
-
-    Coordinator callbacks fire on the *submitting* replica's green, so
-    green → coordinator edges are restricted to nodes that submitted a
-    record of this trace; other replicas' greens follow from the
-    record's submit/send/recv edges but do not precede the
-    coordinator's next step.
-    """
-    coord = {kind: [i for i in idxs if rows[i]["kind"] == kind]
-             for kind in ("txn.begin", "txn.prepared", "txn.decide",
-                          "txn.decided", "txn.finish", "txn.done")}
-    if not coord["txn.begin"]:
-        return []
-    edges: List[Edge] = []
-    begin = coord["txn.begin"][0]
-    submit_nodes = {rows[i]["node"] for i in submits}
-
-    def phase_greens(phase: str) -> List[int]:
-        return [g for g in greens if phase in _detail(rows[g])[1:]]
-
-    def callback_greens(phase: str) -> List[int]:
-        return [g for g in phase_greens(phase)
-                if rows[g]["node"] in submit_nodes]
-
-    for g in phase_greens("prepare"):
-        edges.append((begin, g))
-    for g in callback_greens("prepare"):
-        shard = shard_of(rows[g]["node"])
-        for p in coord["txn.prepared"]:
-            if _detail(rows[p]) == [shard]:
-                edges.append((g, p))
-    for d in coord["txn.decide"]:
-        edges.extend((p, d) for p in coord["txn.prepared"])
-        edges.extend((d, g) for g in phase_greens("decide"))
-    for dd in coord["txn.decided"]:
-        edges.extend((g, dd) for g in callback_greens("decide"))
-        edges.extend((dd, g) for g in phase_greens("finish"))
-    for g in callback_greens("finish"):
-        shard = shard_of(rows[g]["node"])
-        for f in coord["txn.finish"]:
-            if _detail(rows[f]) == [shard]:
-                edges.append((g, f))
-    for done in coord["txn.done"]:
-        edges.extend((f, done) for f in coord["txn.finish"])
     return edges
 
 

@@ -4,16 +4,13 @@ from pathlib import Path
 
 from repro.analysis import SeamEnforcer
 from repro.analysis.seams import (RULE_BLOCKING_IO, RULE_FLIGHT_CLOCK,
-                                  RULE_FRAMING, RULE_IMPORT,
-                                  RULE_SHARD_ISOLATION)
+                                  RULE_FRAMING, RULE_IMPORT)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 BAD_SOCKET = FIXTURES / "repro" / "gcs" / "bad_socket.py"
 SUPPRESSED = FIXTURES / "repro" / "gcs" / "suppressed.py"
 BAD_FRAMING = FIXTURES / "repro" / "runtime" / "bad_framing.py"
 FIXTURE_CODEC = FIXTURES / "repro" / "net" / "codec.py"
-BAD_CROSS_SHARD = FIXTURES / "repro" / "shard" / "bad_cross_shard.py"
-FIXTURE_FABRIC = FIXTURES / "repro" / "shard" / "fabric.py"
 BAD_FLIGHT = FIXTURES / "repro" / "obs" / "flight.py"
 
 
@@ -81,38 +78,6 @@ def test_framing_rule_in_protocol_code(tmp_path):
     assert [f.rule for f in findings] == [RULE_FRAMING]
 
 
-def test_shard_isolation_fixture_detected():
-    findings = [f for f in SeamEnforcer().check_paths([BAD_CROSS_SHARD])
-                if f.rule == RULE_SHARD_ISOLATION]
-    # import repro.core.engine / from repro.gcs / from ..core.replica /
-    # from ..gcs.daemon — all four forms resolve and are flagged.
-    assert len(findings) == 4, "\n".join(f.format() for f in findings)
-    targets = sorted(f.message.split("'")[1] for f in findings)
-    assert targets == ["repro.core.engine", "repro.core.replica",
-                       "repro.gcs", "repro.gcs.daemon"]
-
-
-def test_shard_composition_roots_are_exempt():
-    findings = [f for f in SeamEnforcer().check_paths([FIXTURE_FABRIC])
-                if f.rule == RULE_SHARD_ISOLATION]
-    assert findings == [], "\n".join(f.format() for f in findings)
-
-
-def test_shard_isolation_allows_sibling_imports(tmp_path):
-    pkg = tmp_path / "repro" / "shard"
-    pkg.mkdir(parents=True)
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("from .router import route\n")
-    (pkg / "router.py").write_text(
-        "from .txn import prepare_update\n"
-        "from ..db.partition import RangeMap\n"
-        "from ..sim import Tracer\n")
-    (pkg / "txn.py").write_text("prepare_update = None\n")
-    findings = [f for f in SeamEnforcer().check_paths([tmp_path])
-                if f.rule == RULE_SHARD_ISOLATION]
-    assert findings == [], "\n".join(f.format() for f in findings)
-
-
 def test_fixture_flight_clock_detected():
     findings = [f for f in SeamEnforcer().check_paths([BAD_FLIGHT])
                 if f.rule == RULE_FLIGHT_CLOCK]
@@ -141,15 +106,6 @@ def test_live_flight_recorder_takes_caller_timestamps():
     src = Path(__file__).parent.parent / "src" / "repro" / "obs"
     findings = [f for f in SeamEnforcer().check_paths([src])
                 if f.rule == RULE_FLIGHT_CLOCK]
-    assert findings == [], "\n".join(f.format() for f in findings)
-
-
-def test_live_shard_package_is_isolated():
-    # The real policy modules (router, txn, coordinator) never import
-    # the engine layers; only fabric/live do.
-    src = Path(__file__).parent.parent / "src" / "repro" / "shard"
-    findings = [f for f in SeamEnforcer().check_paths([src])
-                if f.rule == RULE_SHARD_ISOLATION]
     assert findings == [], "\n".join(f.format() for f in findings)
 
 

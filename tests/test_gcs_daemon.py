@@ -543,7 +543,11 @@ def test_live_rounds_settle_without_the_timer():
             await cluster.wait_all_engine_state(EngineState.REG_PRIM, 10)
             startup = cluster.runtime.now
             cluster.partition([1], [2, 3])
-            await cluster.wait_until(lambda: len(views(2)) == 1, 10)
+            # Both sides must install their split views before the heal:
+            # otherwise node 1 can still hold the old three-member view,
+            # which the merge wait below would accept as merged.
+            await cluster.wait_until(
+                lambda: len(views(2)) == 1 and len(views(1)) == 1, 10)
             cluster.heal()
             await cluster.wait_until(
                 lambda: len(views(3)) == 1 and all(

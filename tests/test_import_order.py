@@ -15,7 +15,7 @@ import pytest
 
 import repro
 
-PACKAGES = ["repro.runtime", "repro.core", "repro.shard"]
+PACKAGES = ["repro.runtime", "repro.core"]
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -61,12 +61,13 @@ CORPUS = [
     AckMsg(VIEW, 4, 1234),
     HeartbeatMsg(9, VIEW, True, 55),
     HeartbeatMsg(9, None, False, -1),
-    # namespaced heartbeats of a shard fabric (group != 0)
-    HeartbeatMsg(109, VIEW, True, 55, 1),
-    HeartbeatMsg(209, None, False, -1, 2),
+    # the other two flag combinations: in a view but not joined, and
+    # joined without a view
+    HeartbeatMsg(109, VIEW, False, 55),
+    HeartbeatMsg(209, None, True, 0),
     # durable green line (wire v3)
-    HeartbeatMsg(9, VIEW, True, 55, 0, 3627),
-    HeartbeatMsg(109, None, True, -1, 1, 2 ** 40),
+    HeartbeatMsg(9, VIEW, True, 55, 3627),
+    HeartbeatMsg(109, None, True, -1, 2 ** 40),
     NackMsg(VIEW, 3, (7, 9, 11), 5),
     NackMsg(VIEW, 3, (), 0),
     RetransDataMsg(VIEW, ((5, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE,
@@ -136,10 +137,10 @@ def test_version1_frames_are_rejected():
     v1 DataMsg/ChanData bodies lack the trace field and v2 heartbeats
     lack the green line, so a silent accept would shear every field
     after the header (v2 heartbeat bodies would even fail only on
-    length), and a v3 peer pickles the engine actions a v4 peer no
-    longer unpickles."""
-    assert codec.VERSION == 4
-    for old in (1, 2, 3):
+    length), a v3 peer pickles the engine actions a v4 peer no longer
+    unpickles, and v4 heartbeats carry a group field v5 dropped."""
+    assert codec.VERSION == 5
+    for old in (1, 2, 3, 4):
         frame = codec._HEADER.pack(codec.MAGIC, old, 7) \
             + codec.encode_payload(("x",))
         with pytest.raises(codec.CodecError,
@@ -165,14 +166,14 @@ def test_trace_field_roundtrips_any_64bit_value(trace):
 def test_heartbeat_green_line_roundtrips_any_64bit_value(line, in_view):
     """The durable green line survives the compact heartbeat encoding
     for the full signed 64-bit range, with and without a view id."""
-    msg = HeartbeatMsg(4, VIEW if in_view else None, in_view, 12, 1, line)
+    msg = HeartbeatMsg(4, VIEW if in_view else None, in_view, 12, line)
     blob = codec.encode_frame(1, msg)
     assert blob[codec._HEADER.size] == codec.TAG_HEARTBEAT
     assert codec.decode_frame(blob)[1] == msg
 
 
 def test_heartbeat_green_line_out_of_range_takes_escape_hatch():
-    msg = HeartbeatMsg(4, VIEW, True, 12, 0, 2 ** 64)
+    msg = HeartbeatMsg(4, VIEW, True, 12, 2 ** 64)
     blob = codec.encode_frame(1, msg)
     assert blob[codec._HEADER.size] == codec.TAG_PICKLE
     assert codec.decode_frame(blob)[1] == msg

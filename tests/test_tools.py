@@ -105,75 +105,6 @@ class TestScenarioRunner:
         assert report["checks_passed"] == 2
 
 
-SHARDED = {
-    "shards": 2,
-    "replicas": 3,
-    "seed": 0,
-    "steps": [
-        # "a" lives in shard 1, "b" in shard 0 (pinned in the router
-        # tests), so the pair below is a genuine cross-shard txn.
-        {"op": "txn", "update": ["SET", "b", 1]},
-        {"op": "txn", "update": [["SET", "b2", 2], ["SET", "a", 3]]},
-        {"op": "run", "seconds": 6.0},
-        {"op": "check", "kind": "txns", "commits": 2, "aborts": 0},
-        {"op": "check", "kind": "key", "key": "a", "value": 3},
-        {"op": "check", "kind": "converged"},
-    ],
-}
-
-
-class TestShardScenarioRunner:
-    def test_sharded_scenario(self):
-        report = run_scenario(SHARDED)
-        assert report.submissions == 2
-        assert report.completions == 2
-        assert report.checks_passed == 3
-        # Final states and green counts are reported per global node /
-        # per shard.
-        assert sorted(report.final_states) == [1, 2, 3, 101, 102, 103]
-        assert sorted(report.final_green_counts) == [0, 1]
-
-    def test_partition_heal_and_recovery_ops(self):
-        spec = {
-            "shards": 2, "replicas": 3, "seed": 0,
-            "steps": [
-                {"op": "partition", "groups": [[101], [102], [103]],
-                 "settle": 1.0},
-                {"op": "heal", "settle": 2.0},
-                {"op": "crash", "node": 1},
-                {"op": "recover", "node": 1, "settle": 2.0},
-                {"op": "recover_txns"},
-                {"op": "check", "kind": "converged"},
-            ],
-        }
-        report = run_scenario(spec)
-        assert report.checks_passed == 1
-
-    def test_sharded_scenarios_are_sim_only(self):
-        with pytest.raises(ScenarioError):
-            run_scenario(dict(SHARDED, runtime="asyncio"))
-
-    def test_failed_txn_check_raises(self):
-        spec = dict(SHARDED)
-        spec["steps"] = [{"op": "check", "kind": "txns", "commits": 5}]
-        with pytest.raises(ScenarioError):
-            run_scenario(spec)
-
-    def test_shards_cli_flag_overrides_spec(self, tmp_path, capsys):
-        # An unsharded spec with routed steps becomes a fabric run when
-        # --shards is passed.
-        spec = {"replicas": 3, "seed": 0,
-                "steps": [{"op": "txn", "update": ["SET", "b", 1]},
-                          {"op": "run", "seconds": 4.0},
-                          {"op": "check", "kind": "converged"}]}
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(spec))
-        assert scenario_main([str(path), "--shards", "2", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["checks_passed"] == 1
-        assert "101" in report["final_states"]
-
-
 class TestObsReport:
     def test_builtin_workload_prints_latency_table(self, capsys):
         assert obsreport_main(["--replicas", "3",
@@ -212,25 +143,6 @@ class TestObsReport:
         assert obsreport_main([str(path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["replicas"]["1"]["actions_completed"] >= 1
-
-    def test_shard_report_groups_replicas(self, capsys):
-        assert obsreport_main(["--json", "--shards", "2",
-                               "--replicas", "3", "--actions", "20"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        # The flat per-replica table keeps its shape (single-group
-        # consumers never notice)...
-        for entry in doc["replicas"].values():
-            assert "actions_completed" in entry
-            assert "forced_writes" in entry
-        # Shard-scoped samples resolve per node, extra labels included.
-        assert doc["replicas"]["101"]["gathers_timer"] >= 1
-        # ...and the fabric run gains the per-shard grouping.
-        assert sorted(doc["shards"]) == ["0", "1"]
-        assert doc["shards"]["0"]["replicas"] == ["1", "2", "3"]
-        assert doc["shards"]["1"]["replicas"] == ["101", "102", "103"]
-        for entry in doc["shards"].values():
-            assert entry["actions_completed"] > 0
-
 
 class TestTimeline:
     def traced_cluster(self):

@@ -4,17 +4,15 @@ Covers the tracing tentpole end to end:
 
 * :class:`~repro.obs.flight.FlightRecorder` / ``FlightHub`` units —
   bounded ring semantics, tracer mirroring, anomaly dumps;
-* trace-id construction (action ids, transaction ids, the
-  ``TXN_TRACE_BIT`` partition);
+* trace-id construction;
 * the ``repro-trace`` assembler (:mod:`repro.tools.tracecli`) — dump /
   load round-trips, happens-before edges on hand-built rows, Chrome
   trace-event export, the CLI;
-* the acceptance scenario: a cross-shard transaction through
-  :class:`~repro.shard.ShardFabric` yields one merged timeline whose
-  happens-before order contains the prepare → decide → finish chain
-  across every participant shard — and the *causal signature* of that
-  transaction is identical between the simulated and the live
-  (asyncio) fabric.
+* the acceptance scenario: traced actions on one three-replica group
+  yield a merged timeline whose happens-before order runs submit →
+  send → recv → green on every replica — and the *causal signature* of
+  each action is identical between the simulator and the live
+  (asyncio, in-memory and UDP) runtime.
 """
 
 import asyncio
@@ -23,14 +21,14 @@ import os
 
 import pytest
 
+from repro.core import ReplicaCluster
+from repro.core.state_machine import EngineState
 from repro.gcs import GcsSettings
 from repro.obs import Observability
-from repro.obs.flight import (ANOMALY_CATEGORIES, TXN_TRACE_BIT,
-                              FlightHub, FlightRecorder, action_trace_id,
-                              txn_trace_id)
+from repro.obs.flight import (ANOMALY_CATEGORIES, FlightHub,
+                              FlightRecorder, action_trace_id)
 from repro.obs.spans import STALENESS_STRIDE
-from repro.runtime import live_gcs_settings
-from repro.shard import LiveShardFabric, ShardFabric
+from repro.runtime import LiveCluster, live_gcs_settings, udp_cluster
 from repro.sim import Tracer
 from repro.storage import DiskProfile
 from repro.tools import (causal_signature, chrome_trace, descendants,
@@ -67,11 +65,11 @@ class TestFlightRecorder:
         rec = FlightRecorder(3, capacity=8)
         rec.record(1.0, "submit")                    # no detail, no trace
         rec.record(2.0, "recv", trace=9, detail=5)   # bare scalar
-        rec.record(3.0, "green", trace=9, detail=(4, "prepare"))
+        rec.record(3.0, "install", trace=9, detail=(4, "view"))
         rows = rec.to_dicts()
         assert rows[0] == {"node": 3, "t": 1.0, "kind": "submit"}
         assert rows[1]["detail"] == [5]
-        assert rows[2]["detail"] == [4, "prepare"]
+        assert rows[2]["detail"] == [4, "view"]
         assert rows[2]["trace"] == 9
 
 
@@ -108,14 +106,7 @@ class TestTraceIds:
         ids = {action_trace_id(s, i) for s in (1, 2, 3) for i in range(4)}
         assert len(ids) == 12
         assert 0 not in ids
-        assert all(t < TXN_TRACE_BIT for t in ids)
-
-    def test_txn_ids_carry_the_txn_bit_and_are_stable(self):
-        t = txn_trace_id("txn1-7")
-        assert t == txn_trace_id("txn1-7")
-        assert t >= TXN_TRACE_BIT
-        assert t < 1 << 63                       # fits a signed wire field
-        assert txn_trace_id("txn1-8") != t
+        assert all(t < 1 << 63 for t in ids)     # fits a signed wire field
 
     def test_staleness_stride_is_a_power_of_two(self):
         # The engine samples with a single AND; see repro/core/engine.py.
@@ -155,11 +146,11 @@ class TestDumpRoundTrip:
         hub = self._hub()
         hub.sink = flight_sink(str(tmp_path))
         hub.note_anomaly("replica.crash")
-        hub.note_anomaly("txn.timeout")
+        hub.note_anomaly("runtime.callback_error")
         names = sorted(os.listdir(tmp_path))
         assert len(names) == 4          # two dumps x two recorders
         assert any("replica.crash" in n for n in names)
-        assert any("txn.timeout" in n for n in names)
+        assert any("runtime.callback_error" in n for n in names)
 
 
 # ======================================================================
@@ -220,139 +211,107 @@ class TestHappensBefore:
 
 
 # ======================================================================
-# acceptance: cross-shard transaction, sim and live
+# acceptance: traced actions on one group, sim and live
 # ======================================================================
-LOCALS = 2
-#: greens per shard: locals + prepare/decide/finish at the decider
-#: (shard 0), locals + prepare/finish at the other participant.
-EXPECTED_GREENS = {0: LOCALS + 3, 1: LOCALS + 2}
+SERVERS = [1, 2, 3]
+ACTIONS = 3
 
 SIM_GCS = GcsSettings(heartbeat_interval=0.02, failure_timeout=0.08,
                       gather_settle=0.02, phase_timeout=0.15)
 SIM_DISK = DiskProfile(forced_write_latency=0.001)
 
-
-def _cross_keys(router):
-    key_for = {}
-    probe = 0
-    while 0 not in key_for or 1 not in key_for:
-        key_for.setdefault(router.shard_for_key(f"xk{probe}"),
-                           f"xk{probe}")
-        probe += 1
-    return key_for
-
-
-def _load(fabric, outcomes):
-    key_for = _cross_keys(fabric.router)
-    for shard in range(2):
-        for i in range(LOCALS):
-            fabric.submit_local(shard, ("SET", f"s{shard}-k{i}", i))
-    fabric.submit([("SET", key_for[0], "x0"), ("SET", key_for[1], "x1")],
-                  lambda _txn, outcome: outcomes.append(outcome))
+#: One trace per action submitted at replica 1 (indices start at 1).
+TRACES = [action_trace_id(1, i) for i in range(1, ACTIONS + 1)]
 
 
 def _traced_obs():
     return Observability(flight=True, staleness=True)
 
 
-def _sim_rows():
-    obs = _traced_obs()
-    fabric = ShardFabric(2, 3, seed=0, gcs_settings=SIM_GCS,
-                         disk_profile=SIM_DISK, observability=obs)
-    fabric.start_all(settle=1.5)
-    outcomes = []
-    _load(fabric, outcomes)
-    deadline = fabric.sim.now + 60.0
-    while (any(fabric.green_count(s) < EXPECTED_GREENS[s]
-               for s in EXPECTED_GREENS) or not outcomes):
-        assert fabric.sim.now < deadline, "sim fabric stalled"
-        fabric.run_for(0.05)
-    fabric.run_for(1.0)
-    assert outcomes == ["commit"]
+def _flight_rows(obs):
     return merge_rows(r for rows in obs.flight_hub.dump().values()
                       for r in rows)
+
+
+def _sim_rows():
+    # Each action goes green everywhere before the next is submitted,
+    # so no two traces interleave on a node and program-order edges
+    # within a trace do not depend on timing.
+    obs = _traced_obs()
+    cluster = ReplicaCluster(server_ids=SERVERS, seed=0,
+                             gcs_settings=SIM_GCS, disk_profile=SIM_DISK,
+                             observability=obs)
+    cluster.start_all(settle=1.5)
+    for i in range(ACTIONS):
+        cluster.replicas[1].submit(("SET", f"k{i}", i))
+        deadline = cluster.sim.now + 10.0
+        while any(r.database.applied_count <= i
+                  for r in cluster.replicas.values()):
+            assert cluster.sim.now < deadline, "sim cluster stalled"
+            cluster.run_for(0.01)
+    cluster.assert_converged()
+    return _flight_rows(obs)
 
 
 def _live_rows(udp):
     async def scenario():
         obs = _traced_obs()
-        fabric = LiveShardFabric(2, 3, udp=udp,
-                                 gcs_settings=live_gcs_settings(),
-                                 observability=obs)
+        build = udp_cluster if udp else LiveCluster
+        cluster = build(SERVERS, trace=False, observability=obs,
+                        gcs_settings=live_gcs_settings())
         try:
-            fabric.start_all()
-            await fabric.wait_all_primary(timeout=15)
-            outcomes = []
-            _load(fabric, outcomes)
-            for shard, count in EXPECTED_GREENS.items():
-                await fabric.wait_green(shard, count, timeout=20)
-            await fabric.wait_no_inflight(timeout=10)
-            assert outcomes == ["commit"]
-            return merge_rows(r for rows in obs.flight_hub.dump().values()
-                              for r in rows)
+            cluster.start_all()
+            await cluster.wait_all_engine_state(EngineState.REG_PRIM,
+                                                timeout=15)
+            for i in range(ACTIONS):
+                cluster.submit(1, ("SET", f"k{i}", i))
+                await cluster.wait_green(i + 1, timeout=10)
+            cluster.assert_converged()
+            return _flight_rows(obs)
         finally:
-            fabric.shutdown()
+            cluster.shutdown()
 
     return asyncio.run(scenario())
 
 
-def _txn_trace_of(rows):
-    traces = {r["trace"] for r in rows
-              if r.get("trace", 0) >= TXN_TRACE_BIT}
-    assert len(traces) == 1, f"expected one transaction, saw {traces}"
-    return traces.pop()
-
-
-def _assert_txn_chain(rows):
-    """The merged timeline must causally chain prepare → decide →
-    finish across every participant shard."""
-    trace = _txn_trace_of(rows)
+def _assert_action_chain(rows, trace):
+    """submit → send → recv → green, reaching a green on every replica
+    and a recv on every replica but the originator."""
     edges = happens_before(rows)
-    begin = next(i for i, r in enumerate(rows)
-                 if r["kind"] == "txn.begin" and r.get("trace") == trace)
-    reached = descendants(edges, begin)
-    kinds = {rows[i]["kind"] for i in reached}
-    for kind in ("txn.prepared", "txn.decide", "txn.decided",
-                 "txn.finish", "txn.done"):
-        assert kind in kinds, f"{kind} not causally after txn.begin"
-    # Greens for the transaction's records must be reached on nodes of
-    # BOTH shards (shard of node n is n's thousands digit group: the
-    # fabric allocates global ids per shard).
-    green_nodes = {rows[i]["node"] for i in reached
-                   if rows[i]["kind"] == "green"
-                   and rows[i].get("trace") == trace}
-    from repro.shard.router import shard_of
-    assert {shard_of(n) for n in green_nodes} == {0, 1}
-    # decide is causally after every prepare green, and done after
-    # every finish-phase event the decide reaches.
-    decide = next(i for i, r in enumerate(rows)
-                  if r["kind"] == "txn.decide" and r.get("trace") == trace)
-    after_decide = {rows[i]["kind"] for i in descendants(edges, decide)}
-    assert "txn.done" in after_decide
-    return trace
+    submit = next(i for i, r in enumerate(rows)
+                  if r["kind"] == "submit" and r.get("trace") == trace)
+    assert rows[submit]["node"] == 1
+    reached = {(rows[i]["node"], rows[i]["kind"])
+               for i in descendants(edges, submit)
+               if rows[i].get("trace") == trace}
+    assert (1, "send") in reached
+    for node in SERVERS:
+        assert (node, "green") in reached, f"no green on {node}"
+        if node != 1:
+            assert (node, "recv") in reached, f"no recv on {node}"
 
 
-class TestCrossShardAcceptance:
-    def test_sim_fabric_yields_causal_txn_chain(self):
+class TestSingleGroupAcceptance:
+    def test_sim_yields_causal_action_chains(self):
         rows = _sim_rows()
-        trace = _assert_txn_chain(rows)
+        for trace in TRACES:
+            _assert_action_chain(rows, trace)
         # The per-trace view renders and exports.
-        assert render_text(rows, trace=trace)
+        assert render_text(rows, trace=TRACES[0])
         assert chrome_trace(rows)["traceEvents"]
 
     @pytest.mark.parametrize("udp", [False, True],
                              ids=["memory", "udp"])
     def test_sim_and_live_causal_signatures_match(self, udp):
         # Wall-clock timings differ arbitrarily between the simulator
-        # and a live run; the reconstructed causal structure of the
-        # cross-shard transaction may not.
-        sim_rows = _sim_rows()
+        # and a live run; the reconstructed causal structure of each
+        # action may not.
+        sim_sig = causal_signature(_sim_rows())
         live_rows = _live_rows(udp)
-        trace = _assert_txn_chain(live_rows)
-        assert trace == _txn_trace_of(sim_rows)
-        sim_sig = causal_signature(sim_rows)[trace]
-        live_sig = causal_signature(live_rows)[trace]
-        assert sim_sig == live_sig
+        live_sig = causal_signature(live_rows)
+        for trace in TRACES:
+            _assert_action_chain(live_rows, trace)
+            assert sim_sig[trace] == live_sig[trace]
 
 
 # ======================================================================
