@@ -1,136 +1,43 @@
-"""Shared infrastructure of the static-analysis suite.
+"""Shared infrastructure of the two table checkers.
 
-Findings, inline suppressions, and source discovery.  Everything is
-stdlib-only: the analyzers parse with :mod:`ast` and :mod:`tokenize`
-and never import the code under analysis.
+Findings and source parsing.  Everything is stdlib-only: the checkers
+parse with :mod:`ast` and never import the code under analysis.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
-
-#: ``# repro: allow[rule-a,rule-b] -- optional reason``
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro:\s*allow\[(?P<rules>[a-z0-9*,\s-]+)\]"
-    r"(?:\s*--\s*(?P<reason>.*))?")
+from typing import Tuple
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One analyzer finding, pointing at a file/line."""
+    """One checker finding, pointing at a file/line."""
 
     rule: str
     path: str
     line: int
     message: str
-    analyzer: str = ""
-    suppressed: bool = False
 
     def format(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-            "analyzer": self.analyzer,
-            "suppressed": self.suppressed,
-        }
-
-
-class Suppressions:
-    """Inline suppression comments of one source file.
-
-    ``# repro: allow[rule]`` suppresses findings of that rule on the
-    same line; on a standalone comment line it covers the next code
-    line instead.  ``allow[*]`` suppresses every rule.  A suppression
-    in the first comment block of the file (before any code) applies to
-    the whole file.  A reason can follow after ``--`` and is kept for
-    the JSON report.
-    """
-
-    def __init__(self, line_rules: Dict[int, Set[str]],
-                 file_rules: Set[str]):
-        self._line_rules = line_rules
-        self._file_rules = file_rules
-
-    @classmethod
-    def scan(cls, source: str) -> "Suppressions":
-        line_rules: Dict[int, Set[str]] = {}
-        file_rules: Set[str] = set()
-        pending: Set[str] = set()     # from standalone comment lines
-        saw_code = False
-        line_had_code = False
-        try:
-            tokens = tokenize.generate_tokens(
-                io.StringIO(source).readline)
-            for tok in tokens:
-                if tok.type == tokenize.COMMENT:
-                    match = _SUPPRESS_RE.search(tok.string)
-                    if match is None:
-                        continue
-                    rules = {r.strip() for r in
-                             match.group("rules").split(",") if r.strip()}
-                    line_rules.setdefault(tok.start[0], set()).update(rules)
-                    if not saw_code:
-                        file_rules.update(rules)
-                    if not line_had_code:
-                        pending.update(rules)
-                elif tok.type in (tokenize.NAME, tokenize.NUMBER,
-                                  tokenize.STRING, tokenize.OP):
-                    saw_code = True
-                    line_had_code = True
-                    if pending:
-                        line_rules.setdefault(tok.start[0],
-                                              set()).update(pending)
-                        pending.clear()
-                elif tok.type in (tokenize.NEWLINE, tokenize.NL):
-                    line_had_code = False
-        except tokenize.TokenError:
-            pass
-        return cls(line_rules, file_rules)
-
-    def covers(self, rule: str, line: int) -> bool:
-        rules = self._line_rules.get(line, set()) | self._file_rules
-        return rule in rules or "*" in rules
-
 
 @dataclass
 class SourceFile:
-    """A parsed source file plus its suppression map."""
+    """A parsed source file."""
 
     path: Path
     source: str
     tree: ast.Module
-    suppressions: Suppressions = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.suppressions = Suppressions.scan(self.source)
 
 
 def parse_file(path: Path) -> SourceFile:
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
     return SourceFile(path=path, source=source, tree=tree)
-
-
-def collect_py_files(paths: Iterable[Path]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    out: Set[Path] = set()
-    for path in paths:
-        if path.is_dir():
-            out.update(p for p in path.rglob("*.py"))
-        elif path.suffix == ".py":
-            out.add(path)
-    return sorted(out)
 
 
 def module_parts(path: Path) -> Tuple[str, ...]:
@@ -144,28 +51,3 @@ def module_parts(path: Path) -> Tuple[str, ...]:
         parts.insert(0, parent.name)
         parent = parent.parent
     return tuple(parts) if parts else (path.stem,)
-
-
-def subpackage_of(path: Path, root_package: str = "repro") -> Optional[str]:
-    """The first package component under ``root_package`` for ``path``
-    (``.../repro/gcs/daemon.py`` -> ``"gcs"``), or None if the file is
-    not inside ``root_package``."""
-    parts = module_parts(path)
-    if root_package not in parts:
-        return None
-    index = parts.index(root_package)
-    if index + 1 < len(parts):
-        return parts[index + 1]
-    return None
-
-
-def iter_findings(findings: Iterable[Finding],
-                  source: SourceFile) -> Iterator[Finding]:
-    """Mark findings suppressed by inline comments in ``source``."""
-    for finding in findings:
-        if source.suppressions.covers(finding.rule, finding.line):
-            yield Finding(rule=finding.rule, path=finding.path,
-                          line=finding.line, message=finding.message,
-                          analyzer=finding.analyzer, suppressed=True)
-        else:
-            yield finding

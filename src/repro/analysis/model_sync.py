@@ -22,9 +22,6 @@ Two rules over the model module (``repro/check/model.py``):
   deriving them.  (Flat tuples of states — membership tests like
   ``state in (A, B)`` — are fine; it is the *pair structure* that
   makes a literal an edge table.)
-
-Like every rule in the suite, deliberate exceptions carry
-``# repro: allow[model-edge-copy] -- reason``.
 """
 
 from __future__ import annotations
@@ -33,10 +30,8 @@ import ast
 from pathlib import Path
 from typing import Iterable, List, Optional, Set
 
-from .common import (Finding, SourceFile, iter_findings, module_parts,
-                     parse_file)
+from .common import Finding, SourceFile, module_parts, parse_file
 
-ANALYZER = "model-sync"
 RULE_DERIVATION = "model-derivation"
 RULE_EDGE_COPY = "model-edge-copy"
 
@@ -71,7 +66,7 @@ class ModelSyncChecker:
         findings: List[Finding] = []
         for path in paths:
             source = parse_file(path)
-            findings.extend(iter_findings(self._check(source), source))
+            findings.extend(self._check(source))
         return findings
 
     # ------------------------------------------------------------------
@@ -85,8 +80,7 @@ class ModelSyncChecker:
                          "transition table (EDGES_BY_INPUT / "
                          "next_states / check_transition) from "
                          "repro.core.state_machine; its moves cannot "
-                         "be derived from Figure 4"),
-                analyzer=ANALYZER))
+                         "be derived from Figure 4")))
         for node in ast.walk(source.tree):
             finding = self._edge_literal(node, state_aliases,
                                          source.path)
@@ -145,8 +139,7 @@ class ModelSyncChecker:
                     message=("dict literal keyed by EngineState with "
                              "state-collection values re-declares the "
                              "transition table; derive it from "
-                             "EDGES_BY_INPUT instead"),
-                    analyzer=ANALYZER)
+                             "EDGES_BY_INPUT instead"))
             return None
         if elements is None:
             return None
@@ -158,8 +151,7 @@ class ModelSyncChecker:
                 message=(f"collection literal of {pairs} "
                          f"(EngineState, EngineState) pairs is a "
                          f"hand-written edge table; derive edges from "
-                         f"EDGES_BY_INPUT instead"),
-                analyzer=ANALYZER)
+                         f"EDGES_BY_INPUT instead"))
         return None
 
     def _is_state_table_dict(self, node: ast.Dict,

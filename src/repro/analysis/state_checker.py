@@ -34,9 +34,8 @@ from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
-from .common import Finding, SourceFile, iter_findings, parse_file
+from .common import Finding, SourceFile, parse_file
 
-ANALYZER = "state-machine"
 RULE_UNDECLARED = "undeclared-edge"
 RULE_UNREACHABLE = "unreachable-edge"
 RULE_UNGUARDED = "unguarded-handler"
@@ -400,7 +399,7 @@ class StateMachineChecker:
         for path in ordered:
             source = parse_file(path)
             file_findings, file_witnesses, saw = self._check_source(source)
-            findings.extend(iter_findings(file_findings, source))
+            findings.extend(file_findings)
             witnesses |= file_witnesses
             any_set_state = any_set_state or saw
         if any_set_state:
@@ -411,8 +410,7 @@ class StateMachineChecker:
                 findings.append(Finding(
                     rule=RULE_UNREACHABLE, path=anchor, line=1,
                     message=(f"declared edge {old} -> {new} has no "
-                             f"matching _set_state call site"),
-                    analyzer=ANALYZER))
+                             f"matching _set_state call site")))
         return findings
 
     def _check_source(self, source: SourceFile
@@ -436,8 +434,7 @@ class StateMachineChecker:
                             line=record.line,
                             message=(f"{cls.name}.{record.method}: "
                                      f"_set_state target is not a literal "
-                                     f"{self.enum_name} member"),
-                            analyzer=ANALYZER))
+                                     f"{self.enum_name} member")))
                         continue
                     if record.sources is None:
                         witnesses |= {(old, record.target)
@@ -450,8 +447,7 @@ class StateMachineChecker:
                                 message=(f"{cls.name}.{scan.name}: handler "
                                          f"changes state to "
                                          f"{record.target} without a "
-                                         f"dominating state guard"),
-                                analyzer=ANALYZER))
+                                         f"dominating state guard")))
                         continue
                     for old in sorted(record.sources):
                         if old == record.target:
@@ -464,8 +460,7 @@ class StateMachineChecker:
                                 message=(f"{cls.name}.{record.method}: "
                                          f"transition {old} -> "
                                          f"{record.target} is not declared "
-                                         f"in the Figure-4 table"),
-                                analyzer=ANALYZER))
+                                         f"in the Figure-4 table")))
         return findings, witnesses, saw_set_state
 
     def _class_uses_set_state(self, cls: ast.ClassDef,

@@ -122,7 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.tla:
         from .tla import export_tla
         text = export_tla()
-        with open(args.tla, "w", encoding="utf-8") as handle:  # repro: allow[seam-blocking-io] -- CLI report file, not protocol durability
+        with open(args.tla, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"tla: wrote {args.tla} ({len(text.splitlines())} lines)")
         report["tla"] = {"path": args.tla,
@@ -133,7 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.json == "-":
             print(payload)
         else:
-            with open(args.json, "w", encoding="utf-8") as handle:  # repro: allow[seam-blocking-io] -- CLI report file, not protocol durability
+            with open(args.json, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
 
     if args.expect_violation:

@@ -90,5 +90,5 @@ def shrink(result: FuzzResult,
 def write_repro(result: ShrinkResult, path: str) -> None:
     """Write the pinned replay spec where ``tools/scenario.py`` (or
     ``python -m repro.tools.scenario``) can run it directly."""
-    with open(path, "w", encoding="utf-8") as handle:  # repro: allow[seam-blocking-io] -- dev-tool output, not protocol durability
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(result.spec_json())

@@ -14,7 +14,8 @@ from that single declaration:
   in a given state (self-loops are implicit: an input may always leave
   the state unchanged).
 
-The static-analysis suite (``repro.analysis``) cross-checks this table
+The state-machine checker (:mod:`repro.analysis.state_checker`, run by
+``tests/test_analysis_state_machine.py``) cross-checks this table
 against the ``_set_state`` calls and state guards of the engine source,
 so the declaration, the code, and the paper stay in sync mechanically.
 """

@@ -39,8 +39,8 @@ to untrusted networks.  Malformed or truncated frames raise
 garbage off the wire must never crash the daemon.
 
 This is deliberately the **only** module in the repository that touches
-``struct``-level framing (enforced by ``repro.analysis.seams``): one
-place to audit wire compatibility, one place to bump ``VERSION``.
+``struct``-level framing (enforced by ``tests/test_import_policy.py``):
+one place to audit wire compatibility, one place to bump ``VERSION``.
 """
 
 from __future__ import annotations

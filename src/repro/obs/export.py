@@ -176,8 +176,6 @@ class MetricsServer:
         self._server: Optional[Any] = None
 
     async def start(self) -> "MetricsServer":
-        # repro: allow[seam-import] -- operational HTTP export runs on a
-        # real event loop by definition; never imported by protocol code.
         import asyncio
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
@@ -231,8 +229,6 @@ async def fetch_http(host: str, port: int, path: str,
                      timeout: float = 5.0) -> str:
     """Tiny asyncio HTTP GET (body only) — the example and CI use it to
     scrape a :class:`MetricsServer` without external tooling."""
-    # repro: allow[seam-import] -- scraping helper for tests/CI; talks
-    # to the export server, not part of the protocol stack.
     import asyncio
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host, port), timeout)

@@ -13,9 +13,9 @@ Design constraints, in order:
   runtime events, and consumes no randomness: every ``record`` call
   takes the caller's Runtime timestamp as a parameter.  Recording is
   therefore invisible to the simulator — the fig5a determinism pin
-  holds with tracing on.  The ``flight-clock`` analyzer rule
-  (:mod:`repro.analysis.seams`) enforces this structurally: this
-  module may not import a time source or evaluate ``.now``.
+  holds with tracing on.  ``tests/test_import_policy.py`` enforces
+  this structurally: this module may not import a time source or
+  evaluate ``.now``.
 * **Allocation-light.**  One bounded deque of tuples per node;
   recording is a single C-level append (the engine caches the bound
   ``ring.append``).  No dicts or objects on the hot path.
@@ -116,7 +116,6 @@ class FlightHub:
         self.capacity = capacity
         self.recorders: Dict[Any, FlightRecorder] = {}
         self.anomalies = 0
-        self._attached: set = set()
         #: Injected by the tools layer (file I/O stays out of protocol
         #: code); called with (reason, dump dicts) on each anomaly.
         self.sink: Optional[DumpSink] = None
@@ -130,10 +129,9 @@ class FlightHub:
     def attach(self, tracer: "Tracer") -> None:
         """Mirror ``tracer`` records into the per-node rings.
         Idempotent per tracer: clusters sharing one tracer may each
-        attach it, and every event still lands in the ring once."""
-        if id(tracer) in self._attached:
-            return
-        self._attached.add(id(tracer))
+        attach it, and every event still lands in the ring once
+        (:meth:`~repro.sim.trace.Tracer.subscribe` skips a callback it
+        already holds)."""
         tracer.subscribe(self._on_trace)
 
     def _on_trace(self, record: "TraceRecord") -> None:

@@ -66,7 +66,10 @@ class Tracer:
             subscriber(record)
 
     def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        self._subscribers.append(callback)
+        """Add ``callback``; one it already holds is not added again
+        (bound methods compare equal per owner object)."""
+        if callback not in self._subscribers:
+            self._subscribers.append(callback)
 
     def count(self, category: str) -> int:
         """Number of records emitted in ``category`` (kept or not)."""

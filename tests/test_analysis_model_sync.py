@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.analysis import ModelSyncChecker, model_modules, run_analyzers
+from repro.analysis import ModelSyncChecker, model_modules
 from repro.analysis.model_sync import RULE_DERIVATION, RULE_EDGE_COPY
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
@@ -57,12 +57,10 @@ class TestRealModelIsClean:
         assert rules_for(REAL_MODEL) == []
 
     def test_suite_integration_stays_clean(self):
-        findings = [f for f in run_analyzers([REAL_SRC])
-                    if f.analyzer == "model-sync" and not f.suppressed]
+        findings = ModelSyncChecker().check_paths(model_modules(REAL_SRC))
         assert findings == []
 
     def test_suite_integration_reports_the_fixture(self):
-        findings = [f for f in run_analyzers([FIXTURES])
-                    if f.analyzer == "model-sync"]
+        findings = ModelSyncChecker().check_paths(model_modules(FIXTURES))
         assert {f.rule for f in findings} == {RULE_DERIVATION,
                                               RULE_EDGE_COPY}

@@ -4,13 +4,16 @@ The whole reproduction rests on this — property tests shrink, bug
 reports replay, and benchmark numbers are exact.  These tests run the
 same nontrivial scenario twice from scratch and demand bit-identical
 outcomes, then show that changing only the seed changes the fine
-timing but not the invariants, and that the history does not depend
-on the interpreter's string-hash seed.
+timing but not the invariants, and that neither the history, the
+model checker's report nor the fuzzer's shrunk replay spec depends on
+the interpreter's string-hash seed.
 """
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import repro
 from conftest import make_cluster
@@ -72,16 +75,32 @@ def test_client_ids_do_not_leak_between_runs():
     assert runs[0][0] == runs[1][0]
 
 
-def _run_in_subprocess(hash_seed):
+#: Python snippets whose output must not depend on the string-hash seed.
+SCENARIO = ("from test_determinism import run_scenario; "
+            "print(repr(run_scenario(seed=123)))")
+MC_REPORT = (
+    "import json; from repro.check.mc import ModelChecker; "
+    "from repro.check.model import ModelConfig; "
+    "config = ModelConfig(nodes=2, max_faults=1, max_crashes=0, "
+    "max_actions=1); "
+    "print(json.dumps(ModelChecker(config, max_depth=8).run().to_dict(), "
+    "sort_keys=True))")
+# Seed 38 is the one failing seed of the 40 injected-bug seeds CI fuzzes.
+SHRUNK_SPEC = (
+    "from repro.check.fuzz import FuzzCase, run_case; "
+    "from repro.check.shrink import shrink; "
+    "failure = run_case(FuzzCase(seed=38, quorum='both-halves')); "
+    "print(shrink(failure).spec_json())")
+
+
+def _run_in_subprocess(hash_seed, snippet=SCENARIO):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.abspath(__file__)),
                     os.path.dirname(os.path.dirname(repro.__file__)),
                     env.get("PYTHONPATH", "")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "from test_determinism import run_scenario; "
-         "print(repr(run_scenario(seed=123)))"],
+        [sys.executable, "-c", snippet],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -91,3 +110,13 @@ def test_history_is_independent_of_the_hash_seed():
     """Set iteration order over strings varies with PYTHONHASHSEED; no
     protocol decision may depend on it."""
     assert _run_in_subprocess(1) == _run_in_subprocess(2)
+
+
+@pytest.mark.parametrize("snippet, marker", [
+    (MC_REPORT, '"complete": true'),
+    (SHRUNK_SPEC, '"quorum": "both-halves"'),
+], ids=["mc-report", "shrunk-fuzz-spec"])
+def test_check_output_is_independent_of_the_hash_seed(snippet, marker):
+    output = _run_in_subprocess(1, snippet)
+    assert marker in output
+    assert output == _run_in_subprocess(2, snippet)

@@ -88,6 +88,25 @@ class TestFlightHub:
         events = hub.recorder(2).events()
         assert events == [(1.5, "engine.state", 0, ("state=PRIM",))]
 
+    def test_attach_after_a_freed_tracer_at_the_same_address(self):
+        # A hub that remembered tracers by id() would take a new tracer
+        # allocated at a freed one's address for the old one.
+        hub = FlightHub()
+        freed = set()
+        for _ in range(64):
+            tracer = Tracer(enabled=True)
+            if id(tracer) in freed:
+                break
+            hub.attach(tracer)
+            freed.add(id(tracer))
+            del tracer
+        else:
+            pytest.skip("the allocator did not reuse a freed address")
+        hub.attach(tracer)
+        tracer.emit(2.5, 1, "engine.state", state="PRIM")
+        assert hub.recorder(1).events() == [
+            (2.5, "engine.state", 0, ("state=PRIM",))]
+
     def test_anomaly_category_triggers_sink(self):
         hub = FlightHub()
         tracer = Tracer(enabled=True)
