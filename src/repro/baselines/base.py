@@ -94,9 +94,3 @@ class EngineSystem(ReplicationSystemAPI):
             "greens": sum(r.engine.stats["greens"] for r in replicas),
         }
 
-
-def build_node_stacks(sim: Simulator, nodes: List[int], network,
-                      disk_profile: Optional[DiskProfile]):
-    """Shared helper: one simulated disk per node (for the baselines)."""
-    from ..storage import SimulatedDisk
-    return {n: SimulatedDisk(sim, n, disk_profile) for n in nodes}

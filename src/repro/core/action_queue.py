@@ -120,9 +120,6 @@ class ActionQueue:
         return [(pos, self._green[pos - self.green_offset])
                 for pos in range(start, min(stop, self.green_count))]
 
-    def green_at(self, position: int) -> Action:
-        return self._green[position - self.green_offset]
-
     def red_actions(self) -> List[Action]:
         """Red actions in local order."""
         return list(self._red.values())

@@ -1,9 +1,14 @@
-"""Cluster harness: build and drive a whole replicated system.
+"""Cluster harnesses: build, drive and check a whole replicated system.
 
-Used by the tests, the examples, and the benchmark harness.  Owns the
-simulator, topology, network, and all replicas; provides fault
-injection, dynamic join/leave orchestration, and the consistency
-assertions that encode the paper's correctness theorems.
+:class:`Cluster` is the one composition root.  It builds the hosted
+replicas on any :class:`~repro.runtime.base.Runtime` and
+:class:`~repro.runtime.base.Transport` pair, names clients, partitions
+and heals, and carries the consistency assertions that encode the
+paper's correctness theorems.  :class:`ReplicaCluster` adds what
+virtual time needs (the simulator, topology and seeded network, crash
+and recovery, online joins, stepping time); its asyncio counterpart is
+:class:`~repro.runtime.LiveCluster`.  Used by the tests, the examples,
+the scenario runner and the benchmark harnesses.
 """
 
 from __future__ import annotations
@@ -14,20 +19,171 @@ from ..db import ActionId
 from ..gcs import GcsSettings
 from ..net import Network, NetworkProfile, Topology
 from ..obs import Observability
-# The submodule, not the package: repro.runtime's __init__ pulls in
-# LiveCluster, which imports repro.core, so either may be first.
-from ..runtime.sim_runtime import SimRuntime
 from ..sim import RandomStreams, Tracer
 from ..storage import DiskProfile
 from .client import Client
 from .engine import EngineConfig
-from .reconfig import JoinerProtocol, TransferHeader
 from .replica import Replica
 from .state_machine import EngineState
 
 
-class ReplicaCluster:
-    """A simulated cluster of database replicas."""
+class Cluster:
+    """Hosted replicas on one runtime and one transport."""
+
+    def __init__(self, runtime: Any, transport: Any,
+                 server_ids: Sequence[int], hosted: Sequence[int],
+                 gcs_settings: GcsSettings,
+                 engine_config: Optional[EngineConfig],
+                 disk_profile: Optional[DiskProfile], tracer: Tracer,
+                 obs: Observability, links: Any = None) -> None:
+        self.runtime = runtime
+        self.transport = transport
+        # What partition() and heal() cut: the transport itself, or the
+        # topology a simulated network obeys.
+        self._links = links if links is not None else transport
+        self.server_ids = list(server_ids)
+        self.tracer = tracer
+        self.obs = obs
+        # With tracing on, mirror tracer records (state transitions,
+        # installs, disk syncs, crashes) into the flight rings.
+        if obs.flight_hub is not None:
+            obs.flight_hub.attach(tracer)
+        self.directory: Set[int] = set(self.server_ids)
+        self.gcs_settings = gcs_settings
+        # None gives every replica its own default EngineConfig.
+        self.engine_config = engine_config
+        self.disk_profile = disk_profile
+        self.replicas: Dict[int, Replica] = {}
+        self._client_counter: Dict[int, int] = {}
+        for node in hosted:
+            self.replicas[node] = self._build_replica(node,
+                                                      self.server_ids)
+
+    def _build_replica(self, node: int,
+                       server_ids: Sequence[int]) -> Replica:
+        return Replica(self.runtime, node, self.transport, self.directory,
+                       list(server_ids), disk_profile=self.disk_profile,
+                       gcs_settings=self.gcs_settings,
+                       engine_config=self.engine_config,
+                       tracer=self.tracer, obs=self.obs)
+
+    def start_all(self) -> None:
+        for replica in self.replicas.values():
+            replica.start()
+
+    def partition(self, *groups: Sequence[int]) -> None:
+        self._links.partition([list(g) for g in groups])
+
+    def heal(self) -> None:
+        self._links.heal()
+
+    # ==================================================================
+    # clients
+    # ==================================================================
+    def client(self, node: int, name: Optional[str] = None) -> Client:
+        """Attach a client to a hosted replica.
+
+        Default names are deterministic per cluster (not drawn from a
+        process-global counter), so identical seeds replay identical
+        histories even when client ids end up in the database.
+        """
+        if name is None:
+            self._client_counter[node] = \
+                self._client_counter.get(node, 0) + 1
+            name = f"client-{node}.{self._client_counter[node]}"
+        return Client(self.replicas[node], name=name)
+
+    def submit(self, node: int, update: Tuple,
+               on_complete: Optional[Callable] = None) -> ActionId:
+        return self.replicas[node].submit(update, on_complete=on_complete)
+
+    # ==================================================================
+    # introspection
+    # ==================================================================
+    def running_replicas(self) -> List[Replica]:
+        """Hosted replicas neither crashed nor exited (the ones every
+        check below looks at)."""
+        return [r for r in self.replicas.values()
+                if r.running and not r.engine.exited]
+
+    def states(self) -> Dict[int, str]:
+        return {n: (str(r.engine.state) if r.running else
+                    ("exited" if r.engine.exited else "down"))
+                for n, r in self.replicas.items()}
+
+    def green_counts(self) -> Dict[int, int]:
+        """Green actions applied to the database per running replica."""
+        return {r.node: r.database.applied_count
+                for r in self.running_replicas()}
+
+    def green_order(self, node: int) -> List[ActionId]:
+        """All green action ids applied at ``node``, in order (the
+        database's applied log: checkpoint truncation of the action
+        queue does not window it)."""
+        return list(self.replicas[node].database.applied_log)
+
+    def applied_logs(self) -> Dict[int, List[ActionId]]:
+        return {r.node: list(r.database.applied_log)
+                for r in self.running_replicas()}
+
+    def primary_members(self) -> List[int]:
+        """Nodes currently in a primary component."""
+        return [n for n, r in self.replicas.items()
+                if r.running and r.engine.in_primary]
+
+    # ==================================================================
+    # consistency checks (the paper's theorems, executable)
+    # ==================================================================
+    def assert_prefix_consistent(self) -> None:
+        """Global Total Order: any two applied logs agree on their
+        common prefix (Theorem 1)."""
+        logs = list(self.applied_logs().items())
+        for i in range(len(logs)):
+            for j in range(i + 1, len(logs)):
+                (node_a, log_a), (node_b, log_b) = logs[i], logs[j]
+                common = min(len(log_a), len(log_b))
+                if log_a[:common] != log_b[:common]:
+                    diverge = next(k for k in range(common)
+                                   if log_a[k] != log_b[k])
+                    raise AssertionError(
+                        f"total order violated between {node_a} and "
+                        f"{node_b} at position {diverge}: "
+                        f"{log_a[diverge]} vs {log_b[diverge]}")
+
+    def assert_same_green_order(self) -> List[ActionId]:
+        """Every running replica applied the identical green order
+        (Theorem 1's observable once traffic stops); returns it."""
+        self.assert_prefix_consistent()
+        replicas = self.running_replicas()
+        counts = {r.node: r.database.applied_count for r in replicas}
+        if len(set(counts.values())) > 1:
+            raise AssertionError(f"replicas not converged: {counts}")
+        return self.green_order(replicas[0].node) if replicas else []
+
+    def assert_converged(self) -> None:
+        """After a fault-free stable period, all running replicas hold
+        identical green sequences and database states (Liveness)."""
+        self.assert_same_green_order()
+        digests = {r.node: r.database.digest()
+                   for r in self.running_replicas()}
+        if len(set(digests.values())) > 1:
+            raise AssertionError(f"database digests differ: {digests}")
+
+    def assert_single_primary(self) -> None:
+        """At most one component believes it is primary."""
+        prims = set()
+        for replica in self.replicas.values():
+            if replica.running and replica.engine.state \
+                    == EngineState.REG_PRIM:
+                conf = replica.engine.conf
+                if conf is not None:
+                    prims.add(conf.view_id)
+        if len(prims) > 1:
+            raise AssertionError(f"multiple primary components: {prims}")
+
+
+class ReplicaCluster(Cluster):
+    """A simulated cluster of database replicas, in virtual time."""
 
     def __init__(self, n: int = 3,
                  server_ids: Optional[Sequence[int]] = None,
@@ -38,70 +194,44 @@ class ReplicaCluster:
                  engine_config: Optional[EngineConfig] = None,
                  trace: bool = False,
                  observability: Optional[Observability] = None) -> None:
-        self.server_ids = (list(server_ids) if server_ids is not None
-                           else list(range(1, n + 1)))
-        # Disabled by default: simulated clusters keep plain counters
-        # but pay nothing for spans/histograms unless asked.
-        self.obs = (observability if observability is not None
-                    else Observability.disabled())
-        # The deterministic Runtime; `sim` is also reachable as
-        # `runtime` for symmetry with LiveCluster.
+        # Imported here, not at module level: repro.runtime's package
+        # init builds LiveCluster on this module's Cluster, so a
+        # top-level import would leave Cluster undefined whenever
+        # repro.core is imported first.
+        from ..runtime.sim_runtime import SimRuntime
+        ids = (list(server_ids) if server_ids is not None
+               else list(range(1, n + 1)))
+        # The deterministic Runtime, also reachable as `runtime`.
         self.sim = SimRuntime()
         self.streams = RandomStreams(seed)
-        self.tracer = Tracer(enabled=trace)
-        self.topology = Topology(self.server_ids)
+        tracer = Tracer(enabled=trace)
+        self.topology = Topology(ids)
         self.network = Network(self.sim, self.topology, network_profile,
                                rng=self.streams.stream("network"),
-                               tracer=self.tracer)
-        self.runtime = self.sim
-        # With tracing on, mirror tracer records (state transitions,
-        # installs, disk syncs, crashes) into the flight rings.
-        if self.obs.flight_hub is not None:
-            self.obs.flight_hub.attach(self.tracer)
-        self.directory: Set[int] = set(self.server_ids)
-        self.gcs_settings = gcs_settings or GcsSettings()
-        self.disk_profile = disk_profile
-        self.engine_config_factory = (
-            (lambda: engine_config) if engine_config is not None
-            else EngineConfig)
-        self.replicas: Dict[int, Replica] = {}
-        self._client_counter: Dict[int, int] = {}
-        for node in self.server_ids:
-            self.replicas[node] = self._build_replica(node,
-                                                      self.server_ids)
+                               tracer=tracer)
+        # Disabled by default: simulated clusters keep plain counters
+        # but pay nothing for spans/histograms unless asked.
+        super().__init__(
+            self.sim, self.network, ids, ids,
+            gcs_settings or GcsSettings(), engine_config, disk_profile,
+            tracer,
+            observability if observability is not None
+            else Observability.disabled(),
+            links=self.topology)
         if self.gcs_settings.use_topology_hints:
             self.topology.subscribe(self._topology_hint)
 
-    def _build_replica(self, node: int,
-                       server_ids: Sequence[int]) -> Replica:
-        config = self.engine_config_factory()
-        return Replica(self.sim, node, self.network, self.directory,
-                       list(server_ids), disk_profile=self.disk_profile,
-                       gcs_settings=self.gcs_settings,
-                       engine_config=config, tracer=self.tracer,
-                       obs=self.obs)
-
     # ==================================================================
-    # lifecycle & fault injection
+    # time, faults and membership
     # ==================================================================
     def start_all(self, settle: float = 2.0) -> None:
         """Start every replica and run until the first view settles."""
-        for replica in self.replicas.values():
-            replica.start()
+        super().start_all()
         if settle > 0:
             self.run_for(settle)
 
     def run_for(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
-
-    def run_until_idle(self) -> None:
-        self.sim.run()
-
-    def partition(self, *groups: Sequence[int]) -> None:
-        self.topology.partition([list(g) for g in groups])
-
-    def heal(self) -> None:
-        self.topology.heal()
 
     def crash(self, node: int) -> None:
         self.topology.crash(node)
@@ -127,25 +257,6 @@ class ReplicaCluster:
             if reachable != current:
                 daemon.topology_hint()
 
-    # ==================================================================
-    # clients
-    # ==================================================================
-    def client(self, node: int, name: Optional[str] = None) -> Client:
-        """Attach a client to a replica.
-
-        Default names are deterministic per cluster (not drawn from a
-        process-global counter), so identical seeds replay identical
-        histories even when client ids end up in the database.
-        """
-        if name is None:
-            self._client_counter[node] = \
-                self._client_counter.get(node, 0) + 1
-            name = f"client-{node}.{self._client_counter[node]}"
-        return Client(self.replicas[node], name=name)
-
-    # ==================================================================
-    # dynamic membership
-    # ==================================================================
     def add_replica(self, new_id: int, peer: int,
                     peers: Optional[Sequence[int]] = None,
                     on_joined: Optional[Callable[[Replica], None]] = None
@@ -162,109 +273,8 @@ class ReplicaCluster:
         self.directory.add(new_id)
         replica = self._build_replica(new_id, [new_id])
         self.replicas[new_id] = replica
-        replica.start(join_group=False)
-
         contact_order = list(peers) if peers else [peer]
         if peer not in contact_order:
             contact_order.insert(0, peer)
-
-        def ready(header: TransferHeader) -> None:
-            self._complete_join(replica, header)
-            if on_joined is not None:
-                on_joined(replica)
-
-        replica.joiner = JoinerProtocol(self.sim, replica, contact_order,
-                                        ready)
-        replica.joiner.start()
+        replica.join_from(contact_order, on_joined)
         return replica
-
-    def _complete_join(self, replica: Replica,
-                       header: TransferHeader) -> None:
-        """CodeSegment 5.2 lines 28-30: adopt the transferred state and
-        start executing the replication algorithm."""
-        engine = replica.engine
-        for server in header.servers:
-            engine.queue.add_server(server)
-        engine.removed_servers = set(header.removed)
-        engine.queue.green_offset = header.green_count
-        engine.queue.set_green_line(replica.node, header.green_count)
-        # The inherited database incorporates every action in its
-        # applied log (Theorem 2): the red cut must reflect that, or the
-        # first exchange would wait for retransmission of actions that
-        # exist only as inherited state.
-        engine.queue.cover(replica.database.applied_cut)
-        engine.prim_component = type(engine.prim_component)(
-            prim_index=0, attempt_index=0,
-            servers=tuple(sorted(header.servers)))
-        replica.store.wal.append("db_snapshot",
-                                 replica.database.snapshot(), forced=False)
-        engine._persist_records()
-        engine._sync()
-        engine.state = EngineState.NON_PRIM
-        replica.daemon.join()
-        self.tracer.emit(self.sim.now, replica.node, "replica.joined",
-                         green=header.green_count)
-
-    # ==================================================================
-    # consistency checks (the paper's theorems, executable)
-    # ==================================================================
-    def running_replicas(self) -> List[Replica]:
-        return [r for r in self.replicas.values()
-                if r.running and not r.engine.exited]
-
-    def applied_logs(self) -> Dict[int, List[ActionId]]:
-        return {n: list(r.database.applied_log)
-                for n, r in self.replicas.items()
-                if r.running and not r.engine.exited}
-
-    def assert_prefix_consistent(self) -> None:
-        """Global Total Order: any two applied logs agree on their
-        common prefix (Theorem 1)."""
-        logs = list(self.applied_logs().items())
-        for i in range(len(logs)):
-            for j in range(i + 1, len(logs)):
-                (node_a, log_a), (node_b, log_b) = logs[i], logs[j]
-                common = min(len(log_a), len(log_b))
-                if log_a[:common] != log_b[:common]:
-                    diverge = next(k for k in range(common)
-                                   if log_a[k] != log_b[k])
-                    raise AssertionError(
-                        f"total order violated between {node_a} and "
-                        f"{node_b} at position {diverge}: "
-                        f"{log_a[diverge]} vs {log_b[diverge]}")
-
-    def assert_converged(self) -> None:
-        """After a fault-free stable period, all running replicas hold
-        identical green sequences and database states (Liveness)."""
-        replicas = self.running_replicas()
-        if not replicas:
-            return
-        self.assert_prefix_consistent()
-        counts = {r.node: r.database.applied_count for r in replicas}
-        if len(set(counts.values())) != 1:
-            raise AssertionError(f"replicas not converged: {counts}")
-        digests = {r.node: r.database.digest() for r in replicas}
-        if len(set(digests.values())) != 1:
-            raise AssertionError(f"database digests differ: {digests}")
-
-    def primary_members(self) -> List[int]:
-        """Nodes currently in a primary component."""
-        return [n for n, r in self.replicas.items()
-                if r.running and r.engine.in_primary]
-
-    def assert_single_primary(self) -> None:
-        """At most one component believes it is primary."""
-        prims = set()
-        for node, replica in self.replicas.items():
-            if replica.running and replica.engine.state \
-                    == EngineState.REG_PRIM:
-                conf = replica.engine.conf
-                if conf is not None:
-                    prims.add(conf.view_id)
-        if len(prims) > 1:
-            raise AssertionError(f"multiple primary components: {prims}")
-
-    def states(self) -> Dict[int, str]:
-        return {n: (str(r.engine.state) if r.running else
-                    ("exited" if r.engine.exited else "down"))
-                for n, r in self.replicas.items()}

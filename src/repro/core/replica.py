@@ -22,7 +22,8 @@ from ..sim import ServiceQueue, Timer, Tracer
 from ..storage import DiskProfile, SimulatedDisk, StableStore, WriteAheadLog
 from .engine import EngineConfig, EngineHooks, ReplicationEngine
 from .recovery import recover_engine
-from .reconfig import JoinRequest, RepresentativeRole, make_leave_action
+from .reconfig import (JoinerProtocol, JoinRequest, RepresentativeRole,
+                       TransferHeader, make_leave_action)
 from .state_machine import EngineState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,7 +134,7 @@ class Replica:
                      lambda: 1 if self.running else 0)):
                 registry.gauge_callback(name, fn, help,
                                         ("server",), (node,))
-        self.joiner: Optional[Any] = None   # set by cluster for joiners
+        self.joiner: Optional[JoinerProtocol] = None   # see join_from
 
         self.cpu = ServiceQueue(sim)
         # Deterministic procedures (active actions) are code, not
@@ -199,6 +200,48 @@ class Replica:
         self.running = True
         self.daemon.join()
         self.tracer.emit(self.sim.now, self.node, "replica.recover")
+
+    def join_from(self, peers: List[int],
+                  on_joined: Optional[Callable[["Replica"], None]] = None
+                  ) -> None:
+        """Boot as a brand-new replica (Section 5.1/5.2): fetch the
+        database from the first of ``peers`` that serves it, adopt it,
+        then join the replicated group."""
+        self.start(join_group=False)
+
+        def ready(header: TransferHeader) -> None:
+            self._adopt_transfer(header)
+            if on_joined is not None:
+                on_joined(self)
+
+        self.joiner = JoinerProtocol(self.sim, self, peers, ready)
+        self.joiner.start()
+
+    def _adopt_transfer(self, header: TransferHeader) -> None:
+        """CodeSegment 5.2 lines 28-30: adopt the transferred state and
+        start executing the replication algorithm."""
+        engine = self.engine
+        for server in header.servers:
+            engine.queue.add_server(server)
+        engine.removed_servers = set(header.removed)
+        engine.queue.green_offset = header.green_count
+        engine.queue.set_green_line(self.node, header.green_count)
+        # The inherited database incorporates every action in its
+        # applied log (Theorem 2): the red cut must reflect that, or the
+        # first exchange would wait for retransmission of actions that
+        # exist only as inherited state.
+        engine.queue.cover(self.database.applied_cut)
+        engine.prim_component = type(engine.prim_component)(
+            prim_index=0, attempt_index=0,
+            servers=tuple(sorted(header.servers)))
+        self.store.wal.append("db_snapshot", self.database.snapshot(),
+                              forced=False)
+        engine._persist_records()
+        engine._sync()
+        engine.state = EngineState.NON_PRIM
+        self.daemon.join()
+        self.tracer.emit(self.sim.now, self.node, "replica.joined",
+                         green=header.green_count)
 
     def leave(self) -> ActionId:
         """Voluntarily and permanently leave the replicated system."""

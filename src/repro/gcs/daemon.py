@@ -606,6 +606,11 @@ class GcsDaemon(Actor):
         ``failure_timeout`` and start a gather.  With ``idle_immediate``
         the one-shot timer re-arms itself: at the earliest deadline
         still ahead while operational, otherwise at half a timeout."""
+        if self.state == DaemonState.GATHER:
+            # An unanswered member may have been silent past
+            # failure_timeout since the last answer: presumed failed
+            # now, it no longer holds the gather open.
+            self._settle_if_answered()
         next_check = self._suspect_silent()
         if self.settings.idle_immediate:
             if next_check is None:

@@ -31,10 +31,6 @@ class ServiceLevel(Enum):
     AGREED = "agreed"
     SAFE = "safe"
 
-    @property
-    def needs_stability(self) -> bool:
-        return self is ServiceLevel.SAFE
-
 
 class ViewId(NamedTuple):
     """Identifier of a regular configuration: (epoch, coordinator).

@@ -14,14 +14,15 @@ live (wall-clock, asyncio)    :class:`AsyncioRuntime` +
 ============================  =========================================
 
 :class:`LiveCluster` is the asyncio counterpart of
-:class:`repro.core.ReplicaCluster`; ``examples/live_cluster.py`` drives
+:class:`repro.core.ReplicaCluster`, both built on
+:class:`repro.core.cluster.Cluster`; ``examples/live_cluster.py`` drives
 a real three-process deployment with it.
 """
 
 from .asyncio_runtime import AsyncioHandle, AsyncioRuntime
 from .base import Handle, Runtime, Transport
 from .cluster import (LiveCluster, LiveClusterTimeout, live_disk_profile,
-                      live_gcs_settings, udp_cluster)
+                      live_engine_config, live_gcs_settings, udp_cluster)
 from .sim_runtime import SimRuntime
 from .transport import (AsyncioTransport, MemoryTransport, PartitionFilter,
                         loopback_addresses)
@@ -33,5 +34,5 @@ __all__ = [
     "MemoryTransport", "AsyncioTransport", "PartitionFilter",
     "loopback_addresses",
     "LiveCluster", "LiveClusterTimeout", "udp_cluster",
-    "live_gcs_settings", "live_disk_profile",
+    "live_gcs_settings", "live_disk_profile", "live_engine_config",
 ]

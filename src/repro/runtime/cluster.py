@@ -1,8 +1,10 @@
 """LiveCluster: drive the replication stack on a real asyncio loop.
 
-The wall-clock counterpart of :class:`~repro.core.ReplicaCluster`: same
-replica stack (disk, WAL, store, database, GCS daemon, engine), but on
-an :class:`AsyncioRuntime` with a live transport instead of the
+The wall-clock counterpart of :class:`~repro.core.ReplicaCluster`, on
+the same composition root (:class:`~repro.core.cluster.Cluster`): same
+replica stack (disk, WAL, store, database, GCS daemon, engine), same
+clients, partitions and consistency checks, but on an
+:class:`AsyncioRuntime` with a live transport instead of the
 discrete-event simulator — which is the whole point of the Runtime and
 Transport seams: *no protocol code changes between the two*.
 
@@ -21,19 +23,17 @@ Because wall-clock time cannot be stepped, the driving style is
     await cluster.wait_green(1, timeout=5)
     cluster.partition([1, 2], [3])
     ...
-    cluster.assert_same_green_order()
+    cluster.assert_converged()
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..core.client import Client
+from ..core.cluster import Cluster
 from ..core.engine import EngineConfig
-from ..core.replica import Replica
 from ..core.state_machine import EngineState
-from ..db import ActionId
 from ..gcs import GcsSettings
 from ..obs import MetricsServer, Observability
 from ..sim.trace import Tracer
@@ -46,14 +46,21 @@ class LiveClusterTimeout(AssertionError):
     """A :meth:`LiveCluster.wait_until` deadline expired."""
 
 
-def live_disk_profile() -> DiskProfile:
+def live_disk_profile(**overrides: Any) -> DiskProfile:
     """Disk timings for live runs: real fsync latency would make every
     wall-clock test crawl; 0.5 ms keeps the durability ordering
     observable without dominating the run.  Buffered writes complete at
     once: a microsecond timer is below the event loop's granularity,
     and no live caller waits on one."""
-    return DiskProfile(forced_write_latency=0.0005,
-                       async_write_latency=0.0)
+    return DiskProfile(**{"forced_write_latency": 0.0005,
+                          "async_write_latency": 0.0, **overrides})
+
+
+def live_engine_config(**overrides: Any) -> EngineConfig:
+    """Engine tunables for live runs.  ``apply_cpu`` models the paper's
+    per-action service time for the simulator; on a real loop it would
+    only cap throughput at 1 / apply_cpu."""
+    return EngineConfig(**{"apply_cpu": 0.0, **overrides})
 
 
 def live_gcs_settings(**overrides: Any) -> GcsSettings:
@@ -82,8 +89,14 @@ def live_gcs_settings(**overrides: Any) -> GcsSettings:
     return GcsSettings(**params)
 
 
-class LiveCluster:
-    """A cluster of replicas running on one asyncio event loop."""
+class LiveCluster(Cluster):
+    """A cluster of replicas running on one asyncio event loop.
+
+    Building, clients, partitions, introspection and the consistency
+    checks are :class:`~repro.core.cluster.Cluster`'s; this class adds
+    the live defaults, the metrics endpoint, teardown, and awaiting
+    (wall-clock time cannot be stepped).
+    """
 
     def __init__(self, server_ids: Sequence[int], *,
                  hosted: Optional[Sequence[int]] = None,
@@ -95,53 +108,31 @@ class LiveCluster:
                  trace: bool = True,
                  trace_limit: Optional[int] = 100_000,
                  observability: Optional[Observability] = None):
-        self.server_ids = list(server_ids)
-        self.hosted = list(hosted) if hosted is not None else list(server_ids)
-        self.runtime = runtime if runtime is not None else AsyncioRuntime()
-        self.transport = (transport if transport is not None
-                          else MemoryTransport(self.runtime))
+        runtime = runtime if runtime is not None else AsyncioRuntime()
+        transport = (transport if transport is not None
+                     else MemoryTransport(runtime))
         # Long live runs must not grow memory without bound: cap the
         # trace ring buffer (the simulator's default stays unbounded).
-        self.tracer = Tracer(enabled=trace, max_records=trace_limit)
+        tracer = Tracer(enabled=trace, max_records=trace_limit)
         # Live clusters observe by default: a wall-clock deployment is
         # exactly where you want /metrics, and the protocol work per
         # second is tiny next to real I/O.
-        self.obs = (observability if observability is not None
-                    else Observability())
-        # With tracing on, mirror tracer records into the flight rings.
-        if self.obs.flight_hub is not None:
-            self.obs.flight_hub.attach(self.tracer)
-        if isinstance(self.transport, AsyncioTransport):
-            self.transport.observe(self.obs, self.tracer)
-        self.runtime.observe(self.tracer)
-        self.obs.registry.counter_callback(
+        obs = (observability if observability is not None
+               else Observability())
+        if isinstance(transport, AsyncioTransport):
+            transport.observe(obs, tracer)
+        runtime.observe(tracer)
+        obs.registry.counter_callback(
             "repro_runtime_callback_errors_total",
-            lambda: self.runtime.callback_errors,
+            lambda: runtime.callback_errors,
             "Exceptions raised by callbacks on this cluster's event loop.")
         self._metrics_server: Optional[MetricsServer] = None
-        self.directory: Set[int] = set(self.server_ids)
-        self.gcs_settings = gcs_settings or live_gcs_settings()
-        # EngineConfig's apply_cpu models the paper's per-action service
-        # time for the simulator; on a real loop it would only cap
-        # throughput at 1 / apply_cpu.
-        self.engine_config = engine_config or EngineConfig(apply_cpu=0.0)
-        self.disk_profile = disk_profile or live_disk_profile()
-        self.replicas: Dict[int, Replica] = {}
-        self._client_counter: Dict[int, int] = {}
-        for node in self.hosted:
-            self.replicas[node] = Replica(
-                self.runtime, node, self.transport, self.directory,
-                self.server_ids, disk_profile=self.disk_profile,
-                gcs_settings=self.gcs_settings,
-                engine_config=self.engine_config, tracer=self.tracer,
-                obs=self.obs)
-
-    # ==================================================================
-    # lifecycle
-    # ==================================================================
-    def start_all(self) -> None:
-        for replica in self.replicas.values():
-            replica.start()
+        super().__init__(
+            runtime, transport, server_ids,
+            hosted if hosted is not None else server_ids,
+            gcs_settings or live_gcs_settings(),
+            engine_config or live_engine_config(),
+            disk_profile or live_disk_profile(), tracer, obs)
 
     def shutdown(self) -> None:
         """Tear the hosted replicas down and release transport resources
@@ -203,32 +194,6 @@ class LiveCluster:
         return doc
 
     # ==================================================================
-    # faults
-    # ==================================================================
-    def partition(self, *groups: Sequence[int]) -> None:
-        """Install a software partition on the transport."""
-        self.transport.partition([list(g) for g in groups])
-
-    def heal(self) -> None:
-        self.transport.heal()
-
-    # ==================================================================
-    # clients
-    # ==================================================================
-    def client(self, node: int, name: Optional[str] = None) -> Client:
-        """Attach a client to a hosted replica (deterministic default
-        names, mirroring :class:`~repro.core.ReplicaCluster`)."""
-        if name is None:
-            self._client_counter[node] = \
-                self._client_counter.get(node, 0) + 1
-            name = f"client-{node}.{self._client_counter[node]}"
-        return Client(self.replicas[node], name=name)
-
-    def submit(self, node: int, update: Tuple,
-               on_complete: Optional[Callable] = None) -> ActionId:
-        return self.replicas[node].submit(update, on_complete=on_complete)
-
-    # ==================================================================
     # waiting (wall-clock time cannot be stepped, only awaited)
     # ==================================================================
     async def run_for(self, seconds: float) -> None:
@@ -266,45 +231,6 @@ class LiveCluster:
             lambda: all(self.replicas[n].database.applied_count >= count
                         for n in targets),
             timeout, what=f"nodes {targets} applying {count} green actions")
-
-    # ==================================================================
-    # introspection & consistency
-    # ==================================================================
-    def states(self) -> Dict[int, str]:
-        return {n: str(r.engine.state) for n, r in self.replicas.items()}
-
-    def green_counts(self) -> Dict[int, int]:
-        """Applied green actions per node (see :meth:`wait_green`)."""
-        return {n: r.database.applied_count
-                for n, r in self.replicas.items()}
-
-    def green_order(self, node: int) -> List[ActionId]:
-        """All green action ids applied at ``node``, in order (the
-        database's applied log: checkpoint truncation of the action
-        queue does not window it)."""
-        return list(self.replicas[node].database.applied_log)
-
-    def assert_same_green_order(self) -> List[ActionId]:
-        """All hosted replicas hold the identical green action order
-        (Theorem 1's observable); returns that order."""
-        nodes = sorted(self.replicas)
-        reference = self.replicas[nodes[0]].database.applied_log
-        for node in nodes[1:]:
-            order = self.replicas[node].database.applied_log
-            if order != reference:
-                raise AssertionError(
-                    f"green order diverges between {nodes[0]} and {node}: "
-                    f"{list(reference)} vs {list(order)}")
-        return list(reference)
-
-    def assert_converged(self) -> None:
-        """Green orders and database digests identical at every hosted
-        replica."""
-        self.assert_same_green_order()
-        digests = {n: r.database.digest()
-                   for n, r in self.replicas.items()}
-        if len(set(digests.values())) != 1:
-            raise AssertionError(f"database digests differ: {digests}")
 
 
 def udp_cluster(server_ids: Sequence[int], *,

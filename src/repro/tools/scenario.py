@@ -10,12 +10,13 @@ line:
 
 A scenario can also be replayed on the live asyncio runtime
 (``"runtime": "asyncio"`` in the spec, or ``--runtime asyncio`` on the
-command line): the same steps then execute against a
-:class:`~repro.runtime.LiveCluster` in wall-clock time.  Crash,
-recover, join, and leave steps are simulator-only (the live in-process
-harness has no process supervisor); everything else — submit, run,
-partition, heal, converged/key checks — behaves identically, which is
-the point of the Runtime/Transport seam.
+command line): the same step interpreter then drives a
+:class:`~repro.runtime.LiveCluster` in wall-clock time.  The portable
+ops are ``submit``, ``run``, ``partition`` and ``heal``; ``crash``,
+``recover``, ``join`` and ``leave`` are simulator-only (the live
+in-process harness has no process supervisor) and raise
+:class:`ScenarioError` on asyncio.  Every check kind and the optional
+``gcs``/``disk``/``quorum`` keys apply on both runtimes.
 
 Scenario format::
 
@@ -44,9 +45,11 @@ Scenario format::
 Optional top-level keys tune the cluster build — all plain data, so a
 shrunk fuzzer repro pins its exact timers and policy:
 
-* ``"gcs"`` — keyword overrides for :class:`~repro.gcs.GcsSettings`;
+* ``"gcs"`` — keyword overrides for :class:`~repro.gcs.GcsSettings`
+  (on asyncio, of :func:`~repro.runtime.live_gcs_settings`);
 * ``"disk"`` — keyword overrides for
-  :class:`~repro.storage.DiskProfile`;
+  :class:`~repro.storage.DiskProfile` (on asyncio, of
+  :func:`~repro.runtime.live_disk_profile`);
 * ``"quorum"`` — ``"dynamic-linear"`` (default), ``"static-majority"``,
   or ``"both-halves"`` (the deliberately broken tie policy from
   :mod:`repro.check.mutations`, for regression replays of fuzzer
@@ -58,42 +61,52 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from ..core import ReplicaCluster
+from ..core import (DynamicLinearVoting, EngineConfig, EngineState,
+                    ReplicaCluster, StaticMajority)
+from ..gcs import GcsSettings
 from ..obs import Observability
+from ..runtime import (LiveCluster, live_disk_profile, live_engine_config,
+                       live_gcs_settings)
+from ..storage import DiskProfile
 
 
 class ScenarioError(Exception):
     """Raised for malformed scenarios or failed checks."""
 
 
-def _cluster_kwargs(spec: Dict[str, Any]) -> Dict[str, Any]:
+#: Ops the in-process live harness cannot perform: it has no process
+#: supervisor to crash, recover or spawn a replica.
+_SIM_ONLY = frozenset({"crash", "recover", "join", "leave"})
+
+
+def _cluster_kwargs(spec: Dict[str, Any], live: bool) -> Dict[str, Any]:
     """Resolve the optional ``gcs``/``disk``/``quorum`` spec keys into
-    :class:`~repro.core.ReplicaCluster` constructor arguments."""
+    cluster constructor arguments, as overrides of the chosen runtime's
+    defaults."""
+    gcs, disk, engine = ((live_gcs_settings, live_disk_profile,
+                          live_engine_config) if live
+                         else (GcsSettings, DiskProfile, EngineConfig))
     kwargs: Dict[str, Any] = {}
     if "gcs" in spec:
-        from ..gcs import GcsSettings
-        kwargs["gcs_settings"] = GcsSettings(**spec["gcs"])
+        kwargs["gcs_settings"] = gcs(**spec["gcs"])
     if "disk" in spec:
-        from ..storage import DiskProfile
-        kwargs["disk_profile"] = DiskProfile(**spec["disk"])
+        kwargs["disk_profile"] = disk(**spec["disk"])
     if "quorum" in spec:
-        kwargs["engine_config"] = _engine_config(spec["quorum"])
+        kwargs["engine_config"] = engine(quorum=_quorum(spec["quorum"]))
     return kwargs
 
 
-def _engine_config(quorum: str) -> Any:
-    from ..core.engine import EngineConfig
-    from ..core.quorum import DynamicLinearVoting, StaticMajority
-    if quorum == "dynamic-linear":
-        return EngineConfig(quorum=DynamicLinearVoting())
-    if quorum == "static-majority":
-        return EngineConfig(quorum=StaticMajority())
-    if quorum == "both-halves":
+def _quorum(name: str) -> Any:
+    if name == "dynamic-linear":
+        return DynamicLinearVoting()
+    if name == "static-majority":
+        return StaticMajority()
+    if name == "both-halves":
         from ..check.mutations import BothHalvesQuorum
-        return EngineConfig(quorum=BothHalvesQuorum())
-    raise ScenarioError(f"unknown quorum policy {quorum!r}")
+        return BothHalvesQuorum()
+    raise ScenarioError(f"unknown quorum policy {name!r}")
 
 
 @dataclass
@@ -121,81 +134,112 @@ class ScenarioReport:
 
 
 class ScenarioRunner:
-    """Executes one scenario spec against a fresh cluster."""
+    """Executes one scenario spec against a fresh cluster.
+
+    One step interpreter serves both runtimes: it yields the seconds
+    each step settles, which the simulator driver steps through and
+    the asyncio driver awaits.
+    """
 
     def __init__(self, spec: Dict[str, Any],
-                 observability: Optional[Observability] = None):
+                 observability: Optional[Observability] = None,
+                 runtime: Optional[str] = None):
         self.spec = spec
+        self.runtime = runtime or spec.get("runtime", "sim")
+        if self.runtime not in ("sim", "asyncio"):
+            raise ScenarioError(f"unknown runtime {self.runtime!r}")
         self.report = ScenarioReport()
         self.obs = observability
-        self.cluster = ReplicaCluster(
-            n=int(spec.get("replicas", 3)),
-            seed=int(spec.get("seed", 0)),
-            trace=(observability is not None
-                   and observability.flight_hub is not None),
-            observability=observability,
-            **_cluster_kwargs(spec))
-        self._completions = 0
+        self.cluster: Any = None
 
     # ------------------------------------------------------------------
     def run(self) -> ScenarioReport:
+        if self.runtime == "asyncio":
+            return asyncio.run(self._run_live())
+        self.cluster = ReplicaCluster(
+            n=int(self.spec.get("replicas", 3)),
+            seed=int(self.spec.get("seed", 0)),
+            trace=(self.obs is not None
+                   and self.obs.flight_hub is not None),
+            observability=self.obs,
+            **_cluster_kwargs(self.spec, live=False))
         self.cluster.start_all(settle=float(self.spec.get("settle", 2.0)))
-        for step in self.spec.get("steps", []):
-            self._apply(step)
-            self.report.steps_executed += 1
-        self.report.completions = self._completions
+        for seconds in self._steps():
+            self.cluster.run_for(seconds)
+        return self._finish()
+
+    async def _run_live(self) -> ScenarioReport:
+        n = int(self.spec.get("replicas", 3))
+        self.cluster = LiveCluster(list(range(1, n + 1)),
+                                   observability=self.obs,
+                                   **_cluster_kwargs(self.spec, live=True))
+        self.cluster.start_all()
+        try:
+            settle = float(self.spec.get("settle", 2.0))
+            await self.cluster.wait_all_engine_state(
+                EngineState.REG_PRIM, timeout=max(10.0, settle * 5))
+            for seconds in self._steps():
+                await self.cluster.run_for(seconds)
+            return self._finish()
+        finally:
+            self.cluster.shutdown()
+
+    def _finish(self) -> ScenarioReport:
         self.report.final_states = self.cluster.states()
-        self.report.final_green_counts = {
-            n: r.green_count for n, r in self.cluster.replicas.items()
-            if r.running}
+        self.report.final_green_counts = self.cluster.green_counts()
         return self.report
 
     # ------------------------------------------------------------------
-    def _apply(self, step: Dict[str, Any]) -> None:
-        op = step.get("op")
-        if op == "submit":
-            node = int(step["node"])
-            update = tuple(step["update"])
-            self.report.submissions += 1
+    def _steps(self) -> Iterator[float]:
+        """Apply the spec's steps in order, yielding each settle."""
+        for step in self.spec.get("steps", []):
+            op = step.get("op")
+            if self.runtime == "asyncio" and op in _SIM_ONLY:
+                raise ScenarioError(
+                    f"op {op!r} is simulator-only; not available under "
+                    f"the asyncio runtime")
+            if op == "submit":
+                node = int(step["node"])
+                update = tuple(step["update"])
+                self.report.submissions += 1
+                self.cluster.submit(node, update, on_complete=self._done)
+                self._log(f"submit at {node}: {update}")
+            elif op == "run":
+                yield float(step.get("seconds", 1.0))
+            elif op == "partition":
+                groups = [list(map(int, g)) for g in step["groups"]]
+                self.cluster.partition(*groups)
+                yield float(step.get("settle", 1.0))
+                self._log(f"partition {groups}")
+            elif op == "heal":
+                self.cluster.heal()
+                yield float(step.get("settle", 2.0))
+                self._log("heal")
+            elif op == "crash":
+                self.cluster.crash(int(step["node"]))
+                yield float(step.get("settle", 1.0))
+                self._log(f"crash {step['node']}")
+            elif op == "recover":
+                self.cluster.recover(int(step["node"]))
+                yield float(step.get("settle", 2.0))
+                self._log(f"recover {step['node']}")
+            elif op == "join":
+                self.cluster.add_replica(int(step["node"]),
+                                         peer=int(step["peer"]))
+                yield float(step.get("settle", 5.0))
+                self._log(f"join {step['node']} via {step['peer']}")
+            elif op == "leave":
+                self.cluster.replicas[int(step["node"])].leave()
+                yield float(step.get("settle", 2.0))
+                self._log(f"leave {step['node']}")
+            elif op == "check":
+                self._check(step)
+            else:
+                raise ScenarioError(f"unknown op {op!r}")
+            self.report.steps_executed += 1
 
-            def complete(_a, _p, _r):
-                self._completions += 1
-
-            self.cluster.replicas[node].submit(update,
-                                               on_complete=complete)
-            self._log(f"submit at {node}: {update}")
-        elif op == "run":
-            self.cluster.run_for(float(step.get("seconds", 1.0)))
-        elif op == "partition":
-            groups = [list(map(int, g)) for g in step["groups"]]
-            self.cluster.partition(*groups)
-            self.cluster.run_for(float(step.get("settle", 1.0)))
-            self._log(f"partition {groups}")
-        elif op == "heal":
-            self.cluster.heal()
-            self.cluster.run_for(float(step.get("settle", 2.0)))
-            self._log("heal")
-        elif op == "crash":
-            self.cluster.crash(int(step["node"]))
-            self.cluster.run_for(float(step.get("settle", 1.0)))
-            self._log(f"crash {step['node']}")
-        elif op == "recover":
-            self.cluster.recover(int(step["node"]))
-            self.cluster.run_for(float(step.get("settle", 2.0)))
-            self._log(f"recover {step['node']}")
-        elif op == "join":
-            self.cluster.add_replica(int(step["node"]),
-                                     peer=int(step["peer"]))
-            self.cluster.run_for(float(step.get("settle", 5.0)))
-            self._log(f"join {step['node']} via {step['peer']}")
-        elif op == "leave":
-            self.cluster.replicas[int(step["node"])].leave()
-            self.cluster.run_for(float(step.get("settle", 2.0)))
-            self._log(f"leave {step['node']}")
-        elif op == "check":
-            self._check(step)
-        else:
-            raise ScenarioError(f"unknown op {op!r}")
+    def _done(self, _action: Any, _position: int, _result: Any) -> None:
+        self.report.completions += 1
 
     def _check(self, step: Dict[str, Any]) -> None:
         kind = step.get("kind")
@@ -229,117 +273,12 @@ class ScenarioRunner:
                         f"not all replicas are primary: {laggards}")
             elif kind == "completions":
                 expected = int(step["at_least"])
-                if self._completions < expected:
+                if self.report.completions < expected:
                     raise AssertionError(
-                        f"only {self._completions} completions, "
+                        f"only {self.report.completions} completions, "
                         f"expected at least {expected}")
             else:
                 raise ScenarioError(f"unknown check kind {kind!r}")
-        except AssertionError as failure:
-            raise ScenarioError(f"check {kind!r} failed: {failure}") \
-                from failure
-        self.report.checks_passed += 1
-        self._log(f"check {kind}: ok")
-
-    def _log(self, message: str) -> None:
-        self.report.events.append(
-            f"[{self.cluster.sim.now:9.3f}] {message}")
-
-
-class LiveScenarioRunner:
-    """Replays a scenario on the asyncio runtime (:class:`LiveCluster`).
-
-    Time steps (`run`, settles) are wall-clock seconds; keep live
-    scenarios short.  Simulator-only ops raise :class:`ScenarioError`.
-    """
-
-    _UNSUPPORTED = frozenset({"crash", "recover", "join", "leave"})
-
-    def __init__(self, spec: Dict[str, Any],
-                 observability: Optional[Observability] = None):
-        self.spec = spec
-        self.report = ScenarioReport()
-        self.obs = observability
-        self._completions = 0
-
-    def run(self) -> ScenarioReport:
-        return asyncio.run(self._run())
-
-    async def _run(self) -> ScenarioReport:
-        from ..core.state_machine import EngineState
-        from ..runtime import LiveCluster
-        n = int(self.spec.get("replicas", 3))
-        self.cluster = LiveCluster(list(range(1, n + 1)),
-                                   observability=self.obs)
-        self.cluster.start_all()
-        settle = float(self.spec.get("settle", 2.0))
-        await self.cluster.wait_all_engine_state(
-            EngineState.REG_PRIM, timeout=max(10.0, settle * 5))
-        try:
-            for step in self.spec.get("steps", []):
-                await self._apply(step)
-                self.report.steps_executed += 1
-            self.report.completions = self._completions
-            self.report.final_states = self.cluster.states()
-            self.report.final_green_counts = self.cluster.green_counts()
-        finally:
-            self.cluster.shutdown()
-        return self.report
-
-    async def _apply(self, step: Dict[str, Any]) -> None:
-        op = step.get("op")
-        if op in self._UNSUPPORTED:
-            raise ScenarioError(
-                f"op {op!r} is simulator-only; not available under "
-                f"the asyncio runtime")
-        if op == "submit":
-            node = int(step["node"])
-            update = tuple(step["update"])
-            self.report.submissions += 1
-
-            def complete(_a, _p, _r):
-                self._completions += 1
-
-            self.cluster.submit(node, update, on_complete=complete)
-            self._log(f"submit at {node}: {update}")
-        elif op == "run":
-            await self.cluster.run_for(float(step.get("seconds", 1.0)))
-        elif op == "partition":
-            groups = [list(map(int, g)) for g in step["groups"]]
-            self.cluster.partition(*groups)
-            await self.cluster.run_for(float(step.get("settle", 1.0)))
-            self._log(f"partition {groups}")
-        elif op == "heal":
-            self.cluster.heal()
-            await self.cluster.run_for(float(step.get("settle", 2.0)))
-            self._log("heal")
-        elif op == "check":
-            self._check(step)
-        else:
-            raise ScenarioError(f"unknown op {op!r}")
-
-    def _check(self, step: Dict[str, Any]) -> None:
-        kind = step.get("kind")
-        try:
-            if kind == "converged":
-                self.cluster.assert_converged()
-            elif kind == "prefix":
-                # Live clusters never truncate mid-scenario, so prefix
-                # consistency collapses to common-prefix of green orders;
-                # converged is the stronger live check.
-                self.cluster.assert_same_green_order()
-            elif kind == "key":
-                node = int(step["node"])
-                value = self.cluster.replicas[node].database.state.get(
-                    step["key"])
-                if value != step["value"]:
-                    raise AssertionError(
-                        f"{step['key']!r} at {node} is {value!r}, "
-                        f"expected {step['value']!r}")
-            else:
-                raise ScenarioError(
-                    f"check kind {kind!r} not supported under the "
-                    f"asyncio runtime")
         except AssertionError as failure:
             raise ScenarioError(f"check {kind!r} failed: {failure}") \
                 from failure
@@ -363,12 +302,8 @@ def run_scenario(spec: Dict[str, Any],
     Pass an enabled :class:`~repro.obs.Observability` to collect spans
     and histograms during the run (``repro.tools.obsreport`` does).
     """
-    chosen = runtime or spec.get("runtime", "sim")
-    if chosen == "sim":
-        return ScenarioRunner(spec, observability=observability).run()
-    if chosen == "asyncio":
-        return LiveScenarioRunner(spec, observability=observability).run()
-    raise ScenarioError(f"unknown runtime {chosen!r}")
+    return ScenarioRunner(spec, observability=observability,
+                          runtime=runtime).run()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

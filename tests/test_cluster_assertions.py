@@ -1,56 +1,120 @@
 """The cluster's executable consistency assertions must actually fire
-on violations (tests of the test oracles)."""
+on violations (tests of the test oracles).
+
+The checks live in the runtime-neutral cluster base, so the oracle
+cases run on a simulated cluster and on a live one (asyncio on an
+in-process transport); the crash and leave cases stay on the
+simulator, which can step time around the fault."""
+
+import asyncio
 
 import pytest
 
-from repro.db import Action, ActionId
+from repro.core import EngineState
+from repro.db import ActionId
+from repro.gcs import Configuration, ViewId
+from repro.runtime import AsyncioRuntime, LiveCluster
 
 from conftest import make_cluster
+
+
+def _submit_three(cluster):
+    client = cluster.client(1)
+    for i in range(3):
+        client.submit(("SET", f"k{i}", i))
 
 
 @pytest.fixture
 def cluster():
     c = make_cluster(3)
     c.start_all(settle=1.0)
-    client = c.client(1)
-    for i in range(3):
-        client.submit(("SET", f"k{i}", i))
+    _submit_three(c)
     c.run_for(1.0)
     return c
 
 
+@pytest.fixture
+def live_cluster():
+    """Three replicas brought to a primary and three green actions,
+    then frozen: the loop stays open but idle while the test reads and
+    forges state."""
+    loop = asyncio.new_event_loop()
+    c = LiveCluster([1, 2, 3], runtime=AsyncioRuntime(loop))
+
+    async def settle():
+        c.start_all()
+        await c.wait_all_engine_state(EngineState.REG_PRIM, timeout=10)
+        _submit_three(c)
+        await c.wait_green(3, timeout=10)
+
+    try:
+        loop.run_until_complete(settle())
+        yield c
+    finally:
+        c.shutdown()
+        loop.close()
+
+
+def healthy_cluster_converges(c):
+    c.assert_converged()
+
+
+def prefix_violation_detected(c):
+    # Forge a divergent applied log at replica 2.
+    log = c.replicas[2].database.applied_log
+    log[0] = ActionId(99, 99)
+    with pytest.raises(AssertionError, match="total order violated"):
+        c.assert_prefix_consistent()
+
+
+def count_divergence_detected(c):
+    c.replicas[2].database.applied_log.append(ActionId(9, 9))
+    c.replicas[2].database.applied_count += 1
+    with pytest.raises(AssertionError, match="not converged"):
+        c.assert_converged()
+
+
+def digest_divergence_detected(c):
+    c.replicas[2].database.state["k0"] = "corrupted"
+    with pytest.raises(AssertionError, match="digests differ"):
+        c.assert_converged()
+
+
+def multiple_primaries_detected(c):
+    # Forge two different views both claiming RegPrim.
+    c.replicas[1].engine.conf = Configuration(ViewId(99, 1), frozenset([1]))
+    with pytest.raises(AssertionError, match="multiple primary"):
+        c.assert_single_primary()
+
+
+ORACLES = [healthy_cluster_converges, prefix_violation_detected,
+           count_divergence_detected, digest_divergence_detected,
+           multiple_primaries_detected]
+
+
 def test_assert_converged_passes_on_healthy_cluster(cluster):
-    cluster.assert_converged()
+    healthy_cluster_converges(cluster)
 
 
 def test_prefix_violation_detected(cluster):
-    # Forge a divergent applied log at replica 2.
-    log = cluster.replicas[2].database.applied_log
-    log[0] = ActionId(99, 99)
-    with pytest.raises(AssertionError, match="total order violated"):
-        cluster.assert_prefix_consistent()
+    prefix_violation_detected(cluster)
 
 
 def test_count_divergence_detected(cluster):
-    cluster.replicas[2].database.applied_log.append(ActionId(9, 9))
-    cluster.replicas[2].database.applied_count += 1
-    with pytest.raises(AssertionError, match="not converged"):
-        cluster.assert_converged()
+    count_divergence_detected(cluster)
 
 
 def test_digest_divergence_detected(cluster):
-    cluster.replicas[2].database.state["k0"] = "corrupted"
-    with pytest.raises(AssertionError, match="digests differ"):
-        cluster.assert_converged()
+    digest_divergence_detected(cluster)
 
 
 def test_multiple_primaries_detected(cluster):
-    # Forge two different views both claiming RegPrim.
-    from repro.gcs import Configuration, ViewId
-    cluster.replicas[1].engine.conf = Configuration(
-        ViewId(99, 1), frozenset([1]))
-    with pytest.raises(AssertionError, match="multiple primary"):
-        cluster.assert_single_primary()
+    multiple_primaries_detected(cluster)
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda f: f.__name__)
+def test_oracle_on_live_cluster(live_cluster, oracle):
+    oracle(live_cluster)
 
 
 def test_crashed_replicas_excluded_from_checks(cluster):

@@ -483,6 +483,24 @@ def test_member_silent_past_failure_timeout_is_not_waited_for():
     assert gather.quantile(1.0) < h.settings.gather_settle
 
 
+def test_member_presumed_failed_during_the_gather_stops_holding_it():
+    """Node 1 loses 2, then 3 a little later: it suspects 2 while 3 is
+    not yet silent past failure_timeout.  Once 3 is, the gather settles
+    on answers, not on a gather_settle far beyond the timeout."""
+    obs = Observability()
+    h = Harness(obs=obs, idle_immediate=True, gather_settle=2.0)
+    h.join_all()
+    timer_before = _settled(obs, 1, "timer")
+    answered_before = _settled(obs, 1, "answered")
+    h.topology.partition([[1, 3], [2]])
+    h.run(1.5 * h.settings.heartbeat_interval)
+    h.topology.partition([[1], [2, 3]])
+    h.run(0.5)
+    assert h.daemons[1].view.members == frozenset({1})
+    assert _settled(obs, 1, "timer") == timer_before
+    assert _settled(obs, 1, "answered") == answered_before + 1
+
+
 def test_higher_attempt_after_the_post_does_not_settle_the_stale_round():
     h = Harness(idle_immediate=True)
     h.join_all()

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.core import ReplicaCluster
-from repro.tools import (ScenarioError, render_timeline, run_scenario,
-                         state_changes, summarize_time_in_state)
+from repro.core import ReplicaCluster, StaticMajority
+from repro.tools import (ScenarioError, ScenarioRunner, render_timeline,
+                         run_scenario, state_changes,
+                         summarize_time_in_state)
 from repro.tools.obsreport import main as obsreport_main
 from repro.tools.scenario import main as scenario_main
 
@@ -103,6 +104,79 @@ class TestScenarioRunner:
         assert scenario_main([str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["checks_passed"] == 2
+
+
+#: Every portable op and every check kind, short enough to run live.
+PORTABLE = {
+    "replicas": 3,
+    "seed": 5,
+    "settle": 2.0,
+    "steps": [
+        {"op": "submit", "node": 1, "update": ["SET", "owner", "alice"]},
+        {"op": "submit", "node": 2, "update": ["INC", "visits", 1]},
+        {"op": "run", "seconds": 0.5},
+        {"op": "partition", "groups": [[1, 2], [3]], "settle": 1.0},
+        {"op": "submit", "node": 1, "update": ["SET", "owner", "bob"]},
+        {"op": "submit", "node": 3, "update": ["INC", "visits", 1]},
+        {"op": "run", "seconds": 0.3},
+        {"op": "check", "kind": "primary_is", "members": [1, 2]},
+        {"op": "check", "kind": "single_primary"},
+        {"op": "check", "kind": "prefix"},
+        {"op": "heal", "settle": 1.5},
+        {"op": "check", "kind": "converged"},
+        {"op": "check", "kind": "all_primary"},
+        {"op": "check", "kind": "key", "node": 3, "key": "owner",
+         "value": "bob"},
+        {"op": "check", "kind": "key", "node": 1, "key": "visits",
+         "value": 2},
+        {"op": "check", "kind": "completions", "at_least": 4},
+    ],
+}
+
+
+class TestPortableScenario:
+    def test_same_outcome_on_sim_and_asyncio(self):
+        runners = {runtime: ScenarioRunner(PORTABLE, runtime=runtime)
+                   for runtime in ("sim", "asyncio")}
+        reports = {runtime: runner.run()
+                   for runtime, runner in runners.items()}
+        for report in reports.values():
+            assert report.checks_passed == 8
+            assert report.completions == 4
+        assert reports["sim"].final_green_counts \
+            == reports["asyncio"].final_green_counts == {1: 4, 2: 4, 3: 4}
+        states = {runtime: {n: r.database.state
+                            for n, r in runner.cluster.replicas.items()}
+                  for runtime, runner in runners.items()}
+        assert states["sim"] == states["asyncio"]
+
+    def test_live_run_applies_the_spec_cluster_keys(self):
+        spec = {"replicas": 3, "quorum": "static-majority",
+                "gcs": {"failure_timeout": 0.5},
+                "disk": {"forced_write_latency": 0.001}, "steps": []}
+        runner = ScenarioRunner(spec, runtime="asyncio")
+        runner.run()
+        for replica in runner.cluster.replicas.values():
+            assert isinstance(replica.engine_config.quorum, StaticMajority)
+            # Overrides of the live defaults, not of the LAN ones.
+            assert replica.engine_config.apply_cpu == 0.0
+            assert replica.gcs_settings.failure_timeout == 0.5
+            assert replica.gcs_settings.idle_immediate is True
+            assert replica.disk.profile.forced_write_latency == 0.001
+            assert replica.disk.profile.async_write_latency == 0.0
+
+    @pytest.mark.parametrize("step", [
+        {"op": "crash", "node": 3}, {"op": "recover", "node": 3},
+        {"op": "join", "node": 4, "peer": 1}, {"op": "leave", "node": 1}],
+        ids=lambda step: step["op"])
+    def test_live_run_refuses_simulator_only_ops(self, step):
+        spec = {"replicas": 3, "steps": [step]}
+        with pytest.raises(ScenarioError, match="simulator-only"):
+            run_scenario(spec, runtime="asyncio")
+
+    def test_unknown_runtime_rejected(self):
+        with pytest.raises(ScenarioError, match="unknown runtime"):
+            run_scenario(BASIC, runtime="threads")
 
 
 class TestObsReport:
