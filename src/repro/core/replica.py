@@ -81,8 +81,7 @@ class Replica:
         self.server_ids = list(server_ids)
         self.engine_config = engine_config or EngineConfig()
 
-        self.disk = SimulatedDisk(sim, node, disk_profile, self.tracer,
-                                  obs=self.obs)
+        self.disk = SimulatedDisk(sim, node, disk_profile, obs=self.obs)
         self.wal = WriteAheadLog(self.disk, obs=self.obs)
         self.store = StableStore(self.wal)
         self.database = Database()

@@ -12,8 +12,8 @@ Roles within a view:
 * the lowest-id member is the **sequencer** (order stamps, batched);
 * every member multicasts cumulative **stability acks** (coalesced in a
   short window) so each member tracks the safe-delivery line — with
-  ``GcsSettings.idle_immediate`` a stamp batch or ack that finds its
-  window idle leaves at the end of the current dispatch instead;
+  ``GcsSettings.idle_immediate`` a due stamp batch or ack leaves at the
+  end of the loop turn that made it due instead, one per node per turn;
 * missing data/stamps are recovered by **NACK** from peers.
 
 A view member not heard from for more than ``failure_timeout`` is
@@ -148,11 +148,9 @@ class GcsDaemon(Actor):
         # heartbeat (set by the replication engine through its channel).
         self.green_line = 0
 
-        # Idle→immediate policy (settings.idle_immediate): when the last
-        # stamp batch / ack went out, and whether an immediate flush is
-        # already posted for the end of the current dispatch.
-        self._stamp_sent_at = float("-inf")
-        self._ack_sent_at = float("-inf")
+        # Turn-end policy (settings.idle_immediate): whether a stamp
+        # batch / ack flush is already posted for the end of the
+        # current loop turn.
         self._stamp_posted = False
         self._ack_posted = False
         # ... and for the gather: when the round began, and when this
@@ -419,13 +417,11 @@ class GcsDaemon(Actor):
     def _arm_stamp_timer(self) -> None:
         if (self.ordering is not None and self.ordering.pending_stamp
                 and not self._stamp_timer.armed and not self._stamp_posted):
-            if (self.settings.idle_immediate
-                    and self.sim.now - self._stamp_sent_at
-                    >= self.settings.stamp_window):
-                # Idle: stamp at the end of this dispatch, never inside
-                # it — a readable burst still coalesces into one batch,
-                # and a delivery upcall that multicasts cannot recurse
-                # into delivery (a one-member view delivers on stamping).
+            if self.settings.idle_immediate:
+                # Stamp at the end of this loop turn, never inside it —
+                # a readable burst still coalesces into one batch, and a
+                # delivery upcall that multicasts cannot recurse into
+                # delivery (a one-member view delivers on stamping).
                 self._stamp_posted = True
                 self.sim.post(0.0, self._flush_stamps)
             else:
@@ -440,7 +436,6 @@ class GcsDaemon(Actor):
         batch = self.ordering.take_stamp_batch()
         if not batch:
             return
-        self._stamp_sent_at = self.sim.now
         msg = StampMsg(self.ordering.view_id, tuple(batch))
         size = (self.settings.header_size
                 + self.settings.stamp_entry_size * len(batch))
@@ -455,11 +450,8 @@ class GcsDaemon(Actor):
             return
         if (self.ordering.needs_ack()
                 and not self._ack_timer.armed and not self._ack_posted):
-            if (self.settings.idle_immediate
-                    and self.sim.now - self._ack_sent_at
-                    >= self.settings.ack_window):
-                # Idle: ack at the end of this dispatch (see
-                # _arm_stamp_timer).
+            if self.settings.idle_immediate:
+                # Ack at the end of this loop turn (see _arm_stamp_timer).
                 self._ack_posted = True
                 self.sim.post(0.0, self._flush_ack)
             else:
@@ -470,7 +462,6 @@ class GcsDaemon(Actor):
         self._ack_posted = False
         if self.ordering is None or not self.ordering.needs_ack():
             return
-        self._ack_sent_at = self.sim.now
         ordering = self.ordering
         msg = AckMsg(ordering.view_id, self.node, ordering.ack_seq)
         ordering.note_ack_sent()

@@ -85,22 +85,23 @@ class GcsSettings:
     phase_timeout: float = 0.400
     stamp_window: float = 0.0004
     ack_window: float = 0.0010
-    # Idle→immediate: do not wait out a window that has nothing left to
-    # collect.  When no stamp batch (ack) went out during the last
-    # stamp_window (ack_window), send the next one at the end of the
-    # current dispatch; under load the windows coalesce exactly as
-    # without it.  A membership gather settles at the end of the
-    # dispatch in which every directory member has answered or is
-    # presumed failed (heard from, but not within failure_timeout),
+    # Turn-end flushing for live runs: never wait out a coalescing
+    # window.  A due stamp batch or ack leaves at the end of the loop
+    # turn that made it due, at most one of each per node per turn, so
+    # stamp_window and ack_window go unused.  Batching comes from the
+    # loop itself (a busier turn drains more datagrams, so its flush
+    # carries more) and the processor paces the turns; the policy has
+    # no rate bound of its own.  A membership gather settles at the end
+    # of the dispatch in which every directory member has answered or
+    # is presumed failed (heard from, but not within failure_timeout),
     # instead of waiting out gather_settle, and failure detection checks
     # at the earliest member's deadline (last heard + failure_timeout)
     # instead of polling every failure_timeout / 2.  Live runs turn it
     # on (an event loop rounds each timer up to a millisecond, paid
-    # twice per safe delivery, an idle gather costs a whole
+    # twice per safe delivery at any load, an idle gather costs a whole
     # gather_settle, and a poll adds up to half a timeout to every
-    # partition);
-    # the simulator keeps the paper-calibrated timing its figures are
-    # pinned to.
+    # partition); the simulator keeps the paper-calibrated timing its
+    # figures are pinned to.
     idle_immediate: bool = False
     nack_timeout: float = 0.020
     use_topology_hints: bool = True

@@ -24,7 +24,7 @@ Design constraints, in order:
 
 A :class:`FlightHub` owns the per-node recorders for one deployment,
 mirrors :class:`~repro.sim.trace.Tracer` records into them (so existing
-emission sites — ``engine.state``, ``gcs.install``, ``disk.sync`` —
+emission sites — ``engine.state``, ``gcs.install``, ``gcs.suspect`` —
 need no new plumbing), and triggers dump-on-anomaly through
 an injected sink.  Writing files is blocking I/O and therefore lives in
 the tools layer (:func:`repro.tools.tracecli.dump_flight`); protocol
@@ -108,7 +108,7 @@ class FlightHub:
     Also bridges the existing :class:`~repro.sim.trace.Tracer` stream:
     every tracer record is mirrored into the emitting node's recorder,
     so categories that components already emit (state transitions, view
-    installs, disk syncs, crash/recover) appear in the
+    installs, suspicions, crash/recover) appear in the
     flight ring without any new instrumentation sites.
     """
 

@@ -68,12 +68,12 @@ def live_gcs_settings(**overrides: Any) -> GcsSettings:
 
     Tighter than the LAN defaults where safe (loopback latency is tens
     of microseconds) but with generous failure/phase timeouts so CI
-    scheduler jitter does not masquerade as a network fault.  Windows
-    with nothing left to collect are not waited out
-    (``idle_immediate``): stamps and acks go out at the end of the
-    dispatch when their window is idle — an event loop rounds each
-    coalescing timer up to a whole millisecond, which an idle group
-    would otherwise pay twice per safe delivery — a membership gather
+    scheduler jitter does not masquerade as a network fault.  No
+    coalescing window is waited out (``idle_immediate``): a due stamp
+    batch or ack goes out at the end of the loop turn that made it due
+    — an event loop rounds each window timer up to a whole
+    millisecond, which every safe delivery would otherwise pay twice,
+    idle or busy — a membership gather
     settles as soon as every expected member has answered, instead of
     idling out ``gather_settle`` at every start-up, partition and
     merge, and a silent member is suspected when its

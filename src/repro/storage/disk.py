@@ -21,8 +21,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
-from ..sim import Tracer
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
     from ..runtime.base import Runtime
@@ -83,12 +81,10 @@ class SimulatedDisk:
 
     def __init__(self, sim: "Runtime", node: int,
                  profile: Optional[DiskProfile] = None,
-                 tracer: Optional[Tracer] = None,
                  obs: Optional["Observability"] = None):
         self.sim = sim
         self.node = node
         self.profile = profile or DiskProfile()
-        self.tracer = tracer or Tracer(enabled=False)
         # fsync accounting: a latency histogram fed per completed
         # request, plus collection-time mirrors of the counters below
         # (zero cost between scrapes).
@@ -216,9 +212,6 @@ class SimulatedDisk:
         self._busy = True
         self.syncs += 1
         incarnation = self._incarnation
-        if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, self.node, "disk.sync",
-                             batch=len(batch))
         self.sim.post(self.profile.forced_write_latency,
                       self._sync_done, batch, incarnation)
 

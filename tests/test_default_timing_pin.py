@@ -1,9 +1,9 @@
 """Guard: the simulator's paper-calibrated GCS timing is untouched.
 
-The live runtime sends a stamp batch or an ack immediately when the
-group is idle (``GcsSettings.idle_immediate``); the simulator keeps the
-``stamp_window``/``ack_window`` coalescing that the Figure 5 pin
-(3,362,977 events) and the E1-E3 tables were calibrated with.  This
+The live runtime sends a due stamp batch or ack at the end of the loop
+turn that made it due (``GcsSettings.idle_immediate``); the simulator
+keeps the ``stamp_window``/``ack_window`` coalescing that the Figure 5
+pin (3,362,977 events) and the E1-E3 tables were calibrated with.  This
 short run is a tier-1 stand-in for that pin: one closed-loop writer on a
 default three-replica cluster, seed 0, where any change to the default
 timing — the live policy leaking into ``GcsSettings()``, or an extra

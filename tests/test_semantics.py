@@ -268,6 +268,27 @@ class TestQueryOnlyFastPath:
         cluster.run_for(1.0)
         assert answers == ["mine"]
 
+    def test_later_writes_do_not_hold_back_the_answer(self, cluster):
+        """The read waits for the writes issued before it, not for the
+        server to have no write in flight: it is answered at W1's
+        green, before W2 (issued after it) is green."""
+        svc = services(cluster)
+        events = []
+
+        def log(name):
+            return lambda *_args: events.append((name, cluster.sim.now))
+        svc[1].update(("SET", "k", "w1"), on_complete=log("w1"))
+        answers = []
+        svc[1].query_after_my_writes(("GET", "k"), answers.append)
+        svc[1].query_after_my_writes(("GET", "k"), log("read"))
+        cluster.run_for(0.002)  # W1 in flight, not yet green
+        svc[1].update(("SET", "k", "w2"), on_complete=log("w2"))
+        cluster.run_for(1.0)
+        assert answers == ["w1"]
+        assert [name for name, _t in events] == ["w1", "read", "w2"]
+        (_w1, w1_at), (_r, read_at), (_w2, w2_at) = events
+        assert read_at == w1_at < w2_at
+
     def test_does_not_generate_an_ordered_action(self, cluster):
         svc = services(cluster)
         engine = cluster.replicas[2].engine
