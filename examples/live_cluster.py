@@ -13,7 +13,6 @@ the merge.
 Run:  python examples/live_cluster.py            # three processes, UDP
       python examples/live_cluster.py --in-process   # one process
       python examples/live_cluster.py --metrics-port 9100   # + /metrics
-      python examples/live_cluster.py --wire-batch 16   # coalesced wire
       python examples/live_cluster.py --trace-out traces/   # flight dumps
 
 The multi-process mode binds all UDP sockets in the parent and forks,
@@ -47,15 +46,6 @@ T_DEADLINE = 25.0
 
 def banner(text):
     print(f"\n=== {text} " + "=" * max(0, 60 - len(text)), flush=True)
-
-
-def cluster_settings(wire_batch):
-    """Live-tuned GCS settings, with wire batching when requested."""
-    if wire_batch is None or wire_batch <= 1:
-        return None       # cluster default: unbatched datapath
-    from repro.net import WireBatchConfig
-    from repro.runtime import live_gcs_settings
-    return live_gcs_settings(wire=WireBatchConfig(max_batch=wire_batch))
 
 
 def tracing_obs(trace_out):
@@ -100,7 +90,7 @@ async def scrape_own_metrics(cluster, label):
 
 
 async def drive_node(node, addresses, sockets, start_at, results,
-                     metrics_port=None, wire_batch=None, trace_out=None):
+                     metrics_port=None, trace_out=None):
     """One node's life: boot, serve, partition, merge, report."""
     from repro.core.state_machine import EngineState
     from repro.runtime import udp_cluster
@@ -108,7 +98,6 @@ async def drive_node(node, addresses, sockets, start_at, results,
     obs = tracing_obs(trace_out)
     cluster = udp_cluster(SERVER_IDS, hosted=[node],
                           addresses=addresses, sockets=sockets,
-                          gcs_settings=cluster_settings(wire_batch),
                           observability=obs)
     if metrics_port is not None:
         # One endpoint per process; a fixed base port spreads out as
@@ -153,19 +142,17 @@ async def drive_node(node, addresses, sockets, start_at, results,
 
 
 def node_process(node, addresses, sockets, start_at, results,
-                 metrics_port=None, wire_batch=None, trace_out=None):
+                 metrics_port=None, trace_out=None):
     try:
         asyncio.run(drive_node(node, addresses, sockets, start_at, results,
-                               metrics_port, wire_batch, trace_out))
+                               metrics_port, trace_out))
     except Exception as failure:  # pragma: no cover - report, don't hang
         results.put((node, "ERROR", repr(failure)))
         raise
 
 
-def run_multiprocess(metrics_port=None, wire_batch=None, trace_out=None):
-    banner("three processes, UDP loopback"
-           + (f", wire batching x{wire_batch}"
-              if wire_batch and wire_batch > 1 else ""))
+def run_multiprocess(metrics_port=None, trace_out=None):
+    banner("three processes, UDP loopback")
     # Parent binds every socket, children inherit them: no port races,
     # and the address map is exact before any process starts.
     sockets = {}
@@ -186,7 +173,7 @@ def run_multiprocess(metrics_port=None, wire_batch=None, trace_out=None):
         proc = ctx.Process(
             target=node_process, name=f"replica-{node}",
             args=(node, addresses, {node: sockets[node]}, start_at,
-                  results, metrics_port, wire_batch, trace_out))
+                  results, metrics_port, trace_out))
         proc.start()
         workers.append(proc)
     for sock in sockets.values():
@@ -205,18 +192,14 @@ def run_multiprocess(metrics_port=None, wire_batch=None, trace_out=None):
     return reports
 
 
-def run_in_process(metrics_port=None, wire_batch=None, trace_out=None):
-    banner("single process, in-memory transport"
-           + (f", wire batching x{wire_batch}"
-              if wire_batch and wire_batch > 1 else ""))
+def run_in_process(metrics_port=None, trace_out=None):
+    banner("single process, in-memory transport")
 
     async def main():
         from repro.core.state_machine import EngineState
         from repro.runtime import LiveCluster
         obs = tracing_obs(trace_out)
-        cluster = LiveCluster(SERVER_IDS,
-                              gcs_settings=cluster_settings(wire_batch),
-                              observability=obs)
+        cluster = LiveCluster(SERVER_IDS, observability=obs)
         if metrics_port is not None:
             server = await cluster.serve_metrics(port=metrics_port)
             print(f"metrics on 127.0.0.1:{server.port}", flush=True)
@@ -279,22 +262,15 @@ def main():
                         help="serve /metrics and /status per hosting "
                              "process (0 = OS-assigned ports); each node "
                              "self-scrapes and lints before reporting")
-    parser.add_argument("--wire-batch", type=int, default=None,
-                        metavar="N",
-                        help="coalesce up to N protocol payloads per "
-                             "datagram (wire batching; <=1 = off, the "
-                             "bit-identical unbatched datapath)")
     parser.add_argument("--trace-out", default=None, metavar="DIR",
                         help="enable distributed tracing and dump every "
                              "node's flight recorder into DIR as JSONL "
                              "(merge with repro-trace DIR)")
     args = parser.parse_args()
     if args.in_process:
-        reports = run_in_process(args.metrics_port, args.wire_batch,
-                                 args.trace_out)
+        reports = run_in_process(args.metrics_port, args.trace_out)
     else:
-        reports = run_multiprocess(args.metrics_port, args.wire_batch,
-                                   args.trace_out)
+        reports = run_multiprocess(args.metrics_port, args.trace_out)
     return check(reports)
 
 

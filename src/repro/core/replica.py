@@ -16,7 +16,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 from ..db import Action, ActionId, ActionType, Database, DirtyView
 from ..gcs import (GcsDaemon, GcsSettings, GroupChannel,
                    ReliableChannelEndpoint)
-from ..net import Datagram, WireBatcher
+from ..net import Datagram
 from ..obs import Observability
 from ..sim import ServiceQueue, Timer, Tracer
 from ..storage import DiskProfile, SimulatedDisk, StableStore, WriteAheadLog
@@ -66,6 +66,9 @@ class _ReplicaHooks(EngineHooks):
 class Replica:
     """One node of the replicated database system."""
 
+    # Read only by perfbench's counter harness; ROADMAP 12(a) drops it.
+    batcher = None
+
     def __init__(self, sim: "Runtime", node: int, network: "Transport",
                  directory: Set[int], server_ids: List[int],
                  disk_profile: Optional[DiskProfile] = None,
@@ -87,25 +90,14 @@ class Replica:
         self.database = Database()
         self.dirty_view = DirtyView(self.database)
 
-        # One wire batcher per node, shared by the GCS daemon and the
-        # reliable channel endpoint so their traffic coalesces into
-        # common frames.  Disabled (the default) means no batcher
-        # object at all: the datapath is bit-identical to the
-        # unbatched protocol.
         self.gcs_settings = gcs_settings or GcsSettings()
-        wire = self.gcs_settings.wire
-        self.batcher: Optional[WireBatcher] = (
-            WireBatcher(sim, node, network, wire, obs=self.obs)
-            if wire.enabled else None)
         self.daemon = GcsDaemon(sim, node, network, directory,
                                 self.gcs_settings, self.tracer,
                                 extra_dispatch=self._extra_dispatch,
-                                obs=self.obs, batcher=self.batcher)
+                                obs=self.obs)
         self.channel = GroupChannel(self.daemon)
         self.endpoint = ReliableChannelEndpoint(
-            sim, node, network, self._on_channel_message, obs=self.obs,
-            batcher=self.batcher,
-            ack_delay=wire.ack_delay if wire.enabled else 0.0)
+            sim, node, network, self._on_channel_message, obs=self.obs)
         self.engine = ReplicationEngine(
             sim, node, self.channel, self.store, self.database,
             self.server_ids, self.engine_config, _ReplicaHooks(self),

@@ -6,11 +6,12 @@ transitional + regular configuration notifications, NACK loss recovery,
 and reliable point-to-point channels for out-of-group transfer.
 """
 
-from .channel import ChanAck, ChanData, ReliableChannelEndpoint
+from .channel import ReliableChannelEndpoint
 from .daemon import DaemonState, GcsDaemon, GcsListener
 from .group import GroupChannel
 from .ordering import ViewOrdering
-from .types import Configuration, GcsSettings, ServiceLevel, ViewId
+from .types import (ChanAck, ChanData, Configuration, GcsSettings,
+                    ServiceLevel, ViewId)
 
 __all__ = [
     "ChanAck",

@@ -7,29 +7,17 @@ joining replica (Section 5.1), which the paper performs over a direct
 connection rather than through the replicated group.
 
 Standard go-back-N: cumulative acks, retransmission timer, per-peer send
-windows.  Duplicates are filtered, delivery is in send order.
-
-With wire batching (:mod:`repro.net.batching`) the endpoint routes
-sends through a shared :class:`~repro.net.batching.WireBatcher` and
-coalesces acks: instead of one ``ChanAck`` per received payload, a
-cumulative ack is owed and either *piggybacks* on the next outgoing
-``ChanData`` to that peer (sharing its frame) or rides a short
-``ack_delay`` timer.  With the defaults (no batcher, ``ack_delay=0``)
-the datapath is bit-identical to the classic one-ack-per-payload ARQ.
+windows.  Duplicates are filtered, delivery is in send order, and every
+received payload is answered by one cumulative ``ChanAck``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..net import Datagram
-from ..net.batching import Batch, WireBatcher
 from ..sim import Actor
-# Re-exported for backward compatibility: the message dataclasses
-# moved to repro.gcs.types so the compiled wire codec can import them
-# without pulling in this module's Actor machinery.
-from .types import ChanAck as ChanAck
-from .types import ChanData as ChanData
+from .types import ChanAck, ChanData
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
@@ -39,8 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _PeerState:
     """Per-peer send/receive bookkeeping."""
 
-    __slots__ = ("next_out", "acked", "outstanding", "next_in", "buffer",
-                 "acks_owed")
+    __slots__ = ("next_out", "acked", "outstanding", "next_in", "buffer")
 
     def __init__(self) -> None:
         self.next_out = 0
@@ -48,9 +35,6 @@ class _PeerState:
         self.outstanding: Dict[int, Tuple[Any, int, int]] = {}
         self.next_in = 0
         self.buffer: Dict[int, Tuple[Any, int]] = {}
-        # Payloads received since the last ChanAck went out (ack
-        # coalescing: one cumulative ack covers them all).
-        self.acks_owed = 0
 
 
 class ReliableChannelEndpoint(Actor):
@@ -63,16 +47,12 @@ class ReliableChannelEndpoint(Actor):
     def __init__(self, sim: "Runtime", node: int, network: "Transport",
                  on_message: Callable[[int, Any], None],
                  retransmit_interval: float = 0.05,
-                 obs: Optional["Observability"] = None,
-                 batcher: Optional[WireBatcher] = None,
-                 ack_delay: float = 0.0) -> None:
+                 obs: Optional["Observability"] = None) -> None:
         super().__init__(sim, name=f"chan{node}")
         self.node = node
         self.network = network
         self.on_message = on_message
         self.retransmit_interval = retransmit_interval
-        self.batcher = batcher
-        self.ack_delay = ack_delay
         self._peers: Dict[int, _PeerState] = {}
         # Native counts on the datapath; mirrored into the registry at
         # collection time (one inc per message would be measurable on
@@ -81,9 +61,6 @@ class ReliableChannelEndpoint(Actor):
         self.sends = 0
         self.retransmits = 0
         self.deliveries = 0
-        # Acks the coalescing window absorbed: payloads covered by a
-        # cumulative ChanAck beyond the first (saved datagrams).
-        self.acks_coalesced = 0
         if obs is not None and obs.enabled:
             registry = obs.registry
             registry.counter_callback(
@@ -101,11 +78,6 @@ class ReliableChannelEndpoint(Actor):
                 lambda: self.deliveries,
                 "In-order payload deliveries on reliable channels.",
                 ("server",), (node,))
-            registry.counter_callback(
-                "repro_wire_acks_coalesced",
-                lambda: self.acks_coalesced,
-                "ChanAck datagrams saved by cumulative-ack coalescing.",
-                ("server",), (node,))
             registry.gauge_callback(
                 "repro_channel_unacked",
                 lambda: sum(len(s.outstanding)
@@ -114,9 +86,6 @@ class ReliableChannelEndpoint(Actor):
                 ("server",), (node,))
         self._retry = self.make_timer("retry", self._retransmit,
                                       retransmit_interval, periodic=True)
-        self._ack_flush = self.make_timer("ack_flush", self._flush_acks,
-                                          ack_delay if ack_delay > 0
-                                          else 0.001)
         self._running = False
 
     def start(self) -> None:
@@ -136,13 +105,6 @@ class ReliableChannelEndpoint(Actor):
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def _transmit(self, peer: int, payload: Any, size: int) -> None:
-        """One wire send, through the shared batcher when present."""
-        if self.batcher is not None:
-            self.batcher.send(peer, payload, size)
-        else:
-            self.network.send(self.node, peer, payload, size)
-
     def send(self, peer: int, payload: Any, size: int = 200,
              trace: int = 0) -> None:
         """Queue ``payload`` for reliable in-order delivery to ``peer``."""
@@ -153,22 +115,18 @@ class ReliableChannelEndpoint(Actor):
         state.next_out += 1
         state.outstanding[seq] = (payload, size, trace)
         self.sends += 1
-        if state.acks_owed:
-            # Piggyback the owed cumulative ack on this reverse
-            # traffic: through the batcher both ride one frame.
-            self._emit_ack(peer, state)
-        self._transmit(peer,
-                       ChanData(self.node, seq, payload, size, trace),
-                       size)
+        self.network.send(self.node, peer,
+                          ChanData(self.node, seq, payload, size, trace),
+                          size)
 
     def _retransmit(self) -> None:
         for peer, state in self._peers.items():
             for seq in sorted(state.outstanding):
                 payload, size, trace = state.outstanding[seq]
                 self.retransmits += 1
-                self._transmit(
-                    peer, ChanData(self.node, seq, payload, size, trace),
-                    size)
+                self.network.send(
+                    self.node, peer,
+                    ChanData(self.node, seq, payload, size, trace), size)
 
     # ------------------------------------------------------------------
     # receiving
@@ -182,31 +140,7 @@ class ReliableChannelEndpoint(Actor):
         if isinstance(payload, ChanAck):
             self._on_ack(payload)
             return True
-        if isinstance(payload, Batch):
-            # Standalone endpoints (attached directly to the fabric)
-            # unwrap coalesced frames themselves; when owned by a
-            # daemon, the daemon unwraps and re-dispatches instead.
-            handled = False
-            for sub, _size in payload.entries:
-                if isinstance(sub, ChanData):
-                    self._on_data(sub)
-                    handled = True
-                elif isinstance(sub, ChanAck):
-                    self._on_ack(sub)
-                    handled = True
-            return handled
         return False
-
-    def _emit_ack(self, peer: int, state: _PeerState) -> None:
-        """Send the cumulative ack owed to ``peer``."""
-        self.acks_coalesced += state.acks_owed - 1
-        state.acks_owed = 0
-        self._transmit(peer, ChanAck(self.node, state.next_in), 64)
-
-    def _flush_acks(self) -> None:
-        for peer, state in self._peers.items():
-            if state.acks_owed:
-                self._emit_ack(peer, state)
 
     def _on_data(self, msg: ChanData) -> None:
         if not self._running:
@@ -219,14 +153,8 @@ class ReliableChannelEndpoint(Actor):
             payload, _size = state.buffer.pop(state.next_in)
             state.next_in += 1
             delivered.append(payload)
-        if self.ack_delay > 0:
-            # Coalesce: owe a cumulative ack, to piggyback on the next
-            # send to this peer or go out when the window closes.
-            state.acks_owed += 1
-            if not self._ack_flush.armed:
-                self._ack_flush.start()
-        else:
-            self._transmit(msg.src, ChanAck(self.node, state.next_in), 64)
+        self.network.send(self.node, msg.src,
+                          ChanAck(self.node, state.next_in), 64)
         self.deliveries += len(delivered)
         for payload in delivered:
             self.on_message(msg.src, payload)

@@ -41,7 +41,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List,
                     Optional, Set, Tuple)
 
 from ..net import Datagram
-from ..net.batching import Batch, WireBatcher
 from ..sim import Actor, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,8 +100,7 @@ class GcsDaemon(Actor):
                  tracer: Optional[Tracer] = None,
                  extra_dispatch: Optional[
                      Callable[[Datagram], bool]] = None,
-                 obs: Optional["Observability"] = None,
-                 batcher: Optional[WireBatcher] = None) -> None:
+                 obs: Optional["Observability"] = None) -> None:
         super().__init__(sim, name=f"gcs{node}")
         self.node = node
         self.network = network
@@ -111,16 +109,6 @@ class GcsDaemon(Actor):
         self.tracer = tracer or Tracer(enabled=False)
         self.extra_dispatch = extra_dispatch
         self.listener: GcsListener = GcsListener()
-        # Wire batching: data-plane traffic (data, stamps, acks, nacks,
-        # retransmissions) coalesces through the batcher;
-        # control-plane traffic (heartbeats, membership) stays direct —
-        # it is rare and latency-sensitive.  A standalone daemon builds
-        # its own batcher; Replica passes one shared with the channel
-        # endpoint so their frames coalesce together.
-        if batcher is None and self.settings.wire.enabled:
-            batcher = WireBatcher(sim, node, network, self.settings.wire,
-                                  obs=obs)
-        self.batcher = batcher
 
         self.state = DaemonState.DOWN
         self.joined = False
@@ -265,8 +253,6 @@ class GcsDaemon(Actor):
 
     def leave(self) -> None:
         """Voluntarily leave the group."""
-        if self.batcher is not None:
-            self.batcher.flush_all()
         if self.joined:
             self._control_multicast(
                 self._other_directory(), LeaveMsg(self.node))
@@ -279,9 +265,6 @@ class GcsDaemon(Actor):
     def crash(self) -> None:
         """Lose all volatile state and go silent."""
         self.cancel_all()
-        if self.batcher is not None:
-            # Crashed nodes go silent: buffered payloads die with them.
-            self.batcher.drop_all()
         self.network.detach(self.node)
         self.state = DaemonState.DOWN
         self.joined = False
@@ -323,7 +306,7 @@ class GcsDaemon(Actor):
         ordering.add_data(msg)
         others = [m for m in ordering.members if m != self.node]
         if others:
-            self._net_multicast(others, msg, msg.size)
+            self.network.multicast(self.node, others, msg, msg.size)
         if self.node == ordering.sequencer:
             self._arm_stamp_timer()
         self._after_progress()
@@ -339,41 +322,12 @@ class GcsDaemon(Actor):
         handler = self._dispatch.get(payload.__class__)
         if handler is not None:
             handler(payload)
-        elif payload.__class__ is Batch:
-            self._on_batch(datagram, payload)
         elif self.extra_dispatch is not None:
             self.extra_dispatch(datagram)
-
-    def _on_batch(self, datagram: Datagram, batch: Batch) -> None:
-        """Unwrap a coalesced frame: dispatch each payload in order, as
-        if it had arrived in its own datagram."""
-        for sub, size in batch.entries:
-            handler = self._dispatch.get(sub.__class__)
-            if handler is not None:
-                handler(sub)
-            elif self.extra_dispatch is not None:
-                self.extra_dispatch(Datagram(datagram.src, datagram.dst,
-                                             sub, size,
-                                             datagram.sent_at))
 
     # ==================================================================
     # normal operation: data / stamps / acks
     # ==================================================================
-    def _net_send(self, dst: int, payload: Any, size: int) -> None:
-        """Data-plane unicast, coalesced through the batcher if any."""
-        if self.batcher is not None:
-            self.batcher.send(dst, payload, size)
-        else:
-            self.network.send(self.node, dst, payload, size)
-
-    def _net_multicast(self, dsts: List[int], payload: Any,
-                       size: int) -> None:
-        """Data-plane multicast, coalesced through the batcher if any."""
-        if self.batcher is not None:
-            self.batcher.multicast(dsts, payload, size)
-        else:
-            self.network.multicast(self.node, dsts, payload, size)
-
     def _current_view_msg(self, view_id: ViewId) -> bool:
         return self.ordering is not None and self.ordering.view_id == view_id
 
@@ -441,7 +395,7 @@ class GcsDaemon(Actor):
                 + self.settings.stamp_entry_size * len(batch))
         others = [m for m in self.ordering.members if m != self.node]
         if others:
-            self._net_multicast(others, msg, size)
+            self.network.multicast(self.node, others, msg, size)
         self._after_progress()
 
     def _after_progress(self) -> None:
@@ -467,7 +421,8 @@ class GcsDaemon(Actor):
         ordering.note_ack_sent()
         others = [m for m in ordering.members if m != self.node]
         if others:
-            self._net_multicast(others, msg, self.settings.ack_size)
+            self.network.multicast(self.node, others, msg,
+                                   self.settings.ack_size)
         self._try_deliver()
         if self.state == DaemonState.OPERATIONAL:
             ordering.prune_stable()
@@ -516,7 +471,8 @@ class GcsDaemon(Actor):
             if not candidates:
                 return
             target = max(candidates)[1]
-        self._net_send(target, nack, self.settings.control_size)
+        self.network.send(self.node, target, nack,
+                          self.settings.control_size)
 
     def _on_nack(self, msg: NackMsg) -> None:
         if not self._current_view_msg(msg.view_id):
@@ -525,9 +481,9 @@ class GcsDaemon(Actor):
         items = self.ordering.retrans_items(list(msg.missing_data))
         if items:
             size = sum(item[5] for item in items)
-            self._net_send(msg.node,
-                           RetransDataMsg(msg.view_id, tuple(items)),
-                           size)
+            self.network.send(self.node, msg.node,
+                              RetransDataMsg(msg.view_id, tuple(items)),
+                              size)
             self.tracer.emit(self.sim.now, self.node, "gcs.retrans",
                              to=msg.node, count=len(items))
         if msg.want_stamps_from >= 0:
@@ -538,8 +494,8 @@ class GcsDaemon(Actor):
             if stamps:
                 size = (self.settings.header_size
                         + self.settings.stamp_entry_size * len(stamps))
-                self._net_send(msg.node, StampMsg(msg.view_id, stamps),
-                               size)
+                self.network.send(self.node, msg.node,
+                                  StampMsg(msg.view_id, stamps), size)
 
     def _on_retrans(self, msg: RetransDataMsg) -> None:
         if not self._current_view_msg(msg.view_id):
@@ -670,10 +626,6 @@ class GcsDaemon(Actor):
     def _enter_gather(self, attempt: int) -> None:
         if not self.joined:
             return
-        if self.batcher is not None:
-            # Leaving OPERATIONAL: transmit everything buffered so no
-            # old-view payload straddles the membership change.
-            self.batcher.flush_all()
         self._reset_round()
         self.attempt = max(self.attempt, attempt)
         self.state = DaemonState.GATHER
@@ -965,10 +917,6 @@ class GcsDaemon(Actor):
                 or msg.attempt != self.attempt
                 or self.node not in msg.members):
             return
-        if self.batcher is not None:
-            # Anything still buffered belongs to the old view; put it
-            # on the wire before the new configuration exists.
-            self.batcher.flush_all()
         self._note_epoch(msg.new_view_id)
         trans_sets = dict(msg.trans_sets)
         my_trans = frozenset(trans_sets.get(self.node, (self.node,)))

@@ -9,11 +9,9 @@ Section 4.1 of the paper builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, FrozenSet, NamedTuple, Optional, Tuple
-
-from ..net.batching import WireBatchConfig
 
 
 class ServiceLevel(Enum):
@@ -109,10 +107,6 @@ class GcsSettings:
     stamp_entry_size: int = 16
     ack_size: int = 64
     control_size: int = 96
-    # Wire batching (repro.net.batching): disabled by default
-    # (max_batch=1), in which case no batcher is constructed and the
-    # datapath is bit-identical to the unbatched protocol.
-    wire: WireBatchConfig = field(default_factory=WireBatchConfig)
 
 
 # ----------------------------------------------------------------------
@@ -197,9 +191,8 @@ class RetransDataMsg:
 
 
 # -- reliable point-to-point channel messages ---------------------------
-# (defined here rather than in repro.gcs.channel so the wire codec — a
-# compiled leaf module — depends only on data types, never on the
-# channel's Actor machinery)
+# (defined here rather than in repro.gcs.channel so the wire codec
+# depends only on data types, never on the channel's Actor machinery)
 
 @dataclass(frozen=True)
 class ChanData:

@@ -4,7 +4,6 @@ Unreliable datagram fabric with latency/bandwidth/loss models, a
 partition/crash topology, and scripted or randomized fault injection.
 """
 
-from .batching import Batch, WireBatchConfig, WireBatcher
 from .faults import FaultEvent, FaultScript, random_fault_schedule
 from .latency import (NetworkProfile, lan_profile,
                       lossless_instant_profile, wan_profile)
@@ -17,7 +16,6 @@ from .topology import Topology, TopologyError
 # package; the live transports import it directly.
 
 __all__ = [
-    "Batch",
     "Datagram",
     "FaultEvent",
     "FaultScript",
@@ -25,8 +23,6 @@ __all__ = [
     "NetworkProfile",
     "Topology",
     "TopologyError",
-    "WireBatchConfig",
-    "WireBatcher",
     "lan_profile",
     "lossless_instant_profile",
     "random_fault_schedule",

@@ -1,235 +1,17 @@
-"""Wire batching: coalesce protocol payloads into one datagram.
+"""A no-op stand-in for the retired wire batcher, read only by perfbench.
 
-The engine amortizes cost per action (one forced write, a fixed message
-count); the transport should too.  Without batching every protocol
-payload — a DataMsg, a stamp batch, a cumulative ack — pays full
-per-datagram overhead: one egress serialization in the simulated fabric,
-one ``sendto`` + one kernel wakeup on the asyncio transport.  At high
-send rates those per-message constants, not payload bytes, dominate.
-
-:class:`WireBatcher` sits between a sender and its
-:class:`~repro.runtime.base.Transport` and coalesces payloads headed for
-the same destination set into a single :class:`Batch` payload carried by
-one :class:`~repro.net.message.Datagram`:
-
-* **idle → immediate**: when a destination set has been quiet for
-  ``idle_threshold`` seconds, the first payload is sent immediately —
-  batching must never add latency to sparse traffic;
-* **busy → coalesce**: under load, payloads buffer until either
-  ``max_batch`` of them are pending for the destination set or
-  ``max_delay`` elapses (one timer armed through the Runtime seam, so
-  the policy is identical — and deterministic — on the simulator).
-
-The simulated fabric charges one egress serialization per *send*
-(:meth:`repro.net.network.Network.multicast`), so a batched frame is
-automatically billed once for the combined size rather than N times.
-Senders must flush (``flush_all``) at membership boundaries so no
-payload buffered in one view is transmitted in the next, and drop
-(``drop_all``) on crash.
-
-With ``max_batch <= 1`` the config is *disabled*: callers skip
-constructing a batcher entirely and the datapath is bit-identical to the
-unbatched code.
+perfbench's tracer patches ``WireBatcher.send``, ``multicast`` and
+``flush_all`` and asserts that every patch target exists.  ROADMAP
+12(a), the slice that next changes perfbench, deletes this module.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Tuple)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs import Observability
-    from ..runtime.base import Handle, Runtime, Transport
-
-#: Bucket layout for the per-frame payload-count histogram.
-BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-
-class Batch:
-    """A coalesced frame: several protocol payloads in one datagram.
-
-    ``entries`` is a tuple of ``(payload, size)`` pairs in send order;
-    ``size`` is each payload's declared wire size so receivers can
-    reconstruct per-payload datagrams for dispatch.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[Tuple[Any, int]]) -> None:
-        self.entries = tuple(entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Batch) and other.entries == self.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kinds = ",".join(type(p).__name__ for p, _s in self.entries)
-        return f"Batch[{len(self.entries)}]({kinds})"
-
-
-@dataclass
-class WireBatchConfig:
-    """Knobs of the wire-batching layer.
-
-    max_batch       payloads per frame before a forced flush;
-                    ``<= 1`` disables batching entirely (bit-identical
-                    to the unbatched datapath)
-    max_delay       longest a payload may wait in the buffer (seconds)
-    idle_threshold  a destination set quiet for this long sends its
-                    next payload immediately instead of buffering
-    ack_delay       reliable-channel cumulative-ack coalescing window;
-                    within it acks piggyback on reverse traffic or ride
-                    a timer (``ReliableChannelEndpoint``)
-    frame_header    bytes charged per batched frame (codec frame header)
-    entry_header    bytes charged per payload inside a frame (type tag
-                    + length prefix)
-    """
-
-    max_batch: int = 1
-    max_delay: float = 0.0005
-    idle_threshold: float = 0.002
-    ack_delay: float = 0.0005
-    frame_header: int = 8
-    entry_header: int = 5
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_batch > 1
 
 
 class WireBatcher:
-    """Per-node send-side coalescer over a Transport.
+    def send(self, *args: object) -> None:
+        pass
 
-    One instance per node, shared by every protocol component on that
-    node (GCS daemon + reliable channel endpoint), so their traffic to
-    a common destination set shares frames.
-    """
-
-    def __init__(self, runtime: "Runtime", node: int,
-                 transport: "Transport", config: WireBatchConfig,
-                 obs: Optional["Observability"] = None) -> None:
-        self.runtime = runtime
-        self.node = node
-        self.transport = transport
-        self.config = config
-        # destination tuple -> buffered (payload, size) entries
-        self._pending: Dict[Tuple[int, ...], List[Tuple[Any, int]]] = {}
-        self._last_activity: Dict[Tuple[int, ...], float] = {}
-        self._timer: Optional["Handle"] = None
-        # Native counters on the datapath; mirrored into the registry
-        # at collection time (see ReliableChannelEndpoint for why).
-        self.frames_sent = 0
-        self.payloads_sent = 0
-        self._h_batch: Optional[Any] = None
-        if obs is not None and obs.enabled:
-            registry = obs.registry
-            registry.counter_callback(
-                "repro_wire_frames_total", lambda: self.frames_sent,
-                "Datagram frames put on the wire by the batcher.",
-                ("server",), (node,))
-            registry.counter_callback(
-                "repro_wire_payloads_total", lambda: self.payloads_sent,
-                "Protocol payloads carried inside batcher frames.",
-                ("server",), (node,))
-            self._h_batch = registry.histogram(
-                "repro_wire_batch_size",
-                "Protocol payloads per transmitted frame.",
-                ("server",), buckets=BATCH_SIZE_BUCKETS).labels(node)
-
-    # ------------------------------------------------------------------
-    # sending
-    # ------------------------------------------------------------------
-    def send(self, dst: int, payload: Any, size: int) -> None:
-        """Queue a unicast payload for ``dst``."""
-        self._submit((dst,), payload, size)
-
-    def multicast(self, dsts: Sequence[int], payload: Any,
-                  size: int) -> None:
-        """Queue a payload for a destination set.  Payloads coalesce
-        only with others for the *same* set (same construction order),
-        which is how all protocol senders build their lists."""
-        if not dsts:
-            return
-        self._submit(tuple(dsts), payload, size)
-
-    def _submit(self, key: Tuple[int, ...], payload: Any,
-                size: int) -> None:
-        config = self.config
-        now = self.runtime.now
-        buffer = self._pending.get(key)
-        if buffer is None:
-            last = self._last_activity.get(key, -1.0)
-            self._last_activity[key] = now
-            if last < 0.0 or now - last >= config.idle_threshold:
-                # Quiet destination: ship immediately, add no latency.
-                self._transmit(key, ((payload, size),))
-                return
-            buffer = self._pending[key] = []
-        else:
-            self._last_activity[key] = now
-        buffer.append((payload, size))
-        if len(buffer) >= config.max_batch:
-            self._flush_key(key)
-        elif self._timer is None or not self._timer.active:
-            self._timer = self.runtime.schedule(config.max_delay,
-                                                self._on_timer)
-
-    # ------------------------------------------------------------------
-    # flushing
-    # ------------------------------------------------------------------
-    def _on_timer(self) -> None:
-        self._timer = None
-        for key in list(self._pending):
-            self._flush_key(key)
+    def multicast(self, *args: object) -> None:
+        pass
 
     def flush_all(self) -> None:
-        """Transmit everything buffered (membership boundary: nothing
-        queued in the old view may linger into the next)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        for key in list(self._pending):
-            self._flush_key(key)
-
-    def drop_all(self) -> None:
-        """Discard everything buffered (crash: volatile state is lost,
-        and a crashed node must go silent, not emit a parting frame)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._pending = {}
-
-    def pending_payloads(self) -> int:
-        """Payloads currently buffered (introspection/tests)."""
-        return sum(len(b) for b in self._pending.values())
-
-    def _flush_key(self, key: Tuple[int, ...]) -> None:
-        buffer = self._pending.pop(key, None)
-        if buffer:
-            self._last_activity[key] = self.runtime.now
-            self._transmit(key, buffer)
-
-    def _transmit(self, key: Tuple[int, ...],
-                  entries: Sequence[Tuple[Any, int]]) -> None:
-        count = len(entries)
-        self.frames_sent += 1
-        self.payloads_sent += count
-        if self._h_batch is not None:
-            self._h_batch.observe(count)
-        if count == 1:
-            payload, size = entries[0]
-        else:
-            config = self.config
-            payload = Batch(entries)
-            size = config.frame_header + sum(
-                config.entry_header + s for _p, s in entries)
-        if len(key) == 1:
-            self.transport.send(self.node, key[0], payload, size)
-        else:
-            self.transport.multicast(self.node, key, payload, size)
+        pass

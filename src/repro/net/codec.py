@@ -27,8 +27,7 @@ Everything else — an engine action holding any other value type,
 exchange/CPC/membership messages, snapshot chunks, arbitrary
 application payloads — falls back whole to the :data:`TAG_PICKLE`
 escape hatch, so the codec never constrains what the protocol can
-carry.  A :class:`Batch` encodes its entries recursively, so one UDP
-datagram carries many compact payloads.
+carry.  Every datagram carries exactly one payload.
 
 Trust model: the pickle escape hatch means frames must only be accepted
 from trusted endpoints, exactly like the previous all-pickle format —
@@ -54,7 +53,6 @@ from ..db.action import Action, ActionId, ActionType
 from ..gcs.types import (AckMsg, ChanAck, ChanData, DataMsg, HeartbeatMsg,
                          NackMsg, RetransDataMsg, ServiceLevel, StampMsg,
                          ViewId)
-from .batching import Batch
 
 
 class CodecError(ValueError):
@@ -72,7 +70,7 @@ MAGIC = 0xC3
 VERSION = 5
 
 TAG_PICKLE = 0
-TAG_BATCH = 1
+# Tag 1 (the retired wire-batch frame) decodes as unknown; never reuse it.
 TAG_DATA = 2
 TAG_STAMP = 3
 TAG_ACK = 4
@@ -86,7 +84,6 @@ TAG_ACTION = 11
 
 _HEADER = struct.Struct("!BBi")          # magic, version, src
 _ITEM = struct.Struct("!BI")             # tag, body length
-_COUNT = struct.Struct("!I")
 _DATA = struct.Struct("!iiiqBiq")        # view, origin, fifo, svc, size,
                                          # trace
 _STAMP_ENTRY = struct.Struct("!qiq")     # seq, origin, fifo_seq
@@ -101,7 +98,6 @@ _RETRANS_ITEM = struct.Struct("!qiqBiq")  # seq, origin, fifo, svc,
                                           # size, trace
 _CHANDATA = struct.Struct("!iqiq")       # src, seq, size, trace
 _CHANACK = struct.Struct("!iq")          # src, ack_seq
-_SIZE = struct.Struct("!i")
 _ACTION = struct.Struct("!iqqiB")        # creator, index, message green
                                          # line, size, flags
 _ACTION_ID = struct.Struct("!iq")        # Action.green_line
@@ -206,14 +202,6 @@ def _enc_chanack(msg: ChanAck) -> bytes:
     return _CHANACK.pack(msg.src, msg.ack_seq)
 
 
-def _enc_batch(batch: Batch) -> bytes:
-    parts = [_COUNT.pack(len(batch.entries))]
-    for payload, size in batch.entries:
-        parts.append(_SIZE.pack(size))
-        parts.append(encode_payload(payload))
-    return b"".join(parts)
-
-
 def _enc_value(value: Any, parts: List[bytes]) -> None:
     """Append one plain value; TypeError for anything else (exact
     builtin types only: an IntEnum or a str subclass would come back as
@@ -287,7 +275,6 @@ _ENCODERS: Dict[type, Tuple[int, Callable[[Any], bytes]]] = {
     RetransDataMsg: (TAG_RETRANS, _enc_retrans),
     ChanData: (TAG_CHANDATA, _enc_chandata),
     ChanAck: (TAG_CHANACK, _enc_chanack),
-    Batch: (TAG_BATCH, _enc_batch),
     EngineActionMsg: (TAG_ACTION, _enc_action),
 }
 
@@ -431,21 +418,6 @@ def _dec_chanack(body: bytes) -> ChanAck:
     return ChanAck(src, ack_seq)
 
 
-def _dec_batch(body: bytes) -> Batch:
-    _need(body, 0, _COUNT.size)
-    (count,) = _COUNT.unpack_from(body, 0)
-    offset = _COUNT.size
-    entries: List[Tuple[Any, int]] = []
-    for _ in range(count):
-        _need(body, offset, _SIZE.size)
-        (size,) = _SIZE.unpack_from(body, offset)
-        payload, offset = _decode_item(body, offset + _SIZE.size)
-        entries.append((payload, size))
-    if offset != len(body):
-        raise CodecError("trailing bytes in Batch body")
-    return Batch(entries)
-
-
 def _dec_value(buf: bytes, offset: int) -> Tuple[Any, int]:
     """One plain value at ``offset``; returns it and the next offset.
     Every item takes at least one byte, so a count larger than the
@@ -543,7 +515,6 @@ _DECODERS: Dict[int, Callable[[bytes], Any]] = {
     TAG_RETRANS: _dec_retrans,
     TAG_CHANDATA: _dec_chandata,
     TAG_CHANACK: _dec_chanack,
-    TAG_BATCH: _dec_batch,
     TAG_ACTION: _dec_action,
 }
 

@@ -89,3 +89,26 @@ def test_stopped_sender_drops_sends():
     endpoints[1].send(2, "never")
     sim.run(until=1.0)
     assert inbox[2] == []
+
+
+def test_partially_acked_stream_retransmits_go_back_n():
+    sim, topo, _n, endpoints, inbox = make_pair()
+    # First wave is delivered and acked.
+    for i in range(5):
+        endpoints[1].send(2, i)
+    sim.run(until=0.5)
+    assert endpoints[1].unacked(2) == 0
+    # Cut the link mid-stream: the second wave is lost, and retransmits
+    # into the partition for several periods.
+    topo.partition([[1], [2]])
+    for i in range(5, 12):
+        endpoints[1].send(2, i)
+    sim.run(until=0.8)
+    assert [p for _peer, p in inbox[2]] == list(range(5))
+    assert endpoints[1].unacked(2) == 7
+    topo.heal()
+    sim.run(until=2.0)
+    # Go-back-N recovered exactly the unacked suffix: in order, no
+    # duplicates, nothing skipped.
+    assert [p for _peer, p in inbox[2]] == list(range(12))
+    assert endpoints[1].unacked(2) == 0

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from repro.core.messages import EngineActionMsg
 from repro.db import Action, ActionId, join_action, leave_action
-from repro.gcs.channel import ChanAck, ChanData
-from repro.gcs.types import (AckMsg, DataMsg, HeartbeatMsg, NackMsg,
-                             RetransDataMsg, ServiceLevel, StampMsg,
-                             ViewId)
+from repro.gcs.types import (AckMsg, ChanAck, ChanData, DataMsg,
+                             HeartbeatMsg, NackMsg, RetransDataMsg,
+                             ServiceLevel, StampMsg, ViewId)
 from repro.net import codec
-from repro.net.batching import Batch
 
 VIEW = ViewId(3, 1)
 
@@ -75,8 +73,6 @@ CORPUS = [
     RetransDataMsg(VIEW, ()),
     ChanData(1, 9, {"state": [1, 2, 3]}, 320),
     ChanAck(2, 17),
-    Batch([(AckMsg(VIEW, 4, 8), 64),
-           (DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 120), 120)]),
     # escape-hatch payloads: no dedicated encoder
     ("raw", "tuple"),
     {"a": 1},
@@ -104,13 +100,6 @@ def test_compact_encoding_beats_pickle_for_hot_types():
     # One fresh action in its DataMsg, as the GCS sends it.
     data = DataMsg(VIEW, 2, 7, action, ServiceLevel.SAFE, 200)
     assert len(codec.encode_frame(1, data)) <= 120
-
-
-def test_nested_batch_roundtrip():
-    inner = Batch([(ChanAck(1, 3), 64), (("app", "payload"), 90)])
-    outer = Batch([(inner, 200), (AckMsg(VIEW, 2, 5), 64)])
-    _src, decoded = codec.decode_frame(codec.encode_frame(3, outer))
-    assert decoded == outer
 
 
 def test_out_of_range_field_takes_escape_hatch():
@@ -192,8 +181,9 @@ def test_untraced_messages_default_to_trace_zero():
 
 
 def test_unknown_tag_raises():
-    # 6 is the retired token-ring tag: it must not decode as anything.
-    for tag in (250, 6):
+    # 6 is the retired token-ring tag and 1 the retired wire-batch
+    # frame: neither may decode as anything.
+    for tag in (250, 6, 1):
         frame = codec._HEADER.pack(codec.MAGIC, codec.VERSION, 1) \
             + codec._ITEM.pack(tag, 0)
         with pytest.raises(codec.CodecError, match="unknown payload tag"):

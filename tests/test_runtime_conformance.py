@@ -13,10 +13,16 @@ MemoryTransport).  The protocol-level trace must be identical:
 * the final database digest.
 
 Wall-clock timings, message counts, and retransmissions may differ
-wildly between the runtimes; the protocol decisions may not.
+wildly between the runtimes; the protocol decisions may not.  The
+scenario runs under both timing policies of ``GcsSettings``: the
+coalescing windows the simulator defaults to, and the turn-end flushing
+(``idle_immediate``) every live run uses, with both runtimes on the
+same policy.
 """
 
 import asyncio
+
+import pytest
 
 from repro.core import ReplicaCluster
 from repro.core.state_machine import EngineState
@@ -76,10 +82,10 @@ class _Recorder:
                 "views": self.views, "digests": digests}
 
 
-def _sim_trace(wire=None):
-    settings = GcsSettings(wire=wire) if wire is not None else None
-    cluster = ReplicaCluster(n=3, seed=11, trace=True,
-                             gcs_settings=settings)
+def _sim_trace(idle_immediate=False):
+    cluster = ReplicaCluster(
+        n=3, seed=11, trace=True,
+        gcs_settings=GcsSettings(idle_immediate=idle_immediate))
     recorder = _Recorder(cluster.replicas, cluster.tracer)
 
     def wait(cond, what):
@@ -119,16 +125,15 @@ def _sim_trace(wire=None):
     return recorder.trace(digests)
 
 
-def _live_trace(wire=None):
+def _live_trace(idle_immediate=False):
     async def scenario():
-        overrides = {"wire": wire} if wire is not None else {}
         cluster = LiveCluster(
             NODES,
             gcs_settings=GcsSettings(
                 heartbeat_interval=0.015, failure_timeout=0.150,
                 gather_settle=0.040, phase_timeout=0.500,
                 nack_timeout=0.010, use_topology_hints=False,
-                **overrides),
+                idle_immediate=idle_immediate),
             disk_profile=DiskProfile(forced_write_latency=0.0002,
                                      async_write_latency=0.00001))
         recorder = _Recorder(cluster.replicas, cluster.tracer)
@@ -177,9 +182,10 @@ def _live_trace(wire=None):
     return asyncio.run(scenario())
 
 
-def test_identical_protocol_trace_on_both_runtimes():
-    sim = _sim_trace()
-    live = _live_trace()
+@pytest.mark.parametrize("idle_immediate", [False, True])
+def test_identical_protocol_trace_on_both_runtimes(idle_immediate):
+    sim = _sim_trace(idle_immediate)
+    live = _live_trace(idle_immediate)
 
     # Both runtimes produced the analytically expected trace...
     for trace in (sim, live):
