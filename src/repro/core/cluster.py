@@ -2,11 +2,12 @@
 
 :class:`Cluster` is the one composition root.  It builds the hosted
 replicas on any :class:`~repro.runtime.base.Runtime` and
-:class:`~repro.runtime.base.Transport` pair, names clients, partitions
-and heals, and carries the consistency assertions that encode the
-paper's correctness theorems.  :class:`ReplicaCluster` adds what
-virtual time needs (the simulator, topology and seeded network, crash
-and recovery, online joins, stepping time); its asyncio counterpart is
+:class:`~repro.runtime.base.Transport` pair, names clients, injects
+every fault (partition, heal, crash, recovery, online join) through the
+:class:`~repro.net.Topology` the transport obeys, and carries the
+consistency assertions that encode the paper's correctness theorems.
+:class:`ReplicaCluster` adds what virtual time needs (the simulator,
+the seeded network, stepping time); its asyncio counterpart is
 :class:`~repro.runtime.LiveCluster`.  Used by the tests, the examples,
 the scenario runner and the benchmark harnesses.
 """
@@ -35,12 +36,12 @@ class Cluster:
                  gcs_settings: GcsSettings,
                  engine_config: Optional[EngineConfig],
                  disk_profile: Optional[DiskProfile], tracer: Tracer,
-                 obs: Observability, links: Any = None) -> None:
+                 obs: Observability) -> None:
         self.runtime = runtime
         self.transport = transport
-        # What partition() and heal() cut: the transport itself, or the
-        # topology a simulated network obeys.
-        self._links = links if links is not None else transport
+        # Every fault (partition, heal, crash, recover, join) is driven
+        # through the reachability model the transport obeys.
+        self.topology: Topology = transport.topology
         self.server_ids = list(server_ids)
         self.tracer = tracer
         self.obs = obs
@@ -58,6 +59,8 @@ class Cluster:
         for node in hosted:
             self.replicas[node] = self._build_replica(node,
                                                       self.server_ids)
+        if self.gcs_settings.use_topology_hints:
+            self.topology.subscribe(self._topology_hint)
 
     def _build_replica(self, node: int,
                        server_ids: Sequence[int]) -> Replica:
@@ -71,11 +74,64 @@ class Cluster:
         for replica in self.replicas.values():
             replica.start()
 
+    # ==================================================================
+    # faults and membership
+    # ==================================================================
     def partition(self, *groups: Sequence[int]) -> None:
-        self._links.partition([list(g) for g in groups])
+        self.topology.partition([list(g) for g in groups])
 
     def heal(self) -> None:
-        self._links.heal()
+        self.topology.heal()
+
+    def crash(self, node: int) -> None:
+        """Crash ``node``; one hosted by another process is only marked
+        down here, as partitions are."""
+        self.topology.crash(node)
+        if node in self.replicas:
+            self.replicas[node].crash()
+
+    def recover(self, node: int) -> None:
+        self.topology.recover(node)
+        if node in self.replicas:
+            self.replicas[node].recover()
+
+    def _topology_hint(self) -> None:
+        """Fast-path failure detection (heartbeats remain the backstop)."""
+        joined = {n for n, r in self.replicas.items()
+                  if r.daemon.joined and self.topology.is_alive(n)}
+        for node, replica in self.replicas.items():
+            daemon = replica.daemon
+            if not daemon.joined or not self.topology.is_alive(node):
+                continue
+            reachable = {m for m in
+                         self.topology.component_members(node) if m in
+                         joined}
+            current = (set(daemon.view.members) if daemon.view is not None
+                       else set())
+            if reachable != current:
+                daemon.topology_hint()
+
+    def add_replica(self, new_id: int, peer: int,
+                    peers: Optional[Sequence[int]] = None,
+                    on_joined: Optional[Callable[[Replica], None]] = None
+                    ) -> Replica:
+        """Instantiate a brand-new replica (Section 5.1/5.2).
+
+        The new node connects to ``peer`` (falling back to ``peers`` on
+        failure), receives the database transfer, and then joins the
+        replicated group.
+        """
+        if new_id in self.replicas:
+            raise ValueError(f"replica {new_id} already exists")
+        self.topology.add_node(new_id, component_like=peer)
+        self.directory.add(new_id)
+        replica = self._build_replica(new_id, [new_id])
+        self.replicas[new_id] = replica
+        contact_order = list(peers) if peers else [peer]
+        if peer not in contact_order:
+            contact_order.insert(0, peer)
+        replica.join_from(contact_order, on_joined)
+        return replica
 
     # ==================================================================
     # clients
@@ -205,8 +261,7 @@ class ReplicaCluster(Cluster):
         self.sim = SimRuntime()
         self.streams = RandomStreams(seed)
         tracer = Tracer(enabled=trace)
-        self.topology = Topology(ids)
-        self.network = Network(self.sim, self.topology, network_profile,
+        self.network = Network(self.sim, Topology(ids), network_profile,
                                rng=self.streams.stream("network"),
                                tracer=tracer)
         # Disabled by default: simulated clusters keep plain counters
@@ -216,13 +271,10 @@ class ReplicaCluster(Cluster):
             gcs_settings or GcsSettings(), engine_config, disk_profile,
             tracer,
             observability if observability is not None
-            else Observability.disabled(),
-            links=self.topology)
-        if self.gcs_settings.use_topology_hints:
-            self.topology.subscribe(self._topology_hint)
+            else Observability.disabled())
 
     # ==================================================================
-    # time, faults and membership
+    # time
     # ==================================================================
     def start_all(self, settle: float = 2.0) -> None:
         """Start every replica and run until the first view settles."""
@@ -232,49 +284,3 @@ class ReplicaCluster(Cluster):
 
     def run_for(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
-
-    def crash(self, node: int) -> None:
-        self.topology.crash(node)
-        self.replicas[node].crash()
-
-    def recover(self, node: int) -> None:
-        self.topology.recover(node)
-        self.replicas[node].recover()
-
-    def _topology_hint(self) -> None:
-        """Fast-path failure detection (heartbeats remain the backstop)."""
-        joined = {n for n, r in self.replicas.items()
-                  if r.daemon.joined and self.topology.is_alive(n)}
-        for node, replica in self.replicas.items():
-            daemon = replica.daemon
-            if not daemon.joined or not self.topology.is_alive(node):
-                continue
-            reachable = {m for m in
-                         self.topology.component_members(node) if m in
-                         joined}
-            current = (set(daemon.view.members) if daemon.view is not None
-                       else set())
-            if reachable != current:
-                daemon.topology_hint()
-
-    def add_replica(self, new_id: int, peer: int,
-                    peers: Optional[Sequence[int]] = None,
-                    on_joined: Optional[Callable[[Replica], None]] = None
-                    ) -> Replica:
-        """Instantiate a brand-new replica (Section 5.1/5.2).
-
-        The new node connects to ``peer`` (falling back to ``peers`` on
-        failure), receives the database transfer, and then joins the
-        replicated group.
-        """
-        if new_id in self.replicas:
-            raise ValueError(f"replica {new_id} already exists")
-        self.topology.add_node(new_id, component_like=peer)
-        self.directory.add(new_id)
-        replica = self._build_replica(new_id, [new_id])
-        self.replicas[new_id] = replica
-        contact_order = list(peers) if peers else [peer]
-        if peer not in contact_order:
-            contact_order.insert(0, peer)
-        replica.join_from(contact_order, on_joined)
-        return replica

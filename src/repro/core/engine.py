@@ -51,6 +51,9 @@ from .state_machine import EngineState, check_transition
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.base import Runtime
 
+# Declared wire size (bytes) of the engine's state and CPC messages.
+_CONTROL_SIZE = 128
+
 
 @dataclass
 class EngineConfig:
@@ -60,7 +63,6 @@ class EngineConfig:
     checkpoint_interval: float = 0.25
     truncate_white: bool = True
     action_size: int = 200
-    control_size: int = 128
     # Per-action processing cost of the replication server (ordering,
     # indexing, handing to the DBMS).  Every replica pays it for every
     # globally ordered action — this is what caps the delayed-writes
@@ -669,8 +671,7 @@ class ReplicationEngine:
             yellow_valid=self.yellow.is_valid,
             yellow_ids=tuple(self.yellow.set))
         self._c_state_msgs.inc()
-        self.channel.multicast(msg, ServiceLevel.SAFE,
-                               size=self.config.control_size)
+        self.channel.multicast(msg, ServiceLevel.SAFE, size=_CONTROL_SIZE)
 
     def _on_state_msg(self, msg: EngineStateMsg) -> None:
         if self.state != EngineState.EXCHANGE_STATES:
@@ -813,7 +814,7 @@ class ReplicationEngine:
         self._c_cpc_sent.inc()
         self.channel.multicast(
             EngineCpcMsg(self.server_id, self.conf.view_id),
-            ServiceLevel.SAFE, size=self.config.control_size)
+            ServiceLevel.SAFE, size=_CONTROL_SIZE)
 
     def _on_cpc(self, msg: EngineCpcMsg) -> None:
         if self.conf is None or msg.conf_id != self.conf.view_id:

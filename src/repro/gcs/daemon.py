@@ -58,6 +58,14 @@ from .types import (AckMsg, Configuration, DataMsg, FlushDoneMsg,
 #: rounding error of ``heard + failure_timeout``.
 _FD_SLACK = 1e-6
 
+#: Declared wire sizes (bytes) the daemon bills its messages at: the
+#: header every data message adds to its payload, one order stamp, an
+#: ack, and any other control message.
+_HEADER_SIZE = 48
+_STAMP_ENTRY_SIZE = 16
+_ACK_SIZE = 64
+_CONTROL_SIZE = 96
+
 
 class GcsListener:
     """Callback interface for GCS consumers.  Subclass and override."""
@@ -132,6 +140,7 @@ class GcsDaemon(Actor):
         self._last_heard: Dict[int, float] = {}
         self._known_joined: Set[int] = set()
         self._nack_signature: Tuple = ()
+        self._unstamped_signature: Tuple = ()
         # The application's durable green count, advertised on every
         # heartbeat (set by the replication engine through its channel).
         self.green_line = 0
@@ -299,8 +308,7 @@ class GcsDaemon(Actor):
             return
         ordering = self.ordering
         msg = DataMsg(ordering.view_id, self.node, ordering.fifo_out,
-                      payload, service, size + self.settings.header_size,
-                      trace)
+                      payload, service, size + _HEADER_SIZE, trace)
         ordering.fifo_out += 1
         self.messages_multicast += 1
         ordering.add_data(msg)
@@ -391,8 +399,7 @@ class GcsDaemon(Actor):
         if not batch:
             return
         msg = StampMsg(self.ordering.view_id, tuple(batch))
-        size = (self.settings.header_size
-                + self.settings.stamp_entry_size * len(batch))
+        size = _HEADER_SIZE + _STAMP_ENTRY_SIZE * len(batch)
         others = [m for m in self.ordering.members if m != self.node]
         if others:
             self.network.multicast(self.node, others, msg, size)
@@ -421,8 +428,7 @@ class GcsDaemon(Actor):
         ordering.note_ack_sent()
         others = [m for m in ordering.members if m != self.node]
         if others:
-            self.network.multicast(self.node, others, msg,
-                                   self.settings.ack_size)
+            self.network.multicast(self.node, others, msg, _ACK_SIZE)
         self._try_deliver()
         if self.state == DaemonState.OPERATIONAL:
             ordering.prune_stable()
@@ -448,6 +454,7 @@ class GcsDaemon(Actor):
     def _nack_check(self) -> None:
         if self.state != DaemonState.OPERATIONAL or self.ordering is None:
             return
+        self._resend_unstamped(self.ordering)
         missing = tuple(self.ordering.missing_data_seqs()[:64])
         want_stamps = (self.ordering.delivered_seq + 1
                        if (self.ordering.has_stamp_gap()
@@ -471,8 +478,31 @@ class GcsDaemon(Actor):
             if not candidates:
                 return
             target = max(candidates)[1]
-        self.network.send(self.node, target, nack,
-                          self.settings.control_size)
+        self.network.send(self.node, target, nack, _CONTROL_SIZE)
+
+    def _resend_unstamped(self, ordering: ViewOrdering) -> None:
+        """(Non-sequencer) A DataMsg lost on its way to the sequencer is
+        never stamped and, stamps being FIFO per origin, blocks every
+        later message of mine, yet no NACK names it.  When my lowest
+        unstamped message stays put for a whole NACK period, unicast the
+        unstamped suffix to the sequencer (``add_data`` drops
+        duplicates)."""
+        if self.node == ordering.sequencer:
+            return
+        lowest = ordering.lowest_unstamped_own()
+        if lowest >= ordering.fifo_out:
+            self._unstamped_signature = ()
+            return
+        signature = (ordering.view_id, lowest)
+        if signature != self._unstamped_signature:
+            self._unstamped_signature = signature
+            return
+        for fifo in range(lowest, min(ordering.fifo_out, lowest + 64)):
+            key = (self.node, fifo)
+            msg = ordering.data.get(key)
+            if msg is not None and key not in ordering.stamp_of:
+                self.network.send(self.node, ordering.sequencer, msg,
+                                  msg.size)
 
     def _on_nack(self, msg: NackMsg) -> None:
         if not self._current_view_msg(msg.view_id):
@@ -492,8 +522,7 @@ class GcsDaemon(Actor):
                 for s, k in sorted(self.ordering.key_at.items())
                 if s >= msg.want_stamps_from)
             if stamps:
-                size = (self.settings.header_size
-                        + self.settings.stamp_entry_size * len(stamps))
+                size = _HEADER_SIZE + _STAMP_ENTRY_SIZE * len(stamps)
                 self.network.send(self.node, msg.node,
                                   StampMsg(msg.view_id, stamps), size)
 
@@ -517,7 +546,7 @@ class GcsDaemon(Actor):
                            size: Optional[int] = None) -> None:
         if dsts:
             self.network.multicast(self.node, dsts, payload,
-                                   size or self.settings.control_size)
+                                   size or _CONTROL_SIZE)
 
     def _send_heartbeat(self) -> None:
         if self.state == DaemonState.DOWN:
@@ -528,7 +557,7 @@ class GcsDaemon(Actor):
             self._other_directory(),
             HeartbeatMsg(self.node, view_id, self.joined, ack,
                          self.green_line),
-            self.settings.ack_size)
+            _ACK_SIZE)
 
     def _on_heartbeat(self, msg: HeartbeatMsg) -> None:
         if msg.green_line:
@@ -754,8 +783,7 @@ class GcsDaemon(Actor):
             self._on_report(report)
         else:
             self.network.send(self.node, msg.coordinator, report,
-                              self.settings.control_size
-                              + 24 * len(report.stamps))
+                              _CONTROL_SIZE + 24 * len(report.stamps))
 
     def _build_report(self) -> StateReportMsg:
         if self.ordering is not None:
@@ -803,8 +831,7 @@ class GcsDaemon(Actor):
             plan = FlushPlanMsg(self.node, self.attempt, old_view_id,
                                 union_stamps, data_available, stable_line)
             members = [r.node for r in reports]
-            size = (self.settings.control_size
-                    + self.settings.stamp_entry_size * len(union_stamps))
+            size = _CONTROL_SIZE + _STAMP_ENTRY_SIZE * len(union_stamps)
             others = [m for m in members if m != self.node]
             self._control_multicast(others, plan, size)
             if self.node in members:
@@ -826,8 +853,7 @@ class GcsDaemon(Actor):
                 if holder == self.node:
                     self._on_retrans_cmd(cmd)
                 else:
-                    self.network.send(self.node, holder, cmd,
-                                      self.settings.control_size)
+                    self.network.send(self.node, holder, cmd, _CONTROL_SIZE)
         self._phase_timer.start()
         self._maybe_install()
 
@@ -877,7 +903,7 @@ class GcsDaemon(Actor):
         else:
             assert self._round_coordinator is not None
             self.network.send(self.node, self._round_coordinator, done,
-                              self.settings.control_size)
+                              _CONTROL_SIZE)
 
     def _on_flush_done(self, msg: FlushDoneMsg) -> None:
         if (self.state != DaemonState.FLUSH
@@ -977,8 +1003,7 @@ class GcsDaemon(Actor):
         outbox, self._outbox = self._outbox, []
         for data in resubmit:
             self.multicast(data.payload, data.service,
-                           data.size - self.settings.header_size,
-                           data.trace)
+                           data.size - _HEADER_SIZE, data.trace)
         for payload, service, size, trace in outbox:
             self.multicast(payload, service, size, trace)
 

@@ -67,6 +67,8 @@ class ViewOrdering:
         self.fifo_stamp_next: Dict[int, int] = {m: 0 for m in self.members}
         # -- fifo send counter -------------------------------------------
         self.fifo_out = 0
+        # lowest own fifo_seq possibly unstamped (see lowest_unstamped_own)
+        self._own_unstamped_from = 0
         # -- receipt / stability ------------------------------------------
         self.ack_seq = -1            # my cumulative contiguous receipt
         self.acks: Dict[int, int] = {m: -1 for m in self.members}
@@ -274,6 +276,18 @@ class ViewOrdering:
         if self.me == self.sequencer:
             return False
         return any(key not in self.stamp_of for key in self.data)
+
+    def lowest_unstamped_own(self) -> int:
+        """My lowest fifo_seq with no stamp known here, ``fifo_out`` if
+        none.  Stamps are FIFO per origin, so my stamped messages form a
+        prefix and the cursor only moves forward: amortised O(1)."""
+        me = self.me
+        nxt = max(self._own_unstamped_from, self.fifo_floor.get(me, 0))
+        stamp_of = self.stamp_of
+        while nxt < self.fifo_out and (me, nxt) in stamp_of:
+            nxt += 1
+        self._own_unstamped_from = nxt
+        return nxt
 
     def retrans_items(self, seqs: List[int]) -> List[Tuple]:
         """Build retransmission payloads for stamped seqs we hold.

@@ -70,7 +70,7 @@ class Configuration:
 
 @dataclass
 class GcsSettings:
-    """Tunable protocol timers (seconds) and sizes (bytes).
+    """Tunable protocol timers (seconds) and policies.
 
     Defaults are tuned for the paper's 100 Mbit LAN profile: safe
     delivery completes in ~2 ms, membership changes settle in a few
@@ -103,10 +103,6 @@ class GcsSettings:
     idle_immediate: bool = False
     nack_timeout: float = 0.020
     use_topology_hints: bool = True
-    header_size: int = 48
-    stamp_entry_size: int = 16
-    ack_size: int = 64
-    control_size: int = 96
 
 
 # ----------------------------------------------------------------------

@@ -24,14 +24,13 @@ from .base import Handle, Runtime, Transport
 from .cluster import (LiveCluster, LiveClusterTimeout, live_disk_profile,
                       live_engine_config, live_gcs_settings, udp_cluster)
 from .sim_runtime import SimRuntime
-from .transport import (AsyncioTransport, MemoryTransport, PartitionFilter,
-                        loopback_addresses)
+from .transport import AsyncioTransport, MemoryTransport, loopback_addresses
 
 __all__ = [
     "Runtime", "Handle", "Transport",
     "SimRuntime",
     "AsyncioRuntime", "AsyncioHandle",
-    "MemoryTransport", "AsyncioTransport", "PartitionFilter",
+    "MemoryTransport", "AsyncioTransport",
     "loopback_addresses",
     "LiveCluster", "LiveClusterTimeout", "udp_cluster",
     "live_gcs_settings", "live_disk_profile", "live_engine_config",

@@ -11,8 +11,9 @@ captured by two narrow interfaces:
   :class:`Handle`; ``call_soon`` runs a callback after the current event
   and anything already queued for now.
 * :class:`Transport` — point-to-point and multicast datagram send
-  between integer node ids, with loss, latency, and partitions left
-  entirely to the implementation.
+  between integer node ids, with loss and latency left entirely to the
+  implementation and reachability (partitions, crashes) given by its
+  :class:`~repro.net.Topology`.
 
 Two production implementations ship with the repository:
 
@@ -36,6 +37,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Iterable, Protocol,
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.message import Datagram
+    from ..net.topology import Topology
 
 Callback = Callable[..., None]
 
@@ -112,8 +114,11 @@ class Transport(Protocol):
     to the handler attached for the destination node.  Delivery is
     best-effort: messages may be lost, delayed, or reordered — the GCS
     daemon's NACK and flush machinery recovers losses, so transports
-    need no reliability of their own.
+    need no reliability of their own.  A datagram between nodes its
+    ``topology`` does not connect is dropped.
     """
+
+    topology: "Topology"
 
     def attach(self, node: int,
                handler: Callable[["Datagram"], None]) -> None:

@@ -35,6 +35,7 @@ from ..core.cluster import Cluster
 from ..core.engine import EngineConfig
 from ..core.state_machine import EngineState
 from ..gcs import GcsSettings
+from ..net import Topology
 from ..obs import MetricsServer, Observability
 from ..sim.trace import Tracer
 from ..storage import DiskProfile
@@ -110,7 +111,7 @@ class LiveCluster(Cluster):
                  observability: Optional[Observability] = None):
         runtime = runtime if runtime is not None else AsyncioRuntime()
         transport = (transport if transport is not None
-                     else MemoryTransport(runtime))
+                     else MemoryTransport(runtime, Topology(server_ids)))
         # Long live runs must not grow memory without bound: cap the
         # trace ring buffer (the simulator's default stays unbounded).
         tracer = Tracer(enabled=trace, max_records=trace_limit)
@@ -249,7 +250,7 @@ def udp_cluster(server_ids: Sequence[int], *,
     from .transport import loopback_addresses
     runtime = kwargs.pop("runtime", None) or AsyncioRuntime()
     addr_map = dict(addresses) if addresses else loopback_addresses(server_ids)
-    transport = AsyncioTransport(runtime, addr_map)
+    transport = AsyncioTransport(runtime, addr_map, Topology(server_ids))
     for node in (hosted if hosted is not None else server_ids):
         transport.open(node, (sockets or {}).get(node))
     return LiveCluster(server_ids, hosted=hosted, runtime=runtime,

@@ -12,12 +12,13 @@ Two backends for the asyncio runtime:
   ``loop.add_reader``.  A process hosts any subset of the cluster's
   nodes; the address map names them all.
 
-Both support *software partitions*: a partition map assigned with
-``partition(groups)`` drops datagrams crossing group boundaries — at
-send time and again at delivery time, mirroring the simulated fabric's
-semantics (a partition cuts messages already in flight).  In a
-multi-process deployment every process installs the same partition
-schedule locally; there is no hidden global coordinator.
+Both obey the cluster's :class:`~repro.net.Topology`, the reachability
+model the simulated :class:`~repro.net.Network` obeys too: a datagram
+between nodes that are down or in different components is dropped at
+send time and again at delivery time (a partition or a crash cuts
+messages already in flight).  In a multi-process deployment every
+process drives the same partition and crash schedule into its own
+topology; there is no hidden global coordinator.
 
 UDP is lossy by nature and these transports make no reliability
 promises — exactly the contract the GCS daemon's NACK and flush
@@ -28,18 +29,18 @@ trace record), never an exception inside an event-loop callback.
 Nothing upstream bounds message size yet: NACK stamp replies and flush
 plans grow with the backlog, and the joiner's ``TransferHeader`` still
 carries the representative's whole applied log (one 8-byte word per
-entry, so a join after some 7,400 applied actions is dropped here and
-the joiner keeps retrying).  Bounding those messages is ROADMAP
-1(b)/2(a).
+entry: on loopback UDP a join after 7,250 applied actions completes,
+one after 7,500 is dropped here and the joiner keeps retrying).
+Bounding those messages is ROADMAP 1(b)/2(a).
 """
 
 from __future__ import annotations
 
 import socket
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable,
                     Optional, Sequence, Tuple)
 
-from ..net import codec
+from ..net import Topology, codec
 from ..net.message import Datagram
 from ..sim.trace import Tracer
 from .asyncio_runtime import AsyncioRuntime
@@ -54,68 +55,56 @@ Handler = Callable[[Datagram], None]
 _MAX_DGRAM = 60000
 
 
-class PartitionFilter:
-    """Software reachability: node -> component id, empty = connected."""
+class _LiveFabric:
+    """What both live transports share: the handlers, the counters, and
+    delivery, which checks reachability (``topology``) again so a
+    partition or crash installed while a datagram is in flight still
+    cuts it."""
 
-    def __init__(self) -> None:
-        self._component: Dict[int, int] = {}
-
-    def partition(self, groups: Sequence[Sequence[int]]) -> None:
-        """Split the cluster; nodes absent from every group form their
-        own implicit singleton components."""
-        self._component = {}
-        for index, group in enumerate(groups):
-            for node in group:
-                self._component[node] = index
-
-    def heal(self) -> None:
-        self._component = {}
-
-    def allows(self, src: int, dst: int) -> bool:
-        if src == dst or not self._component:
-            return True
-        a = self._component.get(src, -1 - src)
-        b = self._component.get(dst, -1 - dst)
-        return a == b
-
-
-class MemoryTransport:
-    """In-process datagram fabric over an :class:`AsyncioRuntime`.
-
-    Every hosted node shares this object; a send posts the delivery
-    callback ``latency`` seconds ahead on the runtime.  Reachability is
-    checked at send *and* delivery time so a partition installed while
-    a datagram is in flight still cuts it.
-    """
-
-    def __init__(self, runtime: AsyncioRuntime, latency: float = 0.0002):
+    def __init__(self, runtime: AsyncioRuntime, topology: Topology):
         self.runtime = runtime
-        self.latency = latency
-        self.filter = PartitionFilter()
+        self.topology = topology
         self._handlers: Dict[int, Handler] = {}
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.datagrams_dropped = 0
         self.bytes_sent = 0
 
-    # -- attachment -----------------------------------------------------
-    def attach(self, node: int, handler: Handler) -> None:
-        self._handlers[node] = handler
-
     def detach(self, node: int) -> None:
+        """Silence a node; a socket stays bound for a later recover."""
         self._handlers.pop(node, None)
 
     def is_attached(self, node: int) -> bool:
         return node in self._handlers
 
-    # -- partitions -----------------------------------------------------
-    def partition(self, groups: Sequence[Sequence[int]]) -> None:
-        self.filter.partition(groups)
+    def _deliver(self, datagram: Datagram) -> None:
+        if not self.topology.reachable(datagram.src, datagram.dst):
+            self.datagrams_dropped += 1
+            return
+        handler = self._handlers.get(datagram.dst)
+        if handler is None:
+            self.datagrams_dropped += 1
+            return
+        self.datagrams_delivered += 1
+        handler(datagram)
 
-    def heal(self) -> None:
-        self.filter.heal()
 
-    # -- sending --------------------------------------------------------
+class MemoryTransport(_LiveFabric):
+    """In-process datagram fabric over an :class:`AsyncioRuntime`.
+
+    Every hosted node shares this object; a send posts the delivery
+    callback ``latency`` seconds ahead on the runtime.  Reachability
+    (``topology``) is checked at send *and* delivery time.
+    """
+
+    def __init__(self, runtime: AsyncioRuntime, topology: Topology,
+                 latency: float = 0.0002):
+        super().__init__(runtime, topology)
+        self.latency = latency
+
+    def attach(self, node: int, handler: Handler) -> None:
+        self._handlers[node] = handler
+
     def send(self, src: int, dst: int, payload: Any,
              size: int = 200) -> None:
         self.multicast(src, (dst,), payload, size)
@@ -128,25 +117,14 @@ class MemoryTransport:
         for dst in dsts:
             self.datagrams_sent += 1
             self.bytes_sent += size
-            if not self.filter.allows(src, dst):
+            if not self.topology.reachable(src, dst):
                 self.datagrams_dropped += 1
                 continue
             self.runtime.post(self.latency, self._deliver,
                               Datagram(src, dst, payload, size, now))
 
-    def _deliver(self, datagram: Datagram) -> None:
-        if not self.filter.allows(datagram.src, datagram.dst):
-            self.datagrams_dropped += 1
-            return
-        handler = self._handlers.get(datagram.dst)
-        if handler is None:
-            self.datagrams_dropped += 1
-            return
-        self.datagrams_delivered += 1
-        handler(datagram)
 
-
-class AsyncioTransport:
+class AsyncioTransport(_LiveFabric):
     """UDP datagram fabric: one socket per *hosted* node.
 
     ``addresses`` maps every node id in the deployment to its
@@ -172,17 +150,12 @@ class AsyncioTransport:
     """
 
     def __init__(self, runtime: AsyncioRuntime,
-                 addresses: Dict[int, Tuple[str, int]]):
-        self.runtime = runtime
+                 addresses: Dict[int, Tuple[str, int]],
+                 topology: Topology):
+        super().__init__(runtime, topology)
         self.addresses = dict(addresses)
-        self.filter = PartitionFilter()
-        self._handlers: Dict[int, Handler] = {}
         self._sockets: Dict[int, socket.socket] = {}
-        self.datagrams_sent = 0
-        self.datagrams_delivered = 0
-        self.datagrams_dropped = 0
         self.oversize_dropped = 0
-        self.bytes_sent = 0
         self._tracer: Optional[Tracer] = None
 
     def observe(self, obs: "Observability", tracer: Tracer) -> None:
@@ -202,12 +175,14 @@ class AsyncioTransport:
     # -- socket lifecycle ----------------------------------------------
     def open(self, node: int,
              sock: Optional[socket.socket] = None) -> None:
-        """Bind (or adopt) the UDP socket for a locally hosted node."""
+        """Bind (or adopt) the UDP socket for a locally hosted node.  A
+        node missing from the address map (a replica added at run time)
+        binds an OS-assigned loopback port."""
         if node in self._sockets:
             return
         if sock is None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.bind(self.addresses[node])
+            sock.bind(self.addresses.get(node, ("127.0.0.1", 0)))
         sock.setblocking(False)
         self.addresses[node] = sock.getsockname()
         self._sockets[node] = sock
@@ -231,20 +206,6 @@ class AsyncioTransport:
             self.open(node)
         self._handlers[node] = handler
 
-    def detach(self, node: int) -> None:
-        """Silence a node; the socket stays bound for a later recover."""
-        self._handlers.pop(node, None)
-
-    def is_attached(self, node: int) -> bool:
-        return node in self._handlers
-
-    # -- partitions -----------------------------------------------------
-    def partition(self, groups: Sequence[Sequence[int]]) -> None:
-        self.filter.partition(groups)
-
-    def heal(self) -> None:
-        self.filter.heal()
-
     # -- sending --------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any,
              size: int = 200) -> None:
@@ -258,7 +219,7 @@ class AsyncioTransport:
         blob: Optional[bytes] = None
         for dst in dsts:
             self.datagrams_sent += 1
-            if not self.filter.allows(src, dst):
+            if not self.topology.reachable(src, dst):
                 self.datagrams_dropped += 1
                 continue
             if dst == src:
@@ -268,7 +229,7 @@ class AsyncioTransport:
                 # so billed at its declared size.
                 self.bytes_sent += size
                 self.runtime.loop.call_soon(
-                    self._local_deliver,
+                    self._deliver,
                     Datagram(src, dst, payload, size, self.runtime.now))
                 continue
             addr = self.addresses.get(dst)
@@ -295,17 +256,6 @@ class AsyncioTransport:
                 # semantics say drop; the GCS NACK path recovers.
                 self.datagrams_dropped += 1
 
-    def _local_deliver(self, datagram: Datagram) -> None:
-        if not self.filter.allows(datagram.src, datagram.dst):
-            self.datagrams_dropped += 1
-            return
-        handler = self._handlers.get(datagram.dst)
-        if handler is None:
-            self.datagrams_dropped += 1
-            return
-        self.datagrams_delivered += 1
-        handler(datagram)
-
     # -- receiving ------------------------------------------------------
     def _on_readable(self, node: int, sock: socket.socket) -> None:
         # Drain everything ready; add_reader fires once per readability
@@ -324,16 +274,8 @@ class AsyncioTransport:
                 # crashed receive loop.
                 self.datagrams_dropped += 1
                 continue
-            if not self.filter.allows(src, node):
-                self.datagrams_dropped += 1
-                continue
-            handler = self._handlers.get(node)
-            if handler is None:
-                self.datagrams_dropped += 1
-                continue
-            self.datagrams_delivered += 1
-            handler(Datagram(src, node, payload, len(blob),
-                             self.runtime.now))
+            self._deliver(Datagram(src, node, payload, len(blob),
+                                   self.runtime.now))
 
 
 def loopback_addresses(server_ids: Sequence[int],

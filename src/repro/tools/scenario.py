@@ -11,12 +11,9 @@ line:
 A scenario can also be replayed on the live asyncio runtime
 (``"runtime": "asyncio"`` in the spec, or ``--runtime asyncio`` on the
 command line): the same step interpreter then drives a
-:class:`~repro.runtime.LiveCluster` in wall-clock time.  The portable
-ops are ``submit``, ``run``, ``partition`` and ``heal``; ``crash``,
-``recover``, ``join`` and ``leave`` are simulator-only (the live
-in-process harness has no process supervisor) and raise
-:class:`ScenarioError` on asyncio.  Every check kind and the optional
-``gcs``/``disk``/``quorum`` keys apply on both runtimes.
+:class:`~repro.runtime.LiveCluster` in wall-clock time.  Every op,
+every check kind and the optional ``gcs``/``disk``/``quorum`` keys
+apply on both runtimes.
 
 Scenario format::
 
@@ -74,11 +71,6 @@ from ..storage import DiskProfile
 
 class ScenarioError(Exception):
     """Raised for malformed scenarios or failed checks."""
-
-
-#: Ops the in-process live harness cannot perform: it has no process
-#: supervisor to crash, recover or spawn a replica.
-_SIM_ONLY = frozenset({"crash", "recover", "join", "leave"})
 
 
 def _cluster_kwargs(spec: Dict[str, Any], live: bool) -> Dict[str, Any]:
@@ -194,10 +186,6 @@ class ScenarioRunner:
         """Apply the spec's steps in order, yielding each settle."""
         for step in self.spec.get("steps", []):
             op = step.get("op")
-            if self.runtime == "asyncio" and op in _SIM_ONLY:
-                raise ScenarioError(
-                    f"op {op!r} is simulator-only; not available under "
-                    f"the asyncio runtime")
             if op == "submit":
                 node = int(step["node"])
                 update = tuple(step["update"])

@@ -50,6 +50,40 @@ class TestTargetedDrops:
         assert client.completed == 1
         cluster.assert_converged()
 
+    def test_data_lost_on_its_way_to_the_sequencer_is_resent(self):
+        """The sequencer (node 1) stamps each origin in FIFO order, so a
+        DataMsg it never receives blocks every later message from that
+        origin, and no NACK names an unstamped message: the origin must
+        re-send it, without a view change."""
+        from repro.core import ReplicaCluster
+        cluster = ReplicaCluster(3, seed=1)
+        cluster.start_all(settle=2.0)
+        views = {n: r.daemon.views_installed
+                 for n, r in cluster.replicas.items()}
+        dropped = []
+
+        def drop_first_to_sequencer(datagram):
+            if (isinstance(datagram.payload, DataMsg) and not dropped
+                    and datagram.payload.origin == 2
+                    and datagram.dst == 1):
+                dropped.append(datagram.payload.fifo_seq)
+                return False
+            return True
+
+        cluster.network.interceptor = drop_first_to_sequencer
+        for i in range(5):
+            cluster.submit(2, ("SET", f"a{i}", i))
+        cluster.run_for(0.5)
+        cluster.network.interceptor = None
+        for i in range(5):
+            cluster.submit(2, ("SET", f"b{i}", i))
+        cluster.run_for(10.0)
+        assert dropped
+        assert cluster.green_counts() == {1: 10, 2: 10, 3: 10}
+        cluster.assert_converged()
+        assert {n: r.daemon.views_installed
+                for n, r in cluster.replicas.items()} == views
+
     def test_lost_acks_delay_but_not_break_safety(self, cluster):
         dropped = {"n": 0}
 

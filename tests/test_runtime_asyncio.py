@@ -11,10 +11,11 @@ import asyncio
 
 import pytest
 
+from repro.net import Topology
 from repro.obs import Observability
 from repro.runtime import (AsyncioRuntime, AsyncioTransport, Handle,
-                           MemoryTransport, PartitionFilter, Runtime,
-                           SimRuntime, Transport, loopback_addresses)
+                           MemoryTransport, Runtime, SimRuntime, Transport,
+                           loopback_addresses)
 from repro.sim import Tracer
 from repro.sim.kernel import SimulationError
 
@@ -36,7 +37,8 @@ def test_both_runtimes_satisfy_the_protocol():
 
 def test_transports_satisfy_the_protocol():
     async def check():
-        return isinstance(MemoryTransport(AsyncioRuntime()), Transport)
+        return isinstance(MemoryTransport(AsyncioRuntime(), Topology([1])),
+                          Transport)
     assert run(check())
     from repro.core import ReplicaCluster
     assert isinstance(ReplicaCluster(n=2).network, Transport)
@@ -300,33 +302,22 @@ def test_stop_sets_the_stopped_event():
 
 
 # ----------------------------------------------------------------------
-# partition filter
+# reachability: the live transports obey the cluster's Topology
 # ----------------------------------------------------------------------
-
-def test_partition_filter_components():
-    f = PartitionFilter()
-    assert f.allows(1, 2)
-    f.partition([[1, 2], [3]])
-    assert f.allows(1, 2) and not f.allows(2, 3)
-    assert f.allows(3, 3)          # self always reachable
-    # a node listed in no group is its own singleton
-    assert not f.allows(1, 4) and not f.allows(4, 5)
-    f.heal()
-    assert f.allows(2, 3) and f.allows(4, 5)
-
 
 def test_memory_transport_partition_cuts_in_flight():
     async def scenario():
         rt = AsyncioRuntime()
-        net = MemoryTransport(rt, latency=0.01)
+        topology = Topology([1, 2])
+        net = MemoryTransport(rt, topology, latency=0.01)
         got = []
         net.attach(1, lambda d: got.append(d.payload))
         net.attach(2, lambda d: got.append(d.payload))
         net.send(1, 2, "before")       # in flight when the cut lands
-        net.partition([[1], [2]])
+        topology.partition([[1], [2]])
         net.send(1, 2, "during")       # dropped at send time
         await asyncio.sleep(0.05)
-        net.heal()
+        topology.heal()
         net.send(1, 2, "after")
         await asyncio.sleep(0.05)
         return got, net.datagrams_dropped
@@ -339,7 +330,8 @@ def test_memory_transport_partition_cuts_in_flight():
 def test_udp_oversize_frame_is_a_counted_drop_not_an_exception():
     async def scenario():
         rt = AsyncioRuntime()
-        net = AsyncioTransport(rt, loopback_addresses([1, 2]))
+        net = AsyncioTransport(rt, loopback_addresses([1, 2]),
+                               Topology([1, 2]))
         obs, tracer = Observability(flight=True), Tracer()
         obs.flight_hub.attach(tracer)
         net.observe(obs, tracer)
@@ -367,3 +359,61 @@ def test_udp_oversize_frame_is_a_counted_drop_not_an_exception():
     assert record.detail["bytes"] > len(huge)
     assert [kind for _t, kind, _trace, _detail
             in obs.flight(1).events()] == ["transport.oversize"]
+
+
+def test_fault_on_a_node_hosted_elsewhere_only_changes_the_topology():
+    from repro.runtime import LiveCluster
+
+    async def scenario():
+        cluster = LiveCluster([1, 2, 3], hosted=[1])
+        try:
+            cluster.crash(3)
+            down = cluster.topology.reachable(1, 3)
+            cluster.recover(3)
+            return down, cluster.topology.reachable(1, 3)
+        finally:
+            cluster.shutdown()
+
+    assert run(scenario()) == (False, True)
+
+
+def test_udp_join_after_a_thousand_actions_converges():
+    """An online join (Section 5.1) over real UDP: the new replica binds
+    an OS-assigned port, takes the transfer from its peer and reaches
+    the same green order and digest.  A join after 7,250 applied
+    actions still completes; after 7,500 the transfer header outgrows
+    one datagram (ROADMAP 9)."""
+    from repro.core.state_machine import EngineState
+    from repro.runtime import udp_cluster
+
+    async def scenario():
+        cluster = udp_cluster([1, 2, 3])
+        try:
+            cluster.start_all()
+            await cluster.wait_all_engine_state(EngineState.REG_PRIM,
+                                                timeout=10)
+            for chunk in range(5):
+                for i in range(200):
+                    n = chunk * 200 + i
+                    cluster.submit(1 + n % 3, ("SET", f"k{n % 50}", n))
+                await cluster.wait_green((chunk + 1) * 200, timeout=10)
+            cluster.add_replica(4, peer=2)
+
+            def converged():
+                joiner = cluster.replicas[4]
+                running = cluster.running_replicas()
+                return (joiner.engine.state == EngineState.REG_PRIM
+                        and len(running) == 4
+                        and len({r.database.digest()
+                                 for r in running}) == 1)
+            await cluster.wait_until(converged, timeout=10,
+                                     what="replica 4 joining")
+            cluster.assert_converged()
+            return cluster.green_counts(), cluster.transport
+        finally:
+            cluster.shutdown()
+
+    counts, transport = run(scenario())
+    # The join is an ordered action too.
+    assert counts == {1: 1001, 2: 1001, 3: 1001, 4: 1001}
+    assert transport.oversize_dropped == 0

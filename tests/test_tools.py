@@ -1,6 +1,7 @@
 """Tests for the scenario runner and the timeline renderer."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,10 @@ PORTABLE = {
 }
 
 
+SECTION5 = (Path(__file__).resolve().parent.parent / "examples"
+            / "scenarios" / "section5_faults.json")
+
+
 class TestPortableScenario:
     def test_same_outcome_on_sim_and_asyncio(self):
         runners = {runtime: ScenarioRunner(PORTABLE, runtime=runtime)
@@ -145,6 +150,26 @@ class TestPortableScenario:
             assert report.completions == 4
         assert reports["sim"].final_green_counts \
             == reports["asyncio"].final_green_counts == {1: 4, 2: 4, 3: 4}
+        states = {runtime: {n: r.database.state
+                            for n, r in runner.cluster.replicas.items()}
+                  for runtime, runner in runners.items()}
+        assert states["sim"] == states["asyncio"]
+
+    def test_section5_faults_same_outcome_on_sim_and_asyncio(self):
+        # Crash, recover, join, partition, heal and leave (Section 5)
+        # through the one step interpreter on both runtimes.
+        spec = json.loads(SECTION5.read_text())
+        runners = {runtime: ScenarioRunner(spec, runtime=runtime)
+                   for runtime in ("sim", "asyncio")}
+        reports = {runtime: runner.run()
+                   for runtime, runner in runners.items()}
+        for report in reports.values():
+            assert report.checks_passed == 10
+            assert report.completions == 5
+        # Five updates plus the join and the leave, which are ordered
+        # actions too.
+        assert reports["sim"].final_green_counts \
+            == reports["asyncio"].final_green_counts == {2: 7, 3: 7, 4: 7}
         states = {runtime: {n: r.database.state
                             for n, r in runner.cluster.replicas.items()}
                   for runtime, runner in runners.items()}
@@ -164,15 +189,6 @@ class TestPortableScenario:
             assert replica.gcs_settings.idle_immediate is True
             assert replica.disk.profile.forced_write_latency == 0.001
             assert replica.disk.profile.async_write_latency == 0.0
-
-    @pytest.mark.parametrize("step", [
-        {"op": "crash", "node": 3}, {"op": "recover", "node": 3},
-        {"op": "join", "node": 4, "peer": 1}, {"op": "leave", "node": 1}],
-        ids=lambda step: step["op"])
-    def test_live_run_refuses_simulator_only_ops(self, step):
-        spec = {"replicas": 3, "steps": [step]}
-        with pytest.raises(ScenarioError, match="simulator-only"):
-            run_scenario(spec, runtime="asyncio")
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ScenarioError, match="unknown runtime"):
