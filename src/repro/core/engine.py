@@ -541,7 +541,7 @@ class ReplicationEngine:
             self.queue.add_server(action.join_id,
                                   green_line=position + 1)
             self.database.apply(action)
-            self.store.wal.append("green", (position, action), forced=False)
+            self.store.wal.append("green", action, forced=False)
             if action.server_id == self.server_id:
                 self.hooks.start_transfer(action, position)
         elif (action.type is ActionType.PERSISTENT_LEAVE
@@ -551,13 +551,13 @@ class ReplicationEngine:
             self.queue.remove_server(action.leave_id)
             self.removed_servers.add(action.leave_id)
             self.database.apply(action)
-            self.store.wal.append("green", (position, action), forced=False)
+            self.store.wal.append("green", action, forced=False)
             if action.leave_id == self.server_id:
                 self._exit_system()
                 return True
         else:
             result = self.database.apply(action)
-            self.store.wal.append("green", (position, action), forced=False)
+            self.store.wal.append("green", action, forced=False)
             self.hooks.on_green(action, position, result)
             return True
         self.hooks.on_green(action, position, None)

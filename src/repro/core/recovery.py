@@ -4,8 +4,9 @@ A recovering server retains its identifier and stable storage
 (Section 2.1).  Recovery rebuilds, from the WAL and the persistent
 record store:
 
-1. the database — last snapshot (if the node bootstrapped from a
-   transfer) plus the durable green records replayed in order;
+1. the database — last snapshot (written by log compaction, or by a
+   joiner that bootstrapped from a transfer) plus the durable greens
+   journaled after it, replayed in order;
 2. the action queue — green prefix, then the red-actions snapshot taken
    at the last exchange, then the paper's A.13 step: every ongoingQueue
    action not yet covered by the red cut is re-marked red;
@@ -14,14 +15,25 @@ record store:
 
 The engine then starts in NonPrim and rejoins the group; the exchange
 protocol resupplies everything lost from volatile memory.
+
+The position rule.  A green is journaled as the bare action, without
+its position in the green order: the first green after the latest
+``db_snapshot`` record is at that snapshot's ``applied_count`` (0 when
+there is none), and each later green is one higher.  It holds by
+construction: the durable journal is a prefix of the appends (a
+rewrite lands after the flushes issued before it, see
+:class:`~repro.storage.SimulatedDisk`); compaction writes its snapshot
+first; a joiner journals its snapshot before its first green; and the
+engine journals a green only when the queue accepted it, so no position
+is journaled twice or skipped.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..db import Action, Database
-from ..storage import StableStore
+from ..db import Action
+from ..storage.wal import GREEN
 from .engine import ReplicationEngine
 from .records import PrimComponent, Vulnerable, Yellow
 from .state_machine import EngineState
@@ -32,12 +44,26 @@ def recover_engine(engine: ReplicationEngine) -> None:
     store = engine.store
     view = store.recover()
 
-    # 1. database: snapshot base (joiners) + green replay
+    # One walk of the journal, in order: the greens kept are those
+    # after the latest snapshot (the position rule above).
+    snapshot: Optional[Dict[str, Any]] = None
+    greens: List[Action] = []
+    ongoing: List[Action] = []
+    for record in store.wal.recover():
+        kind = record.kind
+        if kind == GREEN:
+            greens.append(record.data)
+        elif kind == "db_snapshot":
+            snapshot = record.data
+            greens = []
+        elif kind == "ongoing":
+            ongoing.append(record.data)
+
+    # 1. database: snapshot base + green replay
     base_green = 0
-    snapshot_record = store.wal.last_of_kind("db_snapshot")
-    if snapshot_record is not None:
-        engine.database.restore(snapshot_record.data)
-        base_green = snapshot_record.data["applied_count"]
+    if snapshot is not None:
+        engine.database.restore(snapshot)
+        base_green = snapshot["applied_count"]
 
     servers = view.get("servers")
     if servers:
@@ -48,13 +74,7 @@ def recover_engine(engine: ReplicationEngine) -> None:
     # Actions subsumed by the snapshot (log compaction, or a joiner's
     # transfer) are known without their payloads.
     engine.queue.cover(engine.database.applied_cut)
-    greens: Dict[int, Action] = {}
-    for record in store.wal.recover_kind("green"):
-        position, action = record.data
-        greens[position] = action
-    position = base_green
-    while position in greens:
-        action = greens[position]
+    for action in greens:
         # The creator may have left the system since (its own
         # PERSISTENT_LEAVE is such a green): replay under a temporary
         # cut entry; the persisted server list prevails afterwards.
@@ -63,7 +83,6 @@ def recover_engine(engine: ReplicationEngine) -> None:
         engine.queue.mark_red(action)
         engine.queue.mark_green(action)
         engine.database.apply(action)
-        position += 1
     engine.queue.set_green_line(engine.server_id, engine.queue.green_count)
     if servers:
         persisted = set(servers)
@@ -74,8 +93,7 @@ def recover_engine(engine: ReplicationEngine) -> None:
     # 2. red actions snapshot from the last exchange, then A.13 proper
     for action in view.get("red_actions", []) or []:
         engine.queue.mark_red(action)
-    for record in store.wal.recover_kind("ongoing"):
-        action = record.data
+    for action in ongoing:
         engine.ongoing[action.action_id] = action
     for action_id in sorted(engine.ongoing):
         action = engine.ongoing[action_id]

@@ -54,29 +54,35 @@ class WriteRequest:
     ``replace`` marks a log-rewrite request: on completion the payload
     (a list) atomically *replaces* the durable contents instead of
     being appended — the compaction primitive (write new log file,
-    rename over the old one).
+    rename over the old one).  ``extend`` marks a flush: the payload is
+    the list of buffered writes it makes durable, in write order.
     """
 
     __slots__ = ("payload", "callback", "forced", "issued_at", "done",
-                 "replace")
+                 "replace", "extend")
 
     def __init__(self, payload: Any, callback: Optional[Callback],
-                 forced: bool, issued_at: float, replace: bool = False):
+                 forced: bool, issued_at: float, replace: bool = False,
+                 extend: bool = False):
         self.payload = payload
         self.callback = callback
         self.forced = forced
         self.issued_at = issued_at
         self.done = False
         self.replace = replace
+        self.extend = extend
 
 
 class SimulatedDisk:
     """A per-node disk with durable and volatile regions.
 
     ``durable`` holds payloads whose write completed (synced, or
-    asynchronously flushed).  ``volatile`` holds async-written payloads
-    still in cache.  :meth:`crash` discards the cache and all pending
-    requests without invoking their callbacks.
+    asynchronously flushed), in the order their requests were issued:
+    the requests of one group commit land in queue order, so a flush
+    issued before a rewrite is subsumed by it, never appended after it.
+    ``volatile`` holds async-written payloads still in cache.
+    :meth:`crash` discards the cache and all pending requests without
+    invoking their callbacks.
     """
 
     def __init__(self, sim: "Runtime", node: int,
@@ -117,9 +123,6 @@ class SimulatedDisk:
         self.syncs = 0
         self.async_writes = 0
         self.total_sync_wait = 0.0
-        # Bumped on every mutation of ``durable``; recovery-scan caches
-        # (the WAL's typed index) key off it.
-        self.durable_version = 0
 
     # ------------------------------------------------------------------
     # writes
@@ -189,13 +192,12 @@ class SimulatedDisk:
         staged = self.volatile
         self.volatile = []
         def durable() -> None:
-            self.durable.extend(staged)
-            self.durable_version += 1
             if on_durable is not None:
                 on_durable()
             if callback is not None:
                 callback()
-        request = WriteRequest(None, durable, True, self.sim.now)
+        request = WriteRequest(staged, durable, True, self.sim.now,
+                               extend=True)
         self.forced_writes += 1
         self._queue.append(request)
         self._maybe_start_sync()
@@ -220,14 +222,15 @@ class SimulatedDisk:
         if incarnation != self._incarnation:
             return  # disk crashed while syncing; batch lost
         self._busy = False
-        self.durable_version += 1
         now = self.sim.now
         histogram = self._h_sync_wait
         for request in batch:
             request.done = True
-            if request.replace:
+            if request.extend:
+                self.durable.extend(request.payload)
+            elif request.replace:
                 self.durable = list(request.payload)
-            elif request.payload is not None:
+            else:
                 self.durable.append(request.payload)
             wait = now - request.issued_at
             self.total_sync_wait += wait

@@ -14,6 +14,7 @@ from typing import Any, Callable, Dict, Optional
 from .wal import WriteAheadLog
 
 _KIND = "kv"
+_ABSENT = object()
 
 
 class StableStore:
@@ -22,8 +23,13 @@ class StableStore:
     ``put`` updates the in-memory view immediately and journals the
     change as a buffered write; :meth:`sync` forces everything written
     so far to the platter — this is the engine's ``** sync to disk``.
-    Values are deep-copied on write so later in-place mutation of live
-    engine structures cannot retroactively alter "what was on disk".
+
+    The view holds the store's own copy of each value, and that copy is
+    what the log holds: a value that changed is deep-copied once, so a
+    later in-place mutation of a live engine structure cannot alter
+    "what was on disk"; a value equal to the held copy journals that
+    copy again and copies nothing.  The held copies are never mutated,
+    so compaction and recovery share them rather than copy them.
     """
 
     def __init__(self, wal: WriteAheadLog):
@@ -35,9 +41,10 @@ class StableStore:
     # ------------------------------------------------------------------
     def put(self, key: str, value: Any) -> None:
         """Stage ``key = value`` (buffered; durable at the next sync)."""
-        value = copy.deepcopy(value)
-        self._view[key] = value
-        self.wal.append(_KIND, (key, value), forced=False)
+        held = self._view.get(key, _ABSENT)
+        if held.__class__ is not value.__class__ or held != value:
+            held = self._view[key] = copy.deepcopy(value)
+        self.wal.append(_KIND, (key, held), forced=False)
 
     def sync(self, callback: Optional[Callable[[], None]] = None,
              on_durable: Optional[Callable[[], None]] = None) -> None:
@@ -55,12 +62,13 @@ class StableStore:
     # reads
     # ------------------------------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
-        """Read the staged (in-memory) view."""
+        """Read the staged (in-memory) view; the result is the held
+        copy and must not be mutated."""
         return self._view.get(key, default)
 
     def items(self) -> Dict[str, Any]:
-        """A copy of the staged view (used by log compaction)."""
-        return copy.deepcopy(self._view)
+        """The staged view (used by log compaction)."""
+        return dict(self._view)
 
     # ------------------------------------------------------------------
     # crash / recovery
@@ -75,5 +83,5 @@ class StableStore:
         for record in self.wal.recover_kind(_KIND):
             key, value = record.data
             view[key] = value
-        self._view = copy.deepcopy(view)
+        self._view = dict(view)
         return view

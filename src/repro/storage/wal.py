@@ -4,11 +4,18 @@ The replication engine journals actions (its ``ongoingQueue``), ordering
 decisions, and membership records.  Records are typed so the recovery
 scan can rebuild exactly the state the paper's Recover procedure
 (CodeSegment A.13) expects.
+
+One kind is journaled bare: a green — one per applied action on every
+replica — is the :class:`~repro.db.Action` object itself, one slot in
+the disk's list.  Its position in the green order is implied by journal
+order (see :mod:`repro.core.recovery`), so it needs neither a wrapper
+nor a position; the recovery queries present it as
+``LogRecord(GREEN, action)``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, \
+from typing import TYPE_CHECKING, Any, Callable, Iterator, List, \
     NamedTuple, Optional
 
 from .disk import SimulatedDisk
@@ -16,13 +23,12 @@ from .disk import SimulatedDisk
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
 
+#: The kind journaled bare: the durable entry is the data itself.
+GREEN = "green"
+
 
 class LogRecord(NamedTuple):
-    """A typed WAL entry.
-
-    A NamedTuple: one is allocated per journaled action on the hot
-    apply path, and tuple construction stays out of the interpreter.
-    """
+    """A typed WAL entry (every kind but :data:`GREEN`)."""
 
     kind: str
     data: Any
@@ -34,21 +40,16 @@ class LogRecord(NamedTuple):
 class WriteAheadLog:
     """Append-only typed log with forced or buffered appends.
 
-    Recovery queries (:meth:`recover`, :meth:`recover_kind`,
-    :meth:`last_of_kind`) are served from a typed index built in a
-    single scan of the durable contents and cached against the disk's
-    ``durable_version``, so a recovery that reads several kinds — and a
-    checkpoint path that asks repeatedly — pays for one scan, not one
-    per query.
+    The recovery queries (:meth:`recover`, :meth:`recover_kind`,
+    :meth:`last_of_kind`) scan the durable contents on every call and
+    keep nothing: they run once per crash recovery, and a cached index
+    would hold a wrapper per green long after it.
     """
 
     def __init__(self, disk: SimulatedDisk,
                  obs: Optional["Observability"] = None,
                  node: Any = None):
         self.disk = disk
-        self._index_version = -1
-        self._records: List[LogRecord] = []
-        self._by_kind: Dict[str, List[LogRecord]] = {}
         # Native counts on the hot path; the registry mirrors them at
         # collection time only (appends run once per journaled record,
         # so even one instrument call here would show up in
@@ -74,31 +75,15 @@ class WriteAheadLog:
                 "Records currently on stable storage.",
                 ("server",), (label,))
 
-    def _index(self) -> Dict[str, List[LogRecord]]:
-        version = self.disk.durable_version
-        if version != self._index_version:
-            records: List[LogRecord] = []
-            by_kind: Dict[str, List[LogRecord]] = {}
-            for record in self.disk.durable:
-                if isinstance(record, LogRecord):
-                    records.append(record)
-                    bucket = by_kind.get(record.kind)
-                    if bucket is None:
-                        bucket = by_kind[record.kind] = []
-                    bucket.append(record)
-            self._records = records
-            self._by_kind = by_kind
-            self._index_version = version
-        return self._by_kind
-
     def append(self, kind: str, data: Any,
                callback: Optional[Callable[[], None]] = None,
                forced: bool = True) -> None:
         """Append one record; ``callback`` fires when it is on stable
-        storage (or buffered, if ``forced`` is False)."""
+        storage (or buffered, if ``forced`` is False).  A
+        :data:`GREEN` record is journaled as ``data`` itself."""
         self.appends += 1
-        self.disk.write(LogRecord(kind, data), callback=callback,
-                        forced=forced)
+        self.disk.write(data if kind == GREEN else LogRecord(kind, data),
+                        callback=callback, forced=forced)
 
     def sync(self, callback: Optional[Callable[[], None]] = None,
              on_durable: Optional[Callable[[], None]] = None) -> None:
@@ -121,15 +106,20 @@ class WriteAheadLog:
     # recovery
     # ------------------------------------------------------------------
     def recover(self) -> List[LogRecord]:
-        """All durable records in append order."""
-        self._index()
-        return list(self._records)
+        """All durable records in append order, a bare green presented
+        as ``LogRecord(GREEN, action)``."""
+        return [entry if entry.__class__ is LogRecord
+                else LogRecord(GREEN, entry)
+                for entry in self.disk.durable]
 
     def recover_kind(self, kind: str) -> Iterator[LogRecord]:
-        """Durable records of ``kind`` in append order (indexed)."""
-        return iter(self._index().get(kind, ()))
+        """Durable records of ``kind`` in append order."""
+        return iter([record for record in self.recover()
+                     if record.kind == kind])
 
     def last_of_kind(self, kind: str) -> Optional[LogRecord]:
-        """Latest durable record of ``kind``, or None (indexed)."""
-        records = self._index().get(kind)
-        return records[-1] if records else None
+        """Latest durable record of ``kind``, or None."""
+        for record in reversed(self.recover()):
+            if record.kind == kind:
+                return record
+        return None

@@ -40,17 +40,15 @@ def make_cluster(n: int = 3, seed: int = 0, **kwargs) -> ReplicaCluster:
 
 def recoverable_greens(replica) -> int:
     """The green count recovery would rebuild from ``replica``'s disk
-    right now: the last snapshot's base plus the contiguous durable
-    green records above it (``recover_engine``'s walk)."""
-    base, positions = 0, set()
-    for record in replica.disk.durable:
+    right now: walking the durable journal in order, the latest
+    snapshot's base plus one per green journaled after it
+    (``recover_engine``'s position rule)."""
+    count = 0
+    for record in replica.wal.recover():
         if record.kind == "db_snapshot":
-            base = record.data["applied_count"]
+            count = record.data["applied_count"]
         elif record.kind == "green":
-            positions.add(record.data[0])
-    count = base
-    while count in positions:
-        count += 1
+            count += 1
     return count
 
 

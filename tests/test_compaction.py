@@ -46,6 +46,22 @@ class TestDiskRewrite:
         sim.run()
         assert disk.durable == ["base", "tail"]
 
+    def test_flush_before_rewrite_in_one_group_commit_is_subsumed(self):
+        """Records flushed before a rewrite land before it, even when
+        both ride the same sync: the rewrite replaces them.  (Appended
+        after it, they would sit past the rewrite's snapshot and break
+        the green journal's position rule.)"""
+        sim, disk = self.make_disk()
+        disk.write("busy")              # keeps the platter busy
+        disk.write("staged", forced=False)
+        disk.flush()
+        disk.rewrite(["base"])
+        disk.write("tail", forced=False)
+        disk.flush()
+        sim.run()
+        assert disk.syncs == 2
+        assert disk.durable == ["base", "tail"]
+
     def test_wal_rewrite_and_size(self):
         sim, disk = self.make_disk()
         wal = WriteAheadLog(disk)

@@ -31,8 +31,10 @@ def action(server, index, update=None):
 
 def seed_store(sim, store, greens=(), reds=(), ongoing=(),
                records=None):
-    for position, act in greens:
-        store.wal.append("green", (position, act), forced=False)
+    """Journal ``greens`` in green order (a green's position is its
+    place in the journal), then the rest, and sync."""
+    for act in greens:
+        store.wal.append("green", act, forced=False)
     for act in ongoing:
         store.wal.append("ongoing", act, forced=False)
     view = dict(records or {})
@@ -47,35 +49,50 @@ def seed_store(sim, store, greens=(), reds=(), ongoing=(),
 def test_recovery_replays_green_prefix():
     sim = Simulator()
     store = make_store(sim)
-    greens = [(0, action(2, 1, ("SET", "a", 1))),
-              (1, action(3, 1, ("SET", "b", 2))),
-              (2, action(2, 2, ("SET", "a", 3)))]
+    greens = [action(2, 1, ("SET", "a", 1)),
+              action(3, 1, ("SET", "b", 2)),
+              action(2, 2, ("SET", "a", 3))]
     seed_store(sim, store, greens=greens)
     engine = make_engine(sim, store)
     recover_engine(engine)
     assert engine.queue.green_count == 3
     assert engine.database.state == {"a": 3, "b": 2}
-    assert engine.database.applied_log == [g[1].action_id for g in greens]
+    assert engine.database.applied_log == [g.action_id for g in greens]
     assert engine.state is EngineState.NON_PRIM
 
 
-def test_recovery_ignores_non_contiguous_green_tail():
-    """A green record whose predecessor was lost in the crash must not
-    be replayed (the order below it is unknown)."""
+def test_recovery_replays_only_greens_after_latest_snapshot():
+    """Greens journaled before the latest db_snapshot are subsumed by
+    it and not replayed; replay restarts at its applied_count."""
     sim = Simulator()
     store = make_store(sim)
-    seed_store(sim, store, greens=[(0, action(2, 1)),
-                                   (2, action(2, 2))])  # hole at 1
+    first, second, third = (action(2, 1, ("SET", "a", 1)),
+                            action(2, 2, ("SET", "a", 2)),
+                            action(3, 1, ("SET", "b", 3)))
+    base = Database()
+    base.apply(first)
+    base.apply(second)
+    store.wal.append("green", first, forced=False)
+    store.wal.append("db_snapshot", Database().snapshot(), forced=False)
+    store.wal.append("green", first, forced=False)
+    store.wal.append("green", second, forced=False)
+    store.wal.append("db_snapshot", base.snapshot(), forced=False)
+    seed_store(sim, store, greens=[third])
     engine = make_engine(sim, store)
     recover_engine(engine)
-    assert engine.queue.green_count == 1
+    assert engine.queue.green_offset == 2
+    assert engine.queue.green_count == 3
+    assert engine.database.applied_log == [first.action_id,
+                                           second.action_id,
+                                           third.action_id]
+    assert engine.database.state == {"a": 2, "b": 3}
 
 
 def test_recovery_restores_red_snapshot():
     sim = Simulator()
     store = make_store(sim)
     seed_store(sim, store,
-               greens=[(0, action(2, 1))],
+               greens=[action(2, 1)],
                reds=[action(3, 1), action(2, 2)])
     engine = make_engine(sim, store)
     recover_engine(engine)
@@ -89,7 +106,7 @@ def test_recovery_skips_red_snapshot_already_green():
     sim = Simulator()
     store = make_store(sim)
     shared = action(3, 1, ("SET", "x", 1))
-    seed_store(sim, store, greens=[(0, shared)], reds=[shared])
+    seed_store(sim, store, greens=[shared], reds=[shared])
     engine = make_engine(sim, store)
     recover_engine(engine)
     assert engine.queue.green_count == 1
@@ -179,7 +196,7 @@ def test_recovery_from_db_snapshot_base():
     base = Database()
     base.apply(action(2, 1, ("SET", "base", 1)))
     store.wal.append("db_snapshot", base.snapshot(), forced=False)
-    seed_store(sim, store, greens=[(1, action(3, 1, ("SET", "t", 2)))])
+    seed_store(sim, store, greens=[action(3, 1, ("SET", "t", 2))])
     engine = make_engine(sim, store)
     recover_engine(engine)
     assert engine.queue.green_offset == 1

@@ -10,15 +10,24 @@ The white line advances even when only one member originates actions:
 the quiet members publish their durable green lines on their GCS
 heartbeats, so the green actions a replica retains stay within what one
 heartbeat interval plus one checkpoint interval delivers.
+
+Until compaction the journal keeps every green, as the action object
+itself: the footprint gate counts, with ``tracemalloc``, the bytes the
+storage layer and the engine's green path still hold per green.
 """
 
 import asyncio
 import gc
+import inspect
+import os
+import tracemalloc
 
-from repro.core import EngineConfig
+import repro
+from repro.core import EngineConfig, ReplicationEngine
 from repro.core.state_machine import EngineState
 from repro.obs import DEFAULT_MAX_COMPLETED, Observability
 from repro.runtime import LiveCluster
+from repro.storage import LogRecord
 
 from conftest import make_cluster, recoverable_greens
 
@@ -191,3 +200,90 @@ def test_single_submitter_retention_is_bounded_on_a_live_cluster():
             cluster.shutdown()
 
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# footprint: what the journal keeps per green until compaction
+# ----------------------------------------------------------------------
+FOOTPRINT_GREENS = 2048
+MAX_JOURNAL_BYTES_PER_GREEN = 32
+_PACKAGE = os.path.dirname(repro.__file__) + os.sep
+_STORAGE = os.path.join(_PACKAGE, "storage") + os.sep
+_ENGINE = inspect.getsourcefile(ReplicationEngine)
+
+
+def _lines(function):
+    source, first = inspect.getsourcelines(function)
+    return range(first, first + len(source))
+
+
+def _journal_bytes(snapshot):
+    """Bytes still allocated by the storage layer or by the engine's
+    green path (``_mark_green``).  Each allocation is charged to its
+    innermost frame inside the package, so a ``LogRecord`` (built in
+    generated code) counts as the WAL's and a deep copy as the store's.
+    The ongoingQueue journal is left out: it is one record per own
+    action at the originator (A.1), not a cost of applying a green."""
+    green_path = _lines(ReplicationEngine._mark_green)
+    ongoing = _lines(ReplicationEngine._journal_and_generate)
+    total = 0
+    for trace in snapshot.traces:
+        frames = trace.traceback  # oldest frame first
+        inner = next((frame for frame in reversed(frames)
+                      if frame.filename.startswith(_PACKAGE)), None)
+        if inner is None or any(frame.filename == _ENGINE
+                                and frame.lineno in ongoing
+                                for frame in frames):
+            continue
+        if inner.filename.startswith(_STORAGE) or (
+                inner.filename == _ENGINE and inner.lineno in green_path):
+            total += trace.size
+    return total
+
+
+def test_journal_keeps_each_green_as_the_applied_action():
+    cluster = make_cluster(3)
+    cluster.start_all(settle=1.0)
+    applied = {node: [] for node in NODES}
+    for node, replica in cluster.replicas.items():
+        replica.add_green_listener(
+            lambda action, *_rest, _n=node: applied[_n].append(action))
+
+    def drive(done, target):
+        while done < target:
+            done = _submit_batch(
+                lambda node, update: cluster.replicas[node].submit(update),
+                done)
+            # Green listeners trail the apply cost; waiting for them
+            # leaves no pending notification holding a position.
+            while min(len(actions) for actions in applied.values()) < done:
+                cluster.run_for(0.05)
+        return done
+
+    done = drive(0, BATCH)
+    start = {node: r.database.applied_count
+             for node, r in cluster.replicas.items()}
+    tracemalloc.start(4)
+    try:
+        gc.collect()
+        before = _journal_bytes(tracemalloc.take_snapshot())
+        drive(done, done + FOOTPRINT_GREENS)
+        gc.collect()
+        after = _journal_bytes(tracemalloc.take_snapshot())
+    finally:
+        tracemalloc.stop()
+    greens = sum(r.database.applied_count - start[node]
+                 for node, r in cluster.replicas.items())
+    assert greens >= len(NODES) * FOOTPRINT_GREENS
+    for node, replica in cluster.replicas.items():
+        assert replica.wal.rewrites == 0  # below the compaction threshold
+        journal = [entry for entry in replica.disk.durable
+                   + replica.disk.volatile
+                   if entry.__class__ is not LogRecord]
+        assert len(journal) == replica.database.applied_count
+        assert len(applied[node]) == len(journal)
+        assert all(entry is action
+                   for entry, action in zip(journal, applied[node]))
+    per_green = (after - before) / greens
+    assert per_green <= MAX_JOURNAL_BYTES_PER_GREEN, \
+        f"the journal retains {per_green:.1f} B per replica-green"

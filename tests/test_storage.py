@@ -164,6 +164,20 @@ class TestStableStore:
         value["nested"].append(3)
         assert store.get("k") == {"nested": [1, 2]}
 
+    def test_unchanged_put_journals_the_held_copy(self):
+        sim, disk, store = self.make_store()
+        value = {"nested": [1, 2]}
+        store.put("k", value)
+        store.put("k", {"nested": [1, 2]})
+        value["nested"].append(3)
+        store.put("k", value)
+        store.sync()
+        sim.run()
+        first, same, changed = [record.data[1] for record in disk.durable]
+        assert same is first and first == {"nested": [1, 2]}
+        assert changed is not value and changed == {"nested": [1, 2, 3]}
+        assert store.get("k") is changed
+
     def test_get_default(self):
         _sim, _disk, store = self.make_store()
         assert store.get("missing", "fallback") == "fallback"
