@@ -1,31 +1,27 @@
-"""Static cross-checks of the Figure-4 transition table.
+"""Static cross-check of the model checker against the Figure-4 table.
 
-Two AST-based checkers (stdlib-only) verify that the declared table in
-:mod:`repro.core.state_machine` stays the one source of truth:
+One AST-based checker (stdlib-only) keeps the declared table in
+:mod:`repro.core.state_machine` the one source of truth for the
+abstract model:
 
-* :mod:`~repro.analysis.state_checker` — extracts every
-  ``_set_state`` edge and state guard from the engine source and diffs
-  it against the declared table;
 * :mod:`~repro.analysis.model_sync` — asserts the model checker's
   abstract model (:mod:`repro.check.model`) *derives* its edges from
   ``EDGES_BY_INPUT`` rather than carrying a hand-written copy that
   could drift from the executable table.
 
-Both run as tier-1 tests.  Which modules may reach the host (event
-loop, sockets, clocks, files), the wire format or randomness is an
-import policy, asserted by ``tests/test_import_policy.py``; determinism
-itself is checked dynamically by the pins and the hash-seed replay of
+The engine itself needs no static check: it checks every transition
+against the input that caused it at run time (``check_transition``),
+and ``tests/test_engine_edge_coverage.py`` drives it through every live
+edge.  Which modules may reach the host (event loop, sockets, clocks,
+files), the wire format or randomness is an import policy, asserted by
+``tests/test_import_policy.py``; determinism itself is checked
+dynamically by the pins and the hash-seed replay of
 ``tests/test_determinism.py``.
 """
 
 from .model_sync import ModelSyncChecker, model_modules
-from .state_checker import (StateMachineChecker, default_state_table,
-                            engine_sources)
 
 __all__ = [
     "ModelSyncChecker",
-    "StateMachineChecker",
-    "default_state_table",
-    "engine_sources",
     "model_modules",
 ]

@@ -1,7 +1,7 @@
-"""Shared infrastructure of the two table checkers.
+"""Shared infrastructure of the model-sync checker.
 
-Findings and source parsing.  Everything is stdlib-only: the checkers
-parse with :mod:`ast` and never import the code under analysis.
+Findings and source parsing.  Everything is stdlib-only: the checker
+parses with :mod:`ast` and never imports the code under analysis.
 """
 
 from __future__ import annotations

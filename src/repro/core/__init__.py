@@ -20,8 +20,7 @@ from .recovery import recover_engine
 from .reconfig import (JoinerProtocol, JoinRequest, RepresentativeRole,
                        TransferHeader)
 from .replica import Replica
-from .state_machine import (EngineState, IllegalTransition, TRANSITIONS,
-                            check_transition)
+from .state_machine import EngineState, IllegalTransition, check_transition
 
 __all__ = [
     "ActionQueue",
@@ -47,7 +46,6 @@ __all__ = [
     "RepresentativeRole",
     "RetransPlan",
     "StaticMajority",
-    "TRANSITIONS",
     "TransferHeader",
     "VALID",
     "Vulnerable",

@@ -46,7 +46,7 @@ from .knowledge import (Knowledge, RetransPlan, compute_knowledge,
 from .messages import EngineActionMsg, EngineCpcMsg, EngineStateMsg
 from .quorum import DynamicLinearVoting, QuorumPolicy
 from .records import PrimComponent, Vulnerable, Yellow
-from .state_machine import EngineState, check_transition
+from .state_machine import EngineInput, EngineState, check_transition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.base import Runtime
@@ -364,11 +364,11 @@ class ReplicationEngine:
     # ==================================================================
     # state transitions
     # ==================================================================
-    def _set_state(self, new: EngineState) -> None:
+    def _set_state(self, new: EngineState, cause: EngineInput) -> None:
         old = self.state
-        if old == new:
+        if old is new:
             return
-        check_transition(old, new)
+        check_transition(cause, old, new)
         self.state = new
         self.tracer.emit(self.sim.now, self.server_id, "engine.state",
                          old=str(old), new=str(new))
@@ -392,12 +392,12 @@ class ReplicationEngine:
             self._spans.on_membership_start(self.sim.now)
         state = self.state
         if state == EngineState.REG_PRIM:
-            self._set_state(EngineState.TRANS_PRIM)
+            self._set_state(EngineState.TRANS_PRIM, EngineInput.TRANS_CONF)
         elif state in (EngineState.EXCHANGE_STATES,
                        EngineState.EXCHANGE_ACTIONS):
-            self._set_state(EngineState.NON_PRIM)
+            self._set_state(EngineState.NON_PRIM, EngineInput.TRANS_CONF)
         elif state == EngineState.CONSTRUCT:
-            self._set_state(EngineState.NO)
+            self._set_state(EngineState.NO, EngineInput.TRANS_CONF)
         # NonPrim: ignore (A.1).  No/Un/TransPrim: cannot receive a
         # second transitional conf before a regular one.
 
@@ -594,7 +594,7 @@ class ReplicationEngine:
             # in spirit (transition 1b of Figure 4).
             self._install()
             self._mark_yellow(action)
-            self._set_state(EngineState.TRANS_PRIM)
+            self._set_state(EngineState.TRANS_PRIM, EngineInput.ACTION)
         elif state == EngineState.CONSTRUCT:
             # Sequenced between the exchange and the CPC round (a GCS
             # re-submission of an in-flight message).  Identical at
@@ -630,7 +630,7 @@ class ReplicationEngine:
         else:
             self._mark_red(msg.action)
         self._retransmit_if_my_turn()
-        self._check_end_of_retrans()
+        self._check_end_of_retrans(EngineInput.ACTION)
 
     # ==================================================================
     # exchange protocol
@@ -650,7 +650,7 @@ class ReplicationEngine:
         self._red_retrans_sent = set()
         self._green_retrans_sent = False
         self._construct_buffer = []
-        self._set_state(EngineState.EXCHANGE_STATES)
+        self._set_state(EngineState.EXCHANGE_STATES, EngineInput.REG_CONF)
         self._persist_records()
         self.store.put("red_actions", self.queue.red_actions())
         self._sync(lambda: self._send_state_msg(generation))
@@ -689,11 +689,11 @@ class ReplicationEngine:
         # Adopt the computed yellow record (identical at all members).
         self.yellow = Yellow(status=self._knowledge.yellow.status,
                              set=list(self._knowledge.yellow.set))
-        self._set_state(EngineState.EXCHANGE_ACTIONS)
+        self._set_state(EngineState.EXCHANGE_ACTIONS, EngineInput.STATE_MSG)
         if self._plan.green_holder == self.server_id:
             self._retransmit_greens()
         self._retransmit_if_my_turn()
-        self._check_end_of_retrans()
+        self._check_end_of_retrans(EngineInput.STATE_MSG)
 
     def _retransmit_greens(self) -> None:
         assert self._plan is not None
@@ -729,16 +729,17 @@ class ReplicationEngine:
                                     green_line=self.queue.green_count),
                     ServiceLevel.SAFE, size=action.size)
 
-    def _check_end_of_retrans(self) -> None:
+    def _check_end_of_retrans(self, cause: EngineInput) -> None:
         if (self.state != EngineState.EXCHANGE_ACTIONS
                 or self._plan is None):
             return
         if retransmission_complete(self._plan, self.queue.green_count,
                                    self.queue.red_cut):
-            self._end_of_retrans()
+            self._end_of_retrans(cause)
 
-    def _end_of_retrans(self) -> None:
-        """End_of_retrans (A.5)."""
+    def _end_of_retrans(self, cause: EngineInput) -> None:
+        """End_of_retrans (A.5), on the retransmitted action or the
+        last state message (``cause``) that completed the plan."""
         assert self.conf is not None and self._knowledge is not None
         generation = self._generation
         for msg in self._state_messages.values():
@@ -773,11 +774,11 @@ class ReplicationEngine:
             if self._spans is not None:
                 self._spans.open_vulnerable(self.sim.now)
             self._persist_records()
-            self._set_state(EngineState.CONSTRUCT)
+            self._set_state(EngineState.CONSTRUCT, cause)
             self._sync(lambda: self._send_cpc(generation))
         else:
             self._persist_records()
-            self._set_state(EngineState.NON_PRIM)
+            self._set_state(EngineState.NON_PRIM, cause)
             self._sync(lambda: self._after_nonprim_sync(generation))
 
     def _is_quorum(self, knowledge: Knowledge) -> bool:
@@ -848,12 +849,12 @@ class ReplicationEngine:
                         self._mark_green(action)
                     else:
                         self._mark_red(action)  # parks until the gap fills
-                self._set_state(EngineState.REG_PRIM)
+                self._set_state(EngineState.REG_PRIM, EngineInput.CPC_MSG)
                 self._handle_buffered()
         elif self.state == EngineState.NO:
             self._cpc_received.add(msg.server_id)
             if self._cpc_received == set(self.conf.members):
-                self._set_state(EngineState.UN)
+                self._set_state(EngineState.UN, EngineInput.CPC_MSG)
         # Other states: stale vote from a superseded attempt.
 
     def _install(self) -> None:

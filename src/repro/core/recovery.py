@@ -36,7 +36,6 @@ from ..db import Action
 from ..storage.wal import GREEN
 from .engine import ReplicationEngine
 from .records import PrimComponent, Vulnerable, Yellow
-from .state_machine import EngineState
 
 
 def recover_engine(engine: ReplicationEngine) -> None:
@@ -80,8 +79,10 @@ def recover_engine(engine: ReplicationEngine) -> None:
         # cut entry; the persisted server list prevails afterwards.
         if action.server_id not in engine.queue.red_cut:
             engine.queue.add_server(action.server_id)
-        engine.queue.mark_red(action)
-        engine.queue.mark_green(action)
+        if not engine.queue.mark_green(action):
+            raise AssertionError(
+                f"green replay refused at {engine.server_id}: "
+                f"{action.action_id} at position {engine.queue.green_count}")
         engine.database.apply(action)
     engine.queue.set_green_line(engine.server_id, engine.queue.green_count)
     if servers:
@@ -133,6 +134,5 @@ def recover_engine(engine: ReplicationEngine) -> None:
         if server in engine.queue.green_lines:
             engine.queue.set_green_line(server, line)
 
-    engine.state = EngineState.NON_PRIM
     engine._persist_records()
     engine._sync()

@@ -229,7 +229,6 @@ class Replica:
                               forced=False)
         engine._persist_records()
         engine._sync()
-        engine.state = EngineState.NON_PRIM
         self.daemon.join()
         self.tracer.emit(self.sim.now, self.node, "replica.joined",
                          green=header.green_count)

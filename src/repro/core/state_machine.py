@@ -2,22 +2,20 @@
 
 The table is declared *per input*: for each of the five event kinds the
 engine reacts to (plus client requests), :data:`EDGES_BY_INPUT` lists
-the Figure-4 edges that event may trigger.  Everything else derives
-from that single declaration:
+the Figure-4 edges that event may trigger.  Two accessors read it:
 
-* :data:`EDGES` — the flat set of legal directed edges;
-* :data:`TRANSITIONS` — per-state successor sets, used as an executable
-  assertion (:func:`check_transition`): every transition the engine
-  takes is validated against it, so a protocol bug surfaces as an
-  immediate error instead of silent divergence;
+* :func:`check_transition` — the executable assertion: every transition
+  the engine takes is checked against the input that caused it, so a
+  protocol bug surfaces as an immediate error instead of silent
+  divergence;
 * :func:`next_states` — the possible states after handling one input
   in a given state (self-loops are implicit: an input may always leave
-  the state unchanged).
+  the state unchanged), from which the model checker derives its moves.
 
-The state-machine checker (:mod:`repro.analysis.state_checker`, run by
-``tests/test_analysis_state_machine.py``) cross-checks this table
-against the ``_set_state`` calls and state guards of the engine source,
-so the declaration, the code, and the paper stay in sync mechanically.
+``tests/test_state_machine_table.py`` checks every cell of the table
+against a hand-written copy of Figure 4, and
+``tests/test_engine_edge_coverage.py`` drives the real engine through
+every live edge.
 """
 
 from __future__ import annotations
@@ -105,10 +103,6 @@ EDGES_BY_INPUT: Dict[EngineInput, FrozenSet[Edge]] = {
     EngineInput.CLIENT: frozenset(),
 }
 
-#: All legal Figure-4 edges, independent of the triggering input.
-EDGES: FrozenSet[Edge] = frozenset(
-    edge for edges in EDGES_BY_INPUT.values() for edge in edges)
-
 #: Declared edges that extended virtual synchrony makes dynamically
 #: unreachable.  The GCS daemon always delivers a transitional
 #: configuration before the regular one (``_install_view``), and the
@@ -116,24 +110,15 @@ EDGES: FrozenSet[Edge] = frozenset(
 #: NonPrim and Construct to No — so by the time the regular
 #: configuration reaches the engine, it can only be in NonPrim,
 #: TransPrim, No, or Un.  The two edges below stay in the table
-#: because the *code* can take them (``_on_reg_conf`` shifts to the
-#: exchange from any state, and the static cross-checker verifies the
-#: table against the code, not against the delivery order); the model
-#: checker (``repro.check``) asserts dynamically that no reachable
-#: execution ever exercises them.
+#: because ``_on_reg_conf`` shifts to the exchange from any state, so
+#: the per-input check must admit them; the edge-coverage test and the
+#: model checker (``repro.check``) both show that no execution ever
+#: takes them.
 EVS_SHADOWED_EDGES: FrozenSet[Tuple[EngineInput, EngineState,
                                     EngineState]] = frozenset({
     (EngineInput.REG_CONF, _S.EXCHANGE_ACTIONS, _S.EXCHANGE_STATES),
     (EngineInput.REG_CONF, _S.CONSTRUCT, _S.EXCHANGE_STATES),
 })
-
-#: state -> set of states reachable in one transition (Figure 4 edges;
-#: self-loops are implicit and always allowed).  Derived from
-#: :data:`EDGES_BY_INPUT` so the two views cannot drift apart.
-TRANSITIONS: Dict[EngineState, FrozenSet[EngineState]] = {
-    state: frozenset(new for old, new in EDGES if old is state)
-    for state in EngineState
-}
 
 
 def next_states(state: EngineState,
@@ -148,9 +133,9 @@ class IllegalTransition(Exception):
     """The engine attempted a transition not in Figure 4."""
 
 
-def check_transition(old: EngineState, new: EngineState) -> None:
-    """Raise :class:`IllegalTransition` if ``old -> new`` is not legal."""
-    if old == new:
-        return
-    if new not in TRANSITIONS[old]:
-        raise IllegalTransition(f"{old} -> {new}")
+def check_transition(event: EngineInput, old: EngineState,
+                     new: EngineState) -> None:
+    """Raise :class:`IllegalTransition` unless ``event`` may move the
+    engine from ``old`` to ``new``."""
+    if old is not new and (old, new) not in EDGES_BY_INPUT[event]:
+        raise IllegalTransition(f"{event}: {old} -> {new}")

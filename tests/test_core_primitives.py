@@ -1,10 +1,7 @@
-"""Unit tests for colors, records, quorum policies, state machine."""
+"""Unit tests for colors, records and quorum policies."""
 
-import pytest
-
-from repro.core import (Color, DynamicLinearVoting, EngineState,
-                        IllegalTransition, PrimComponent, StaticMajority,
-                        TRANSITIONS, Vulnerable, Yellow, check_transition)
+from repro.core import (Color, DynamicLinearVoting, PrimComponent,
+                        StaticMajority, Vulnerable, Yellow)
 from repro.core.colors import may_transition
 from repro.db import ActionId
 
@@ -119,30 +116,3 @@ class TestQuorum:
     def test_describe(self):
         assert "dynamic" in DynamicLinearVoting().describe()
         assert "static" in StaticMajority().describe()
-
-
-class TestStateMachine:
-    def test_self_loops_allowed(self):
-        for state in EngineState:
-            check_transition(state, state)
-
-    def test_figure4_edges(self):
-        check_transition(EngineState.REG_PRIM, EngineState.TRANS_PRIM)
-        check_transition(EngineState.TRANS_PRIM,
-                         EngineState.EXCHANGE_STATES)
-        check_transition(EngineState.CONSTRUCT, EngineState.NO)
-        check_transition(EngineState.NO, EngineState.UN)
-        check_transition(EngineState.UN, EngineState.TRANS_PRIM)
-        check_transition(EngineState.CONSTRUCT, EngineState.REG_PRIM)
-
-    def test_illegal_edges_raise(self):
-        with pytest.raises(IllegalTransition):
-            check_transition(EngineState.NON_PRIM, EngineState.REG_PRIM)
-        with pytest.raises(IllegalTransition):
-            check_transition(EngineState.REG_PRIM,
-                             EngineState.NON_PRIM)
-        with pytest.raises(IllegalTransition):
-            check_transition(EngineState.NO, EngineState.REG_PRIM)
-
-    def test_every_state_has_entries(self):
-        assert set(TRANSITIONS) == set(EngineState)

@@ -88,6 +88,22 @@ def test_recovery_replays_only_greens_after_latest_snapshot():
     assert engine.database.state == {"a": 2, "b": 3}
 
 
+def test_recovery_refuses_a_green_the_snapshot_covers():
+    """A green journaled after a snapshot that already holds it breaks
+    the position rule: replaying it would apply an action the queue
+    refuses, so recovery must stop instead of diverging."""
+    sim = Simulator()
+    store = make_store(sim)
+    first = action(2, 1, ("APPEND", "log", 1))
+    base = Database()
+    base.apply(first)
+    store.wal.append("db_snapshot", base.snapshot(), forced=False)
+    seed_store(sim, store, greens=[first])
+    engine = make_engine(sim, store)
+    with pytest.raises(AssertionError, match="position 1"):
+        recover_engine(engine)
+
+
 def test_recovery_restores_red_snapshot():
     sim = Simulator()
     store = make_store(sim)
