@@ -3,7 +3,8 @@
 Two complementary correctness instruments over the same protocol:
 
 * :mod:`repro.check.model` + :mod:`repro.check.mc` — an abstract
-  N-engine model *derived* from ``core.state_machine.EDGES_BY_INPUT``,
+  N-engine model whose every move passes the engine's own
+  ``core.state_machine.check_transition``, built on
   ``core.knowledge.compute_knowledge`` and the real quorum policies,
   explored exhaustively (bounded BFS) with safety invariants and
   liveness wedge detection, producing minimal counterexample traces;

@@ -3,10 +3,10 @@
 Where the model checker (:mod:`repro.check.mc`) explores an abstract
 model exhaustively, the fuzzer drives the *real* system — GCS daemons,
 replication engines, disks, the works — through seeded random fault
-schedules drawn from :func:`repro.net.faults.random_fault_schedule`,
-then checks the global end-to-end invariants: green-prefix
-consistency, convergence after the final heal, a re-formed primary
-component, and durability of every completed action.
+schedules drawn from :func:`random_fault_schedule`, then checks the
+global end-to-end invariants: green-prefix consistency, convergence
+after the final heal, a re-formed primary component, and durability of
+every completed action.
 
 Everything is plain data.  A fuzz case is rendered into a
 ``tools/scenario.py`` spec (JSON-compatible) and executed via
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..net.faults import random_fault_schedule
-
-#: One schedule entry: (time, op, arg) with a JSON-able arg.
+#: One schedule entry: (time, op, arg) with a JSON-able arg — the groups
+#: of a partition, the node of a crash or recover, the node and update
+#: of a submit, None for a heal.
 ScheduleStep = Tuple[float, str, Any]
 
 #: GCS timers for fuzz runs — the fast test profile, pinned inline so
@@ -85,6 +85,63 @@ class FuzzResult:
         }
 
 
+def random_partition(nodes: Sequence[int], rng: random.Random
+                     ) -> List[List[int]]:
+    """Split ``nodes`` into 1..3 random non-empty groups."""
+    nodes = list(nodes)
+    rng.shuffle(nodes)
+    k = rng.randint(1, min(3, len(nodes)))
+    cuts = sorted(rng.sample(range(1, len(nodes)), k - 1)) if k > 1 else []
+    groups, prev = [], 0
+    for cut in cuts + [len(nodes)]:
+        groups.append(nodes[prev:cut])
+        prev = cut
+    return groups
+
+
+def random_fault_schedule(nodes: Sequence[int], rng: random.Random,
+                          horizon: float, rate: float = 1.0,
+                          allow_crashes: bool = True
+                          ) -> List[ScheduleStep]:
+    """Draw a time-ordered fault schedule over ``[0, horizon]``.
+
+    ``rate`` is the mean number of fault events per second.  The
+    schedule always ends, at ``horizon``, by recovering every crashed
+    node and healing, so liveness can be checked after quiescence.
+    """
+    steps: List[ScheduleStep] = []
+    time = 0.0
+    crashed: set = set()
+    while True:
+        time += rng.expovariate(rate) if rate > 0 else horizon + 1
+        if time >= horizon:
+            break
+        ops = ["partition", "heal"]
+        if allow_crashes:
+            ops.append("crash")
+            if crashed:
+                ops.append("recover")
+        op = rng.choice(ops)
+        if op == "partition":
+            steps.append((time, op, random_partition(nodes, rng)))
+        elif op == "heal":
+            steps.append((time, op, None))
+        elif op == "crash":
+            alive = [n for n in nodes if n not in crashed]
+            if len(alive) <= 1:
+                continue
+            node = rng.choice(alive)
+            crashed.add(node)
+            steps.append((time, op, node))
+        elif op == "recover":
+            node = rng.choice(sorted(crashed))
+            crashed.discard(node)
+            steps.append((time, op, node))
+    steps.extend((horizon, "recover", node) for node in sorted(crashed))
+    steps.append((horizon, "heal", None))
+    return steps
+
+
 def generate_schedule(case: FuzzCase) -> List[ScheduleStep]:
     """Draw the case's fault + submit schedule (deterministic).
 
@@ -94,27 +151,15 @@ def generate_schedule(case: FuzzCase) -> List[ScheduleStep]:
     """
     rng = random.Random(case.seed)
     nodes = list(range(1, case.nodes + 1))
-    script = random_fault_schedule(
+    # The tail recovery/heal at the horizon is re-added at render.
+    steps = [step for step in random_fault_schedule(
         nodes, rng, horizon=case.horizon, rate=case.rate,
-        allow_crashes=case.allow_crashes)
-    steps: List[ScheduleStep] = []
-    crashed_at: List[Tuple[float, int, str]] = []
-    for event in script.events:
-        if event.time >= case.horizon:
-            continue  # the tail recovery/heal is re-added at render
-        if event.op == "partition":
-            steps.append((event.time, "partition",
-                          [list(g) for g in event.arg]))
-        elif event.op in ("crash", "recover"):
-            steps.append((event.time, event.op, int(event.arg)))
-            crashed_at.append((event.time, int(event.arg), event.op))
-        else:
-            steps.append((event.time, event.op, None))
+        allow_crashes=case.allow_crashes) if step[0] < case.horizon]
 
     def alive_at(t: float, node: int) -> bool:
         state = True
-        for when, n, op in crashed_at:
-            if n == node and when <= t:
+        for when, op, arg in steps:
+            if op in ("crash", "recover") and arg == node and when <= t:
                 state = op != "crash"
         return state
 

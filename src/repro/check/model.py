@@ -9,12 +9,12 @@ undelivered SAFE multicasts.  Global state adds the network topology
 (a partition of the live nodes), crash status, and the frozen report
 snapshot of each view's state exchange.
 
-Fidelity comes from *derivation, not duplication*:
+Fidelity comes from *sharing, not duplication*:
 
 * every state transition goes through :meth:`Model._step`, which
-  validates the move against ``EDGES_BY_INPUT`` via
-  :func:`repro.core.state_machine.next_states` — the model cannot take
-  an edge Figure 4 does not declare;
+  calls :func:`repro.core.state_machine.check_transition` exactly as
+  the engine's ``_set_state`` does — the model cannot take an edge
+  Figure 4 does not declare for the input that caused it;
 * the exchange computation is the real one — the model builds
   :class:`~repro.core.messages.EngineStateMsg` reports and calls
   :func:`repro.core.knowledge.compute_knowledge` /
@@ -53,7 +53,7 @@ from ..core.knowledge import Knowledge, compute_knowledge
 from ..core.messages import EngineStateMsg
 from ..core.quorum import DynamicLinearVoting, QuorumPolicy, StaticMajority
 from ..core.records import PrimComponent, Vulnerable
-from ..core.state_machine import EngineInput, EngineState, next_states
+from ..core.state_machine import EngineInput, EngineState, check_transition
 
 _S = EngineState
 _I = EngineInput
@@ -71,18 +71,11 @@ Msg = Tuple
 
 
 class ModelInternalError(Exception):
-    """The model violated one of its own structural assumptions —
-    either a Figure-4 edge the table does not declare, or the EVS
-    shadow claim (reg conf reaching Construct/ExchangeActions)."""
-
-
-#: (state, input) -> legal successor set, memoized from
-#: :func:`next_states` (still *derived* from ``EDGES_BY_INPUT`` — this
-#: is a cache, not a copy; the analyzer checks the provenance).
-_NEXT: Dict[Tuple[EngineState, EngineInput], FrozenSet[EngineState]] = {
-    (state, event): next_states(state, event)
-    for state in EngineState for event in EngineInput
-}
+    """The model violated one of its own structural assumptions, such
+    as the EVS shadow claim (reg conf reaching Construct or
+    ExchangeActions).  An undeclared Figure-4 edge raises
+    :class:`~repro.core.state_machine.IllegalTransition` instead, as
+    it does in the engine."""
 
 
 class ModelNode(NamedTuple):
@@ -201,17 +194,13 @@ class Model:
     # ==================================================================
     def _step(self, old: EngineState, new: EngineState,
               input_kind: EngineInput) -> EngineState:
-        """Validate a transition against ``EDGES_BY_INPUT`` and record
+        """Check a transition with :func:`check_transition` and record
         the exercised edge.  Raising here means the *model* tried a
         move Figure 4 does not declare — a model bug, not a protocol
         finding."""
-        if old is new:
-            return new
-        if new not in _NEXT[old, input_kind]:
-            raise ModelInternalError(
-                f"model produced undeclared edge {old} -> {new} "
-                f"on {input_kind}")
-        self.edges_seen.add((input_kind, old, new))
+        if old is not new:
+            check_transition(input_kind, old, new)
+            self.edges_seen.add((input_kind, old, new))
         return new
 
     # ==================================================================

@@ -61,7 +61,6 @@ class EngineConfig:
 
     forced_client_writes: bool = True
     checkpoint_interval: float = 0.25
-    truncate_white: bool = True
     action_size: int = 200
     # Per-action processing cost of the replication server (ordering,
     # indexing, handing to the DBMS).  Every replica pays it for every
@@ -762,8 +761,7 @@ class ReplicationEngine:
                     self.vulnerable.invalidate()
                     if self._spans is not None:
                         self._spans.close_vulnerable(self.sim.now)
-        if self.config.truncate_white:
-            self.queue.truncate_white()
+        self.queue.truncate_white()
 
         if self._is_quorum(knowledge):
             self.attempt_index += 1
@@ -927,8 +925,7 @@ class ReplicationEngine:
         self._persist_records()
         self.store.put("red_actions", self.queue.red_actions())
         self._sync()
-        if self.config.truncate_white:
-            self.queue.truncate_white()
+        self.queue.truncate_white()
         threshold = self.config.log_compaction_threshold
         if threshold is not None and \
                 self.store.wal.durable_size > threshold:

@@ -268,14 +268,6 @@ class Replica:
             self._pending[action_id] = on_complete
         return action_id
 
-    def query_consistent(self, query: Tuple) -> Any:
-        """Strict-consistency read of the local green state.
-
-        Only meaningful while in a primary component; Section 6's weak
-        and dirty services live in :mod:`repro.semantics`.
-        """
-        return self.database.query(query)
-
     # ==================================================================
     # engine upcalls
     # ==================================================================

@@ -2,15 +2,11 @@
 
 The table is declared *per input*: for each of the five event kinds the
 engine reacts to (plus client requests), :data:`EDGES_BY_INPUT` lists
-the Figure-4 edges that event may trigger.  Two accessors read it:
-
-* :func:`check_transition` — the executable assertion: every transition
-  the engine takes is checked against the input that caused it, so a
-  protocol bug surfaces as an immediate error instead of silent
-  divergence;
-* :func:`next_states` — the possible states after handling one input
-  in a given state (self-loops are implicit: an input may always leave
-  the state unchanged), from which the model checker derives its moves.
+the Figure-4 edges that event may trigger.  One function checks moves
+against it: :func:`check_transition`, called by both the engine
+(``ReplicationEngine._set_state``) and the abstract model
+(``repro.check.model.Model._step``), so a protocol or model bug
+surfaces as an immediate error instead of silent divergence.
 
 ``tests/test_state_machine_table.py`` checks every cell of the table
 against a hand-written copy of Figure 4, and
@@ -119,14 +115,6 @@ EVS_SHADOWED_EDGES: FrozenSet[Tuple[EngineInput, EngineState,
     (EngineInput.REG_CONF, _S.EXCHANGE_ACTIONS, _S.EXCHANGE_STATES),
     (EngineInput.REG_CONF, _S.CONSTRUCT, _S.EXCHANGE_STATES),
 })
-
-
-def next_states(state: EngineState,
-                event: EngineInput) -> FrozenSet[EngineState]:
-    """The states possibly standing after handling ``event`` in
-    ``state`` (including ``state`` itself: inputs may be no-ops)."""
-    return frozenset({state} | {
-        new for old, new in EDGES_BY_INPUT[event] if old is state})
 
 
 class IllegalTransition(Exception):

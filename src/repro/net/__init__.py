@@ -1,10 +1,11 @@
 """Partitionable network substrate.
 
-Unreliable datagram fabric with latency/bandwidth/loss models, a
-partition/crash topology, and scripted or randomized fault injection.
+Unreliable datagram fabric with latency/bandwidth/loss models and a
+partition/crash topology.  Faults are injected through
+``repro.core.cluster.Cluster``; randomized fault schedules live in
+``repro.check.fuzz``.
 """
 
-from .faults import FaultEvent, FaultScript, random_fault_schedule
 from .latency import (NetworkProfile, lan_profile,
                       lossless_instant_profile, wan_profile)
 from .message import Datagram
@@ -17,14 +18,11 @@ from .topology import Topology, TopologyError
 
 __all__ = [
     "Datagram",
-    "FaultEvent",
-    "FaultScript",
     "Network",
     "NetworkProfile",
     "Topology",
     "TopologyError",
     "lan_profile",
     "lossless_instant_profile",
-    "random_fault_schedule",
     "wan_profile",
 ]

@@ -1,4 +1,4 @@
-"""Connectivity model: components, crashes, partitions, merges.
+"""Connectivity model: components, crashes, partitions, heals.
 
 The topology is the ground truth of who can talk to whom.  Nodes live in
 named *components*; two nodes can exchange messages iff both are up and
@@ -22,7 +22,7 @@ class Topology:
     """Partitionable set of nodes.
 
     All nodes start alive in a single component.  ``partition`` splits
-    the node set into disjoint groups; ``merge``/``heal`` joins groups.
+    the node set into disjoint groups; ``heal`` joins them all again.
     ``crash``/``recover`` toggle per-node liveness independently of the
     component structure (a crashed node keeps its component slot).
     """
@@ -121,18 +121,6 @@ class Topology:
                 self._component_of[n] = comp
         self._notify()
 
-    def merge(self, *node_groups: Iterable[int]) -> None:
-        """Join the components containing the given nodes into one."""
-        nodes = [n for group in node_groups for n in group]
-        if not nodes:
-            return
-        comps = {self._component_of[n] for n in nodes}
-        target = min(comps)
-        for n in self.nodes:
-            if self._component_of[n] in comps:
-                self._component_of[n] = target
-        self._notify()
-
     def heal(self) -> None:
         """Put every node into a single component."""
         comp = self._next_component
@@ -154,13 +142,6 @@ class Topology:
         if not self._alive[node]:
             self._alive[node] = True
             self._notify()
-
-    def isolate(self, node: int) -> None:
-        """Put ``node`` alone in its own component (a 1-vs-rest split)."""
-        comp = self._next_component
-        self._next_component += 1
-        self._component_of[node] = comp
-        self._notify()
 
     # ------------------------------------------------------------------
     # listeners

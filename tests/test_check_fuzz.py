@@ -1,16 +1,58 @@
 """Fuzzer, shrinker, and the scenario-spec extensions they ride on."""
 
+import random
+
 import pytest
 
 from repro.check.fuzz import (FAST_DISK, FAST_GCS, FuzzCase,
                               classify_failure, generate_schedule,
+                              random_fault_schedule, random_partition,
                               render_spec, run_campaign, run_case,
                               run_schedule)
 from repro.check.mutations import BothHalvesQuorum
 from repro.check.shrink import shrink
+from repro.net import Topology
 from repro.tools.scenario import ScenarioError, run_scenario
 
 INJECTED = FuzzCase(seed=38, quorum="both-halves")
+
+
+class TestFaultSchedule:
+    def test_random_partition_covers_all_nodes(self):
+        rng = random.Random(0)
+        for _ in range(50):
+            groups = random_partition([1, 2, 3, 4, 5], rng)
+            flat = sorted(n for g in groups for n in g)
+            assert flat == [1, 2, 3, 4, 5]
+            assert all(g for g in groups)
+
+    def test_random_schedule_ends_healed_and_recovered(self):
+        nodes = [1, 2, 3, 4]
+        topo = Topology(nodes)
+        for _when, op, arg in random_fault_schedule(
+                nodes, random.Random(7), horizon=10.0, rate=2.0):
+            if op == "partition":
+                topo.partition(arg)
+            elif op == "heal":
+                topo.heal()
+            elif op == "crash":
+                topo.crash(arg)
+            else:
+                topo.recover(arg)
+        assert all(topo.is_alive(n) for n in nodes)
+        assert len(topo.components()) == 1
+
+    def test_random_schedule_is_deterministic(self):
+        a = random_fault_schedule([1, 2, 3], random.Random(5), 10.0, 1.0)
+        b = random_fault_schedule([1, 2, 3], random.Random(5), 10.0, 1.0)
+        assert a == b
+
+    def test_random_schedule_no_crashes_option(self):
+        schedule = random_fault_schedule([1, 2, 3], random.Random(1),
+                                         20.0, rate=3.0,
+                                         allow_crashes=False)
+        assert all(op not in ("crash", "recover")
+                   for _when, op, _arg in schedule)
 
 
 class TestDeterminism:

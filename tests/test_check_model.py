@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.check.model import (Event, Model, ModelConfig,
-                               ModelInternalError, canonicalize)
+from repro.check.model import Event, Model, ModelConfig, canonicalize
 from repro.core.quorum import DynamicLinearVoting, StaticMajority
 from repro.core.state_machine import (EDGES_BY_INPUT, EngineInput,
-                                      EngineState, next_states)
+                                      EngineState, IllegalTransition)
+
+from engine_harness import EngineHarness
 
 S = EngineState
 I = EngineInput
@@ -82,16 +83,29 @@ class TestDerivation:
                 for target in S:
                     if target is state:
                         continue  # self-loops are implicit no-ops
-                    if target in next_states(state, event):
+                    if (state, target) in EDGES_BY_INPUT[event]:
                         continue
-                    with pytest.raises(ModelInternalError):
+                    with pytest.raises(IllegalTransition):
                         model._step(state, target, event)
 
-    def test_memo_matches_next_states(self):
-        from repro.check.model import _NEXT
-        for state in S:
-            for event in I:
-                assert _NEXT[state, event] == next_states(state, event)
+    def test_a_dropped_edge_is_refused_by_engine_and_model(
+            self, monkeypatch):
+        """Engine and model read the one shared table at run time: drop
+        the edge every bootstrap takes first and both refuse it.  A
+        model consulting a private copy of the table would still take
+        it and fail here."""
+        edge = (S.NON_PRIM, S.EXCHANGE_STATES)
+        monkeypatch.setitem(EDGES_BY_INPUT, I.REG_CONF,
+                            EDGES_BY_INPUT[I.REG_CONF] - {edge})
+        refused = "reg_conf: NonPrim -> ExchangeStates"
+        harness = EngineHarness(1)
+        assert harness.engine.state is S.NON_PRIM
+        with pytest.raises(IllegalTransition, match=refused):
+            harness.reg_conf((1, 2, 3))
+        with pytest.raises(IllegalTransition, match=refused):
+            Model(ModelConfig())._step(*edge, I.REG_CONF)
+        with pytest.raises(IllegalTransition, match=refused):
+            bootstrap(nodes=2)
 
 
 class TestCanonicalize:

@@ -157,7 +157,7 @@ class TestQueryOnlyFastPath:
         client = cluster3.client(1)
         client.submit(("SET", "k", "v"))
         cluster3.run_for(1.0)
-        assert cluster3.replicas[2].query_consistent(("GET", "k")) == "v"
+        assert cluster3.replicas[2].database.query(("GET", "k")) == "v"
 
 
 class TestMembershipScenarios:

@@ -33,8 +33,8 @@ ALLOWED = {
     "framing": ("repro.net.codec",),
     # Seeded generators only: the simulator's streams, the network
     # models that draw from them, and the fuzzer's schedules.
-    "random": ("repro.sim.rng", "repro.net.faults", "repro.net.latency",
-               "repro.net.network", "repro.check.fuzz"),
+    "random": ("repro.sim.rng", "repro.net.latency", "repro.net.network",
+               "repro.check.fuzz"),
     # ``open(`` and ``os.fsync`` / ``fdatasync`` / ``sync``: report and
     # replay files of the tools, never protocol durability.
     "file-io": ("repro.tools.*", "repro.check.cli", "repro.check.shrink"),

@@ -53,14 +53,6 @@ def test_heal_reunites():
     assert len(topo.components()) == 1
 
 
-def test_merge_selected_groups():
-    topo = Topology([1, 2, 3, 4])
-    topo.partition([[1], [2], [3, 4]])
-    topo.merge([1], [2])
-    assert topo.reachable(1, 2)
-    assert not topo.reachable(1, 3)
-
-
 def test_crash_and_recover():
     topo = Topology([1, 2])
     topo.crash(1)
@@ -82,13 +74,6 @@ def test_crash_unknown_node_rejected():
     topo = Topology([1])
     with pytest.raises(TopologyError):
         topo.crash(9)
-
-
-def test_isolate():
-    topo = Topology([1, 2, 3])
-    topo.isolate(2)
-    assert not topo.reachable(2, 1)
-    assert topo.reachable(1, 3)
 
 
 def test_add_node_joins_component():

@@ -8,7 +8,7 @@ leave — then everything must converge and the books must balance
 
 import pytest
 
-from repro.net import random_fault_schedule
+from repro.check.fuzz import random_fault_schedule
 
 from conftest import make_cluster
 
@@ -18,15 +18,16 @@ def test_soak_under_random_faults(seed):
     cluster = make_cluster(4, seed=seed)
     cluster.start_all(settle=1.0)
     rng = cluster.streams.stream("soak")
-    script = random_fault_schedule([1, 2, 3, 4], rng, horizon=12.0,
-                                   rate=0.6, allow_crashes=False)
+    schedule = random_fault_schedule([1, 2, 3, 4], rng, horizon=12.0,
+                                     rate=0.6, allow_crashes=False)
 
-    # Schedule events relative to now (the schedule starts at t=0).
+    # Schedule steps relative to now (the schedule starts at t=0).
     base = cluster.sim.now
-    for event in sorted(script.events, key=lambda e: e.time):
-        def fire(ev=event):
-            ev.apply(cluster.topology)
-        cluster.sim.schedule_at(base + event.time, fire)
+    for when, op, arg in schedule:
+        if op == "partition":
+            cluster.sim.schedule_at(base + when, cluster.partition, *arg)
+        else:
+            cluster.sim.schedule_at(base + when, cluster.heal)
 
     # Continuous closed-loop clients on every node.
     clients = {n: cluster.client(n) for n in (1, 2, 3, 4)}

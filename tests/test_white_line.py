@@ -1,9 +1,5 @@
 """White-line (garbage collection) behaviour across the live system."""
 
-import pytest
-
-from repro.core import EngineConfig
-
 from conftest import make_cluster
 
 
@@ -24,15 +20,6 @@ def test_white_line_never_exceeds_any_green_line():
         queue = replica.engine.queue
         assert queue.white_line <= min(queue.green_lines.values())
         assert queue.green_offset <= queue.green_count
-
-
-def test_truncation_disabled_keeps_everything():
-    cluster = make_cluster(3, engine_config=EngineConfig(
-        truncate_white=False))
-    cluster.start_all(settle=1.0)
-    all_submit(cluster)
-    for replica in cluster.replicas.values():
-        assert replica.engine.queue.green_offset == 0
 
 
 def test_partitioned_member_pins_the_white_line():
