@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Watch the replication state machine work (Figure 4, live).
 
-Runs a traced cluster through a partition and a merge, then renders
-the per-replica state timeline — RegPrim, the exchange states, and the
-primary re-installation are all visible — plus how long each replica
-spent in each state.
+Runs a cluster through a partition and a merge, then renders the
+per-replica state timeline from its event log — RegPrim, the exchange
+states, and the primary re-installation are all visible — plus how
+long each replica spent in each state.
 
 Run:  python examples/state_machine_tour.py
 """
@@ -14,7 +14,7 @@ from repro.tools import render_timeline, summarize_time_in_state
 
 
 def main():
-    cluster = ReplicaCluster(n=3, seed=21, trace=True)
+    cluster = ReplicaCluster(n=3, seed=21)
     cluster.start_all()
     client = cluster.client(1)
     for i in range(3):
@@ -35,11 +35,11 @@ def main():
 
     print("\nPer-replica state timeline "
           "(every line = one state change):\n")
-    print(render_timeline(cluster.tracer))
+    changes = list(cluster.tracer.select("engine.state"))
+    print(render_timeline(changes))
 
     print("\nTime in each state (replica 1):")
-    totals = summarize_time_in_state(cluster.tracer, 1,
-                                     until=cluster.sim.now)
+    totals = summarize_time_in_state(changes, 1, until=cluster.sim.now)
     for state, seconds in sorted(totals.items(),
                                  key=lambda kv: -kv[1]):
         bar = "#" * max(1, int(40 * seconds / cluster.sim.now))

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..gcs import (Configuration, GcsDaemon, GcsListener, GcsSettings,
                    ServiceLevel)
 from ..net import Network, NetworkProfile, Topology
-from ..sim import RandomStreams, ServiceQueue, Simulator, Tracer
+from ..sim import RandomStreams, ServiceQueue, Simulator
 from ..storage import DiskProfile, SimulatedDisk
 from ..db.sql import execute_update
 from .base import Completion, ReplicationSystemAPI

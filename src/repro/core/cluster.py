@@ -20,7 +20,7 @@ from ..db import ActionId
 from ..gcs import GcsSettings
 from ..net import Network, NetworkProfile, Topology
 from ..obs import Observability
-from ..sim import RandomStreams, Tracer
+from ..sim import RandomStreams
 from ..storage import DiskProfile
 from .client import Client
 from .engine import EngineConfig
@@ -35,7 +35,7 @@ class Cluster:
                  server_ids: Sequence[int], hosted: Sequence[int],
                  gcs_settings: GcsSettings,
                  engine_config: Optional[EngineConfig],
-                 disk_profile: Optional[DiskProfile], tracer: Tracer,
+                 disk_profile: Optional[DiskProfile],
                  obs: Observability) -> None:
         self.runtime = runtime
         self.transport = transport
@@ -43,12 +43,11 @@ class Cluster:
         # through the reachability model the transport obeys.
         self.topology: Topology = transport.topology
         self.server_ids = list(server_ids)
-        self.tracer = tracer
         self.obs = obs
-        # With tracing on, mirror tracer records (state transitions,
-        # installs, disk syncs, crashes) into the flight rings.
-        if obs.flight_hub is not None:
-            obs.flight_hub.attach(tracer)
+        # The per-node event log (state transitions, view installs,
+        # suspicions, crashes): ``tracer.count(kind)``,
+        # ``tracer.select(kind, node)``.
+        self.tracer = obs.flight_hub
         self.directory: Set[int] = set(self.server_ids)
         self.gcs_settings = gcs_settings
         # None gives every replica its own default EngineConfig.
@@ -68,7 +67,7 @@ class Cluster:
                        list(server_ids), disk_profile=self.disk_profile,
                        gcs_settings=self.gcs_settings,
                        engine_config=self.engine_config,
-                       tracer=self.tracer, obs=self.obs)
+                       obs=self.obs)
 
     def start_all(self) -> None:
         for replica in self.replicas.values():
@@ -248,7 +247,6 @@ class ReplicaCluster(Cluster):
                  disk_profile: Optional[DiskProfile] = None,
                  gcs_settings: Optional[GcsSettings] = None,
                  engine_config: Optional[EngineConfig] = None,
-                 trace: bool = False,
                  observability: Optional[Observability] = None) -> None:
         # Imported here, not at module level: repro.runtime's package
         # init builds LiveCluster on this module's Cluster, so a
@@ -260,16 +258,13 @@ class ReplicaCluster(Cluster):
         # The deterministic Runtime, also reachable as `runtime`.
         self.sim = SimRuntime()
         self.streams = RandomStreams(seed)
-        tracer = Tracer(enabled=trace)
         self.network = Network(self.sim, Topology(ids), network_profile,
-                               rng=self.streams.stream("network"),
-                               tracer=tracer)
+                               rng=self.streams.stream("network"))
         # Disabled by default: simulated clusters keep plain counters
         # but pay nothing for spans/histograms unless asked.
         super().__init__(
             self.sim, self.network, ids, ids,
             gcs_settings or GcsSettings(), engine_config, disk_profile,
-            tracer,
             observability if observability is not None
             else Observability.disabled())
 

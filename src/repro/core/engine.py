@@ -38,7 +38,6 @@ from ..obs.spans import STALENESS_STRIDE
 
 # Power-of-two stride lets the sampling test be a single AND.
 _STALENESS_MASK = STALENESS_STRIDE - 1
-from ..sim import Tracer
 from ..storage import StableStore
 from .action_queue import ActionQueue
 from .knowledge import (Knowledge, RetransPlan, compute_knowledge,
@@ -152,7 +151,6 @@ class ReplicationEngine:
                  database: Database, server_ids: List[int],
                  config: Optional[EngineConfig] = None,
                  hooks: Optional[EngineHooks] = None,
-                 tracer: Optional[Tracer] = None,
                  obs: Optional[Observability] = None) -> None:
         self.sim = sim
         self.server_id = server_id
@@ -161,8 +159,9 @@ class ReplicationEngine:
         self.database = database
         self.config = config or EngineConfig()
         self.hooks = hooks or EngineHooks()
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else Observability.disabled()
+        # This node's event log: state transitions, installs, compactions.
+        self._log = self.obs.flight_hub.recorder(server_id)
         # None when observability is off: the hot paths pay a None
         # check, not a call.
         self._spans = self.obs.tracker(server_id)
@@ -369,8 +368,8 @@ class ReplicationEngine:
             return
         check_transition(cause, old, new)
         self.state = new
-        self.tracer.emit(self.sim.now, self.server_id, "engine.state",
-                         old=str(old), new=str(new))
+        self._log.record(self.sim.now, "engine.state",
+                         detail={"old": str(old), "new": str(new)})
         self.hooks.on_state_change(old, new)
 
     # ==================================================================
@@ -564,7 +563,7 @@ class ReplicationEngine:
 
     def _exit_system(self) -> None:
         self.exited = True
-        self.tracer.emit(self.sim.now, self.server_id, "engine.exit")
+        self._log.record(self.sim.now, "engine.exit")
         self.hooks.on_exit()
 
     # ==================================================================
@@ -601,9 +600,9 @@ class ReplicationEngine:
             # right after Install.
             self._construct_buffer.append(action)
         else:
-            self.tracer.emit(self.sim.now, self.server_id,
-                             "engine.unexpected_action", state=str(state),
-                             action=str(action.action_id))
+            self._log.record(self.sim.now, "engine.unexpected_action",
+                             detail={"state": str(state),
+                                     "action": str(action.action_id)})
 
     def _accept_green_retrans(self, msg: EngineActionMsg) -> None:
         """A retransmitted, already-globally-ordered action."""
@@ -878,9 +877,9 @@ class ReplicationEngine:
         self._sync()
         if self._spans is not None:
             self._spans.on_install(self.sim.now)
-        self.tracer.emit(self.sim.now, self.server_id, "engine.install",
-                         prim_index=self.prim_component.prim_index,
-                         servers=self.prim_component.servers)
+        self._log.record(self.sim.now, "engine.install", detail={
+            "prim_index": self.prim_component.prim_index,
+            "servers": self.prim_component.servers})
 
     # ==================================================================
     # persistence
@@ -946,8 +945,8 @@ class ReplicationEngine:
         for action_id in sorted(self.ongoing):
             records.append(LogRecord("ongoing", self.ongoing[action_id]))
         self.store.wal.rewrite(records)
-        self.tracer.emit(self.sim.now, self.server_id, "engine.compact",
-                         records=len(records))
+        self._log.record(self.sim.now, "engine.compact",
+                         detail={"records": len(records)})
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Engine {self.server_id} {self.state} "

@@ -18,7 +18,7 @@ from ..gcs import (GcsDaemon, GcsSettings, GroupChannel,
                    ReliableChannelEndpoint)
 from ..net import Datagram
 from ..obs import Observability
-from ..sim import ServiceQueue, Timer, Tracer
+from ..sim import ServiceQueue, Timer
 from ..storage import DiskProfile, SimulatedDisk, StableStore, WriteAheadLog
 from .engine import EngineConfig, EngineHooks, ReplicationEngine
 from .recovery import recover_engine
@@ -74,13 +74,13 @@ class Replica:
                  disk_profile: Optional[DiskProfile] = None,
                  gcs_settings: Optional[GcsSettings] = None,
                  engine_config: Optional[EngineConfig] = None,
-                 tracer: Optional[Tracer] = None,
                  obs: Optional[Observability] = None) -> None:
         self.sim = sim
         self.node = node
         self.network = network
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else Observability.disabled()
+        # This node's event log: crashes, recoveries, joins.
+        self._log = self.obs.flight_hub.recorder(node)
         self.server_ids = list(server_ids)
         self.engine_config = engine_config or EngineConfig()
 
@@ -92,7 +92,7 @@ class Replica:
 
         self.gcs_settings = gcs_settings or GcsSettings()
         self.daemon = GcsDaemon(sim, node, network, directory,
-                                self.gcs_settings, self.tracer,
+                                self.gcs_settings,
                                 extra_dispatch=self._extra_dispatch,
                                 obs=self.obs)
         self.channel = GroupChannel(self.daemon)
@@ -101,7 +101,7 @@ class Replica:
         self.engine = ReplicationEngine(
             sim, node, self.channel, self.store, self.database,
             self.server_ids, self.engine_config, _ReplicaHooks(self),
-            self.tracer, obs=self.obs)
+            obs=self.obs)
         self.representative = RepresentativeRole(self)
         if self.obs.enabled:
             # Read through ``self.engine``/``self.running`` at collect
@@ -166,7 +166,7 @@ class Replica:
         self.store.crash()
         self.cpu.reset()
         self._pending = {}
-        self.tracer.emit(self.sim.now, self.node, "replica.crash")
+        self._log.record(self.sim.now, "replica.crash")
 
     def register_procedure(self, name: str, procedure: Any) -> None:
         """Register a deterministic procedure, durably across
@@ -183,14 +183,14 @@ class Replica:
         self.engine = ReplicationEngine(
             self.sim, self.node, self.channel, self.store, self.database,
             [self.node], self.engine_config, _ReplicaHooks(self),
-            self.tracer, obs=self.obs)
+            obs=self.obs)
         recover_engine(self.engine)
         self.daemon.recover()
         self.endpoint.start()
         self._checkpoint.start()
         self.running = True
         self.daemon.join()
-        self.tracer.emit(self.sim.now, self.node, "replica.recover")
+        self._log.record(self.sim.now, "replica.recover")
 
     def join_from(self, peers: List[int],
                   on_joined: Optional[Callable[["Replica"], None]] = None
@@ -230,8 +230,8 @@ class Replica:
         engine._persist_records()
         engine._sync()
         self.daemon.join()
-        self.tracer.emit(self.sim.now, self.node, "replica.joined",
-                         green=header.green_count)
+        self._log.record(self.sim.now, "replica.joined",
+                         detail={"green": header.green_count})
 
     def leave(self) -> ActionId:
         """Voluntarily and permanently leave the replicated system."""

@@ -41,7 +41,8 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List,
                     Optional, Set, Tuple)
 
 from ..net import Datagram
-from ..sim import Actor, Tracer
+from ..obs.flight import FlightRecorder
+from ..sim import Actor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
@@ -105,7 +106,6 @@ class GcsDaemon(Actor):
     def __init__(self, sim: "Runtime", node: int, network: "Transport",
                  directory: Set[int],
                  settings: Optional[GcsSettings] = None,
-                 tracer: Optional[Tracer] = None,
                  extra_dispatch: Optional[
                      Callable[[Datagram], bool]] = None,
                  obs: Optional["Observability"] = None) -> None:
@@ -114,7 +114,10 @@ class GcsDaemon(Actor):
         self.network = network
         self.directory = directory          # registry of the group's nodes
         self.settings = settings or GcsSettings()
-        self.tracer = tracer or Tracer(enabled=False)
+        # This node's event log: gathers, proposals, installs,
+        # suspicions, retransmissions.
+        self._log = (obs.flight_hub.recorder(node) if obs is not None
+                     else FlightRecorder(node))
         self.extra_dispatch = extra_dispatch
         self.listener: GcsListener = GcsListener()
 
@@ -514,8 +517,8 @@ class GcsDaemon(Actor):
             self.network.send(self.node, msg.node,
                               RetransDataMsg(msg.view_id, tuple(items)),
                               size)
-            self.tracer.emit(self.sim.now, self.node, "gcs.retrans",
-                             to=msg.node, count=len(items))
+            self._log.record(self.sim.now, "gcs.retrans",
+                             detail={"to": msg.node, "count": len(items)})
         if msg.want_stamps_from >= 0:
             stamps = tuple(
                 (s, k[0], k[1])
@@ -610,8 +613,8 @@ class GcsDaemon(Actor):
                 continue
             heard = self._last_heard.get(member, -1.0)
             if heard < deadline:
-                self.tracer.emit(now, self.node, "gcs.suspect",
-                                 member=member, silent=now - heard)
+                self._log.record(now, "gcs.suspect", detail={
+                    "member": member, "silent": now - heard})
                 self._enter_gather(self.attempt + 1)
                 return None
             if heard < earliest:
@@ -662,8 +665,8 @@ class GcsDaemon(Actor):
             self._c_gathers.inc()
         self._perceived = {self.node}
         self._gather_began = self.sim.now
-        self.tracer.emit(self.sim.now, self.node, "gcs.gather",
-                         attempt=self.attempt)
+        self._log.record(self.sim.now, "gcs.gather",
+                         detail={"attempt": self.attempt})
         self._announce_gather()
         self._gather_announce.start()
         self._settle_timer.start()
@@ -742,8 +745,8 @@ class GcsDaemon(Actor):
             self._proposal_members = members
             self._reports = {}
             self.state = DaemonState.FLUSH
-            self.tracer.emit(self.sim.now, self.node, "gcs.propose",
-                             attempt=self.attempt, members=members)
+            self._log.record(self.sim.now, "gcs.propose", detail={
+                "attempt": self.attempt, "members": members})
             others = [m for m in members if m != self.node]
             self._control_multicast(
                 others, ProposeMsg(self.node, self.attempt, members))
@@ -876,8 +879,8 @@ class GcsDaemon(Actor):
             return
         size = sum(item[5] for item in items)
         retrans = RetransDataMsg(msg.old_view_id, tuple(items))
-        self.tracer.emit(self.sim.now, self.node, "gcs.retrans",
-                         to=msg.to_node, count=len(items))
+        self._log.record(self.sim.now, "gcs.retrans",
+                         detail={"to": msg.to_node, "count": len(items)})
         if msg.to_node == self.node:
             self._on_retrans(retrans)
         else:
@@ -996,9 +999,8 @@ class GcsDaemon(Actor):
         self._reset_round()
         for member in members:
             self._last_heard[member] = self.sim.now
-        self.tracer.emit(self.sim.now, self.node, "gcs.install",
-                         view=str(msg.new_view_id),
-                         members=tuple(sorted(members)))
+        self._log.record(self.sim.now, "gcs.install", detail={
+            "view": str(msg.new_view_id), "members": tuple(sorted(members))})
         self.listener.on_regular_conf(self.view)
         outbox, self._outbox = self._outbox, []
         for data in resubmit:

@@ -27,7 +27,6 @@ from heapq import heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional, final
 
 from ..sim.kernel import Simulator
-from ..sim.trace import Tracer
 from .latency import NetworkProfile
 from .message import Datagram
 from .topology import Topology
@@ -75,8 +74,7 @@ class Network:
 
     def __init__(self, sim: Simulator, topology: Topology,
                  profile: Optional[NetworkProfile] = None,
-                 rng: Optional[random.Random] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         self.sim = sim
         self.topology = topology
         self.profile = profile if profile is not None else NetworkProfile()
@@ -89,7 +87,6 @@ class Network:
         self._jitter = self.profile.jitter
         self._loss_rate = self.profile.loss_rate
         self.rng = rng
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._handlers: Dict[int, Handler] = {}
         self._ports: Dict[int, _Port] = {}
         # Kernel internals, aliased for the raw event pushes below.  The
@@ -168,7 +165,6 @@ class Network:
         rng_random: Callable[[], float] = \
             rng.random if rng is not None else _zero
         interceptor = self.interceptor
-        tracer = self.tracer
         base_arrival = done + self._propagation
         # Hottest push in the system: enqueue the kernel's raw
         # fire-and-forget entry directly (same shape post_at builds)
@@ -189,30 +185,21 @@ class Network:
                 if alive is not None:
                     if dst not in alive:
                         self.datagrams_dropped += 1
-                        if tracer.enabled:
-                            tracer.emit(now, dst, "net.drop", src=src,
-                                        reason="unreachable_at_send")
                         continue
                 elif not topology.reachable(src, dst):
                     self.datagrams_dropped += 1
-                    if tracer.enabled:
-                        tracer.emit(now, dst, "net.drop", src=src,
-                                    reason="unreachable_at_send")
                     continue
             # Inlined profile.drops(): no draw at zero loss, identical
             # draw otherwise, one Python call fewer per destination.
             if loss_rate > 0.0 and rng_random() < loss_rate:
                 self.datagrams_dropped += 1
-                if tracer.enabled:
-                    tracer.emit(now, dst, "net.drop", src=src,
-                                reason="loss")
                 continue
             datagram = Datagram(src, dst, payload, size, now)
             extra_delay = 0.0
             if interceptor is not None:
                 verdict = interceptor(datagram)
                 if verdict is False:
-                    self._drop(datagram, "intercepted")
+                    self.datagrams_dropped += 1
                     continue
                 if isinstance(verdict, (int, float)) \
                         and not isinstance(verdict, bool):
@@ -242,13 +229,13 @@ class Network:
         # liveness/partition queries entirely.
         if not topology._all_connected:
             if dst != src and not topology.reachable(src, dst):
-                self._drop(datagram, "unreachable_at_delivery")
+                self.datagrams_dropped += 1
                 return
             if not topology.is_alive(dst):
-                self._drop(datagram, "dst_crashed")
+                self.datagrams_dropped += 1
                 return
         if dst not in self._handlers:
-            self._drop(datagram, "dst_detached")
+            self.datagrams_dropped += 1
             return
         port = self._ports[dst]  # handler present => port exists
         now = self.sim.now
@@ -267,24 +254,14 @@ class Network:
         topology = self.topology
         if not topology._all_connected:
             if not topology.is_alive(dst):
-                self._drop(datagram, "dst_crashed")
+                self.datagrams_dropped += 1
                 return
             if dst != src and not topology.reachable(src, dst):
-                self._drop(datagram, "unreachable_at_delivery")
+                self.datagrams_dropped += 1
                 return
         handler = self._handlers.get(dst)
         if handler is None:
-            self._drop(datagram, "dst_detached")
+            self.datagrams_dropped += 1
             return
         self.datagrams_delivered += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, dst, "net.deliver",
-                        src=src, size=datagram.size)
         handler(datagram)
-
-    def _drop(self, datagram: Datagram, reason: str) -> None:
-        self.datagrams_dropped += 1
-        if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, datagram.dst, "net.drop",
-                             src=datagram.src, reason=reason)

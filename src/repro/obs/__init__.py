@@ -28,18 +28,21 @@ from .export import (MetricsServer, fetch_http, lint_prometheus,
 from .flight import FlightHub, FlightRecorder, action_trace_id
 from .metrics import (LATENCY_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, percentile)
-from .spans import (DEFAULT_MAX_COMPLETED, ActionSpan, MembershipSpan,
+from .spans import (MAX_COMPLETED, ActionSpan, MembershipSpan,
                     SpanTracker)
 
 
 class Observability:
-    """Per-deployment bundle: registry + per-node span trackers.
+    """Per-deployment bundle: registry, per-node span trackers, and
+    the per-node event log (:attr:`flight_hub`).
 
-    ``flight=True`` additionally turns on distributed tracing: every
-    submitted action gets a deterministic trace id, and a per-node
-    :class:`~repro.obs.flight.FlightRecorder` keeps a bounded ring of
-    protocol events.  ``staleness=True`` (implies span tracking) lets
-    replicas measure how far their green prefix lags the originator's
+    The event log always records the rare protocol events (state
+    transitions, view installs, suspicions, crashes; see
+    :mod:`repro.obs.flight`).  ``flight=True`` additionally turns on
+    distributed tracing: every submitted action gets a deterministic
+    trace id, and the engine logs its submit/send/recv/red/green
+    events.  ``staleness=True`` (implies span tracking) lets replicas
+    measure how far their green prefix lags the originator's
     submission time (see
     :meth:`~repro.obs.spans.SpanTracker.on_remote_green`).  Both are
     off by default so the hot paths stay a ``None``-check.
@@ -47,28 +50,24 @@ class Observability:
 
     def __init__(self, enabled: bool = True,
                  registry: Optional[MetricsRegistry] = None,
-                 max_completed_spans: int = DEFAULT_MAX_COMPLETED,
                  flight: bool = False,
-                 flight_capacity: int = 8192,
-                 staleness: bool = False):
+                 staleness: bool = False) -> None:
         self.enabled = enabled
         self.registry = registry if registry is not None \
             else MetricsRegistry(enabled=enabled)
-        self.max_completed_spans = max_completed_spans
         self.trackers: Dict[Any, SpanTracker] = {}
         self.staleness = staleness and enabled
-        self.flight_hub: Optional[FlightHub] = \
-            FlightHub(flight_capacity) if flight else None
+        self.traced = flight
+        self.flight_hub = FlightHub()
 
     @classmethod
     def disabled(cls) -> "Observability":
         return cls(enabled=False)
 
     def flight(self, node: Any) -> Optional[FlightRecorder]:
-        """The flight recorder for ``node`` (None when tracing is off:
-        hot paths keep a None-check instead of paying a call)."""
-        hub = self.flight_hub
-        return hub.recorder(node) if hub is not None else None
+        """``node``'s event log when per-action tracing is on, else
+        None (hot paths keep a None-check instead of paying a call)."""
+        return self.flight_hub.recorder(node) if self.traced else None
 
     def tracker(self, node: Any) -> Optional[SpanTracker]:
         """The span tracker for ``node`` (None when disabled: callers
@@ -77,9 +76,8 @@ class Observability:
             return None
         tracker = self.trackers.get(node)
         if tracker is None:
-            tracker = self.trackers[node] = SpanTracker(
-                self.registry, node,
-                max_completed=self.max_completed_spans)
+            tracker = self.trackers[node] = SpanTracker(self.registry,
+                                                        node)
         return tracker
 
     def prometheus(self) -> str:
@@ -97,6 +95,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
+    "MAX_COMPLETED",
     "MembershipSpan",
     "MetricsRegistry",
     "MetricsServer",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .metrics import COUNTER, HISTOGRAM, MetricsRegistry
 
@@ -38,7 +38,8 @@ def _escape_label_value(value: str) -> str:
                 .replace('"', r'\"')
 
 
-def _format_labels(labelnames, labelvalues, extra: str = "") -> str:
+def _format_labels(labelnames: Sequence[str], labelvalues: Sequence[str],
+                   extra: str = "") -> str:
     pairs = [f'{name}="{_escape_label_value(value)}"'
              for name, value in zip(labelnames, labelvalues)]
     if extra:
@@ -168,7 +169,7 @@ class MetricsServer:
 
     def __init__(self, registry: MetricsRegistry,
                  status_fn: Optional[Callable[[], Dict[str, Any]]] = None,
-                 host: str = "127.0.0.1", port: int = 0):
+                 host: str = "127.0.0.1", port: int = 0) -> None:
         self.registry = registry
         self.status_fn = status_fn
         self.host = host

@@ -100,7 +100,7 @@ class Histogram:
 
     __slots__ = ("bounds", "counts", "sum", "count")
 
-    def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS):
+    def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
         self.bounds: Tuple[float, ...] = tuple(bounds)
         if any(b2 <= b1 for b1, b2 in zip(self.bounds, self.bounds[1:])):
             raise ValueError(f"bucket bounds not increasing: {bounds}")
@@ -172,7 +172,7 @@ class MetricFamily:
     def __init__(self, name: str, kind: str, help: str = "",
                  labelnames: Sequence[str] = (),
                  buckets: Optional[Sequence[float]] = None,
-                 live: bool = True):
+                 live: bool = True) -> None:
         self.name = name
         self.kind = kind
         self.help = help
@@ -221,7 +221,7 @@ class MetricsRegistry:
     registry holds.
     """
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._families: Dict[str, MetricFamily] = {}
         self._callbacks: List[Tuple[str, LabelValues,

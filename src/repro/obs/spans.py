@@ -49,10 +49,10 @@ from .metrics import MetricsRegistry
 #: on the ordering hot path to a counter increment.
 STALENESS_STRIDE = 8
 
-#: Default capacity of every completed-span ring.  The histograms hold
-#: the exact whole-run aggregates; the rings are a recent-samples debug
+#: Capacity of every completed-span ring.  The histograms hold the
+#: exact whole-run aggregates; the rings are a recent-samples debug
 #: aid, so they stay small enough never to weigh on the heap.
-DEFAULT_MAX_COMPLETED = 4096
+MAX_COMPLETED = 4096
 
 
 class ActionSpan:
@@ -63,7 +63,7 @@ class ActionSpan:
     def __init__(self, action_id: Any,
                  submitted: Optional[float] = None,
                  red: Optional[float] = None,
-                 green: Optional[float] = None):
+                 green: Optional[float] = None) -> None:
         self.action_id = action_id
         self.submitted = submitted
         self.red = red
@@ -95,7 +95,7 @@ class MembershipSpan:
 
     __slots__ = ("started", "installed")
 
-    def __init__(self, started: float):
+    def __init__(self, started: float) -> None:
         self.started = started
         self.installed: Optional[float] = None
 
@@ -122,8 +122,7 @@ class SpanTracker:
                  "vulnerable_open", "vulnerable_completed",
                  "_registry", "staleness_hist", "green_lag")
 
-    def __init__(self, registry: MetricsRegistry, node: Any,
-                 max_completed: int = DEFAULT_MAX_COMPLETED):
+    def __init__(self, registry: MetricsRegistry, node: Any) -> None:
         label = str(node)
         self.node = node
         self._registry = registry
@@ -151,13 +150,13 @@ class SpanTracker:
         # :meth:`flush` (hooked into registry collection).
         self.instant_greens = 0
         registry.collect_hook(self.flush)
-        self.completed: Deque[ActionSpan] = deque(maxlen=max_completed)
+        self.completed: Deque[ActionSpan] = deque(maxlen=MAX_COMPLETED)
         self.membership_open: Optional[MembershipSpan] = None
         self.membership_completed: Deque[MembershipSpan] = \
-            deque(maxlen=max_completed)
+            deque(maxlen=MAX_COMPLETED)
         self.vulnerable_open: Optional[float] = None
         self.vulnerable_completed: Deque[Tuple[float, float]] = \
-            deque(maxlen=max_completed)
+            deque(maxlen=MAX_COMPLETED)
         # Staleness probe (opt-in, see :meth:`enable_staleness`): the
         # histogram is created lazily so deployments that never measure
         # replica lag pay nothing, not even an empty instrument.

@@ -28,9 +28,10 @@ deadline from a slightly stale ``now`` must not crash the node.
 An exception escaping a callback does not stop the loop; asyncio hands
 it to the loop's exception handler.  The runtime installs one that
 counts it (:attr:`AsyncioRuntime.callback_errors`, with the last
-context kept), traces it as a ``runtime.callback_error`` record once a
-tracer is attached (:meth:`AsyncioRuntime.observe`), and passes it on
-to the handler it replaced.
+context kept), records a ``runtime.callback_error`` event on the
+``"runtime"`` node's event log once one is attached
+(:meth:`AsyncioRuntime.observe`), and passes it on to the handler it
+replaced.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 from ..sim.kernel import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.trace import Tracer
+    from ..obs import Observability
+    from ..obs.flight import FlightRecorder
 
 Callback = Callable[..., None]
 
@@ -98,7 +100,7 @@ class AsyncioRuntime:
         self.stopped = asyncio.Event()
         self.callback_errors = 0
         self.last_callback_error: Optional[Dict[str, Any]] = None
-        self._tracer: Optional["Tracer"] = None
+        self._log: Optional["FlightRecorder"] = None
         self._previous_handler = self._loop.get_exception_handler()
         self._loop.set_exception_handler(self._on_loop_exception)
 
@@ -184,23 +186,22 @@ class AsyncioRuntime:
         self._events_processed += 1
         callback(*args)
 
-    def observe(self, tracer: "Tracer") -> None:
-        """Trace each callback error on ``tracer``.  The first caller
-        wins: clusters built on one shared runtime must record each
-        error once."""
-        if self._tracer is None:
-            self._tracer = tracer
+    def observe(self, obs: "Observability") -> None:
+        """Record each callback error on ``obs``'s event log.  The
+        first caller wins: clusters built on one shared runtime must
+        record each error once."""
+        if self._log is None:
+            self._log = obs.flight_hub.recorder("runtime")
 
     def _on_loop_exception(self, loop: asyncio.AbstractEventLoop,
                            context: Dict[str, Any]) -> None:
         self.callback_errors += 1
         self.last_callback_error = context
-        if self._tracer is not None:
+        if self._log is not None:
             exc = context.get("exception")
-            self._tracer.emit(
-                self.now, "runtime", "runtime.callback_error",
-                error=type(exc).__name__ if exc is not None else "",
-                message=context.get("message", ""))
+            self._log.record(self.now, "runtime.callback_error", detail={
+                "error": type(exc).__name__ if exc is not None else "",
+                "message": context.get("message", "")})
         if self._previous_handler is None:
             loop.default_exception_handler(context)
         else:

@@ -37,7 +37,6 @@ from ..core.state_machine import EngineState
 from ..gcs import GcsSettings
 from ..net import Topology
 from ..obs import MetricsServer, Observability
-from ..sim.trace import Tracer
 from ..storage import DiskProfile
 from .asyncio_runtime import AsyncioRuntime
 from .transport import AsyncioTransport, MemoryTransport
@@ -106,23 +105,18 @@ class LiveCluster(Cluster):
                  gcs_settings: Optional[GcsSettings] = None,
                  engine_config: Optional[EngineConfig] = None,
                  disk_profile: Optional[DiskProfile] = None,
-                 trace: bool = True,
-                 trace_limit: Optional[int] = 100_000,
-                 observability: Optional[Observability] = None):
+                 observability: Optional[Observability] = None) -> None:
         runtime = runtime if runtime is not None else AsyncioRuntime()
         transport = (transport if transport is not None
                      else MemoryTransport(runtime, Topology(server_ids)))
-        # Long live runs must not grow memory without bound: cap the
-        # trace ring buffer (the simulator's default stays unbounded).
-        tracer = Tracer(enabled=trace, max_records=trace_limit)
         # Live clusters observe by default: a wall-clock deployment is
         # exactly where you want /metrics, and the protocol work per
         # second is tiny next to real I/O.
         obs = (observability if observability is not None
                else Observability())
         if isinstance(transport, AsyncioTransport):
-            transport.observe(obs, tracer)
-        runtime.observe(tracer)
+            transport.observe(obs)
+        runtime.observe(obs)
         obs.registry.counter_callback(
             "repro_runtime_callback_errors_total",
             lambda: runtime.callback_errors,
@@ -133,7 +127,7 @@ class LiveCluster(Cluster):
             hosted if hosted is not None else server_ids,
             gcs_settings or live_gcs_settings(),
             engine_config or live_engine_config(),
-            disk_profile or live_disk_profile(), tracer, obs)
+            disk_profile or live_disk_profile(), obs)
 
     def shutdown(self) -> None:
         """Tear the hosted replicas down and release transport resources

@@ -25,7 +25,7 @@ promises — exactly the contract the GCS daemon's NACK and flush
 machinery is built for.  That includes size: a frame that encodes
 larger than ``_MAX_DGRAM`` is a counted drop (``oversize_dropped``,
 ``repro_transport_oversize_dropped_total``, one ``transport.oversize``
-trace record), never an exception inside an event-loop callback.
+event in the sender's log), never an exception inside an event-loop callback.
 Nothing upstream bounds message size yet: NACK stamp replies and flush
 plans grow with the backlog, and the joiner's ``TransferHeader`` still
 carries the representative's whole applied log (one 8-byte word per
@@ -42,7 +42,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable,
 
 from ..net import Topology, codec
 from ..net.message import Datagram
-from ..sim.trace import Tracer
 from .asyncio_runtime import AsyncioRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,16 +155,16 @@ class AsyncioTransport(_LiveFabric):
         self.addresses = dict(addresses)
         self._sockets: Dict[int, socket.socket] = {}
         self.oversize_dropped = 0
-        self._tracer: Optional[Tracer] = None
+        self._obs: Optional["Observability"] = None
 
-    def observe(self, obs: "Observability", tracer: Tracer) -> None:
-        """Export the oversize-drop count through ``obs`` and trace
-        each drop on ``tracer``.  The first caller wins: the count is
-        transport-wide, so clusters sharing one transport export it
-        once."""
-        if self._tracer is not None:
+    def observe(self, obs: "Observability") -> None:
+        """Export the oversize-drop count through ``obs`` and record
+        each drop on the sender's event log.  The first caller wins: the
+        count is transport-wide, so clusters sharing one transport
+        export it once."""
+        if self._obs is not None:
             return
-        self._tracer = tracer
+        self._obs = obs
         obs.registry.counter_callback(
             "repro_transport_oversize_dropped_total",
             lambda: self.oversize_dropped,
@@ -240,11 +239,11 @@ class AsyncioTransport(_LiveFabric):
                 blob = codec.encode_frame(src, payload)
                 if len(blob) > _MAX_DGRAM:
                     self.oversize_dropped += 1
-                    if self._tracer is not None:
-                        self._tracer.emit(
-                            self.runtime.now, src, "transport.oversize",
-                            bytes=len(blob),
-                            payload=type(payload).__name__)
+                    if self._obs is not None:
+                        self._obs.flight_hub.recorder(src).record(
+                            self.runtime.now, "transport.oversize",
+                            detail={"bytes": len(blob),
+                                    "payload": type(payload).__name__})
             if len(blob) > _MAX_DGRAM:
                 self.datagrams_dropped += 1
                 continue

@@ -1,13 +1,12 @@
 """Discrete-event simulation kernel (substrate).
 
-Provides the deterministic event loop, timers/actors, seeded randomness
-streams, and structured tracing that every other layer builds on.
+Provides the deterministic event loop, timers/actors and seeded
+randomness streams that every other layer builds on.
 """
 
 from .kernel import EventHandle, SimulationError, Simulator
 from .process import Actor, ServiceQueue, Timer
 from .rng import RandomStreams
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Actor",
@@ -17,6 +16,4 @@ __all__ = [
     "ServiceQueue",
     "Simulator",
     "Timer",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -116,7 +116,7 @@ class Simulator:
 
     def __init__(self) -> None:
         # ``now`` is a plain attribute, not a property: it is read on
-        # every scheduling call and every tracer emit in the system.
+        # every scheduling call and every event-log record in the system.
         self.now = 0.0
         self._heap: List[tuple] = []
         self._seq: Iterator[int] = itertools.count()

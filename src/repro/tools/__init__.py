@@ -3,12 +3,11 @@
 from .obsreport import build_report, default_spec, format_table
 from .scenario import (ScenarioError, ScenarioReport, ScenarioRunner,
                        run_scenario)
-from .timeline import (render_timeline, render_timeline_rows,
-                       state_changes, summarize_time_in_state)
+from .timeline import (render_timeline, state_changes,
+                       summarize_time_in_state)
 from .tracecli import (causal_signature, chrome_trace, descendants,
                        dump_flight, flight_sink, happens_before,
-                       load_rows, merge_rows, render_text,
-                       rows_from_tracer)
+                       load_rows, merge_rows, render_text)
 
 __all__ = [
     "ScenarioError",
@@ -27,8 +26,6 @@ __all__ = [
     "merge_rows",
     "render_text",
     "render_timeline",
-    "render_timeline_rows",
-    "rows_from_tracer",
     "run_scenario",
     "state_changes",
     "summarize_time_in_state",

@@ -151,8 +151,6 @@ class ScenarioRunner:
         self.cluster = ReplicaCluster(
             n=int(self.spec.get("replicas", 3)),
             seed=int(self.spec.get("seed", 0)),
-            trace=(self.obs is not None
-                   and self.obs.flight_hub is not None),
             observability=self.obs,
             **_cluster_kwargs(self.spec, live=False))
         self.cluster.start_all(settle=float(self.spec.get("settle", 2.0)))

@@ -1,26 +1,24 @@
-"""ASCII timeline of engine states from trace records.
+"""ASCII timeline of engine states from event rows.
 
-Turns a traced run into a compact per-replica state timeline — handy
-for understanding how a fault schedule played out:
+Turns a run's ``engine.state`` events into a compact per-replica state
+timeline — handy for understanding how a fault schedule played out:
 
     t=  0.00  1:NonPrim        2:NonPrim        3:NonPrim
     t=  0.54  1:ExchangeStates 2:ExchangeStates 3:ExchangeStates
     t=  0.56  1:RegPrim        2:RegPrim        3:RegPrim
     ...
 
-Built on the merged event-row model of :mod:`repro.tools.tracecli`:
-the same renderer works on a live :class:`~repro.sim.Tracer` (via
-:func:`~repro.tools.tracecli.rows_from_tracer`) and on flight-recorder
-JSONL dumps (via :func:`~repro.tools.tracecli.load_rows`), because
-``engine.state`` events appear identically in both streams.
+Every function takes event rows in time order: a cluster's event log
+(``cluster.tracer.select("engine.state")``) or flight-recorder JSONL
+dumps (:func:`~repro.tools.tracecli.load_rows`) — the two carry the
+same rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..sim import TraceRecord, Tracer
-from .tracecli import Row, rows_from_tracer
+from .tracecli import Row
 
 _ABBREV = {
     "NonPrim": "non-prim",
@@ -34,31 +32,18 @@ _ABBREV = {
 }
 
 
-def state_changes(tracer: Tracer) -> List[TraceRecord]:
-    """Engine state-change records, in time order."""
-    return sorted(tracer.select("engine.state"),
-                  key=lambda r: (r.time, str(r.node)))
+def state_changes(rows: Iterable[Row]) -> List[Row]:
+    """The ``engine.state`` rows, in the order given, each with its
+    new state under ``"new"``."""
+    return [dict(row, new=row["detail"]["new"]) for row in rows
+            if row.get("kind") == "engine.state"]
 
 
-def state_rows(rows: Sequence[Row]) -> List[Row]:
-    """The ``engine.state`` events of a merged row stream (tracer- or
-    flight-sourced) with the new state parsed out of the detail."""
-    out = []
-    for row in rows:
-        if row.get("kind") != "engine.state":
-            continue
-        new = next((str(d)[4:] for d in (row.get("detail") or [])
-                    if str(d).startswith("new=")), None)
-        if new is not None:
-            out.append(dict(row, new=new))
-    return out
-
-
-def render_timeline_rows(rows: Sequence[Row],
-                         nodes: Optional[Sequence[int]] = None,
-                         abbreviate: bool = True) -> str:
+def render_timeline(rows: Iterable[Row],
+                    nodes: Optional[Sequence[int]] = None,
+                    abbreviate: bool = True) -> str:
     """Render one line per state change, with a column per replica."""
-    changes = state_rows(rows)
+    changes = state_changes(rows)
     if nodes is None:
         nodes = sorted({r["node"] for r in changes})
     if not changes:
@@ -67,8 +52,6 @@ def render_timeline_rows(rows: Sequence[Row],
     width = max(len(v) for v in _ABBREV.values()) + 1
     lines = []
     for row in changes:
-        if row["node"] not in current:
-            current[row["node"]] = "NonPrim"
         current[row["node"]] = row["new"]
         cells = []
         for node in nodes:
@@ -80,21 +63,13 @@ def render_timeline_rows(rows: Sequence[Row],
     return "\n".join(lines)
 
 
-def render_timeline(tracer: Tracer,
-                    nodes: Optional[Sequence[int]] = None,
-                    abbreviate: bool = True) -> str:
-    """Render a traced run (see :func:`render_timeline_rows`)."""
-    return render_timeline_rows(rows_from_tracer(tracer, "engine.state"),
-                                nodes, abbreviate)
-
-
-def summarize_time_in_state(tracer: Tracer, node: int,
+def summarize_time_in_state(rows: Iterable[Row], node: int,
                             until: float) -> Dict[str, float]:
     """Seconds spent in each state by ``node`` up to time ``until``."""
     totals: Dict[str, float] = {}
     last_state = "NonPrim"
     last_time = 0.0
-    for row in state_rows(rows_from_tracer(tracer, "engine.state")):
+    for row in state_changes(rows):
         if row["node"] != node:
             continue
         totals[last_state] = totals.get(last_state, 0.0) + \

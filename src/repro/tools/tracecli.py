@@ -16,10 +16,9 @@ in Perfetto / ``chrome://tracing``), plus the file-writing helpers the
 protocol layers must not contain (``repro.obs`` is inside the
 blocking-I/O seam; this module is the tools layer and is exempt).
 
-The same event-row shape (``{"node", "t", "kind", "trace", "detail"}``)
-is also produced from a live :class:`~repro.sim.trace.Tracer` by
-:func:`rows_from_tracer`, so :mod:`repro.tools.timeline` renders its
-ASCII state timeline through the one code path used for dumps.
+The rows are the ones a live event log serves
+(:meth:`~repro.obs.flight.FlightHub.select`), so every renderer here
+works on a running cluster's ``tracer`` as on loaded dumps.
 """
 
 from __future__ import annotations
@@ -33,11 +32,7 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
 from ..obs import Observability
-from ..obs.flight import FlightHub
-from ..sim import Tracer
-
-#: One merged event row (the JSONL dump schema).
-Row = Dict[str, Any]
+from ..obs.flight import FlightHub, Row
 #: A happens-before edge between two indices into the merged row list.
 Edge = Tuple[int, int]
 
@@ -52,11 +47,10 @@ def dump_flight(source: Any, out_dir: str,
     ``source`` is an :class:`~repro.obs.Observability` bundle, a
     :class:`~repro.obs.flight.FlightHub`, or a pre-built dump dict (as
     handed to an anomaly sink).  Returns the paths written; a no-op
-    (empty list) when tracing is off.
+    (empty list) when nothing was recorded.
     """
     if isinstance(source, Observability):
-        hub = source.flight_hub
-        dump = hub.dump() if hub is not None else {}
+        dump = source.flight_hub.dump()
     elif isinstance(source, FlightHub):
         dump = source.dump()
     else:
@@ -119,18 +113,6 @@ def merge_rows(rows: Iterable[Row]) -> List[Row]:
         keyed.append((row.get("t", 0.0), str(node), seq, row))
     keyed.sort(key=lambda item: item[:3])
     return [item[3] for item in keyed]
-
-
-def rows_from_tracer(tracer: Tracer,
-                     category: Optional[str] = None) -> List[Row]:
-    """Event rows from a live :class:`Tracer` — the same shape the
-    flight dumps use, so every renderer here works on both."""
-    records = (tracer.select(category) if category is not None
-               else list(tracer.records))
-    return merge_rows(
-        {"node": r.node, "t": r.time, "kind": r.category,
-         "detail": [f"{k}={v}" for k, v in r.detail.items()]}
-        for r in records)
 
 
 # ======================================================================
@@ -228,12 +210,14 @@ def render_text(rows: Sequence[Row],
         if trace is not None and row.get("trace", 0) != trace:
             continue
         tid = row.get("trace", 0)
-        detail = _detail(row)
+        detail = row.get("detail") or []
+        words = ([f"{k}={v}" for k, v in detail.items()]
+                 if isinstance(detail, dict) else [str(d) for d in detail])
         lines.append(
             f"t={row.get('t', 0.0):12.6f}  {str(row.get('node')):>6} "
             f" {row['kind']:<16}"
             + (f" trace={tid:#x}" if tid else "")
-            + (f" {' '.join(str(d) for d in detail)}" if detail else ""))
+            + (f" {' '.join(words)}" if words else ""))
     return "\n".join(lines)
 
 

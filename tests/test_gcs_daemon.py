@@ -10,7 +10,7 @@ from repro.gcs import (Configuration, DaemonState, GcsDaemon, GcsListener,
 from repro.gcs.types import GatherMsg, StampMsg
 from repro.net import Network, NetworkProfile, Topology
 from repro.obs import Observability
-from repro.sim import RandomStreams, Simulator, Tracer
+from repro.sim import RandomStreams, Simulator
 
 
 def fast_settings(**overrides):
@@ -45,7 +45,7 @@ class Recorder(GcsListener):
 
 class Harness:
     def __init__(self, nodes=(1, 2, 3), seed=0, loss=0.0, obs=None,
-                 tracer=None, **settings):
+                 **settings):
         self.sim = Simulator()
         self.nodes = list(nodes)
         self.topology = Topology(self.nodes)
@@ -58,7 +58,7 @@ class Harness:
         directory = set(self.nodes)
         for node in self.nodes:
             daemon = GcsDaemon(self.sim, node, self.network, directory,
-                               self.settings, tracer=tracer, obs=obs)
+                               self.settings, obs=obs)
             self.recorders[node] = Recorder(node)
             daemon.listener = self.recorders[node]
             daemon.start()
@@ -597,10 +597,11 @@ def test_live_rounds_settle_without_the_timer():
 # ----------------------------------------------------------------------
 # failure detection: with idle_immediate, at the deadline, not the poll
 # ----------------------------------------------------------------------
-def _suspicions(tracer, node, member):
+def _suspicions(obs, node, member):
     """The silence ``node`` reported for each suspicion of ``member``."""
-    return [r.detail["silent"] for r in tracer.select("gcs.suspect", node)
-            if r.detail["member"] == member]
+    return [r["detail"]["silent"]
+            for r in obs.flight_hub.select("gcs.suspect", node)
+            if r["detail"]["member"] == member]
 
 
 def _silence(h, node):
@@ -613,13 +614,13 @@ def _detection_delays(idle):
     reported silence when it suspects 3, per offset."""
     delays = []
     for i in range(8):
-        tracer = Tracer()
-        h = Harness(idle_immediate=idle, tracer=tracer)
+        obs = Observability.disabled()
+        h = Harness(idle_immediate=idle, obs=obs)
         h.join_all()
         h.run(h.settings.failure_timeout / 2 * i / 8)
         _silence(h, 3)
         h.run(2 * h.settings.failure_timeout)
-        [silent] = _suspicions(tracer, 1, 3)
+        [silent] = _suspicions(obs, 1, 3)
         delays.append(silent)
     return delays
 
@@ -642,8 +643,8 @@ def test_window_policy_detection_waits_for_the_poll():
 def test_deadline_detection_survives_crash_and_recovery():
     """A restart arms the check at half a timeout, not at whatever
     deadline the timer last had."""
-    tracer = Tracer()
-    h = Harness(idle_immediate=True, tracer=tracer)
+    obs = Observability.disabled()
+    h = Harness(idle_immediate=True, obs=obs)
     h.join_all()
     _silence(h, 1)
     h.run(0.5)
@@ -654,7 +655,7 @@ def test_deadline_detection_survives_crash_and_recovery():
     assert h.daemons[1].view.members == frozenset(h.nodes)
     _silence(h, 2)
     h.run(2 * h.settings.failure_timeout)
-    [silent] = _suspicions(tracer, 1, 2)
+    [silent] = _suspicions(obs, 1, 2)
     assert h.settings.failure_timeout < silent \
         <= h.settings.failure_timeout + 0.001
 
@@ -664,8 +665,8 @@ def test_deadline_detection_fault_free_run_installs_no_view():
     view is installed, and the check runs about once per
     failure_timeout - heartbeat_interval instead of every half
     timeout."""
-    tracer = Tracer()
-    h = Harness(idle_immediate=True, tracer=tracer)
+    obs = Observability.disabled()
+    h = Harness(idle_immediate=True, obs=obs)
     h.join_all()
     installed = {n: d.views_installed for n, d in h.daemons.items()}
     timer = h.daemons[1]._fd_timer
@@ -675,7 +676,7 @@ def test_deadline_detection_fault_free_run_installs_no_view():
     for i in range(50):
         h.daemons[1 + i % 3].multicast(("m", i))
         h.run(0.1)
-    assert tracer.count("gcs.suspect") == 0
+    assert obs.flight_hub.count("gcs.suspect") == 0
     assert {n: d.views_installed for n, d in h.daemons.items()} == installed
     s = h.settings
     assert len(checks) <= 5.0 / (s.failure_timeout - s.heartbeat_interval) + 1
@@ -716,8 +717,9 @@ def test_live_udp_partition_suspects_at_the_timeout():
 
     tracer, cuts, timeout = asyncio.run(scenario())
     for begin, end in zip(cuts, cuts[1:] + [float("inf")]):
-        silent = [r.detail["silent"] for r in tracer.select("gcs.suspect")
-                  if begin < r.time < end and r.node in (1, 2)
-                  and r.detail["member"] == 3]
+        silent = [r["detail"]["silent"]
+                  for r in tracer.select("gcs.suspect")
+                  if begin < r["t"] < end and r["node"] in (1, 2)
+                  and r["detail"]["member"] == 3]
         assert silent and all(timeout < s <= timeout + 0.05
                               for s in silent), silent

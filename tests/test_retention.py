@@ -25,7 +25,7 @@ import tracemalloc
 import repro
 from repro.core import EngineConfig, ReplicationEngine
 from repro.core.state_machine import EngineState
-from repro.obs import DEFAULT_MAX_COMPLETED, Observability
+from repro.obs import MAX_COMPLETED, Observability
 from repro.runtime import LiveCluster
 from repro.storage import LogRecord
 
@@ -34,7 +34,7 @@ from conftest import make_cluster, recoverable_greens
 NODES = (1, 2, 3)
 # Every node originates a third of the load (a silent member pins the
 # white line), so each span ring is full once N actions are green.
-N = 3 * DEFAULT_MAX_COMPLETED
+N = 3 * MAX_COMPLETED
 BATCH = 256
 MAX_TRACKED_PER_ACTION = 0.5
 
@@ -66,7 +66,7 @@ def _assert_flat(before, after, cluster):
         f"{per_action:.2f} tracked objects retained per green action"
     for node in NODES:
         assert len(cluster.obs.trackers[node].completed) \
-            == DEFAULT_MAX_COMPLETED
+            == MAX_COMPLETED
         assert cluster.replicas[node].database.applied_count == 2 * N
 
 

@@ -16,7 +16,6 @@ from repro.obs import Observability
 from repro.runtime import (AsyncioRuntime, AsyncioTransport, Handle,
                            MemoryTransport, Runtime, SimRuntime, Transport,
                            loopback_addresses)
-from repro.sim import Tracer
 from repro.sim.kernel import SimulationError
 
 
@@ -218,7 +217,7 @@ def test_callback_exceptions_are_counted_and_passed_on():
 
 
 def test_callback_error_is_a_flight_recorded_anomaly():
-    """A LiveCluster traces each loop callback error once — the first
+    """A LiveCluster logs each loop callback error once — the first
     cluster on a shared runtime wins — and the flight hub treats it as
     an anomaly, so the dump sink fires."""
     from repro.runtime import LiveCluster
@@ -241,8 +240,8 @@ def test_callback_error_is_a_flight_recorded_anomaly():
         return cluster, other, obs, dumps
 
     cluster, other, obs, dumps = run(scenario())
-    [record] = cluster.tracer.select("runtime.callback_error")
-    assert record.node == "runtime" and record.detail["error"] == "KeyError"
+    [row] = cluster.tracer.select("runtime.callback_error")
+    assert row["node"] == "runtime" and row["detail"]["error"] == "KeyError"
     assert other.tracer.count("runtime.callback_error") == 0
     assert dumps == ["runtime.callback_error"]
     assert [kind for _t, kind, _trace, _detail
@@ -332,9 +331,8 @@ def test_udp_oversize_frame_is_a_counted_drop_not_an_exception():
         rt = AsyncioRuntime()
         net = AsyncioTransport(rt, loopback_addresses([1, 2]),
                                Topology([1, 2]))
-        obs, tracer = Observability(flight=True), Tracer()
-        obs.flight_hub.attach(tracer)
-        net.observe(obs, tracer)
+        obs = Observability()
+        net.observe(obs)
         got = []
         try:
             net.attach(1, lambda d: got.append((1, d.payload)))
@@ -346,19 +344,19 @@ def test_udp_oversize_frame_is_a_counted_drop_not_an_exception():
             await asyncio.sleep(0.05)
         finally:
             net.close()
-        return net, obs, tracer, got, huge
+        return net, obs, got, huge
 
-    net, obs, tracer, got, huge = run(scenario())
+    net, obs, got, huge = run(scenario())
     assert sorted(got) == [(1, huge), (2, "small")]
     assert net.oversize_dropped == 1
     assert net.datagrams_dropped == 1
     assert obs.snapshot()["repro_transport_oversize_dropped_total"] \
         == {"": 1.0}
-    [record] = tracer.select("transport.oversize")
-    assert record.node == 1 and record.detail["payload"] == "bytes"
-    assert record.detail["bytes"] > len(huge)
+    [row] = obs.flight_hub.select("transport.oversize")
+    assert row["node"] == 1 and row["detail"]["payload"] == "bytes"
+    assert row["detail"]["bytes"] > len(huge)
     assert [kind for _t, kind, _trace, _detail
-            in obs.flight(1).events()] == ["transport.oversize"]
+            in obs.flight_hub.recorder(1).events()] == ["transport.oversize"]
 
 
 def test_fault_on_a_node_hosted_elsewhere_only_changes_the_topology():

@@ -51,7 +51,7 @@ _MILESTONES = (EngineState.REG_PRIM, EngineState.NON_PRIM)
 class _Recorder:
     """Collects the protocol-level observables for one cluster."""
 
-    def __init__(self, replicas, tracer):
+    def __init__(self, replicas, log):
         self.greens = {n: [] for n in replicas}
         self.modes = {n: [] for n in replicas}
         self.views = {n: [] for n in replicas}
@@ -63,11 +63,11 @@ class _Recorder:
                 lambda _old, new, _n=node:
                 self.modes[_n].append(str(new))
                 if new in _MILESTONES else None)
-        tracer.subscribe(self._on_trace)
+        log.subscribe(self._on_event)
 
-    def _on_trace(self, record):
-        if record.category == "gcs.install":
-            self.views[record.node].append(record.detail["members"])
+    def _on_event(self, row):
+        if row["kind"] == "gcs.install":
+            self.views[row["node"]].append(row["detail"]["members"])
 
     def reset_membership(self):
         """Forget boot-time transitions: startup view formation order is
@@ -84,7 +84,7 @@ class _Recorder:
 
 def _sim_trace(idle_immediate=False):
     cluster = ReplicaCluster(
-        n=3, seed=11, trace=True,
+        n=3, seed=11,
         gcs_settings=GcsSettings(idle_immediate=idle_immediate))
     recorder = _Recorder(cluster.replicas, cluster.tracer)
 

@@ -1,6 +1,6 @@
-"""Unit tests for randomness streams and structured tracing."""
+"""Unit tests for the seeded randomness streams."""
 
-from repro.sim import RandomStreams, Tracer
+from repro.sim import RandomStreams
 
 
 class TestRandomStreams:
@@ -30,92 +30,3 @@ class TestRandomStreams:
         assert streams.stream("x") is streams.stream("x")
         assert "x" in streams
         assert "y" not in streams
-
-
-class TestTracer:
-    def test_emit_and_select(self):
-        tracer = Tracer()
-        tracer.emit(1.0, 1, "cat.a", k=1)
-        tracer.emit(2.0, 2, "cat.b", k=2)
-        tracer.emit(3.0, 1, "cat.a", k=3)
-        assert tracer.count("cat.a") == 2
-        assert len(list(tracer.select("cat.a"))) == 2
-        assert len(list(tracer.select("cat.a", node=1))) == 2
-        assert len(list(tracer.select(node=2))) == 1
-
-    def test_disabled_tracer_drops_records(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(1.0, 1, "cat")
-        assert tracer.records == []
-        assert tracer.count("cat") == 0
-
-    def test_counting_without_keeping(self):
-        tracer = Tracer(keep=False)
-        tracer.emit(1.0, 1, "cat")
-        assert tracer.records == []
-        assert tracer.count("cat") == 1
-
-    def test_subscribers_invoked(self):
-        tracer = Tracer()
-        seen = []
-        tracer.subscribe(seen.append)
-        tracer.emit(1.0, 1, "cat", value=9)
-        assert len(seen) == 1
-        assert seen[0].detail["value"] == 9
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(1.0, 1, "cat")
-        tracer.clear()
-        assert tracer.records == []
-        assert tracer.count("cat") == 0
-
-    def test_ring_buffer_caps_retention(self):
-        tracer = Tracer(max_records=3)
-        for i in range(5):
-            tracer.emit(float(i), 1, "cat", i=i)
-        # Oldest two discarded; counters stay exact.
-        assert [r.detail["i"] for r in tracer.records] == [2, 3, 4]
-        assert tracer.dropped == 2
-        assert tracer.count("cat") == 5
-        assert len(list(tracer.select("cat"))) == 3
-        tracer.clear()
-        assert len(tracer.records) == 0 and tracer.dropped == 0
-
-    def test_unbounded_by_default(self):
-        tracer = Tracer()
-        for i in range(100):
-            tracer.emit(float(i), 1, "cat")
-        assert len(tracer.records) == 100 and tracer.dropped == 0
-
-    def test_clear_reallocates_ring_buffer(self):
-        # Regression: clear() must hand back a fresh ring with the same
-        # capacity and a zeroed drop count, and continued emission must
-        # window/drop exactly like a newly built tracer.
-        tracer = Tracer(max_records=3)
-        for i in range(5):
-            tracer.emit(float(i), 1, "cat", i=i)
-        pre_clear = tracer.records          # alias taken before clear()
-        tracer.clear()
-        assert tracer.dropped == 0
-        assert tracer.count("cat") == 0
-        # The alias keeps the pre-clear snapshot; the tracer starts fresh.
-        assert [r.detail["i"] for r in pre_clear] == [2, 3, 4]
-        assert len(tracer.records) == 0
-        for i in range(10, 15):
-            tracer.emit(float(i), 1, "cat", i=i)
-        assert [r.detail["i"] for r in tracer.records] == [12, 13, 14]
-        assert tracer.dropped == 2
-        assert tracer.count("cat") == 5
-
-    def test_clear_mid_select_iteration(self):
-        # A select() generator obtained before clear() must not be
-        # emptied under the reader.
-        tracer = Tracer(max_records=4)
-        for i in range(4):
-            tracer.emit(float(i), 1, "cat", i=i)
-        iterator = tracer.select("cat")
-        first = next(iterator)
-        tracer.clear()
-        remaining = [first] + list(iterator)
-        assert [r.detail["i"] for r in remaining] == [0, 1, 2, 3]

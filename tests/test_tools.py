@@ -236,7 +236,7 @@ class TestObsReport:
 
 class TestTimeline:
     def traced_cluster(self):
-        cluster = ReplicaCluster(n=3, seed=5, trace=True)
+        cluster = ReplicaCluster(n=3, seed=5)
         cluster.start_all(settle=2.0)
         cluster.partition([1], [2, 3])
         cluster.run_for(2.0)
@@ -246,26 +246,26 @@ class TestTimeline:
 
     def test_state_changes_ordered(self):
         cluster = self.traced_cluster()
-        changes = state_changes(cluster.tracer)
+        changes = state_changes(cluster.tracer.select())
         assert changes
-        times = [r.time for r in changes]
+        times = [r["t"] for r in changes]
         assert times == sorted(times)
 
     def test_render_timeline_mentions_primary(self):
         cluster = self.traced_cluster()
-        text = render_timeline(cluster.tracer)
+        text = render_timeline(cluster.tracer.select("engine.state"))
         assert "PRIMARY" in text
         assert "non-prim" in text
         assert text.count("\n") > 3
 
     def test_render_empty_tracer(self):
-        from repro.sim import Tracer
-        assert "no engine state changes" in render_timeline(Tracer())
+        assert "no engine state changes" in render_timeline([])
 
     def test_time_in_state_accounts_for_everything(self):
         cluster = self.traced_cluster()
         now = cluster.sim.now
-        totals = summarize_time_in_state(cluster.tracer, 1, until=now)
+        totals = summarize_time_in_state(
+            cluster.tracer.select("engine.state"), 1, until=now)
         assert totals
         assert sum(totals.values()) == pytest.approx(now, abs=0.01)
         assert totals.get("RegPrim", 0) > 0

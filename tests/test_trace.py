@@ -3,7 +3,8 @@
 Covers the tracing tentpole end to end:
 
 * :class:`~repro.obs.flight.FlightRecorder` / ``FlightHub`` units —
-  bounded ring semantics, tracer mirroring, anomaly dumps;
+  bounded ring semantics, exact counts, selections, subscriptions,
+  anomaly dumps, and the rare events every cluster logs;
 * trace-id construction;
 * the ``repro-trace`` assembler (:mod:`repro.tools.tracecli`) — dump /
   load round-trips, happens-before edges on hand-built rows, Chrome
@@ -24,12 +25,12 @@ import pytest
 from repro.core import ReplicaCluster
 from repro.core.state_machine import EngineState
 from repro.gcs import GcsSettings
+from repro.net import lan_profile
 from repro.obs import Observability
 from repro.obs.flight import (ANOMALY_CATEGORIES, FlightHub,
                               FlightRecorder, action_trace_id)
 from repro.obs.spans import STALENESS_STRIDE
 from repro.runtime import LiveCluster, live_gcs_settings, udp_cluster
-from repro.sim import Tracer
 from repro.storage import DiskProfile
 from repro.tools import (causal_signature, chrome_trace, descendants,
                          dump_flight, flight_sink, happens_before,
@@ -79,45 +80,83 @@ class TestFlightHub:
         assert hub.recorder(1) is hub.recorder(1)
         assert hub.recorder(1) is not hub.recorder(2)
 
-    def test_tracer_mirroring_and_idempotent_attach(self):
+    def test_record_and_select(self):
         hub = FlightHub()
-        tracer = Tracer(enabled=True)
-        hub.attach(tracer)
-        hub.attach(tracer)          # second attach must not double events
-        tracer.emit(1.5, 2, "engine.state", state="PRIM")
-        events = hub.recorder(2).events()
-        assert events == [(1.5, "engine.state", 0, ("state=PRIM",))]
+        hub.recorder(1).record(1.0, "engine.state", detail={"new": "A"})
+        hub.recorder(2).record(2.0, "gcs.install", detail={"view": "v"})
+        hub.recorder(1).record(3.0, "engine.state", detail={"new": "B"})
+        rows = list(hub.select("engine.state"))
+        assert [(r["node"], r["t"], r["detail"]["new"]) for r in rows] == \
+            [(1, 1.0, "A"), (1, 3.0, "B")]
+        assert [r["kind"] for r in hub.select(node=2)] == ["gcs.install"]
+        # Every node's events, merged in time order.
+        assert [r["t"] for r in hub.select()] == [1.0, 2.0, 3.0]
 
-    def test_attach_after_a_freed_tracer_at_the_same_address(self):
-        # A hub that remembered tracers by id() would take a new tracer
-        # allocated at a freed one's address for the old one.
+    def test_count_is_exact_across_eviction(self):
+        hub = FlightHub(capacity=3)
+        for i in range(5):
+            hub.recorder(1).record(float(i), "gcs.retrans",
+                                   detail={"count": i})
+        hub.recorder(2).record(9.0, "gcs.retrans")
+        assert [r["detail"]["count"]
+                for r in hub.select("gcs.retrans", 1)] == [2, 3, 4]
+        assert hub.count("gcs.retrans") == 6
+        assert hub.count("gcs.install") == 0
+
+    def test_subscribers_see_each_event_once(self):
         hub = FlightHub()
-        freed = set()
-        for _ in range(64):
-            tracer = Tracer(enabled=True)
-            if id(tracer) in freed:
-                break
-            hub.attach(tracer)
-            freed.add(id(tracer))
-            del tracer
-        else:
-            pytest.skip("the allocator did not reuse a freed address")
-        hub.attach(tracer)
-        tracer.emit(2.5, 1, "engine.state", state="PRIM")
-        assert hub.recorder(1).events() == [
-            (2.5, "engine.state", 0, ("state=PRIM",))]
+        seen = []
+        hub.subscribe(seen.append)
+        hub.subscribe(seen.append)      # already held: not added again
+        hub.recorder(2).record(1.5, "gcs.install",
+                               detail={"members": (1, 2)})
+        assert seen == [{"node": 2, "t": 1.5, "kind": "gcs.install",
+                         "detail": {"members": (1, 2)}}]
+
+    def test_select_is_a_snapshot(self):
+        hub = FlightHub()
+        for i in range(4):
+            hub.recorder(1).record(float(i), "engine.state")
+        rows = hub.select("engine.state")
+        hub.recorder(1).clear()
+        hub.recorder(1).record(9.0, "engine.state")
+        assert [r["t"] for r in rows] == [0.0, 1.0, 2.0, 3.0]
+        assert hub.count("engine.state") == 1
 
     def test_anomaly_category_triggers_sink(self):
         hub = FlightHub()
-        tracer = Tracer(enabled=True)
-        hub.attach(tracer)
         dumps = []
         hub.sink = lambda reason, dump: dumps.append((reason, dump))
         category = sorted(ANOMALY_CATEGORIES)[0]
-        tracer.emit(2.0, 1, category)
+        hub.recorder(1).record(2.0, category)
         assert hub.anomalies == 1
         assert dumps and dumps[0][0] == category
         assert 1 in dumps[0][1]
+
+
+class TestClusterLog:
+    """Every cluster records its rare events into one per-node log,
+    ``cluster.tracer``, with per-action tracing off."""
+
+    def test_default_sim_cluster_logs_transitions_and_installs(self):
+        cluster = ReplicaCluster(3, seed=1)
+        cluster.start_all()
+        for kind in ("engine.state", "engine.install", "gcs.install"):
+            assert cluster.tracer.count(kind) > 0, kind
+        rows = list(cluster.tracer.select("gcs.install", node=2))
+        assert rows and rows[-1]["detail"]["members"] == (1, 2, 3)
+        # No per-action event without Observability(flight=True).
+        kinds = {r["kind"] for r in cluster.tracer.select()}
+        assert not kinds & {"submit", "send", "recv", "red", "green"}
+
+    def test_gcs_retransmissions_are_counted_on_a_lossy_lan(self):
+        cluster = ReplicaCluster(3, seed=1,
+                                 network_profile=lan_profile(loss_rate=0.05))
+        cluster.start_all()
+        for i in range(50):
+            cluster.submit(1, ("SET", f"k{i}", i))
+        cluster.run_for(3.0)
+        assert cluster.tracer.count("gcs.retrans") > 0
 
 
 class TestTraceIds:
@@ -276,7 +315,7 @@ def _live_rows(udp):
     async def scenario():
         obs = _traced_obs()
         build = udp_cluster if udp else LiveCluster
-        cluster = build(SERVERS, trace=False, observability=obs,
+        cluster = build(SERVERS, observability=obs,
                         gcs_settings=live_gcs_settings())
         try:
             cluster.start_all()
@@ -364,6 +403,18 @@ class TestCli:
         assert "happens-before" in out
         doc = json.loads(chrome.read_text())
         assert doc["traceEvents"]
+
+    def test_scenario_dump_has_protocol_events_and_no_datagrams(
+            self, tmp_path):
+        # Per-datagram rows would evict the send/recv/green rows the
+        # dump exists for.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SCENARIO))
+        out_dir = tmp_path / "flight"
+        assert scenario_main([str(spec), "--trace-out", str(out_dir)]) == 0
+        kinds = {row["kind"] for row in load_rows([str(out_dir)])}
+        assert {"engine.state", "gcs.install", "green"} <= kinds
+        assert not [k for k in kinds if k.startswith("net.")]
 
     def test_trace_cli_empty_input_fails(self, tmp_path):
         assert trace_main([str(tmp_path)]) == 1

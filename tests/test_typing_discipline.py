@@ -1,10 +1,11 @@
 """Local mirror of the CI mypy gate for the protocol layers.
 
-CI runs ``mypy`` with ``disallow_untyped_defs`` on ``repro.core.*`` and
-``repro.gcs.*`` (see pyproject.toml).  mypy is not a runtime dependency
-of the test environment, so this test enforces the structural part of
-that contract — every def fully annotated — by AST, keeping the
-discipline visible locally instead of only on the CI matrix.
+CI runs ``mypy`` with ``disallow_untyped_defs`` on ``repro.core.*``,
+``repro.gcs.*`` and ``repro.obs.*`` (see pyproject.toml).  mypy is not
+a runtime dependency of the test environment, so this test enforces
+the structural part of that contract — every def fully annotated — by
+AST, keeping the discipline visible locally instead of only on the CI
+matrix.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
-STRICT_PACKAGES = ("core", "gcs")
+STRICT_PACKAGES = ("core", "gcs", "obs")
 
 
 def strict_files():
