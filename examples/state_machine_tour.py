@@ -10,7 +10,7 @@ Run:  python examples/state_machine_tour.py
 """
 
 from repro.core import ReplicaCluster
-from repro.tools import render_timeline, summarize_time_in_state
+from repro.tools.timeline import render_timeline, summarize_time_in_state
 
 
 def main():

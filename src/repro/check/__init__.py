@@ -2,12 +2,13 @@
 
 Two complementary correctness instruments over the same protocol:
 
-* :mod:`repro.check.model` + :mod:`repro.check.mc` — an abstract
-  N-engine model whose every move passes the engine's own
-  ``core.state_machine.check_transition``, built on
-  ``core.knowledge.compute_knowledge`` and the real quorum policies,
-  explored exhaustively (bounded BFS) with safety invariants and
-  liveness wedge detection, producing minimal counterexample traces;
+* :mod:`repro.check.model` + :mod:`repro.check.mc` — a global model of
+  N servers (components, crashes, inboxes, view formation, frozen
+  exchange reports) whose every per-node reaction is computed by a
+  real :class:`~repro.core.engine.ReplicationEngine` rebuilt from the
+  node's record, explored exhaustively (bounded BFS) with safety
+  invariants and liveness wedge detection, producing minimal
+  counterexample traces;
 * :mod:`repro.check.fuzz` + :mod:`repro.check.shrink` — seeded random
   fault schedules run against the real simulator stack end-to-end,
   with ddmin-style shrinking of failing schedules into pinned
@@ -19,7 +20,7 @@ Two complementary correctness instruments over the same protocol:
 from .mc import McResult, ModelChecker, Violation, run_check
 from .model import (GlobalState, Model, ModelConfig, ModelInternalError,
                     canonicalize)
-from .mutations import MUTATIONS, apply_mutation
+from .mutations import MUTATIONS, mutation
 
 __all__ = [
     "GlobalState",
@@ -30,7 +31,7 @@ __all__ = [
     "ModelConfig",
     "ModelInternalError",
     "Violation",
-    "apply_mutation",
     "canonicalize",
+    "mutation",
     "run_check",
 ]

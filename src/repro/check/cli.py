@@ -2,7 +2,7 @@
 
 Modes (combine freely; at least one required):
 
-* ``--mc`` — bounded-depth exhaustive BFS over the abstract model
+* ``--mc`` — bounded-depth exhaustive BFS over N real engines
   (``--nodes``, ``--depth``, ``--max-states``, fault budgets).  With
   ``--mutate NAME`` a known-bug mutation is applied first;
   ``--expect-violation`` then inverts the exit code (the mutation
@@ -148,17 +148,14 @@ def _run_mc(args: argparse.Namespace,
             report: Dict[str, Any]) -> int:
     from .mc import ModelChecker
     from .model import ModelConfig
-    from .mutations import apply_mutation
     config = ModelConfig(
         nodes=args.nodes, max_faults=args.max_faults,
         max_crashes=args.max_crashes, max_actions=args.max_actions,
         quorum=args.quorum)
-    if args.mutate:
-        config = apply_mutation(config, args.mutate)
     checker = ModelChecker(
         config, max_depth=args.depth, max_states=args.max_states,
         max_violations=1 if args.expect_violation else 25)
-    result = checker.run()
+    result = checker.run_mutated(args.mutate)
     report["mc"] = result.to_dict()
     print(f"mc: {result.states} states, {result.transitions} "
           f"transitions, depth {result.depth_reached}, "

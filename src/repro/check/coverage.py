@@ -40,51 +40,37 @@ PORTFOLIO: Tuple[Tuple[str, ModelConfig, int], ...] = (
      ModelConfig(nodes=3, max_faults=2, max_crashes=1, max_actions=1), 10),
 )
 
-#: Directed traces: (label, config, events).  Event operands use the
-#: model's native shapes.  The first trace walks the exact-half
-#: lagging-component path: node 2 misses one green action, exchanges
-#: inside the quorumless half {2, 3} of the four-member primary, and
-#: ends its retransmission in NonPrim — the deepest Figure-4 edge
-#: (action, ExchangeActions -> NonPrim), out of reach of the small
-#: exhaustive runs.
+#: The exact-half lagging-component setup: node 2 misses one green
+#: action and exchanges inside the quorumless half {2, 3} of the
+#: four-member primary.
+_LAGGING_HALF: Tuple[Event, ...] = (
+    Event("form_view", ((1, 2, 3, 4),)),
+    Event("ds", (1,)),
+    Event("ds", (2,)),
+    Event("ds", (3,)),
+    Event("ds", (4,)),
+    Event("deliver", (2,)),   # node 2 installs, becomes RegPrim
+    Event("client", (2,)),    # one action multicast to everyone
+    Event("deliver", (3,)),   # node 3 installs and greens it
+    Event("fault", ("partition", (1, 2, 3, 4), (1, 4), (2, 3))),
+    Event("form_view", ((2, 3),)),
+    Event("ds", (2,)),        # node 2 lags node 3's green by one
+)
+
+#: Directed traces: (label, config, events), for the two deepest
+#: Figure-4 edges, out of reach of the small exhaustive runs.  The
+#: retransmission ends node 2's exchange without a quorum (action,
+#: ExchangeActions -> NonPrim); or the network moves again while node 2
+#: still waits for it, and the transitional configuration aborts the
+#: exchange (trans_conf, ExchangeActions -> NonPrim).
 DIRECTED_TRACES: Tuple[Tuple[str, ModelConfig,
                              Tuple[Event, ...]], ...] = (
     ("4n-exact-half-retrans",
      ModelConfig(nodes=4, max_faults=1, max_crashes=0, max_actions=1),
-     (
-         Event("form_view", ((1, 2, 3, 4),)),
-         Event("ds", (1,)),
-         Event("ds", (2,)),
-         Event("ds", (3,)),
-         Event("ds", (4,)),
-         Event("deliver", (2,)),   # node 2 installs, becomes RegPrim
-         Event("client", (2,)),    # one action multicast to everyone
-         Event("deliver", (3,)),   # node 3 installs and greens it
-         Event("fault", ("partition", (1, 2, 3, 4), (1, 4), (2, 3))),
-         Event("form_view", ((2, 3),)),
-         Event("ds", (2,)),        # node 2 lags node 3's green by one
-         Event("retrans", (2,)),   # ends exchange: no quorum -> NonPrim
-     )),
-    # Same setup, but the network moves again while node 2 still sits
-    # in ExchangeActions waiting for the retransmission: the
-    # transitional configuration aborts the exchange
-    # (trans_conf, ExchangeActions -> NonPrim).
+     _LAGGING_HALF + (Event("retrans", (2,)),)),
     ("4n-trans-conf-in-exchange",
      ModelConfig(nodes=4, max_faults=2, max_crashes=0, max_actions=1),
-     (
-         Event("form_view", ((1, 2, 3, 4),)),
-         Event("ds", (1,)),
-         Event("ds", (2,)),
-         Event("ds", (3,)),
-         Event("ds", (4,)),
-         Event("deliver", (2,)),
-         Event("client", (2,)),
-         Event("deliver", (3,)),
-         Event("fault", ("partition", (1, 2, 3, 4), (1, 4), (2, 3))),
-         Event("form_view", ((2, 3),)),
-         Event("ds", (2,)),        # node 2 in ExchangeActions, lagging
-         Event("fault", ("merge", (1, 4), (2, 3))),
-     )),
+     _LAGGING_HALF + (Event("fault", ("merge", (1, 4), (2, 3))),)),
 )
 
 

@@ -1,4 +1,4 @@
-"""Explicit-state model checker over the abstract Figure-4 model.
+"""Explicit-state model checker over N real replication engines.
 
 Breadth-first exploration with canonical-state deduplication.  BFS
 order makes every reported counterexample *minimal*: the trace to a
@@ -20,11 +20,12 @@ Checked per reachable state:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .model import (EdgeUse, Event, GlobalState, Model, ModelConfig,
                     canonicalize)
+from .mutations import mutation
 
 
 @dataclass
@@ -78,15 +79,7 @@ class McResult:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "config": {
-                "nodes": self.config.nodes,
-                "max_faults": self.config.max_faults,
-                "max_crashes": self.config.max_crashes,
-                "max_actions": self.config.max_actions,
-                "quorum": self.config.quorum,
-                "tie_breaker": self.config.tie_breaker,
-                "buffer_early_cpc": self.config.buffer_early_cpc,
-            },
+            "config": asdict(self.config),
             "states": self.states,
             "transitions": self.transitions,
             "depth_reached": self.depth_reached,
@@ -111,7 +104,7 @@ def _summarize(model: Model, state: GlobalState) -> Dict[str, Any]:
 
 
 class ModelChecker:
-    """Bounded-depth BFS over the abstract model."""
+    """Bounded-depth BFS over the global model."""
 
     def __init__(self, config: Optional[ModelConfig] = None,
                  max_depth: int = 12,
@@ -173,6 +166,14 @@ class ModelChecker:
         result.complete = not truncated
         return result
 
+    def run_mutated(self, name: Optional[str]) -> McResult:
+        """:meth:`run` with the named mutant in the engine (none when
+        ``name`` is empty)."""
+        if not name:
+            return self.run()
+        with mutation(name, self.model):
+            return self.run()
+
     # ------------------------------------------------------------------
     def _record(self, result: McResult, kind: str, finding: str,
                 state: GlobalState, parent: Dict, depth_of: Dict,
@@ -206,13 +207,11 @@ def run_check(nodes: int = 4, depth: int = 12,
               max_actions: int = 1,
               quorum: str = "dynamic-linear",
               max_states: int = 2_000_000) -> McResult:
-    """One-call front door used by the CLI and the tests."""
-    from .mutations import apply_mutation
+    """One-call front door used by the tests; ``mutate`` names a
+    :data:`~repro.check.mutations.MUTATIONS` entry to run against."""
     config = ModelConfig(nodes=nodes, max_faults=max_faults,
                          max_crashes=max_crashes,
                          max_actions=max_actions, quorum=quorum)
-    if mutate:
-        config = apply_mutation(config, mutate)
     checker = ModelChecker(config, max_depth=depth,
                            max_states=max_states)
-    return checker.run()
+    return checker.run_mutated(mutate)

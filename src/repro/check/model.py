@@ -1,64 +1,49 @@
-"""Abstract N-engine model of the Figure-4 machine for model checking.
+"""Global model of N replication engines, for model checking.
 
-The model is a *small-step abstraction* of the real replication engine
-(`core/engine.py`): each server is reduced to the records the paper's
-correctness argument actually mentions — the Figure-4 state, the green
-prefix, the yellow record, the last installed primary component, the
-attempt counter, and the vulnerable record — plus a per-node inbox of
-undelivered SAFE multicasts.  Global state adds the network topology
-(a partition of the live nodes), crash status, and the frozen report
-snapshot of each view's state exchange.
+The model owns what the group communication system owns — the network
+partition, crashes, each node's inbox of undelivered SAFE multicasts,
+view formation and the frozen report snapshot of each state exchange —
+and reduces each server to a hashable :class:`ModelNode` record.  How a
+server *reacts* is never decided here: :meth:`Model._react` rebuilds a
+real :class:`~repro.core.engine.ReplicationEngine` from the record,
+feeds the input through the engine's own GCS upcalls
+(``channel.message_handler`` / ``channel.conf_handler``) and reads the
+record back, memoised on record and input.  Every move is therefore
+the engine's ``_set_state``, checked by
+:func:`~repro.core.state_machine.check_transition` and reported by its
+``on_state_change`` hook, and a mutant of engine code is a mutant of
+what the checker explores.
 
-Fidelity comes from *sharing, not duplication*:
-
-* every state transition goes through :meth:`Model._step`, which
-  calls :func:`repro.core.state_machine.check_transition` exactly as
-  the engine's ``_set_state`` does — the model cannot take an edge
-  Figure 4 does not declare for the input that caused it;
-* the exchange computation is the real one — the model builds
-  :class:`~repro.core.messages.EngineStateMsg` reports and calls
-  :func:`repro.core.knowledge.compute_knowledge` /
-  :func:`~repro.core.knowledge.plan_retransmission` directly;
-* quorum decisions delegate to the real
-  :class:`~repro.core.quorum.QuorumPolicy` implementations.
-
-Abstractions (deliberate, documented):
-
-* Message delivery is *big-step*: one ``deliver`` event drains a
-  node's whole inbox in FIFO order.  Interleavings of deliveries with
-  faults across nodes are preserved (they are separate events); partial
-  drains of a single inbox are not.
-* Green retransmission is big-step too: one ``retrans`` event brings a
-  lagging member to the plan's green target (after checking the prefix
-  property that the real incremental retransmission enforces).
-* Extended virtual synchrony is modelled structurally: faults apply
-  the transitional configuration immediately, and ``form_view`` first
-  drains every member's inbox (the transitional delivery flush) before
-  delivering the regular configuration.  Delivery *before* the fault is
-  the separate branch where ``deliver`` fires first.
-
-The two known liveness wedges are re-introducible via
-:class:`ModelConfig` flags (``tie_breaker`` and ``buffer_early_cpc``)
-so the checker can prove it would have caught them (the mutation
-self-test).
+Four abstractions stay at model level (docs/CHECKING.md § 2): a
+delivery drains a whole inbox at once; the frozen exchange reports
+carry empty red cuts; green retransmission is one big step; a crash
+keeps the persistent record fields and drops the volatile ones.
+Extended virtual synchrony is structural: faults deliver the
+transitional configuration at once, and ``form_view`` drains every
+member's inbox (the transitional flush) before the regular one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
-                    Set, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
+                    NamedTuple, Optional, Set, Tuple)
 
+from ..core.engine import EngineConfig, EngineHooks, ReplicationEngine
 from ..core.knowledge import Knowledge, compute_knowledge
-from ..core.messages import EngineStateMsg
+from ..core.messages import EngineActionMsg, EngineCpcMsg, EngineStateMsg
 from ..core.quorum import DynamicLinearVoting, QuorumPolicy, StaticMajority
-from ..core.records import PrimComponent, Vulnerable
-from ..core.state_machine import EngineInput, EngineState, check_transition
+from ..core.records import (INVALID, VALID, PrimComponent, Vulnerable,
+                            Yellow)
+from ..core.state_machine import EngineInput, EngineState
+from ..db import Action, ActionId, Database
+from ..gcs import Configuration, ServiceLevel, ViewId
+from ..obs import Observability
+from ..sim import Simulator
 
 _S = EngineState
-_I = EngineInput
 
-#: A model action token: (creator node, sequence number).
+#: A model action token: (creator node, per-creator sequence number).
 ActionTok = Tuple[int, int]
 
 #: A recorded Figure-4 edge: (input kind, old state, new state).
@@ -69,17 +54,22 @@ EdgeUse = Tuple[EngineInput, EngineState, EngineState]
 #   ("act", (creator, seq), epoch)  an action multicast
 Msg = Tuple
 
+#: States a regular configuration may find a node in: extended virtual
+#: synchrony delivers the transitional configuration first
+#: (``EVS_SHADOWED_EDGES``).
+_REG_CONF_STATES = frozenset({_S.NON_PRIM, _S.TRANS_PRIM, _S.NO, _S.UN})
+
 
 class ModelInternalError(Exception):
-    """The model violated one of its own structural assumptions, such
-    as the EVS shadow claim (reg conf reaching Construct or
-    ExchangeActions).  An undeclared Figure-4 edge raises
-    :class:`~repro.core.state_machine.IllegalTransition` instead, as
-    it does in the engine."""
+    """The model broke one of its own structural assumptions (the EVS
+    shadow claim, or an engine multicast it has no inbox shape for).
+    An undeclared Figure-4 edge raises the engine's
+    :class:`~repro.core.state_machine.IllegalTransition` instead."""
 
 
 class ModelNode(NamedTuple):
-    """One server's abstract state (hashable)."""
+    """One server's state (hashable): the first :data:`_RECORD` fields
+    are the engine's, the rest the group communication model's."""
 
     state: EngineState
     green: Tuple[ActionTok, ...]
@@ -90,12 +80,15 @@ class ModelNode(NamedTuple):
     attempt: int
     # (prim_index, attempt_index, members, true-bit members) or None
     vuln: Optional[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]]
+    votes: FrozenSet[int]
+    cbuf: Tuple[ActionTok, ...]  # actions buffered while in Construct
     view: Optional[Tuple[int, Tuple[int, ...]]]  # (epoch, members)
     dirty: bool          # a trans conf arrived since the last reg conf
     inbox: Tuple[Msg, ...]
-    votes: FrozenSet[int]
-    cbuf: Tuple[ActionTok, ...]  # actions buffered while in Construct
 
+
+#: Number of leading ModelNode fields the engine reacts on and rewrites.
+_RECORD = 10
 
 #: member -> frozen exchange report: (green, prim, attempt, vuln,
 #: yellow_valid, yellow); captured when the view forms.
@@ -105,6 +98,7 @@ Report = Tuple[Tuple[ActionTok, ...],
                Optional[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]],
                bool,
                Tuple[ActionTok, ...]]
+Snapshot = Tuple[Tuple[int, Report], ...]
 
 
 class GlobalState(NamedTuple):
@@ -114,7 +108,7 @@ class GlobalState(NamedTuple):
     comps: Tuple[Tuple[int, ...], ...]     # partition of the live nodes
     down: FrozenSet[int]
     # ((epoch, ((member, report), ...)), ...) — exchange snapshots
-    reports: Tuple[Tuple[int, Tuple[Tuple[int, Report], ...]], ...]
+    reports: Tuple[Tuple[int, Snapshot], ...]
     epoch_next: int
     faults: int
     crashes: int
@@ -137,16 +131,13 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shape and mutation switches of the abstract model."""
+    """Shape of the model: size, budgets and quorum policy."""
 
     nodes: int = 4
     max_faults: int = 2       # partition/merge/crash/recover budget
     max_crashes: int = 1
     max_actions: int = 1      # client submissions budget
     quorum: str = "dynamic-linear"   # or "static-majority"
-    # Mutation switches — True is the shipped (fixed) behaviour:
-    tie_breaker: bool = True        # PR 1: exact-half distinguished member
-    buffer_early_cpc: bool = True   # PR 4: keep votes arriving in ES/EA
 
     def policy(self) -> QuorumPolicy:
         if self.quorum == "static-majority":
@@ -154,35 +145,95 @@ class ModelConfig:
         return DynamicLinearVoting()
 
 
-class Model:
-    """Event semantics of the abstract system.
+# ======================================================================
+# the engine's surroundings while it reacts
+# ======================================================================
+class _Channel:
+    """GroupChannel stand-in that counts the engine's CPC votes; state
+    messages and retransmissions are the model's big steps."""
 
-    Stateless between calls: every method takes and returns immutable
-    :class:`GlobalState` values, so the checker can memoize freely.
-    Exercised Figure-4 edges are accumulated in :attr:`edges_seen`.
+    def __init__(self) -> None:
+        self.message_handler: Any = None
+        self.conf_handler: Any = None
+        self.green_line_handler: Any = None
+        self.cpcs = 0
+
+    def multicast(self, payload: Any, *args: Any, **kwargs: Any) -> None:
+        if payload.__class__ is EngineCpcMsg:
+            self.cpcs += 1
+        elif payload.__class__ is not EngineStateMsg \
+                and not getattr(payload, "retrans", False):
+            raise ModelInternalError(f"unmodelled multicast {payload!r}")
+
+    def advertise_green_line(self, line: int) -> None:
+        pass
+
+
+class _Store:
+    """StableStore stand-in: writes vanish, ``sync`` completes in place."""
+
+    def __init__(self) -> None:
+        self.wal = self
+
+    def put(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    append = put
+
+    def sync(self, callback: Any = None, on_durable: Any = None) -> None:
+        if on_durable is not None:
+            on_durable()
+        if callback is not None:
+            callback()
+
+
+class _Hooks(EngineHooks):
+    """Collects the greens and the Figure-4 edges of one reaction."""
+
+    def __init__(self, edges: Set[EdgeUse]) -> None:
+        self.edges = edges
+        self.greened: List[ActionTok] = []
+
+    def on_green(self, action: Action, position: int,
+                 result: Any) -> None:
+        self.greened.append((action.server_id, action.action_id.index))
+
+    def on_state_change(self, old: EngineState, new: EngineState,
+                        cause: EngineInput) -> None:
+        self.edges.add((cause, old, new))
+
+
+class Model:
+    """Event semantics of the global system.
+
+    Every method takes and returns immutable :class:`GlobalState`
+    values, so the checker can memoize freely.  Figure-4 edges the
+    engines take accumulate in :attr:`edges_seen`; every rebuilt
+    engine runs with :attr:`engine_config`.
     """
 
     def __init__(self, config: ModelConfig) -> None:
         self.config = config
         self.server_ids: Tuple[int, ...] = tuple(
             range(1, config.nodes + 1))
-        self._policy = config.policy()
+        self.engine_config = EngineConfig(quorum=config.policy())
         # The unmutated reference policy used by the liveness oracle.
-        self._oracle_policy = ModelConfig(quorum=config.quorum).policy()
+        self._oracle_policy = config.policy()
         self.edges_seen: Set[EdgeUse] = set()
         #: safety violations found while applying events, cleared and
         #: collected by the checker after each apply
         self.violations: List[str] = []
+        self._reactions: Dict[Tuple, Tuple[Tuple, int]] = {}
+        self._sim = Simulator()
+        self._obs = Observability.disabled()
+        self._store = _Store()
 
-    # ==================================================================
-    # construction
-    # ==================================================================
     def initial_state(self) -> GlobalState:
         node = ModelNode(
             state=_S.NON_PRIM, green=(), red=(), yellow_valid=False,
             yellow=(), prim=(0, 0, self.server_ids), attempt=0,
-            vuln=None, view=None, dirty=False, inbox=(),
-            votes=frozenset(), cbuf=())
+            vuln=None, votes=frozenset(), cbuf=(), view=None,
+            dirty=False, inbox=())
         return GlobalState(
             nodes=tuple(node for _ in self.server_ids),
             comps=(self.server_ids,),
@@ -190,18 +241,99 @@ class Model:
             faults=0, crashes=0, actions=0)
 
     # ==================================================================
-    # transition helper: ALL state changes go through here
+    # per-node reactions: the real engine
     # ==================================================================
-    def _step(self, old: EngineState, new: EngineState,
-              input_kind: EngineInput) -> EngineState:
-        """Check a transition with :func:`check_transition` and record
-        the exercised edge.  Raising here means the *model* tried a
-        move Figure 4 does not declare — a model bug, not a protocol
-        finding."""
-        if old is not new:
-            check_transition(input_kind, old, new)
-            self.edges_seen.add((input_kind, old, new))
-        return new
+    def _react(self, state: GlobalState, n: int,
+               stimulus: Tuple) -> Tuple[ModelNode, int]:
+        """Node ``n``'s reaction to ``stimulus``: its new record and
+        the number of CPC votes it multicast."""
+        node = state.nodes[n - 1]
+        snapshot = None
+        if stimulus[0] in ("ds", "retrans") \
+                or node.state is _S.EXCHANGE_ACTIONS:
+            snapshot = _round(state, node)
+        # The record, plus the view the engine is rebuilt with.
+        key = (n, node[:_RECORD + 1], stimulus, snapshot)
+        reaction = self._reactions.get(key)
+        if reaction is None:
+            reaction = self._reactions[key] = self._run_engine(
+                n, node, stimulus, snapshot)
+        record, cpcs = reaction
+        return ModelNode(*record, node.view, node.dirty, node.inbox), cpcs
+
+    def _run_engine(self, n: int, node: ModelNode, stimulus: Tuple,
+                    snapshot: Optional[Snapshot]) -> Tuple[Tuple, int]:
+        channel = _Channel()
+        hooks = _Hooks(self.edges_seen)
+        engine = ReplicationEngine(
+            self._sim, n, channel, self._store,  # type: ignore[arg-type]
+            Database(), list(self.server_ids), self.engine_config,
+            hooks, self._obs)
+        _restore(engine, node)
+        deliver = channel.message_handler
+        conf = engine.conf
+        if snapshot is not None and node.state is _S.EXCHANGE_ACTIONS:
+            # The round's plan is volatile: rebuild it the way the
+            # engine built it, from the same state messages.
+            assert conf is not None
+            engine.state = _S.EXCHANGE_STATES
+            _deliver_round(deliver, conf.view_id, snapshot)
+        kind = stimulus[0]
+        if kind == "cpc":
+            assert conf is not None
+            deliver(EngineCpcMsg(stimulus[1], conf.view_id),
+                    stimulus[1], False, ServiceLevel.SAFE)
+        elif kind == "act":
+            deliver(EngineActionMsg(action=_action(stimulus[1])),
+                    stimulus[1][0], False, ServiceLevel.SAFE)
+        elif kind == "ds":
+            assert snapshot is not None and conf is not None
+            _deliver_round(deliver, conf.view_id, snapshot)
+        elif kind == "retrans":
+            assert snapshot is not None
+            holder, target = _green_target(snapshot)
+            for pos in range(len(node.green), len(target)):
+                deliver(EngineActionMsg(action=_action(target[pos]),
+                                        green_pos=pos, retrans=True),
+                        holder, False, ServiceLevel.SAFE)
+        elif kind == "reg":
+            _, epoch, members = stimulus
+            channel.conf_handler(Configuration(
+                ViewId(epoch, min(members)), frozenset(members)))
+        elif kind == "trans":
+            assert conf is not None
+            channel.conf_handler(Configuration(
+                conf.view_id, frozenset(stimulus[1]), transitional=True))
+        else:  # pragma: no cover - exhaustive
+            raise ModelInternalError(f"unknown stimulus {stimulus}")
+        prim, vuln = engine.prim_component, engine.vulnerable
+        record = (
+            engine.state,
+            node.green + tuple(hooks.greened),
+            tuple(tuple(a.action_id) for a in engine.queue.red_actions()),
+            engine.yellow.is_valid,
+            tuple(tuple(i) for i in engine.yellow.set),
+            (prim.prim_index, prim.attempt_index, tuple(prim.servers)),
+            engine.attempt_index,
+            (vuln.prim_index, vuln.attempt_index, tuple(vuln.set),
+             tuple(sorted(m for m, b in vuln.bits.items() if b)))
+            if vuln.is_valid else None,
+            frozenset(engine._cpc_received),
+            tuple(tuple(a.action_id) for a in engine._construct_buffer))
+        return record, channel.cpcs
+
+    def _node_reacts(self, state: GlobalState, n: int,
+                     stimulus: Tuple) -> GlobalState:
+        """Apply node ``n``'s reaction and multicast its CPC votes."""
+        node, cpcs = self._react(state, n, stimulus)
+        nodes = list(state.nodes)
+        nodes[n - 1] = node
+        state = state._replace(nodes=tuple(nodes))
+        if cpcs:
+            assert node.view is not None
+            state = self._broadcast(
+                state, n, (("cpc", n, node.view[0]),) * cpcs)
+        return state
 
     # ==================================================================
     # event enumeration
@@ -252,14 +384,11 @@ class Model:
 
     def _needs_retrans(self, state: GlobalState, n: int) -> bool:
         node = state.nodes[n - 1]
-        assert node.view is not None
-        snapshot = self._snapshot_for(state, node.view[0])
-        if snapshot is None:
-            return False
-        # With no red tails in the model, retransmission_complete
-        # reduces to reaching the longest green prefix of the round.
-        target = max(len(report[0]) for _member, report in snapshot)
-        return len(node.green) < target
+        snapshot = _round(state, node)
+        # With no red tails in the reports, the plan is complete once
+        # the longest green prefix of the round is reached.
+        return snapshot is not None \
+            and len(node.green) < len(_green_target(snapshot)[1])
 
     def _fault_events(self, state: GlobalState) -> Iterator[Event]:
         # Partitions: every bipartition of every component (the first
@@ -299,7 +428,7 @@ class Model:
         if event.kind == "deliver":
             new = self._apply_deliver(state, event.arg[0])
         elif event.kind == "ds":
-            new = self._apply_ds(state, event.arg[0])
+            new = self._node_reacts(state, event.arg[0], ("ds",))
         elif event.kind == "retrans":
             new = self._apply_retrans(state, event.arg[0])
         elif event.kind == "form_view":
@@ -315,38 +444,31 @@ class Model:
 
     # ------------------------------------------------------------------
     def _apply_client(self, state: GlobalState, n: int) -> GlobalState:
+        """A RegPrim node multicasts a fresh action (the client side is
+        the model's: the engine journals and sends it unchanged)."""
+        seq = 1 + max((tok[1] for tok in _tokens(state) if tok[0] == n),
+                      default=0)
         node = state.nodes[n - 1]
         assert node.view is not None
-        tok: ActionTok = (n, state.actions + 1)
-        epoch, members = node.view
-        msg: Msg = ("act", tok, epoch)
-        nodes = list(state.nodes)
-        for m in members:
-            if m in state.down:
-                continue
-            nodes[m - 1] = nodes[m - 1]._replace(
-                inbox=nodes[m - 1].inbox + (msg,))
-        return state._replace(nodes=tuple(nodes),
-                              actions=state.actions + 1)
+        state = self._broadcast(state, n, (("act", (n, seq),
+                                            node.view[0]),))
+        return state._replace(actions=state.actions + 1)
 
     # ------------------------------------------------------------------
     def _apply_deliver(self, state: GlobalState, n: int) -> GlobalState:
         nodes = list(state.nodes)
-        node = nodes[n - 1]
-        inbox, node = node.inbox, node._replace(inbox=())
+        inbox, nodes[n - 1] = nodes[n - 1].inbox, \
+            nodes[n - 1]._replace(inbox=())
+        state = state._replace(nodes=tuple(nodes))
         for msg in inbox:
-            node, sends = self._deliver_one(node, n, msg)
-            nodes[n - 1] = node
-            if sends:
-                state = state._replace(nodes=tuple(nodes))
-                state = self._broadcast(state, n, sends)
-                nodes = list(state.nodes)
-                node = nodes[n - 1]
-        nodes[n - 1] = node
-        return state._replace(nodes=tuple(nodes))
+            view = state.nodes[n - 1].view
+            if view is not None and msg[-1] == view[0]:
+                state = self._node_reacts(state, n, msg[:2])
+            # else: stale epoch — a flushed view's message, dropped
+        return state
 
     def _broadcast(self, state: GlobalState, sender: int,
-                   msgs: List[Msg]) -> GlobalState:
+                   msgs: Tuple[Msg, ...]) -> GlobalState:
         """Multicast ``msgs`` to every member of the sender's view
         (including the sender — the engine receives its own SAFE
         multicasts through the loopback delivery)."""
@@ -357,187 +479,23 @@ class Model:
             if m in state.down:
                 continue
             nodes[m - 1] = nodes[m - 1]._replace(
-                inbox=nodes[m - 1].inbox + tuple(msgs))
+                inbox=nodes[m - 1].inbox + msgs)
         return state._replace(nodes=tuple(nodes))
 
-    def _deliver_one(self, node: ModelNode, n: int,
-                     msg: Msg) -> Tuple[ModelNode, List[Msg]]:
-        """Port of ``_on_gcs_message`` for one inbox message."""
-        if node.view is None or msg[-1] != node.view[0]:
-            return node, []  # stale epoch: flushed view, drop
-        if msg[0] == "cpc":
-            return self._deliver_cpc(node, n, msg[1])
-        return self._deliver_action(node, n, msg[1]), []
-
-    def _deliver_cpc(self, node: ModelNode, n: int,
-                     sender: int) -> Tuple[ModelNode, List[Msg]]:
-        """Port of ``_on_cpc``."""
-        state = node.state
-        if state in (_S.EXCHANGE_STATES, _S.EXCHANGE_ACTIONS):
-            if self.config.buffer_early_cpc:
-                node = node._replace(votes=node.votes | {sender})
-            # else: the pre-PR-4 bug — the early vote is dropped
-            return node, []
-        if state is _S.CONSTRUCT:
-            node = node._replace(votes=node.votes | {sender})
-            assert node.view is not None
-            if node.votes == frozenset(node.view[1]):
-                node = self._install(node, _I.CPC_MSG)
-                buffered, node = node.cbuf, node._replace(cbuf=())
-                for tok in buffered:
-                    node = node._replace(
-                        green=_append(node.green, tok))
-                node = node._replace(state=self._step(
-                    node.state, _S.REG_PRIM, _I.CPC_MSG))
-            return node, []
-        if state is _S.NO:
-            node = node._replace(votes=node.votes | {sender})
-            assert node.view is not None
-            if node.votes == frozenset(node.view[1]):
-                node = node._replace(state=self._step(
-                    node.state, _S.UN, _I.CPC_MSG))
-            return node, []
-        return node, []  # stale vote from a superseded attempt
-
-    def _deliver_action(self, node: ModelNode, n: int,
-                        tok: ActionTok) -> ModelNode:
-        """Port of ``_on_action``."""
-        state = node.state
-        if state is _S.REG_PRIM:
-            return node._replace(green=_append(node.green, tok))
-        if state is _S.TRANS_PRIM:
-            return node._replace(yellow=_append(node.yellow, tok),
-                                 red=_append(node.red, tok))
-        if state in (_S.NON_PRIM, _S.EXCHANGE_STATES):
-            return node._replace(red=_append(node.red, tok))
-        if state is _S.UN:
-            # Transition 1b: an action proves somebody installed.
-            node = self._install(node, _I.ACTION)
-            node = node._replace(yellow=_append(node.yellow, tok),
-                                 red=_append(node.red, tok))
-            return node._replace(state=self._step(
-                node.state, _S.TRANS_PRIM, _I.ACTION))
-        if state is _S.CONSTRUCT:
-            return node._replace(cbuf=node.cbuf + (tok,))
-        return node  # unexpected_action: dropped
-
     # ------------------------------------------------------------------
-    def _install(self, node: ModelNode,
-                 input_kind: EngineInput) -> ModelNode:
-        """Port of ``_install`` (A.10)."""
-        green = node.green
-        if node.yellow_valid:
-            for tok in node.yellow:
-                green = _append(green, tok)
-        assert node.vuln is not None
-        prim = (node.prim[0] + 1, node.attempt, node.vuln[2])
-        for tok in sorted(node.red):
-            green = _append(green, tok)
-        return node._replace(green=green, red=(), yellow=(),
-                             yellow_valid=False, prim=prim, attempt=0)
-
-    # ------------------------------------------------------------------
-    def _apply_ds(self, state: GlobalState, n: int) -> GlobalState:
-        """Deliver the full round of state messages to ``n`` — port of
-        ``_all_states_delivered`` (+ local completion check)."""
-        node = state.nodes[n - 1]
-        assert node.view is not None
-        snapshot = self._snapshot_for(state, node.view[0])
-        assert snapshot is not None
-        knowledge = self._knowledge(snapshot)
-        node = node._replace(
-            yellow_valid=knowledge.yellow.is_valid,
-            yellow=tuple(knowledge.yellow.set),
-            state=self._step(node.state, _S.EXCHANGE_ACTIONS,
-                             _I.STATE_MSG))
-        nodes = list(state.nodes)
-        nodes[n - 1] = node
-        state = state._replace(nodes=tuple(nodes))
-        target = max(len(report[0]) for _member, report in snapshot)
-        if len(node.green) >= target:
-            state = self._end_of_retrans(state, n, knowledge,
-                                         _I.STATE_MSG)
-        return state
-
     def _apply_retrans(self, state: GlobalState, n: int) -> GlobalState:
         """Bring ``n``'s green prefix to the plan target (big-step) —
         the real system retransmits one action at a time, with the
         green-gap assertion enforcing exactly this prefix property."""
         node = state.nodes[n - 1]
-        assert node.view is not None
-        snapshot = self._snapshot_for(state, node.view[0])
+        snapshot = _round(state, node)
         assert snapshot is not None
-        target_green: Tuple[ActionTok, ...] = ()
-        for _member, report in snapshot:
-            if len(report[0]) > len(target_green):
-                target_green = report[0]
-        if node.green != target_green[:len(node.green)]:
+        target = _green_target(snapshot)[1]
+        if node.green != target[:len(node.green)]:
             self.violations.append(
                 f"green-prefix: node {n} green {node.green} diverges "
-                f"from retransmitted prefix {target_green}")
-        merged = target_green
-        node = node._replace(
-            green=merged,
-            red=tuple(t for t in node.red if t not in merged))
-        nodes = list(state.nodes)
-        nodes[n - 1] = node
-        state = state._replace(nodes=tuple(nodes))
-        knowledge = self._knowledge(snapshot)
-        return self._end_of_retrans(state, n, knowledge, _I.ACTION)
-
-    def _end_of_retrans(self, state: GlobalState, n: int,
-                        knowledge: Knowledge,
-                        input_kind: EngineInput) -> GlobalState:
-        """Port of ``_end_of_retrans`` (A.5) + IsQuorum (A.8)."""
-        node = state.nodes[n - 1]
-        assert node.view is not None
-        kp = knowledge.prim_component
-        node = node._replace(
-            prim=(kp.prim_index, kp.attempt_index, tuple(kp.servers)),
-            attempt=knowledge.attempt_index)
-        if node.vuln is not None:
-            resolved = knowledge.vulnerable_resolution.get(n)
-            if resolved is not None:
-                valid, bits = resolved
-                if not valid:
-                    node = node._replace(vuln=None)
-                else:
-                    node = node._replace(vuln=(
-                        node.vuln[0], node.vuln[1], node.vuln[2],
-                        tuple(sorted(m for m, b in bits.items() if b))))
-        epoch, members = node.view
-        sends: List[Msg] = []
-        if not knowledge.any_vulnerable() and self._is_quorum(
-                members, node.prim[2]):
-            attempt = node.attempt + 1
-            node = node._replace(
-                attempt=attempt,
-                vuln=(node.prim[0], attempt, tuple(sorted(members)),
-                      (n,)),
-                state=self._step(node.state, _S.CONSTRUCT, input_kind))
-            sends.append(("cpc", n, epoch))
-        else:
-            node = node._replace(state=self._step(
-                node.state, _S.NON_PRIM, input_kind))
-        nodes = list(state.nodes)
-        nodes[n - 1] = node
-        state = state._replace(nodes=tuple(nodes))
-        if sends:
-            state = self._broadcast(state, n, sends)
-        return state
-
-    def _is_quorum(self, members: Tuple[int, ...],
-                   last_prim: Tuple[int, ...]) -> bool:
-        """Delegates to the real policy; the ``tie_breaker`` mutation
-        re-introduces the pre-PR-1 behaviour where an exact half never
-        suffices (no distinguished member)."""
-        ok = self._policy.is_quorum(members, last_prim, self.server_ids)
-        if ok and not self.config.tie_breaker:
-            prim = set(last_prim) or set(self.server_ids)
-            present = sum(1 for s in prim if s in set(members))
-            if present * 2 == len(prim):
-                return False
-        return ok
+                f"from retransmitted prefix {target}")
+        return self._node_reacts(state, n, ("retrans",))
 
     # ------------------------------------------------------------------
     def _apply_form_view(self, state: GlobalState,
@@ -553,33 +511,20 @@ class Model:
         nodes = list(state.nodes)
         for n in members:
             node = nodes[n - 1]
-            if node.state not in (_S.NON_PRIM, _S.TRANS_PRIM,
-                                  _S.NO, _S.UN):
+            if node.state not in _REG_CONF_STATES:
                 # The EVS shadow claim (EVS_SHADOWED_EDGES): a regular
                 # conf can never find the engine elsewhere.
                 raise ModelInternalError(
                     f"reg conf reached node {n} in {node.state}")
-            if node.state is _S.TRANS_PRIM:
-                node = node._replace(vuln=None, yellow_valid=True)
-            elif node.state is _S.NO:
-                node = node._replace(vuln=None)
-            # Un: stays vulnerable (the '?' transition); NonPrim: no-op
-            node = node._replace(
-                view=(epoch, members), dirty=False,
-                votes=frozenset(), cbuf=(), inbox=(),
-                state=self._step(node.state, _S.EXCHANGE_STATES,
-                                 _I.REG_CONF))
-            nodes[n - 1] = node
-        snapshot = tuple(
-            (n, (nodes[n - 1].green, nodes[n - 1].prim,
-                 nodes[n - 1].attempt, nodes[n - 1].vuln,
-                 nodes[n - 1].yellow_valid, nodes[n - 1].yellow))
-            for n in members)
+            node = self._react(state, n, ("reg", epoch, members))[0]
+            nodes[n - 1] = node._replace(view=(epoch, members),
+                                         dirty=False, inbox=())
+        snapshot = tuple((n, _report(nodes[n - 1])) for n in members)
         live_epochs = {epoch}
         reports = [(epoch, snapshot)]
         state = state._replace(nodes=tuple(nodes))
         for n in self.server_ids:
-            node = state.nodes[n - 1]
+            node = nodes[n - 1]
             if n not in state.down and node.view is not None:
                 live_epochs.add(node.view[0])
         for old_epoch, old_snapshot in state.reports:
@@ -636,61 +581,23 @@ class Model:
     def _apply_trans_confs(self, state: GlobalState) -> GlobalState:
         """After a topology change, deliver a transitional
         configuration to every live node whose component no longer
-        matches its view — port of ``_on_trans_conf``."""
+        matches its view."""
         comp_of: Dict[int, Tuple[int, ...]] = {}
         for comp in state.comps:
             for n in comp:
                 comp_of[n] = comp
         nodes = list(state.nodes)
         for n in self.server_ids:
-            if n in state.down:
-                continue
             node = nodes[n - 1]
-            if node.view is None:
+            if n in state.down or node.view is None:
                 continue
-            if set(node.view[1]) == set(comp_of.get(n, ())) \
-                    and not node.dirty:
+            comp = comp_of.get(n, ())
+            if set(node.view[1]) == set(comp) and not node.dirty:
                 continue
-            s = node.state
-            if s is _S.REG_PRIM:
-                s = self._step(s, _S.TRANS_PRIM, _I.TRANS_CONF)
-            elif s in (_S.EXCHANGE_STATES, _S.EXCHANGE_ACTIONS):
-                s = self._step(s, _S.NON_PRIM, _I.TRANS_CONF)
-            elif s is _S.CONSTRUCT:
-                s = self._step(s, _S.NO, _I.TRANS_CONF)
-            nodes[n - 1] = node._replace(state=s, dirty=True)
+            moving = tuple(m for m in node.view[1] if m in comp)
+            node = self._react(state, n, ("trans", moving))[0]
+            nodes[n - 1] = node._replace(dirty=True)
         return state._replace(nodes=tuple(nodes))
-
-    # ==================================================================
-    # knowledge plumbing: the model reuses the real computation
-    # ==================================================================
-    def _snapshot_for(self, state: GlobalState, epoch: int
-                      ) -> Optional[Tuple[Tuple[int, Report], ...]]:
-        for e, snapshot in state.reports:
-            if e == epoch:
-                return snapshot
-        return None
-
-    def _reports(self, snapshot: Tuple[Tuple[int, Report], ...]
-                 ) -> Dict[int, EngineStateMsg]:
-        reports: Dict[int, EngineStateMsg] = {}
-        for member, (green, prim, attempt, vuln, yv, yellow) in snapshot:
-            vulnerable = Vulnerable()
-            if vuln is not None:
-                vulnerable.make_valid(vuln[0], vuln[1], vuln[2], -1)
-                vulnerable.bits = {m: (m in vuln[3]) for m in vuln[2]}
-            reports[member] = EngineStateMsg(
-                server_id=member, conf_id=0,
-                green_count=len(green), red_cut={}, green_lines={},
-                attempt_index=attempt,
-                prim_component=PrimComponent(prim[0], prim[1], prim[2]),
-                vulnerable=vulnerable, yellow_valid=yv,
-                yellow_ids=tuple(yellow))
-        return reports
-
-    def _knowledge(self, snapshot: Tuple[Tuple[int, Report], ...]
-                   ) -> Knowledge:
-        return compute_knowledge(self._reports(snapshot))
 
     # ==================================================================
     # safety invariants
@@ -801,13 +708,6 @@ class Model:
     # ==================================================================
     # liveness: quiescence + the wedge oracle
     # ==================================================================
-    def quiescent(self, state: GlobalState) -> bool:
-        """No delivery, exchange, or view-formation event enabled —
-        the system will never move again without a fault or a client."""
-        return not any(e.kind in ("deliver", "ds", "retrans",
-                                  "form_view")
-                       for e in self.enabled_events(state))
-
     def find_wedges(self, state: GlobalState) -> List[str]:
         """Liveness check for a *quiescent* state: components that are
         stuck although the (unmutated) protocol says a primary should
@@ -825,15 +725,8 @@ class Model:
                     f"arrive)")
                 continue
             if states <= {_S.NON_PRIM, _S.UN}:
-                snapshot = tuple(
-                    (n, (state.nodes[n - 1].green,
-                         state.nodes[n - 1].prim,
-                         state.nodes[n - 1].attempt,
-                         state.nodes[n - 1].vuln,
-                         state.nodes[n - 1].yellow_valid,
-                         state.nodes[n - 1].yellow))
-                    for n in members)
-                knowledge = self._knowledge(snapshot)
+                knowledge = _knowledge(tuple(
+                    (n, _report(state.nodes[n - 1])) for n in members))
                 kp = knowledge.prim_component
                 last_prim = tuple(kp.servers)
                 if not knowledge.any_vulnerable() \
@@ -846,9 +739,99 @@ class Model:
         return found
 
 
-def _append(seq: Tuple[ActionTok, ...],
-            tok: ActionTok) -> Tuple[ActionTok, ...]:
-    return seq if tok in seq else seq + (tok,)
+# ======================================================================
+# helpers
+# ======================================================================
+def _action(tok: ActionTok) -> Action:
+    return Action(action_id=ActionId(*tok))
+
+
+def _restore(engine: ReplicationEngine, node: ModelNode) -> None:
+    """Load a record into a freshly built engine."""
+    for tok in node.green:
+        engine.queue.mark_green(_action(tok))
+    for tok in node.red:
+        engine.queue.mark_red(_action(tok))
+    engine.yellow = Yellow(VALID if node.yellow_valid else INVALID,
+                           [ActionId(*tok) for tok in node.yellow])
+    engine.prim_component = PrimComponent(*node.prim)
+    engine.attempt_index = node.attempt
+    if node.vuln is not None:
+        index, attempt, members, marked = node.vuln
+        engine.vulnerable = Vulnerable(VALID, index, attempt, members,
+                                       {m: m in marked for m in members})
+    if node.view is not None:
+        epoch, members = node.view
+        engine.conf = Configuration(ViewId(epoch, min(members)),
+                                    frozenset(members))
+    engine._cpc_received = set(node.votes)
+    engine._construct_buffer = [_action(tok) for tok in node.cbuf]
+    engine.state = node.state
+
+
+def _report(node: ModelNode) -> Report:
+    return (node.green, node.prim, node.attempt, node.vuln,
+            node.yellow_valid, node.yellow)
+
+
+def _round(state: GlobalState, node: ModelNode) -> Optional[Snapshot]:
+    """The frozen reports of the exchange round of ``node``'s view."""
+    if node.view is None:
+        return None
+    return dict(state.reports).get(node.view[0])
+
+
+def _deliver_round(deliver: Callable[..., None], view_id: ViewId,
+                   snapshot: Snapshot) -> None:
+    """Deliver a round's state messages, in member order."""
+    for member, msg in _reports(snapshot, view_id):
+        deliver(msg, member, False, ServiceLevel.SAFE)
+
+
+def _tokens(state: GlobalState) -> Iterator[ActionTok]:
+    """Every action token anywhere in ``state``."""
+    for node in state.nodes:
+        yield from node.green
+        yield from node.red
+        yield from node.yellow
+        yield from node.cbuf
+        for msg in node.inbox:
+            if msg[0] == "act":
+                yield msg[1]
+
+
+def _green_target(snapshot: Snapshot
+                  ) -> Tuple[int, Tuple[ActionTok, ...]]:
+    """The round's longest green prefix and its (lowest-id) holder."""
+    holder, target = snapshot[0][0], snapshot[0][1][0]
+    for member, report in snapshot[1:]:
+        if len(report[0]) > len(target):
+            holder, target = member, report[0]
+    return holder, target
+
+
+def _reports(snapshot: Snapshot, conf_id: ViewId
+             ) -> List[Tuple[int, EngineStateMsg]]:
+    """The frozen reports as the state messages the engine receives."""
+    msgs = []
+    for member, (green, prim, attempt, vuln, yv, yellow) in snapshot:
+        vulnerable = Vulnerable()
+        if vuln is not None:
+            vulnerable = Vulnerable(VALID, vuln[0], vuln[1], vuln[2],
+                                    {m: (m in vuln[3]) for m in vuln[2]})
+        msgs.append((member, EngineStateMsg(
+            server_id=member, conf_id=conf_id,
+            green_count=len(green), red_cut={}, green_lines={},
+            attempt_index=attempt,
+            prim_component=PrimComponent(prim[0], prim[1], prim[2]),
+            vulnerable=vulnerable, yellow_valid=yv,
+            yellow_ids=tuple(ActionId(*tok) for tok in yellow))))
+    return msgs
+
+
+def _knowledge(snapshot: Snapshot) -> Knowledge:
+    return compute_knowledge(
+        {member: msg for member, msg in _reports(snapshot, ViewId(0, 0))})
 
 
 def canonicalize(state: GlobalState) -> GlobalState:

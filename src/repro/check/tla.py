@@ -8,8 +8,8 @@ the engine executes; nothing here re-declares an edge.
 
 The module covers only the per-server state skeleton (which moves are
 legal), not the guard semantics (quorum arithmetic, knowledge
-computation) — those live in the abstract model
-(:mod:`repro.check.model`), which checks them executably.
+computation) — the model checker (:mod:`repro.check.model`) checks
+those executably, on the engine's own reactions.
 """
 
 from __future__ import annotations

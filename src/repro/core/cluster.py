@@ -20,7 +20,7 @@ from ..db import ActionId
 from ..gcs import GcsSettings
 from ..net import Network, NetworkProfile, Topology
 from ..obs import Observability
-from ..sim import RandomStreams
+from ..sim import RandomStreams, Simulator
 from ..storage import DiskProfile
 from .client import Client
 from .engine import EngineConfig
@@ -248,15 +248,10 @@ class ReplicaCluster(Cluster):
                  gcs_settings: Optional[GcsSettings] = None,
                  engine_config: Optional[EngineConfig] = None,
                  observability: Optional[Observability] = None) -> None:
-        # Imported here, not at module level: repro.runtime's package
-        # init builds LiveCluster on this module's Cluster, so a
-        # top-level import would leave Cluster undefined whenever
-        # repro.core is imported first.
-        from ..runtime.sim_runtime import SimRuntime
         ids = (list(server_ids) if server_ids is not None
                else list(range(1, n + 1)))
         # The deterministic Runtime, also reachable as `runtime`.
-        self.sim = SimRuntime()
+        self.sim = Simulator()
         self.streams = RandomStreams(seed)
         self.network = Network(self.sim, Topology(ids), network_profile,
                                rng=self.streams.stream("network"))

@@ -132,8 +132,9 @@ class EngineHooks:
     def on_red(self, action: Action) -> None:
         """``action`` entered the local (red) order."""
 
-    def on_state_change(self, old: EngineState, new: EngineState) -> None:
-        """The engine moved between Figure 4 states."""
+    def on_state_change(self, old: EngineState, new: EngineState,
+                        cause: EngineInput) -> None:
+        """The engine moved between Figure 4 states on input ``cause``."""
 
     def start_transfer(self, join_action: Action, position: int) -> None:
         """This server is the representative for a green
@@ -370,7 +371,7 @@ class ReplicationEngine:
         self.state = new
         self._log.record(self.sim.now, "engine.state",
                          detail={"old": str(old), "new": str(new)})
-        self.hooks.on_state_change(old, new)
+        self.hooks.on_state_change(old, new, cause)
 
     # ==================================================================
     # GCS event dispatch

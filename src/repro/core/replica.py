@@ -24,7 +24,7 @@ from .engine import EngineConfig, EngineHooks, ReplicationEngine
 from .recovery import recover_engine
 from .reconfig import (JoinerProtocol, JoinRequest, RepresentativeRole,
                        TransferHeader, make_leave_action)
-from .state_machine import EngineState
+from .state_machine import EngineInput, EngineState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.base import Runtime, Transport
@@ -52,7 +52,8 @@ class _ReplicaHooks(EngineHooks):
     def on_red(self, action: Action) -> None:
         self.replica._on_red(action)
 
-    def on_state_change(self, old: EngineState, new: EngineState) -> None:
+    def on_state_change(self, old: EngineState, new: EngineState,
+                        cause: EngineInput) -> None:
         for listener in self.replica._state_listeners:
             listener(old, new)
 

@@ -3,10 +3,11 @@
 The table is declared *per input*: for each of the five event kinds the
 engine reacts to (plus client requests), :data:`EDGES_BY_INPUT` lists
 the Figure-4 edges that event may trigger.  One function checks moves
-against it: :func:`check_transition`, called by both the engine
-(``ReplicationEngine._set_state``) and the abstract model
-(``repro.check.model.Model._step``), so a protocol or model bug
-surfaces as an immediate error instead of silent divergence.
+against it: :func:`check_transition`, called by the engine's
+``ReplicationEngine._set_state`` — which is also every move the model
+checker (``repro.check``) explores, since it runs the engine's own
+reactions — so a protocol bug surfaces as an immediate error instead
+of silent divergence.
 
 ``tests/test_state_machine_table.py`` checks every cell of the table
 against a hand-written copy of Figure 4, and

@@ -6,7 +6,7 @@ two narrow protocols — :class:`Runtime` (clock + timers) and
 production pairs:
 
 ============================  =========================================
-deterministic (virtual time)  :class:`SimRuntime` +
+deterministic (virtual time)  :class:`repro.sim.Simulator` +
                               :class:`repro.net.Network`
 live (wall-clock, asyncio)    :class:`AsyncioRuntime` +
                               :class:`AsyncioTransport` (UDP) or
@@ -23,12 +23,10 @@ from .asyncio_runtime import AsyncioHandle, AsyncioRuntime
 from .base import Handle, Runtime, Transport
 from .cluster import (LiveCluster, LiveClusterTimeout, live_disk_profile,
                       live_engine_config, live_gcs_settings, udp_cluster)
-from .sim_runtime import SimRuntime
 from .transport import AsyncioTransport, MemoryTransport, loopback_addresses
 
 __all__ = [
     "Runtime", "Handle", "Transport",
-    "SimRuntime",
     "AsyncioRuntime", "AsyncioHandle",
     "MemoryTransport", "AsyncioTransport",
     "loopback_addresses",

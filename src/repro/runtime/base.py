@@ -17,7 +17,7 @@ captured by two narrow interfaces:
 
 Two production implementations ship with the repository:
 
-* :class:`~repro.runtime.SimRuntime` + :class:`~repro.net.Network` —
+* :class:`~repro.sim.Simulator` + :class:`~repro.net.Network` —
   the deterministic discrete-event pair every test and paper figure
   runs on (virtual time, seeded loss/latency, bit-identical replays);
 * :class:`~repro.runtime.AsyncioRuntime` +

@@ -33,8 +33,7 @@ because ``(time, seq)`` is a total order.
 
 The kernel is the hottest code in every figure, so it stays fully
 annotated, free of dynamic attribute tricks, and structured around
-tight monomorphic loops (``run`` is split by budget mode rather than
-re-testing the mode per event).
+one tight monomorphic dispatch loop.
 """
 
 from __future__ import annotations
@@ -106,9 +105,8 @@ class Simulator:
         sim.run()                 # run to quiescence
         sim.run(until=10.0)       # or up to a virtual deadline
 
-    ``repro.runtime.SimRuntime`` is a zero-override subclass that
-    registers the class against the Runtime protocol; it must not add
-    behaviour (``tests/test_sim_kernel.py`` holds it to that).
+    It is the deterministic :class:`~repro.runtime.base.Runtime`:
+    ``ReplicaCluster`` pairs it with :class:`~repro.net.Network`.
     """
 
     __slots__ = ("now", "_heap", "_seq", "_running", "_events_processed",
@@ -223,13 +221,11 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run events until quiescence, a deadline, or an event budget.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until quiescence or a deadline.
 
         ``until`` is an absolute virtual time; events at exactly ``until``
-        still run.  ``max_events`` bounds the number of dispatches in this
-        call (a guard against livelock in buggy protocols under test).
+        still run.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -239,10 +235,7 @@ class Simulator:
         deadline = float("inf") if until is None else until
         heap = self._heap  # stable alias: compaction mutates in place
         try:
-            if max_events is None:
-                self._run_unbudgeted(heap, deadline, peak)
-            else:
-                self._run_budgeted(heap, deadline, peak, max_events)
+            self._dispatch(heap, deadline, peak)
             if until is not None and self.now < until:
                 self.now = until
         finally:
@@ -250,9 +243,9 @@ class Simulator:
                 self.peak_heap = len(heap)
             self._running = False
 
-    def _run_unbudgeted(self, heap: List[tuple], deadline: float,
-                        peak: int) -> None:
-        """The hot dispatch loop (no event budget to re-check per event).
+    def _dispatch(self, heap: List[tuple], deadline: float,
+                  peak: int) -> None:
+        """The hot dispatch loop.
 
         Entries are popped before the deadline test — the one
         past-deadline entry is pushed back, trading a single push per
@@ -287,45 +280,6 @@ class Simulator:
         finally:
             # Flushed once per run rather than incremented per event;
             # nothing consumes the counter mid-dispatch.
-            self._events_processed += processed
-            if peak > self.peak_heap:
-                self.peak_heap = peak
-
-    def _run_budgeted(self, heap: List[tuple], deadline: float,
-                      peak: int, max_events: int) -> None:
-        """Dispatch with a per-call event budget (livelock guard)."""
-        processed = 0
-        dispatched = 0
-        try:
-            while heap and not self._stopped:
-                if len(heap) > peak:
-                    peak = len(heap)
-                entry = heappop(heap)
-                time: float = entry[0]
-                if time > deadline:
-                    heappush(heap, entry)
-                    break
-                if len(entry) == 3:
-                    handle = entry[2]
-                    if handle._cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                else:
-                    handle = None
-                if dispatched >= max_events:
-                    heappush(heap, entry)
-                    raise SimulationError(
-                        f"event budget of {max_events} exhausted at "
-                        f"t={self.now:.6f}; likely livelock")
-                dispatched += 1
-                self.now = time
-                processed += 1
-                if handle is None:
-                    entry[2](*entry[3])
-                else:
-                    handle._fired = True
-                    handle.callback(*handle.args)
-        finally:
             self._events_processed += processed
             if peak > self.peak_heap:
                 self.peak_heap = peak

@@ -4,14 +4,31 @@ import json
 
 import pytest
 
-from repro.check.coverage import (DIRECTED_TRACES, all_declared_edges,
-                                  live_edges, measure_coverage,
-                                  run_trace)
+from repro.check.coverage import (DIRECTED_TRACES, PORTFOLIO,
+                                  all_declared_edges, live_edges,
+                                  measure_coverage, run_trace)
 from repro.check.mc import ModelChecker, run_check
-from repro.check.model import ModelConfig
-from repro.check.mutations import MUTATIONS, apply_mutation
+from repro.check.model import Model, ModelConfig
+from repro.check.mutations import MUTATIONS, mutation
 from repro.check.tla import MODULE_NAME, edge_count, export_tla
+from repro.core.engine import ReplicationEngine
 from repro.core.state_machine import EVS_SHADOWED_EDGES
+
+#: Exact exploration size of two portfolio runs: (states, transitions,
+#: quiescent states).  A change here means the checker explores a
+#: different space — investigate it, never widen it into a range.
+PINNED_RUNS = {
+    "2n-faults": (2191, 4064, 79),
+    "2n-crash": (2844, 5791, 205),
+}
+
+#: The exact configuration each mutation self-test runs.
+REDISCOVERY = {
+    "cpc-drop": dict(nodes=2, depth=8, max_faults=0, max_crashes=0,
+                     max_actions=1),
+    "exact-half-tie": dict(nodes=2, depth=10, max_faults=1,
+                           max_crashes=0, max_actions=0),
+}
 
 
 class TestCleanExploration:
@@ -44,6 +61,16 @@ class TestCleanExploration:
         assert payload["complete"] is True
         assert payload["violations"] == []
 
+    @pytest.mark.parametrize("label", sorted(PINNED_RUNS))
+    def test_portfolio_run_is_pinned(self, label):
+        (config, depth), = [(config, depth)
+                            for name, config, depth in PORTFOLIO
+                            if name == label]
+        result = ModelChecker(config, max_depth=depth).run()
+        assert result.ok and result.complete
+        assert (result.states, result.transitions,
+                result.quiescent_states) == PINNED_RUNS[label]
+
     def test_max_states_budget_marks_incomplete(self):
         config = ModelConfig(nodes=2, max_faults=2, max_crashes=1,
                              max_actions=1)
@@ -54,12 +81,11 @@ class TestCleanExploration:
 
 class TestMutationSelfTest:
     """The checker must *rediscover* both historical wedges when the
-    corresponding fix is reverted in the model — proof it would have
-    caught them."""
+    corresponding fix is reverted in the engine it runs — proof it
+    would have caught them."""
 
     def test_cpc_drop_rediscovers_construct_stuck(self):
-        result = run_check(nodes=2, depth=8, mutate="cpc-drop",
-                           max_faults=0, max_crashes=0, max_actions=1)
+        result = run_check(mutate="cpc-drop", **REDISCOVERY["cpc-drop"])
         rules = {(v.kind, v.rule) for v in result.violations}
         assert ("wedge", "construct-stuck") in rules
         wedge = next(v for v in result.violations
@@ -69,8 +95,8 @@ class TestMutationSelfTest:
         assert wedge.trace[0].startswith("form_view")
 
     def test_exact_half_tie_rediscovers_quorum_wedge(self):
-        result = run_check(nodes=2, depth=10, mutate="exact-half-tie",
-                           max_faults=1, max_crashes=0, max_actions=0)
+        result = run_check(mutate="exact-half-tie",
+                           **REDISCOVERY["exact-half-tie"])
         rules = {(v.kind, v.rule) for v in result.violations}
         assert ("wedge", "quorum-wedge") in rules
         wedge = next(v for v in result.violations
@@ -78,22 +104,31 @@ class TestMutationSelfTest:
         assert any(step.startswith("partition") for step in wedge.trace)
 
     def test_unmutated_runs_find_neither_wedge(self):
-        for name in MUTATIONS:
-            clean = run_check(nodes=2, depth=8, max_faults=1,
-                              max_crashes=0, max_actions=1)
+        # Each rediscovery configuration, run clean right after its
+        # mutated run in the same process: the wedge comes from the
+        # mutant, and the mutant is undone.
+        assert set(REDISCOVERY) == set(MUTATIONS)
+        for name, shape in REDISCOVERY.items():
+            assert not run_check(mutate=name, **shape).ok
+            clean = run_check(**shape)
             assert clean.ok, (name, [v.rule for v in clean.violations])
 
     def test_mutation_registry_shape(self):
         assert set(MUTATIONS) == {"exact-half-tie", "cpc-drop"}
-        for name, entry in MUTATIONS.items():
-            mutated = apply_mutation(ModelConfig(), name)
-            assert mutated != ModelConfig()
-            assert entry["expected_rule"] in ("quorum-wedge",
-                                              "construct-stuck")
+        for name, rule in MUTATIONS.items():
+            model = Model(ModelConfig())
+            real = (model.engine_config, ReplicationEngine._on_cpc)
+            with mutation(name, model):
+                assert (model.engine_config,
+                        ReplicationEngine._on_cpc) != real
+            assert (model.engine_config,
+                    ReplicationEngine._on_cpc) == real
+            assert rule in ("quorum-wedge", "construct-stuck")
 
     def test_unknown_mutation_is_rejected(self):
         with pytest.raises(ValueError):
-            apply_mutation(ModelConfig(), "no-such-mutation")
+            with mutation("no-such-mutation", Model(ModelConfig())):
+                pass
 
 
 class TestCoverage:

@@ -1,8 +1,10 @@
-"""Unit tests for the abstract Figure-4 model (`repro.check.model`)."""
+"""Unit tests for the global model (`repro.check.model`), whose
+per-node reactions come from the real replication engine."""
 
 import pytest
 
 from repro.check.model import Event, Model, ModelConfig, canonicalize
+from repro.check.mutations import mutation
 from repro.core.quorum import DynamicLinearVoting, StaticMajority
 from repro.core.state_machine import (EDGES_BY_INPUT, EngineInput,
                                       EngineState, IllegalTransition)
@@ -70,30 +72,12 @@ class TestBootstrap:
 class TestDerivation:
     """The model cannot move off the declared Figure-4 table."""
 
-    def test_step_accepts_every_declared_edge(self):
-        model = Model(ModelConfig())
-        for event, edges in EDGES_BY_INPUT.items():
-            for old, new in edges:
-                assert model._step(old, new, event) is new
-
-    def test_step_rejects_undeclared_edges(self):
-        model = Model(ModelConfig())
-        for state in S:
-            for event in I:
-                for target in S:
-                    if target is state:
-                        continue  # self-loops are implicit no-ops
-                    if (state, target) in EDGES_BY_INPUT[event]:
-                        continue
-                    with pytest.raises(IllegalTransition):
-                        model._step(state, target, event)
-
     def test_a_dropped_edge_is_refused_by_engine_and_model(
             self, monkeypatch):
-        """Engine and model read the one shared table at run time: drop
-        the edge every bootstrap takes first and both refuse it.  A
-        model consulting a private copy of the table would still take
-        it and fail here."""
+        """The model's moves are the engine's own ``_set_state`` calls:
+        drop the edge every bootstrap takes first and both refuse it.
+        A model deciding reactions by itself would still take it and
+        fail here."""
         edge = (S.NON_PRIM, S.EXCHANGE_STATES)
         monkeypatch.setitem(EDGES_BY_INPUT, I.REG_CONF,
                             EDGES_BY_INPUT[I.REG_CONF] - {edge})
@@ -102,8 +86,6 @@ class TestDerivation:
         assert harness.engine.state is S.NON_PRIM
         with pytest.raises(IllegalTransition, match=refused):
             harness.reg_conf((1, 2, 3))
-        with pytest.raises(IllegalTransition, match=refused):
-            Model(ModelConfig())._step(*edge, I.REG_CONF)
         with pytest.raises(IllegalTransition, match=refused):
             bootstrap(nodes=2)
 
@@ -133,27 +115,44 @@ class TestCanonicalize:
         assert collapsed == state
 
 
+def exchange_outcome(model, members):
+    """Form a view of ``members`` out of a fresh ``model`` and deliver
+    the whole state-exchange round to every member: the state each
+    member's engine ends it in."""
+    state = canonicalize(model.initial_state())
+    rest = tuple(n for n in model.server_ids if n not in members)
+    state = state._replace(comps=(members, rest) if rest else (members,))
+    state = model.apply_event(state, Event("form_view", (members,)))
+    for n in members:
+        state = model.apply_event(state, Event("ds", (n,)))
+    return {state.nodes[n - 1].state for n in members}
+
+
 class TestQuorumDelegation:
     def test_policy_objects_are_the_real_ones(self):
-        assert isinstance(Model(ModelConfig())._policy,
+        assert isinstance(Model(ModelConfig()).engine_config.quorum,
                           DynamicLinearVoting)
         assert isinstance(
-            Model(ModelConfig(quorum="static-majority"))._policy,
-            StaticMajority)
+            Model(ModelConfig(quorum="static-majority"))
+            .engine_config.quorum, StaticMajority)
 
     def test_is_quorum_delegates(self):
-        model = Model(ModelConfig(nodes=4))
         policy = DynamicLinearVoting()
         for members in [(1, 2, 3), (1, 2), (3, 4), (2,)]:
-            assert model._is_quorum(members, (1, 2, 3, 4)) == \
-                policy.is_quorum(members, (1, 2, 3, 4), (1, 2, 3, 4))
+            expected = S.CONSTRUCT if policy.is_quorum(
+                members, (1, 2, 3, 4), (1, 2, 3, 4)) else S.NON_PRIM
+            outcome = exchange_outcome(Model(ModelConfig(nodes=4)),
+                                       members)
+            assert outcome == {expected}, members
 
     def test_tie_breaker_mutation_vetoes_exact_half(self):
-        fixed = Model(ModelConfig(nodes=4))
-        broken = Model(ModelConfig(nodes=4, tie_breaker=False))
         # (1, 2) is the distinguished exact half of (1, 2, 3, 4).
-        assert fixed._is_quorum((1, 2), (1, 2, 3, 4))
-        assert not broken._is_quorum((1, 2), (1, 2, 3, 4))
+        assert exchange_outcome(Model(ModelConfig(nodes=4)),
+                                (1, 2)) == {S.CONSTRUCT}
+        broken = Model(ModelConfig(nodes=4))
+        with mutation("exact-half-tie", broken):
+            assert exchange_outcome(broken, (1, 2)) == {S.NON_PRIM}
+        assert exchange_outcome(broken, (1, 2)) == {S.CONSTRUCT}
 
 
 class TestSafetyGating:

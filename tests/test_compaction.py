@@ -120,7 +120,6 @@ class TestEngineCompaction:
         for i in range(60):
             client.submit(("SET", f"k{i}", i))
         cluster.run_for(2.0)
-        tracer = cluster.tracer
         assert cluster.replicas[1].wal.durable_size > 60
 
     def test_compaction_preserves_red_actions_and_ongoing(self):

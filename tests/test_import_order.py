@@ -1,10 +1,10 @@
 """Every package imports cleanly as the *first* repro import.
 
-``repro.core`` builds simulated clusters on ``repro.runtime``'s
-SimRuntime and ``repro.runtime`` builds live clusters from
-``repro.core``'s replica stack, so the two packages import each other;
-a fresh interpreter per case, because the cycle only bites whichever
-package is imported first.
+``repro.runtime`` builds live clusters from ``repro.core``'s replica
+stack, and ``repro.core`` names ``repro.runtime``'s protocols in its
+type hints.  A run-time import back from ``repro.core`` into
+``repro.runtime`` would close a cycle that only bites whichever
+package is imported first, so each case gets a fresh interpreter.
 """
 
 import os

@@ -14,9 +14,9 @@ import pytest
 from repro.net import Topology
 from repro.obs import Observability
 from repro.runtime import (AsyncioRuntime, AsyncioTransport, Handle,
-                           MemoryTransport, Runtime, SimRuntime, Transport,
+                           MemoryTransport, Runtime, Transport,
                            loopback_addresses)
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import SimulationError, Simulator
 
 
 def run(coro):
@@ -31,7 +31,7 @@ def test_both_runtimes_satisfy_the_protocol():
     async def check():
         return isinstance(AsyncioRuntime(), Runtime)
     assert run(check())
-    assert isinstance(SimRuntime(), Runtime)
+    assert isinstance(Simulator(), Runtime)
 
 
 def test_transports_satisfy_the_protocol():

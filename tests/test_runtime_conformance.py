@@ -2,7 +2,7 @@
 discrete-event simulator and on real asyncio.
 
 The same scenario — boot, commit, partition {1,2}|{3}, commit on both
-sides, heal, converge — runs on a :class:`ReplicaCluster` (SimRuntime +
+sides, heal, converge — runs on a :class:`ReplicaCluster` (Simulator +
 simulated Network) and on a :class:`LiveCluster` (AsyncioRuntime +
 MemoryTransport).  The protocol-level trace must be identical:
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.runtime import SimRuntime
 from repro.sim import SimulationError, Simulator
 
 
@@ -125,17 +124,6 @@ def test_call_soon_runs_at_current_time():
     assert times == [3.0]
 
 
-def test_max_events_budget_guards_livelock():
-    sim = Simulator()
-
-    def forever():
-        sim.schedule(0.0, forever)
-
-    sim.schedule(0.0, forever)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=1000)
-
-
 def test_stop_halts_run():
     sim = Simulator()
     seen = []
@@ -188,12 +176,3 @@ def test_events_processed_counter():
         sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.events_processed == 7
-
-
-def test_sim_runtime_adds_nothing_to_the_kernel():
-    # SimRuntime is the kernel behind the Runtime protocol: every
-    # post/schedule must resolve to the kernel's own function object, so
-    # a scenario dispatches the same events on either class.
-    metadata = {"__module__", "__qualname__", "__doc__", "__slots__",
-                "__firstlineno__", "__static_attributes__"}
-    assert set(vars(SimRuntime)) - metadata == set()

@@ -1,16 +1,21 @@
 """Tests for the scenario runner and the timeline renderer."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import ReplicaCluster, StaticMajority
-from repro.tools import (ScenarioError, ScenarioRunner, render_timeline,
-                         run_scenario, state_changes,
-                         summarize_time_in_state)
 from repro.tools.obsreport import main as obsreport_main
+from repro.tools.scenario import (ScenarioError, ScenarioRunner,
+                                  run_scenario)
 from repro.tools.scenario import main as scenario_main
+from repro.tools.timeline import (render_timeline, state_changes,
+                                  summarize_time_in_state)
 
 
 BASIC = {
@@ -269,3 +274,18 @@ class TestTimeline:
         assert totals
         assert sum(totals.values()) == pytest.approx(now, abs=0.01)
         assert totals.get("RegPrim", 0) > 0
+
+
+class TestPackage:
+    def test_running_a_tool_as_main_does_not_warn(self):
+        # runpy warns when ``python -m repro.tools.scenario`` finds the
+        # module already imported by its package's __init__.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.tools.scenario", "--help"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

@@ -32,9 +32,10 @@ from repro.obs.flight import (ANOMALY_CATEGORIES, FlightHub,
 from repro.obs.spans import STALENESS_STRIDE
 from repro.runtime import LiveCluster, live_gcs_settings, udp_cluster
 from repro.storage import DiskProfile
-from repro.tools import (causal_signature, chrome_trace, descendants,
-                         dump_flight, flight_sink, happens_before,
-                         load_rows, merge_rows, render_text)
+from repro.tools.tracecli import (causal_signature, chrome_trace,
+                                  descendants, dump_flight, flight_sink,
+                                  happens_before, load_rows, merge_rows,
+                                  render_text)
 from repro.tools.tracecli import main as trace_main
 from repro.tools.scenario import main as scenario_main
 
