@@ -25,11 +25,9 @@ Faithfulness notes (pseudo-code references in parentheses):
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Optional, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple)
 
 from ..db import Action, ActionId, ActionType, Database
 from ..gcs import Configuration, GroupChannel, ServiceLevel, ViewId
@@ -72,9 +70,9 @@ class EngineConfig:
     quorum: QuorumPolicy = field(default_factory=DynamicLinearVoting)
 
 
-#: stats key -> (metric name, help); the engine's protocol counters now
-#: live in the metrics registry, and :class:`EngineStats` keeps the
-#: historical ``engine.stats`` dict interface as a read-only view.
+#: ``engine.stats`` key -> (metric name, help).  The engine counts in
+#: a plain dict; :class:`~repro.core.replica.Replica` exports each key as
+#: a counter read at collection time.
 ENGINE_COUNTERS = {
     "greens": ("repro_engine_green_actions_total",
                "Actions marked green (globally ordered) at this server."),
@@ -95,32 +93,6 @@ ENGINE_COUNTERS = {
     "client_requests": ("repro_engine_client_requests_total",
                         "Client requests submitted at this server."),
 }
-
-
-class EngineStats(Mapping):
-    """Read-only dict-like view over the engine's registry counters.
-
-    Keeps ``engine.stats["greens"]``-style reads (tests, benchmarks,
-    the baseline adapters) working while the counters themselves live
-    in the :class:`~repro.obs.MetricsRegistry`.
-    """
-
-    __slots__ = ("_counters",)
-
-    def __init__(self, counters: Dict[str, Any]) -> None:
-        self._counters = counters
-
-    def __getitem__(self, key: str) -> int:
-        return int(self._counters[key].value)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return repr(dict(self))
 
 
 class EngineHooks:
@@ -231,25 +203,9 @@ class ReplicationEngine:
         channel.conf_handler = self._on_gcs_conf
         channel.green_line_handler = self._on_green_line
 
-        # statistics: registry counters (fresh children — a rebuilt
-        # engine after crash recovery starts from zero, exactly like
-        # the volatile dict it replaced), with the old dict kept as a
-        # read-only view.
-        registry = self.obs.registry
-        counters = {
-            key: registry.counter(name, help, ("server",))
-                         .labels(server_id, fresh=True)
-            for key, (name, help) in ENGINE_COUNTERS.items()}
-        self._c_greens = counters["greens"]
-        self._c_reds = counters["reds"]
-        self._c_yellows = counters["yellows"]
-        self._c_exchanges = counters["exchanges"]
-        self._c_installs = counters["installs"]
-        self._c_cpc_sent = counters["cpc_sent"]
-        self._c_state_msgs = counters["state_msgs_sent"]
-        self._c_retrans = counters["retrans_actions"]
-        self._c_client_requests = counters["client_requests"]
-        self.stats = EngineStats(counters)
+        # statistics: volatile, so a rebuilt engine after crash
+        # recovery starts from zero.
+        self.stats: Dict[str, int] = dict.fromkeys(ENGINE_COUNTERS, 0)
 
     # ==================================================================
     # public API
@@ -273,7 +229,7 @@ class ReplicationEngine:
         """
         if self.exited:
             raise RuntimeError(f"server {self.server_id} has left the system")
-        self._c_client_requests.inc()
+        self.stats["client_requests"] += 1
         action = self._create_action(update, query, client, meta or {})
         if self._spans is not None:
             self._spans.on_submit(action.action_id, self.sim.now)
@@ -462,7 +418,7 @@ class ReplicationEngine:
         return accepted
 
     def _note_red(self, action: Action, greening: bool = False) -> None:
-        self._c_reds.inc()
+        self.stats["reds"] += 1
         rec = self._flight_append
         if rec is not None and not greening:
             rec((self.sim.now, "red", action.meta.get("trace", 0), None))
@@ -492,7 +448,7 @@ class ReplicationEngine:
         self._mark_red(action)
         if self.queue.color_of(action.action_id) is not None:
             self.yellow.add(action.action_id)
-            self._c_yellows.inc()
+            self.stats["yellows"] += 1
 
     def _mark_green(self, action: Action) -> bool:
         """MarkGreen with the Section 5.1 reconfiguration hook."""
@@ -501,7 +457,7 @@ class ReplicationEngine:
             return False
         position = self.queue.green_count - 1
         self.queue.set_green_line(self.server_id, self.queue.green_count)
-        self._c_greens.inc()
+        self.stats["greens"] += 1
         meta = action.meta
         now = self.sim.now
         spans = self._spans
@@ -521,14 +477,7 @@ class ReplicationEngine:
                 if not tick & _STALENESS_MASK:
                     submitted = meta.get("ts")
                     if submitted is not None:
-                        # Inlined SpanTracker.on_remote_green (same
-                        # reasoning as on_green's inlined observe).
-                        lag = now - submitted
-                        spans.green_lag = lag
-                        hist = spans.staleness_hist
-                        hist.counts[bisect_left(hist.bounds, lag)] += 1
-                        hist.sum += lag
-                        hist.count += 1
+                        spans.on_remote_green(submitted, now)
         rec = self._flight_append
         if rec is not None:
             rec((now, "green", meta.get("trace", 0), position))
@@ -639,7 +588,7 @@ class ReplicationEngine:
         assert self.conf is not None
         self._generation += 1
         generation = self._generation
-        self._c_exchanges.inc()
+        self.stats["exchanges"] += 1
         if self._spans is not None:
             self._spans.on_membership_start(self.sim.now)
         self._state_messages = {}
@@ -669,7 +618,7 @@ class ReplicationEngine:
             vulnerable=self.vulnerable,
             yellow_valid=self.yellow.is_valid,
             yellow_ids=tuple(self.yellow.set))
-        self._c_state_msgs.inc()
+        self.stats["state_msgs_sent"] += 1
         self.channel.multicast(msg, ServiceLevel.SAFE, size=_CONTROL_SIZE)
 
     def _on_state_msg(self, msg: EngineStateMsg) -> None:
@@ -701,7 +650,7 @@ class ReplicationEngine:
         self._green_retrans_sent = True
         for pos, action in self.queue.green_slice(self._plan.green_start,
                                                   self._plan.green_target):
-            self._c_retrans.inc()
+            self.stats["retrans_actions"] += 1
             self.channel.multicast(
                 EngineActionMsg(action=action, green_pos=pos, retrans=True,
                                 green_line=self.queue.green_count),
@@ -722,7 +671,7 @@ class ReplicationEngine:
             for action in self.queue.red_actions_of(creator):
                 if action.action_id.index <= floor:
                     continue
-                self._c_retrans.inc()
+                self.stats["retrans_actions"] += 1
                 self.channel.multicast(
                     EngineActionMsg(action=action, retrans=True,
                                     green_line=self.queue.green_count),
@@ -810,7 +759,7 @@ class ReplicationEngine:
                 or self.state != EngineState.CONSTRUCT):
             return
         assert self.conf is not None
-        self._c_cpc_sent.inc()
+        self.stats["cpc_sent"] += 1
         self.channel.multicast(
             EngineCpcMsg(self.server_id, self.conf.view_id),
             ServiceLevel.SAFE, size=_CONTROL_SIZE)
@@ -857,7 +806,7 @@ class ReplicationEngine:
 
     def _install(self) -> None:
         """Install (A.10)."""
-        self._c_installs.inc()
+        self.stats["installs"] += 1
         if self.yellow.is_valid:
             for action_id in list(self.yellow.set):        # OR-1.2
                 action = self.queue.find(action_id)

@@ -72,18 +72,21 @@ class RepresentativeRole:
         self.chunk_size = chunk_size
         self._senders: Dict[str, SnapshotSender] = {}
         self._sender_meta: Dict[str, TransferHeader] = {}
-        self._c_transfers = self._c_chunks = None
+        self.transfers_started = 0
+        self.chunks_streamed = 0
         obs = getattr(replica, "obs", None)
         if obs is not None and obs.enabled:
             registry = obs.registry
-            self._c_transfers = registry.counter(
+            registry.counter_callback(
                 "repro_transfer_starts_total",
+                lambda: self.transfers_started,
                 "Snapshot transfers started (or resumed) toward a "
-                "joining replica.", ("server",)).labels(replica.node)
-            self._c_chunks = registry.counter(
+                "joining replica.", ("server",), (replica.node,))
+            registry.counter_callback(
                 "repro_transfer_chunks_total",
+                lambda: self.chunks_streamed,
                 "Snapshot chunks streamed to joining replicas.",
-                ("server",)).labels(replica.node)
+                ("server",), (replica.node,))
 
     # -- called by the engine hook when a local JOIN action greens -----
     def start_transfer(self, join: Action, position: int) -> None:
@@ -107,9 +110,8 @@ class RepresentativeRole:
                 from_chunk: int) -> None:
         sender = self._senders[transfer_id]
         header = self._sender_meta[transfer_id]
-        if self._c_transfers is not None:
-            self._c_transfers.inc()
-            self._c_chunks.inc(sender.total - from_chunk)
+        self.transfers_started += 1
+        self.chunks_streamed += sender.total - from_chunk
         self.replica.endpoint.send(joiner_id, header, size=512)
         for seq in range(from_chunk, sender.total):
             self.replica.endpoint.send(joiner_id, sender.chunk(seq),

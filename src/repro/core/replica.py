@@ -20,7 +20,8 @@ from ..net import Datagram
 from ..obs import Observability
 from ..sim import ServiceQueue, Timer
 from ..storage import DiskProfile, SimulatedDisk, StableStore, WriteAheadLog
-from .engine import EngineConfig, EngineHooks, ReplicationEngine
+from .engine import (ENGINE_COUNTERS, EngineConfig, EngineHooks,
+                     ReplicationEngine)
 from .recovery import recover_engine
 from .reconfig import (JoinerProtocol, JoinRequest, RepresentativeRole,
                        TransferHeader, make_leave_action)
@@ -106,7 +107,8 @@ class Replica:
         self.representative = RepresentativeRole(self)
         if self.obs.enabled:
             # Read through ``self.engine``/``self.running`` at collect
-            # time so recovery's engine rebuild is picked up for free.
+            # time, so recovery's rebuilt engine is picked up for free
+            # and its counters restart from zero.
             registry = self.obs.registry
             for name, help, fn in (
                     ("repro_engine_state",
@@ -126,6 +128,10 @@ class Replica:
                      lambda: 1 if self.running else 0)):
                 registry.gauge_callback(name, fn, help,
                                         ("server",), (node,))
+            for key, (name, help) in ENGINE_COUNTERS.items():
+                registry.counter_callback(
+                    name, lambda key=key: self.engine.stats[key], help,
+                    ("server",), (node,))
         self.joiner: Optional[JoinerProtocol] = None   # see join_from
 
         self.cpu = ServiceQueue(sim)

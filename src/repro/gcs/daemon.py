@@ -183,26 +183,27 @@ class GcsDaemon(Actor):
         self.messages_multicast = 0
         self.deliveries = 0
         self.views_installed = 0
-        self._c_gathers = None
+        self.gather_rounds = 0
+        # Gather rounds settled, by what settled them.
+        self.gathers_settled = {"answered": 0, "timer": 0}
         self._h_gather = None
-        self._c_settled: Dict[str, Any] = {}
         if obs is not None and obs.enabled:
             registry = obs.registry
-            self._c_gathers = registry.counter(
+            registry.counter_callback(
                 "repro_gcs_gather_rounds_total",
-                "Membership gather rounds entered.",
-                ("server",)).labels(node)
+                lambda: self.gather_rounds,
+                "Membership gather rounds entered.", ("server",), (node,))
             self._h_gather = registry.histogram(
                 "repro_gcs_gather_seconds",
                 "Membership gather entered to settled.",
                 ("server",)).labels(node)
-            settled = registry.counter(
-                "repro_gcs_gather_settled_total",
-                "Gather rounds settled, by what settled them: every "
-                "expected member answered, or the settle timer.",
-                ("server", "how"))
-            self._c_settled = {how: settled.labels(node, how)
-                               for how in ("answered", "timer")}
+            for how in self.gathers_settled:
+                registry.counter_callback(
+                    "repro_gcs_gather_settled_total",
+                    lambda how=how: self.gathers_settled[how],
+                    "Gather rounds settled, by what settled them: every "
+                    "expected member answered, or the settle timer.",
+                    ("server", "how"), (node, how))
             for name, help, fn in (
                     ("repro_gcs_messages_multicast",
                      "Application messages multicast by the daemon.",
@@ -661,8 +662,7 @@ class GcsDaemon(Actor):
         self._reset_round()
         self.attempt = max(self.attempt, attempt)
         self.state = DaemonState.GATHER
-        if self._c_gathers is not None:
-            self._c_gathers.inc()
+        self.gather_rounds += 1
         self._perceived = {self.node}
         self._gather_began = self.sim.now
         self._log.record(self.sim.now, "gcs.gather",
@@ -734,9 +734,9 @@ class GcsDaemon(Actor):
     def _gather_settled(self, how: str = "timer") -> None:
         if self.state != DaemonState.GATHER:
             return
+        self.gathers_settled[how] += 1
         if self._h_gather is not None:
             self._h_gather.observe(self.sim.now - self._gather_began)
-            self._c_settled[how].inc()
         members = tuple(sorted(self._perceived))
         coordinator = members[0]
         self._gather_announce.stop()

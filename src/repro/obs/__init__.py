@@ -12,11 +12,13 @@ One :class:`Observability` object per deployment (a simulated
 * exporters (:mod:`repro.obs.export`): JSON snapshot, Prometheus text,
   and a live asyncio HTTP endpoint.
 
-Disabled observability (the default for simulated clusters) keeps the
-plain protocol counters alive — they are as cheap as the ad-hoc dicts
-they replaced and several tests assert on them — while span tracking,
-histograms, and callback gauges cost nothing.  See
-``docs/OBSERVABILITY.md`` for the instrument catalog.
+Every count is a plain attribute of the component that keeps it
+(``engine.stats``, ``disk.forced_writes``, the daemon's gather rounds);
+the registry reads them through callbacks at collection time, and only
+histograms are pushed into.  Disabled observability (the default for
+simulated clusters) registers nothing: the registry stays empty, there
+are no span trackers, and the counts stay readable on their
+components.  See ``docs/OBSERVABILITY.md`` for the instrument catalog.
 """
 
 from __future__ import annotations
@@ -28,15 +30,16 @@ from .export import (MetricsServer, fetch_http, lint_prometheus,
 from .flight import FlightHub, FlightRecorder, action_trace_id
 from .metrics import (LATENCY_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, percentile)
-from .spans import (MAX_COMPLETED, ActionSpan, MembershipSpan,
-                    SpanTracker)
+from .spans import MAX_COMPLETED, MembershipSpan, SpanTracker
 
 
 class Observability:
     """Per-deployment bundle: registry, per-node span trackers, and
     the per-node event log (:attr:`flight_hub`).
 
-    The event log always records the rare protocol events (state
+    ``enabled`` is the one metrics switch: components register their
+    instruments, and span trackers exist, only while it is set.  The
+    event log always records the rare protocol events (state
     transitions, view installs, suspicions, crashes; see
     :mod:`repro.obs.flight`).  ``flight=True`` additionally turns on
     distributed tracing: every submitted action gets a deterministic
@@ -49,12 +52,10 @@ class Observability:
     """
 
     def __init__(self, enabled: bool = True,
-                 registry: Optional[MetricsRegistry] = None,
                  flight: bool = False,
                  staleness: bool = False) -> None:
         self.enabled = enabled
-        self.registry = registry if registry is not None \
-            else MetricsRegistry(enabled=enabled)
+        self.registry = MetricsRegistry()
         self.trackers: Dict[Any, SpanTracker] = {}
         self.staleness = staleness and enabled
         self.traced = flight
@@ -88,7 +89,6 @@ class Observability:
 
 
 __all__ = [
-    "ActionSpan",
     "Counter",
     "FlightHub",
     "FlightRecorder",

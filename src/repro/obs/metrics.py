@@ -1,27 +1,25 @@
 """Typed metric instruments and the registry that owns them.
 
 The observability layer's data model is deliberately Prometheus-shaped:
-a registry holds *families* (one per metric name), a family holds one
-*child* per label-value combination, and a child is the object the hot
-path actually touches.  Three instrument kinds:
+a registry holds *families* (one per metric name), and a family holds
+one *child* per label-value combination.  Three instrument kinds:
 
-* :class:`Counter` — monotonically increasing count (``inc``);
-* :class:`Gauge`   — a value that goes up and down (``set``/``inc``);
+* counters and gauges are **read, never pushed**: a component keeps a
+  plain native count (``engine.stats``, ``disk.forced_writes``, a
+  daemon's gather rounds) and registers a callback
+  (:meth:`MetricsRegistry.counter_callback`,
+  :meth:`MetricsRegistry.gauge_callback`) that collection reads into a
+  :class:`Counter` or :class:`Gauge` value holder;
 * :class:`Histogram` — fixed-bucket distribution (``observe``), with
-  quantile estimation by linear interpolation inside the bucket.
+  quantile estimation by linear interpolation inside the bucket — is
+  the one instrument the hot path pushes into.
 
-Cost model (this is what keeps the simulation fast path honest):
-
-* Counter/Gauge children are **always live**, registry enabled or not.
-  A child increment is one attribute add — the same price as the
-  ``engine.stats`` dict bump it replaced — so there is nothing worth
-  gating, and protocol counters keep working in default (metrics-off)
-  clusters.
-* Histograms are the measurable extra (a bisect per observation), so a
-  disabled registry hands out a shared no-op histogram child.
-* Callback gauges (:meth:`MetricsRegistry.gauge_callback`) are read
-  only at collection time — queue depths and state codes cost nothing
-  between scrapes — and a disabled registry drops them entirely.
+Cost model (this is what keeps the simulation fast path honest): the
+hot path pays a native integer add for a count and a bisect for a
+histogram observation; nothing else happens until a scrape.  Components
+register instruments only when :attr:`Observability.enabled
+<repro.obs.Observability.enabled>` is set, so a disabled deployment's
+registry stays empty and its counts are plain attributes.
 
 perfbench reports what instrumentation costs per action
 (``obs.self_us_per_action``); ``tests/test_fig5a_pin.py`` checks that
@@ -60,33 +58,18 @@ def percentile(values: List[float], q: float) -> float:
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A counter's value, read from its callback at collection."""
 
     __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
 
+class Gauge(Counter):
+    """A gauge's value, read from its callback at collection."""
 
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+    __slots__ = ()
 
 
 class Histogram:
@@ -142,25 +125,6 @@ class Histogram:
         return self.bounds[-1]
 
 
-class _NullHistogram:
-    """Shared no-op histogram child handed out by a disabled registry."""
-
-    __slots__ = ()
-    bounds: Tuple[float, ...] = ()
-    counts: List[int] = []
-    sum = 0.0
-    count = 0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-
-NULL_HISTOGRAM = _NullHistogram()
-
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
@@ -171,14 +135,12 @@ class MetricFamily:
 
     def __init__(self, name: str, kind: str, help: str = "",
                  labelnames: Sequence[str] = (),
-                 buckets: Optional[Sequence[float]] = None,
-                 live: bool = True) -> None:
+                 buckets: Optional[Sequence[float]] = None) -> None:
         self.name = name
         self.kind = kind
         self.help = help
         self.labelnames: Tuple[str, ...] = tuple(labelnames)
         self.buckets = tuple(buckets) if buckets is not None else None
-        self.live = live
         self.children: Dict[LabelValues, Any] = {}
 
     def _make_child(self) -> Any:
@@ -186,25 +148,18 @@ class MetricFamily:
             return Counter()
         if self.kind == GAUGE:
             return Gauge()
-        if not self.live:
-            return NULL_HISTOGRAM
         return Histogram(self.buckets if self.buckets is not None
                          else LATENCY_BUCKETS)
 
-    def labels(self, *values: Any, fresh: bool = False) -> Any:
-        """The child for ``values`` (created on first use).
-
-        ``fresh=True`` replaces any existing child with a zeroed one —
-        the counter-reset a component performs when it is rebuilt after
-        a crash (exactly like a process restart under Prometheus).
-        """
+    def labels(self, *values: Any) -> Any:
+        """The child for ``values`` (created on first use)."""
         key = tuple(str(v) for v in values)
         if len(key) != len(self.labelnames):
             raise ValueError(
                 f"{self.name} expects labels {self.labelnames}, "
                 f"got {key}")
         child = self.children.get(key)
-        if child is None or fresh:
+        if child is None:
             child = self.children[key] = self._make_child()
         return child
 
@@ -213,16 +168,9 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """Owns every instrument of one deployment (cluster or process).
+    """Owns every instrument of one deployment (cluster or process)."""
 
-    ``enabled=False`` keeps counters and gauges live (see the module
-    docstring for why) but makes histograms no-ops and drops callback
-    gauges; exporters work against either mode and simply show what the
-    registry holds.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
         self._callbacks: List[Tuple[str, LabelValues,
                                     Callable[[], float]]] = []
@@ -237,20 +185,11 @@ class MetricsRegistry:
         family = self._families.get(name)
         if family is None:
             family = self._families[name] = MetricFamily(
-                name, kind, help, labelnames, buckets,
-                live=(self.enabled or kind != HISTOGRAM))
+                name, kind, help, labelnames, buckets)
         elif family.kind != kind:
             raise ValueError(
                 f"metric {name!r} already registered as {family.kind}")
         return family
-
-    def counter(self, name: str, help: str = "",
-                labelnames: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, COUNTER, help, labelnames)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, GAUGE, help, labelnames)
 
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
@@ -265,8 +204,7 @@ class MetricsRegistry:
         """Register a gauge evaluated at collection time only.
 
         The reading costs nothing between scrapes — the right shape for
-        queue depths, state codes, and mirrored component counters.  A
-        disabled registry drops the registration entirely.
+        queue depths, state codes, and mirrored component counters.
         """
         self._callback(name, GAUGE, fn, help, labelnames, labelvalues)
 
@@ -277,18 +215,17 @@ class MetricsRegistry:
         """Register a counter mirrored from component state at
         collection time only.
 
-        For components that already keep a monotonic native count on
-        their hot path (WAL appends, disk writes): exporting through a
-        callback keeps the instrument off that path entirely while the
-        exposition still advertises counter semantics.
+        Every counter is one: a component keeps a monotonic native
+        count on its hot path (engine greens, WAL appends, disk writes)
+        and the registry reads it here, so the instrument stays off that
+        path entirely while the exposition still advertises counter
+        semantics.
         """
         self._callback(name, COUNTER, fn, help, labelnames, labelvalues)
 
     def _callback(self, name: str, kind: str, fn: Callable[[], float],
                   help: str, labelnames: Sequence[str],
                   labelvalues: Sequence[Any]) -> None:
-        if not self.enabled:
-            return
         self._family(name, kind, help, labelnames)
         values = tuple(str(v) for v in labelvalues)
         self._callbacks.append((name, values, fn))
@@ -298,19 +235,16 @@ class MetricsRegistry:
 
         For instruments that batch hot-path updates natively and fold
         them in lazily (e.g. the span trackers' zero-gap green count).
-        Dropped when the registry is disabled, like callbacks.
         """
-        if not self.enabled:
-            return
         self._collect_hooks.append(fn)
 
     # ------------------------------------------------------------------
     # collection
     # ------------------------------------------------------------------
     def collect(self) -> List[MetricFamily]:
-        """Materialise callback gauges and return every family, sorted
-        by name.  Callback gauges overwrite their child's value; a
-        callback that raises reports NaN rather than killing a scrape."""
+        """Read every callback and return every family, sorted by name.
+        A callback overwrites its child's value; one that raises reports
+        NaN rather than killing a scrape."""
         for hook in self._collect_hooks:
             hook()
         for name, labelvalues, fn in self._callbacks:
@@ -346,9 +280,10 @@ class MetricsRegistry:
         return doc
 
     def get_sample(self, name: str, *labelvalues: Any) -> Optional[Any]:
-        """The child for (name, labels), or None if never registered."""
+        """The child for (name, labels) as of a fresh collection, or
+        None if never registered."""
         family = self._families.get(name)
         if family is None:
             return None
+        self.collect()
         return family.children.get(tuple(str(v) for v in labelvalues))
-

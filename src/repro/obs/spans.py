@@ -20,17 +20,17 @@ intervals:
 Timestamps come from the runtime clock the caller passes in, so the
 same tracker serves virtual (simulated) and wall-clock time.
 
-The histograms are exact over the whole run.  Completed spans are
-additionally retained in a bounded ring for reports and tests — every
-*interesting* span: non-zero red→green gap, or locally submitted.  The
-steady-state majority — red and green at the same instant on a
-non-originator, because the primary orders an action the moment it is
-delivered — carries no information beyond its count, so the engine
-folds it into :attr:`SpanTracker.instant_greens` (one integer add)
-and the tracker flushes that count into the zero bucket of the
-red→green histogram at collection time.  That keeps enabling
-observability cheap on the paper workloads (perfbench reports it as
-``obs.self_us_per_action``).
+The histograms are exact over the whole run; action spans live only
+as the bare timestamps of the still-open ones.  Membership spans are
+additionally retained in a bounded ring (perfbench reads their
+durations).  The steady-state majority of greens — red and green at
+the same instant on a non-originator, because the primary orders an
+action the moment it is delivered — carries no information beyond its
+count, so the engine folds it into :attr:`SpanTracker.instant_greens`
+(one integer add) and the tracker flushes that count into the zero
+bucket of the red→green histogram at collection time.  That keeps
+enabling observability cheap on the paper workloads (perfbench reports
+it as ``obs.self_us_per_action``).
 """
 
 from __future__ import annotations
@@ -49,45 +49,10 @@ from .metrics import MetricsRegistry
 #: on the ordering hot path to a counter increment.
 STALENESS_STRIDE = 8
 
-#: Capacity of every completed-span ring.  The histograms hold the
-#: exact whole-run aggregates; the rings are a recent-samples debug
-#: aid, so they stay small enough never to weigh on the heap.
+#: Capacity of the membership-span ring.  The histograms hold the exact
+#: whole-run aggregates; the ring keeps recent samples, small enough
+#: never to weigh on the heap.
 MAX_COMPLETED = 4096
-
-
-class ActionSpan:
-    """One action's lifecycle at one node."""
-
-    __slots__ = ("action_id", "submitted", "red", "green")
-
-    def __init__(self, action_id: Any,
-                 submitted: Optional[float] = None,
-                 red: Optional[float] = None,
-                 green: Optional[float] = None) -> None:
-        self.action_id = action_id
-        self.submitted = submitted
-        self.red = red
-        self.green = green
-
-    @property
-    def closed(self) -> bool:
-        return self.green is not None
-
-    @property
-    def red_to_green(self) -> Optional[float]:
-        if self.red is None or self.green is None:
-            return None
-        return self.green - self.red
-
-    @property
-    def submit_to_green(self) -> Optional[float]:
-        if self.submitted is None or self.green is None:
-            return None
-        return self.green - self.submitted
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<ActionSpan {self.action_id} submit={self.submitted} "
-                f"red={self.red} green={self.green}>")
 
 
 class MembershipSpan:
@@ -110,16 +75,14 @@ class SpanTracker:
     """Per-node span bookkeeping, feeding the shared registry.
 
     The action hot path stores bare timestamps keyed by action id (no
-    per-action objects until a span is retained in the ring): a
-    ``submit`` or ``red`` is one dict write, a ``green`` is a pop plus
-    a histogram observation.
+    per-action objects): a ``submit`` or ``red`` is one dict write, a
+    ``green`` is a pop plus a histogram observation.
     """
 
     __slots__ = ("node", "_h_red_green", "_h_submit_green",
                  "_h_membership", "_h_vulnerable", "_red_at",
-                 "_submit_at", "instant_greens", "completed",
-                 "membership_open", "membership_completed",
-                 "vulnerable_open", "vulnerable_completed",
+                 "_submit_at", "instant_greens", "membership_open",
+                 "membership_completed", "vulnerable_open",
                  "_registry", "staleness_hist", "green_lag")
 
     def __init__(self, registry: MetricsRegistry, node: Any) -> None:
@@ -150,13 +113,10 @@ class SpanTracker:
         # :meth:`flush` (hooked into registry collection).
         self.instant_greens = 0
         registry.collect_hook(self.flush)
-        self.completed: Deque[ActionSpan] = deque(maxlen=MAX_COMPLETED)
         self.membership_open: Optional[MembershipSpan] = None
         self.membership_completed: Deque[MembershipSpan] = \
             deque(maxlen=MAX_COMPLETED)
         self.vulnerable_open: Optional[float] = None
-        self.vulnerable_completed: Deque[Tuple[float, float]] = \
-            deque(maxlen=MAX_COMPLETED)
         # Staleness probe (opt-in, see :meth:`enable_staleness`): the
         # histogram is created lazily so deployments that never measure
         # replica lag pay nothing, not even an empty instrument.
@@ -195,7 +155,6 @@ class SpanTracker:
         submitted = self._submit_at.pop(action_id, None)
         if submitted is not None:
             self._h_submit_green.observe(now - submitted)
-        self.completed.append(ActionSpan(action_id, submitted, red, now))
 
     def flush(self) -> None:
         """Fold the batched zero-gap green count into the red→green
@@ -209,22 +168,14 @@ class SpanTracker:
 
     @property
     def greens_total(self) -> int:
-        """Exact number of closed action spans (ring keeps only the
-        interesting ones)."""
+        """Exact number of closed action spans."""
         return self._h_red_green.count + self.instant_greens
 
     @property
-    def open(self) -> Dict[Any, ActionSpan]:
-        """Open spans, materialized from the timestamp maps."""
-        spans: Dict[Any, ActionSpan] = {}
-        for action_id, submitted in self._submit_at.items():
-            spans[action_id] = ActionSpan(action_id, submitted=submitted)
-        for action_id, red in self._red_at.items():
-            span = spans.get(action_id)
-            if span is None:
-                span = spans[action_id] = ActionSpan(action_id)
-            span.red = red
-        return spans
+    def membership_changes(self) -> int:
+        """Exact number of closed membership spans (the ring keeps only
+        the last :data:`MAX_COMPLETED`)."""
+        return self._h_membership.count
 
     # ------------------------------------------------------------------
     # membership lifecycle
@@ -256,7 +207,6 @@ class SpanTracker:
         opened = self.vulnerable_open
         if opened is not None:
             self._h_vulnerable.observe(now - opened)
-            self.vulnerable_completed.append((opened, now))
             self.vulnerable_open = None
 
     # ------------------------------------------------------------------
@@ -291,14 +241,11 @@ class SpanTracker:
     def on_remote_green(self, submitted: float, now: float) -> None:
         """A green action originated at another replica: observe the
         submit→local-green lag.  Only called when staleness probing is
-        enabled (the engine keeps a None-check on the hot path)."""
+        enabled, on the engine's one-in-:data:`STALENESS_STRIDE`
+        sample."""
         lag = now - submitted
         self.green_lag = lag
-        histogram = self.staleness_hist
-        # Inlined Histogram.observe, same reasoning as on_green.
-        histogram.counts[bisect_left(histogram.bounds, lag)] += 1
-        histogram.sum += lag
-        histogram.count += 1
+        self.staleness_hist.observe(lag)
 
     def staleness_percentiles(self, qs: Tuple[float, ...] =
                               (0.50, 0.95, 0.99)) -> Optional[List[float]]:
@@ -316,9 +263,7 @@ class SpanTracker:
                             qs: Tuple[float, ...] = (0.50, 0.95, 0.99)
                             ) -> List[float]:
         """Whole-run percentiles from the exact latency histograms
-        (bucket-interpolated, Prometheus ``histogram_quantile`` style;
-        the ring only retains the interesting spans, so it is not used
-        here)."""
+        (bucket-interpolated, Prometheus ``histogram_quantile`` style)."""
         self.flush()
         histogram = (self._h_red_green if which == "red_to_green"
                      else self._h_submit_green)
@@ -331,5 +276,5 @@ class SpanTracker:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SpanTracker node={self.node} "
                 f"open={len(self._red_at) + len(self._submit_at)} "
-                f"completed={len(self.completed)}>")
+                f"greens={self.greens_total}>")
 

@@ -117,10 +117,12 @@ class LiveCluster(Cluster):
         if isinstance(transport, AsyncioTransport):
             transport.observe(obs)
         runtime.observe(obs)
-        obs.registry.counter_callback(
-            "repro_runtime_callback_errors_total",
-            lambda: runtime.callback_errors,
-            "Exceptions raised by callbacks on this cluster's event loop.")
+        if obs.enabled:
+            obs.registry.counter_callback(
+                "repro_runtime_callback_errors_total",
+                lambda: runtime.callback_errors,
+                "Exceptions raised by callbacks on this cluster's event "
+                "loop.")
         self._metrics_server: Optional[MetricsServer] = None
         super().__init__(
             runtime, transport, server_ids,
@@ -183,8 +185,7 @@ class LiveCluster(Cluster):
                     "submit_to_green")
                 entry["submit_to_green"] = {"p50": p50, "p95": p95,
                                             "p99": p99}
-                entry["membership_changes"] = \
-                    len(tracker.membership_completed)
+                entry["membership_changes"] = tracker.membership_changes
             doc["replicas"][str(node)] = entry
         return doc
 

@@ -165,11 +165,12 @@ class AsyncioTransport(_LiveFabric):
         if self._obs is not None:
             return
         self._obs = obs
-        obs.registry.counter_callback(
-            "repro_transport_oversize_dropped_total",
-            lambda: self.oversize_dropped,
-            "Frames dropped at send because they encode larger than "
-            "one UDP datagram.")
+        if obs.enabled:
+            obs.registry.counter_callback(
+                "repro_transport_oversize_dropped_total",
+                lambda: self.oversize_dropped,
+                "Frames dropped at send because they encode larger "
+                "than one UDP datagram.")
 
     # -- socket lifecycle ----------------------------------------------
     def open(self, node: int,

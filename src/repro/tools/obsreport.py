@@ -3,9 +3,11 @@
 Runs a workload with observability enabled and prints, per replica:
 
 * action latency percentiles — red→green and submit→green p50/p95/p99
-  (exact, over the retained completed spans);
-* membership changes — count and total/max duration from steady state
-  lost to primary installed, plus closed vulnerable windows, and the
+  (bucket-interpolated from the whole-run histograms);
+* membership changes — count and total duration (exact, from the
+  histograms) and max duration (over the span ring's recent changes)
+  from steady state lost to primary installed, plus closed vulnerable
+  windows, and the
   GCS gather rounds: how many settled on every expected member's
   answer and how many on the settle timer, with the gather p50;
 * fsync accounting — forced writes, platter syncs (group commits), and
@@ -77,20 +79,24 @@ def build_report(obs: Observability) -> Dict[str, Any]:
         syncs = sample("repro_disk_syncs", node)
         sync_hist = sample("repro_disk_sync_wait_seconds", node, {})
         gather_hist = sample("repro_gcs_gather_seconds", node, {})
+        # Counts and sums from the exact histograms; the span ring keeps
+        # only the last MAX_COMPLETED membership changes.
+        membership = sample("repro_membership_change_seconds", node, {})
+        vulnerable = sample("repro_vulnerable_window_seconds", node, {})
         doc["replicas"][str(node)] = {
             "actions_completed": tracker.greens_total,
             "red_to_green": dict(zip(("p50", "p95", "p99"), red_green)),
             "submit_to_green": dict(zip(("p50", "p95", "p99"),
                                         submit_green)),
-            "membership_changes": len(durations),
-            "membership_total_s": sum(durations),
+            "membership_changes": membership.get("count", 0),
+            "membership_total_s": membership.get("sum", 0.0),
             "membership_max_s": max(durations) if durations else 0.0,
             "gathers_answered": int(sample(
                 "repro_gcs_gather_settled_total", node, 0, "answered")),
             "gathers_timer": int(sample(
                 "repro_gcs_gather_settled_total", node, 0, "timer")),
             "gather_p50_s": gather_hist.get("p50", 0.0),
-            "vulnerable_windows": len(tracker.vulnerable_completed),
+            "vulnerable_windows": vulnerable.get("count", 0),
             "forced_writes": int(forced),
             "syncs": int(syncs),
             "sync_wait_mean_s": (sync_hist.get("sum", 0.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import make_cluster
+from repro.obs import Observability
 
 
 @pytest.fixture
@@ -76,3 +77,49 @@ def test_state_and_cpc_message_counts_match_membership(cluster):
     # Initial formation: one state message and one CPC per member.
     assert state_msgs == 3
     assert cpcs == 3
+
+
+def test_disabled_observability_keeps_counts_and_registers_nothing():
+    """The engine counts in ``engine.stats`` whatever the observability;
+    a disabled deployment's registry never sees an instrument."""
+    obs = Observability.disabled()
+    c = make_cluster(3, observability=obs)
+    c.start_all(settle=1.0)
+    client = c.client(1)
+    for _ in range(10):
+        client.submit(("INC", "n", 1))
+    c.run_for(1.0)
+    assert obs.registry.collect() == []
+    for replica in c.replicas.values():
+        assert replica.engine.stats["greens"] == 10
+
+
+def test_recovered_replica_counters_restart_from_zero():
+    """The exported counters read the live engine: a recovered
+    replica's rebuilt engine starts from zero, its peers keep
+    counting."""
+    obs = Observability()
+    c = make_cluster(3, observability=obs)
+    c.start_all(settle=1.0)
+
+    def greens(node):
+        return obs.registry.get_sample(
+            "repro_engine_green_actions_total", node).value
+
+    def submit(count):
+        for _ in range(count):
+            c.client(1).submit(("INC", "n", 1))
+        c.run_for(1.0)
+
+    submit(5)
+    assert [greens(node) for node in (1, 2, 3)] == [5, 5, 5]
+    c.crash(3)
+    submit(5)
+    c.recover(3)
+    assert greens(3) == c.replicas[3].engine.stats["greens"] == 0
+    c.run_for(2.0)
+    submit(3)
+    c.assert_converged()
+    assert greens(1) == greens(2) == 13
+    assert greens(3) == c.replicas[3].engine.stats["greens"]
+    assert 0 < greens(3) < 13

@@ -19,10 +19,10 @@ from repro.obs import (MetricsRegistry, MetricsServer, Observability,
 
 def populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
-    registry.counter("repro_test_total", "A counter.",
-                     labelnames=("server",)).labels(1).inc(3)
-    registry.gauge("repro_test_depth", "A gauge.",
-                   labelnames=("server",)).labels(1).set(2)
+    registry.counter_callback("repro_test_total", lambda: 3, "A counter.",
+                              ("server",), (1,))
+    registry.gauge_callback("repro_test_depth", lambda: 2, "A gauge.",
+                            ("server",), (1,))
     histogram = registry.histogram(
         "repro_test_seconds", "A histogram.",
         labelnames=("server",), buckets=(0.001, 0.01)).labels(1)
@@ -46,8 +46,9 @@ class TestPrometheusText:
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
-        registry.gauge("repro_test_depth",
-                       labelnames=("name",)).labels('a"b\\c\nd').set(1)
+        registry.gauge_callback("repro_test_depth", lambda: 1,
+                                labelnames=("name",),
+                                labelvalues=('a"b\\c\nd',))
         text = prometheus_text(registry)
         assert r'name="a\"b\\c\nd"' in text
         assert lint_prometheus(text) == []
@@ -157,14 +158,16 @@ class TestMetricsServer:
 
     def test_scrape_sees_live_updates(self):
         registry = MetricsRegistry()
-        counter = registry.counter("repro_test_total").labels()
+        native = {"count": 0}
+        registry.counter_callback("repro_test_total",
+                                  lambda: native["count"])
 
         async def scrape_twice():
             server = await MetricsServer(registry, port=0).start()
             try:
                 first = await fetch_http("127.0.0.1", server.port,
                                          "/metrics")
-                counter.inc(5)
+                native["count"] += 5
                 second = await fetch_http("127.0.0.1", server.port,
                                           "/metrics")
             finally:

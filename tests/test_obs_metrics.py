@@ -1,28 +1,14 @@
-"""Metrics registry: instruments, labels, callbacks, disabled mode."""
+"""Metrics registry: instruments, labels, callbacks, collection."""
 
 import math
 
 import pytest
 
-from repro.obs.metrics import (LATENCY_BUCKETS, NULL_HISTOGRAM, Counter,
-                               Gauge, Histogram, MetricsRegistry,
+from repro.obs.metrics import (LATENCY_BUCKETS, Histogram, MetricsRegistry,
                                percentile)
 
 
 class TestInstruments:
-    def test_counter_accumulates(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.set(10.0)
-        gauge.inc(2.0)
-        gauge.dec(5.0)
-        assert gauge.value == 7.0
-
     def test_histogram_buckets_and_sum(self):
         histogram = Histogram(bounds=(1.0, 2.0, 4.0))
         for value in (0.5, 1.0, 1.5, 3.0, 100.0):
@@ -62,44 +48,34 @@ class TestInstruments:
 class TestRegistry:
     def test_families_deduplicate_by_name(self):
         registry = MetricsRegistry()
-        first = registry.counter("repro_test_total", labelnames=("server",))
-        second = registry.counter("repro_test_total",
-                                  labelnames=("server",))
+        first = registry.histogram("repro_test_seconds",
+                                   labelnames=("server",))
+        second = registry.histogram("repro_test_seconds",
+                                    labelnames=("server",))
         assert first is second
 
     def test_kind_conflict_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("repro_test_total")
+        registry.histogram("repro_test_total")
         with pytest.raises(ValueError):
-            registry.gauge("repro_test_total")
+            registry.gauge_callback("repro_test_total", lambda: 0.0)
 
     def test_label_arity_enforced(self):
         registry = MetricsRegistry()
-        family = registry.counter("repro_test_total",
-                                  labelnames=("server",))
+        family = registry.histogram("repro_test_seconds",
+                                    labelnames=("server",))
         with pytest.raises(ValueError):
             family.labels("a", "b")
 
     def test_children_keyed_by_label_values(self):
         registry = MetricsRegistry()
-        family = registry.counter("repro_test_total",
-                                  labelnames=("server",))
-        family.labels(1).inc()
-        family.labels(1).inc()
-        family.labels(2).inc()
-        assert family.labels(1).value == 2.0
-        assert family.labels(2).value == 1.0
-
-    def test_fresh_labels_reset_the_child(self):
-        """A component rebuilt after a crash starts its counters at
-        zero, like a process restart under Prometheus."""
-        registry = MetricsRegistry()
-        family = registry.counter("repro_test_total",
-                                  labelnames=("server",))
-        family.labels(1).inc(5)
-        child = family.labels(1, fresh=True)
-        assert child.value == 0.0
-        assert family.labels(1) is child
+        family = registry.histogram("repro_test_seconds",
+                                    labelnames=("server",))
+        family.labels(1).observe(0.1)
+        family.labels(1).observe(0.2)
+        family.labels(2).observe(0.3)
+        assert family.labels(1).count == 2
+        assert family.labels(2).count == 1
 
     def test_counter_callback_mirrors_native_count(self):
         registry = MetricsRegistry()
@@ -112,6 +88,17 @@ class TestRegistry:
         assert registry.get_sample("repro_test_total", 1).value == 7.0
         native["appends"] = 9
         assert registry.snapshot()["repro_test_total"]["1"] == 9.0
+
+    def test_get_sample_reads_callbacks_first(self):
+        """No collection has run yet: the sample is read on demand."""
+        registry = MetricsRegistry()
+        native = {"greens": 4}
+        registry.counter_callback("repro_test_total",
+                                  lambda: native["greens"],
+                                  labelnames=("server",), labelvalues=(1,))
+        assert registry.get_sample("repro_test_total", 1).value == 4.0
+        native["greens"] = 6
+        assert registry.get_sample("repro_test_total", 1).value == 6.0
 
     def test_failing_callback_reports_nan_not_raise(self):
         registry = MetricsRegistry()
@@ -132,15 +119,15 @@ class TestRegistry:
 
     def test_collect_sorted_by_name(self):
         registry = MetricsRegistry()
-        registry.counter("repro_b_total").labels()
-        registry.counter("repro_a_total").labels()
+        registry.counter_callback("repro_b_total", lambda: 0)
+        registry.histogram("repro_a_seconds").labels()
         assert [f.name for f in registry.collect()] == \
-            ["repro_a_total", "repro_b_total"]
+            ["repro_a_seconds", "repro_b_total"]
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
-        registry.counter("repro_test_total",
-                         labelnames=("server",)).labels(1).inc(3)
+        registry.counter_callback("repro_test_total", lambda: 3,
+                                  labelnames=("server",), labelvalues=(1,))
         histogram = registry.histogram(
             "repro_test_seconds", labelnames=("server",)).labels(1)
         histogram.observe(0.002)
@@ -159,37 +146,3 @@ class TestRegistry:
         registry = MetricsRegistry()
         child = registry.histogram("repro_test_seconds").labels()
         assert child.bounds == LATENCY_BUCKETS
-
-
-class TestDisabledRegistry:
-    """Disabled = counters/gauges stay live, everything else free."""
-
-    def test_counters_and_gauges_stay_live(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("repro_test_total").labels().inc()
-        registry.gauge("repro_test_depth").labels().set(4)
-        doc = registry.snapshot()
-        assert doc["repro_test_total"][""] == 1.0
-        assert doc["repro_test_depth"][""] == 4.0
-
-    def test_histograms_become_shared_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        one = registry.histogram("repro_a_seconds").labels()
-        two = registry.histogram("repro_b_seconds").labels()
-        assert one is NULL_HISTOGRAM and two is NULL_HISTOGRAM
-        one.observe(1.0)
-        assert one.count == 0
-        assert one.quantile(0.99) == 0.0
-
-    def test_callbacks_and_hooks_dropped(self):
-        registry = MetricsRegistry(enabled=False)
-        fired = []
-        registry.gauge_callback("repro_test_depth",
-                                lambda: fired.append("g") or 0.0)
-        registry.counter_callback("repro_test_total",
-                                  lambda: fired.append("c") or 0.0)
-        registry.collect_hook(lambda: fired.append("h"))
-        registry.collect()
-        assert fired == []
-        # The callback families were never even registered.
-        assert registry.get_sample("repro_test_depth") is None

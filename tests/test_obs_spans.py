@@ -2,17 +2,22 @@
 
 The integration test is the observability layer's end-to-end contract:
 run a real cluster through steady state, a partition, and a remerge,
-and check that every span the trackers closed is internally consistent
-(monotonic timestamps), that membership spans closed on the primary
-install, that vulnerable windows are not left dangling, and that the
-batched zero-gap green count folds into the histogram exactly.
+and check that every tracker closed a span for every green, that
+submit spans close only at originators, that membership spans closed
+on the primary install, that vulnerable windows are not left dangling,
+and that the batched zero-gap green count folds into the histogram
+exactly.
 """
+
+import asyncio
 
 import pytest
 
 from conftest import make_cluster
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import MAX_COMPLETED, MetricsRegistry, Observability
 from repro.obs.spans import SpanTracker
+from repro.runtime import AsyncioRuntime, LiveCluster
+from repro.tools.obsreport import build_report
 
 
 # ----------------------------------------------------------------------
@@ -24,44 +29,45 @@ def make_tracker():
     return registry, SpanTracker(registry, node=1)
 
 
+def histogram(registry, name):
+    return registry.get_sample(f"repro_{name}_seconds", 1)
+
+
 class TestSpanTrackerUnit:
     def test_submit_red_green_closes_a_span(self):
-        _, tracker = make_tracker()
+        registry, tracker = make_tracker()
         tracker.on_submit("a1", 1.0)
         tracker.on_red("a1", 2.0)
         tracker.on_green("a1", 5.0)
-        span = tracker.completed[-1]
-        assert span.closed
-        assert (span.submitted, span.red, span.green) == (1.0, 2.0, 5.0)
-        assert span.red_to_green == pytest.approx(3.0)
-        assert span.submit_to_green == pytest.approx(4.0)
-        assert not tracker.open
+        red_green = histogram(registry, "action_red_to_green")
+        submit_green = histogram(registry, "action_submit_to_green")
+        assert (red_green.count, submit_green.count) == (1, 1)
+        assert red_green.sum == pytest.approx(3.0)
+        assert submit_green.sum == pytest.approx(4.0)
+        # Closed: a second green of the same id has no red to measure.
+        tracker.on_green("a1", 9.0)
+        assert red_green.sum == pytest.approx(3.0)
+        assert submit_green.count == 1
 
     def test_duplicate_submit_and_red_keep_first_timestamp(self):
-        _, tracker = make_tracker()
+        registry, tracker = make_tracker()
+        tracker.on_submit("a1", 1.0)
+        tracker.on_submit("a1", 1.5)
         tracker.on_red("a1", 2.0)
         tracker.on_red("a1", 3.0)
         tracker.on_green("a1", 4.0)
-        assert tracker.completed[-1].red == 2.0
+        assert histogram(registry, "action_red_to_green").sum \
+            == pytest.approx(2.0)
+        assert histogram(registry, "action_submit_to_green").sum \
+            == pytest.approx(3.0)
 
     def test_green_without_red_is_zero_gap(self):
-        _, tracker = make_tracker()
+        registry, tracker = make_tracker()
         tracker.on_green("a1", 7.0)
-        span = tracker.completed[-1]
-        assert span.red == 7.0
-        assert span.red_to_green == 0.0
-        assert span.submitted is None
-        assert span.submit_to_green is None
-
-    def test_open_property_materializes_both_maps(self):
-        _, tracker = make_tracker()
-        tracker.on_submit("a1", 1.0)
-        tracker.on_red("a1", 2.0)
-        tracker.on_red("a2", 3.0)
-        spans = tracker.open
-        assert spans["a1"].submitted == 1.0 and spans["a1"].red == 2.0
-        assert spans["a2"].submitted is None and spans["a2"].red == 3.0
-        assert not spans["a1"].closed
+        red_green = histogram(registry, "action_red_to_green")
+        assert (red_green.count, red_green.sum) == (1, 0.0)
+        assert red_green.counts[0] == 1
+        assert histogram(registry, "action_submit_to_green").count == 0
 
     def test_instant_greens_flush_into_zero_bucket(self):
         registry, tracker = make_tracker()
@@ -96,13 +102,14 @@ class TestSpanTrackerUnit:
         assert tracker.membership_durations() == [pytest.approx(3.0)]
 
     def test_install_closes_the_vulnerable_window(self):
-        _, tracker = make_tracker()
+        registry, tracker = make_tracker()
         tracker.on_membership_start(1.0)
         tracker.open_vulnerable(2.0)
         tracker.open_vulnerable(2.5)        # second vote, same window
         tracker.on_install(3.0)
         assert tracker.vulnerable_open is None
-        assert list(tracker.vulnerable_completed) == [(2.0, 3.0)]
+        window = histogram(registry, "vulnerable_window")
+        assert (window.count, window.sum) == (1, pytest.approx(1.0))
 
     def test_invalidated_attempt_closes_window_without_install(self):
         _, tracker = make_tracker()
@@ -144,22 +151,6 @@ class TestPartitionRemergeSpans:
         assert len(set(totals.values())) == 1, totals
         assert next(iter(totals.values())) >= 30
 
-    def test_completed_spans_have_monotonic_timestamps(self,
-                                                       partitioned_run):
-        _, obs = partitioned_run
-        for tracker in obs.trackers.values():
-            assert tracker.completed
-            last_green = 0.0
-            for span in tracker.completed:
-                assert span.closed
-                if span.submitted is not None:
-                    assert span.submitted <= span.green
-                assert span.red is not None
-                assert span.red <= span.green
-                # Greens close in order at each node.
-                assert span.green >= last_green
-                last_green = span.green
-
     def test_membership_spans_closed_on_install(self, partitioned_run):
         cluster, obs = partitioned_run
         for node in cluster.server_ids:
@@ -180,9 +171,10 @@ class TestPartitionRemergeSpans:
         for node in cluster.server_ids:
             tracker = obs.trackers[node]
             assert tracker.vulnerable_open is None
-            assert tracker.vulnerable_completed
-            for opened, closed in tracker.vulnerable_completed:
-                assert closed >= opened
+            window = obs.registry.get_sample(
+                "repro_vulnerable_window_seconds", node)
+            assert window.count >= 1
+            assert window.sum >= 0.0
 
     def test_histogram_count_matches_greens_after_collect(
             self, partitioned_run):
@@ -197,10 +189,10 @@ class TestPartitionRemergeSpans:
 
     def test_submit_spans_only_at_originators(self, partitioned_run):
         cluster, obs = partitioned_run
-        originated = 0
-        for tracker in obs.trackers.values():
-            originated += sum(1 for span in tracker.completed
-                              if span.submitted is not None)
+        originated = sum(
+            obs.registry.get_sample("repro_action_submit_to_green_seconds",
+                                    node).count
+            for node in cluster.server_ids)
         assert originated == 30              # one span per client submit
 
     def test_report_percentiles_are_finite_and_ordered(self,
@@ -210,3 +202,33 @@ class TestPartitionRemergeSpans:
             p50, p95, p99 = \
                 tracker.latency_percentiles("submit_to_green")
             assert 0.0 <= p50 <= p95 <= p99 < 60.0
+
+
+# ----------------------------------------------------------------------
+# whole-run counts outlive the span ring
+# ----------------------------------------------------------------------
+
+def test_membership_counts_are_exact_past_the_span_ring():
+    """/status and obsreport count membership changes and vulnerable
+    windows from the histograms, not from the bounded span ring."""
+    cycles = MAX_COMPLETED + 1
+    obs = Observability()
+    loop = asyncio.new_event_loop()
+    cluster = LiveCluster([1], runtime=AsyncioRuntime(loop),
+                          observability=obs)
+    try:
+        tracker = obs.tracker(1)
+        for cycle in range(cycles):
+            tracker.on_membership_start(float(cycle))
+            tracker.open_vulnerable(cycle + 0.25)
+            tracker.on_install(cycle + 0.5)
+        assert len(tracker.membership_completed) == MAX_COMPLETED
+        status = cluster.status_doc()["replicas"]["1"]
+        assert status["membership_changes"] == cycles
+        report = build_report(obs)["replicas"]["1"]
+        assert report["membership_changes"] == cycles
+        assert report["membership_total_s"] == pytest.approx(cycles * 0.5)
+        assert report["vulnerable_windows"] == cycles
+    finally:
+        cluster.shutdown()
+        loop.close()

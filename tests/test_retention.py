@@ -2,7 +2,8 @@
 
 Per applied action a replica keeps one packed 8-byte id word and
 nothing the garbage collector tracks: the action queue truncates at the
-white line, the WAL compacts, the span ring wraps.  Deterministic — the
+white line, the WAL compacts, and closed action spans live only in the
+latency histograms.  Deterministic — the
 gate counts ``gc.get_objects()``, no wall clock — on both runtimes,
 with every retention knob at its library default.
 
@@ -33,7 +34,8 @@ from conftest import make_cluster, recoverable_greens
 
 NODES = (1, 2, 3)
 # Every node originates a third of the load (a silent member pins the
-# white line), so each span ring is full once N actions are green.
+# white line): N actions are enough greens for a per-green leak to
+# show against MAX_TRACKED_PER_ACTION.
 N = 3 * MAX_COMPLETED
 BATCH = 256
 MAX_TRACKED_PER_ACTION = 0.5
@@ -65,8 +67,6 @@ def _assert_flat(before, after, cluster):
     assert per_action < MAX_TRACKED_PER_ACTION, \
         f"{per_action:.2f} tracked objects retained per green action"
     for node in NODES:
-        assert len(cluster.obs.trackers[node].completed) \
-            == MAX_COMPLETED
         assert cluster.replicas[node].database.applied_count == 2 * N
 
 
