@@ -14,7 +14,6 @@ Modes (combine freely; at least one required):
 * ``--coverage`` — Figure-4 edge coverage of the exploration
   portfolio; fails if any live edge is unexercised or an EVS-shadowed
   edge fires.
-* ``--tla FILE`` — export the transition system as a TLA+ module.
 
 ``--json FILE`` writes the combined machine-readable report (``-`` for
 stdout).  Exit code 0 on success, 1 on violations/failures (inverted
@@ -41,8 +40,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="run seeded fault-schedule fuzzing")
     modes.add_argument("--coverage", action="store_true",
                        help="measure Figure-4 edge coverage")
-    modes.add_argument("--tla", metavar="FILE", default=None,
-                       help="export the TLA+ module to FILE")
 
     mc = parser.add_argument_group("model checker")
     mc.add_argument("--nodes", type=int, default=4,
@@ -87,9 +84,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(- for stdout)")
     args = parser.parse_args(argv)
 
-    if not (args.mc or args.fuzz or args.coverage or args.tla):
-        parser.error("pick at least one mode: "
-                     "--mc / --fuzz / --coverage / --tla")
+    if not (args.mc or args.fuzz or args.coverage):
+        parser.error("pick at least one mode: --mc / --fuzz / --coverage")
 
     report: Dict[str, Any] = {}
     problems = 0       # everything that should fail a clean run
@@ -118,15 +114,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         fuzz_failures = _run_fuzz(args, report)
         problems += fuzz_failures
         found += fuzz_failures
-
-    if args.tla:
-        from .tla import export_tla
-        text = export_tla()
-        with open(args.tla, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"tla: wrote {args.tla} ({len(text.splitlines())} lines)")
-        report["tla"] = {"path": args.tla,
-                         "lines": len(text.splitlines())}
 
     if args.json:
         payload = json.dumps(report, indent=2, sort_keys=True)

@@ -4,9 +4,11 @@ Where the model checker (:mod:`repro.check.mc`) explores an abstract
 model exhaustively, the fuzzer drives the *real* system — GCS daemons,
 replication engines, disks, the works — through seeded random fault
 schedules drawn from :func:`random_fault_schedule`, then checks the
-global end-to-end invariants: green-prefix consistency, convergence
-after the final heal, a re-formed primary component, and durability of
-every completed action.
+global end-to-end invariants: the safety rules of
+:mod:`repro.core.invariants` over the real engines (``green-prefix``,
+then ``single-primary``, ``unique-install`` and ``vulnerable-net``),
+convergence after the final heal, a re-formed primary component, and
+durability of every completed action.
 
 Everything is plain data.  A fuzz case is rendered into a
 ``tools/scenario.py`` spec (JSON-compatible) and executed via

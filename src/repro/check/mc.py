@@ -4,17 +4,16 @@ Breadth-first exploration with canonical-state deduplication.  BFS
 order makes every reported counterexample *minimal*: the trace to a
 violating state is a shortest event sequence reaching it.
 
-Checked per reachable state:
+Checked per reachable state, by the rules of
+:mod:`repro.core.invariants` (the ones every cluster evaluates over
+its real engines):
 
-* safety — at most one regular primary, pairwise green-prefix
-  consistency, unique installation per primary index, and the
-  vulnerable-record guard (every component holding a quorum of the
-  previous primary contains an install holder or a still-vulnerable
-  member);
+* safety — ``single-primary``, ``green-prefix``, ``unique-install`` and
+  ``vulnerable-net``, through :meth:`Model.check_safety` after every
+  event;
 * liveness — on *quiescent* states (no delivery, exchange, or
-  view-formation event enabled), wedge detection: a member stuck in
-  Construct, or a settled non-primary component that the unmutated
-  reference protocol says should form a primary.
+  view-formation event enabled), the wedge rules ``construct-stuck``
+  and ``quorum-wedge``, through :meth:`Model.find_wedges`.
 """
 
 from __future__ import annotations

@@ -30,7 +30,11 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
                     NamedTuple, Optional, Set, Tuple)
 
 from ..core.engine import EngineConfig, EngineHooks, ReplicationEngine
-from ..core.knowledge import Knowledge, compute_knowledge
+from ..core.invariants import (ActionTok, EngineRecord, Prim, Report, Vuln,
+                               construct_stuck, engine_record, green_prefix,
+                               quorum_wedge, record_report, report_message,
+                               single_primary, unique_install,
+                               vulnerable_net)
 from ..core.messages import EngineActionMsg, EngineCpcMsg, EngineStateMsg
 from ..core.quorum import DynamicLinearVoting, QuorumPolicy, StaticMajority
 from ..core.records import (INVALID, VALID, PrimComponent, Vulnerable,
@@ -42,9 +46,6 @@ from ..obs import Observability
 from ..sim import Simulator
 
 _S = EngineState
-
-#: A model action token: (creator node, per-creator sequence number).
-ActionTok = Tuple[int, int]
 
 #: A recorded Figure-4 edge: (input kind, old state, new state).
 EdgeUse = Tuple[EngineInput, EngineState, EngineState]
@@ -69,17 +70,17 @@ class ModelInternalError(Exception):
 
 class ModelNode(NamedTuple):
     """One server's state (hashable): the first :data:`_RECORD` fields
-    are the engine's, the rest the group communication model's."""
+    are the engine's (:class:`~repro.core.invariants.EngineRecord`),
+    the rest the group communication model's."""
 
     state: EngineState
     green: Tuple[ActionTok, ...]
     red: Tuple[ActionTok, ...]
     yellow_valid: bool
     yellow: Tuple[ActionTok, ...]
-    prim: Tuple[int, int, Tuple[int, ...]]  # (prim_index, attempt, servers)
+    prim: Prim
     attempt: int
-    # (prim_index, attempt_index, members, true-bit members) or None
-    vuln: Optional[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]]
+    vuln: Optional[Vuln]
     votes: FrozenSet[int]
     cbuf: Tuple[ActionTok, ...]  # actions buffered while in Construct
     view: Optional[Tuple[int, Tuple[int, ...]]]  # (epoch, members)
@@ -88,16 +89,9 @@ class ModelNode(NamedTuple):
 
 
 #: Number of leading ModelNode fields the engine reacts on and rewrites.
-_RECORD = 10
+_RECORD = len(EngineRecord._fields)
 
-#: member -> frozen exchange report: (green, prim, attempt, vuln,
-#: yellow_valid, yellow); captured when the view forms.
-Report = Tuple[Tuple[ActionTok, ...],
-               Tuple[int, int, Tuple[int, ...]],
-               int,
-               Optional[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]],
-               bool,
-               Tuple[ActionTok, ...]]
+#: member -> frozen exchange report, captured when the view forms.
 Snapshot = Tuple[Tuple[int, Report], ...]
 
 
@@ -223,7 +217,7 @@ class Model:
         #: safety violations found while applying events, cleared and
         #: collected by the checker after each apply
         self.violations: List[str] = []
-        self._reactions: Dict[Tuple, Tuple[Tuple, int]] = {}
+        self._reactions: Dict[Tuple, Tuple[EngineRecord, int]] = {}
         self._sim = Simulator()
         self._obs = Observability.disabled()
         self._store = _Store()
@@ -261,15 +255,23 @@ class Model:
         record, cpcs = reaction
         return ModelNode(*record, node.view, node.dirty, node.inbox), cpcs
 
+    def engine(self, n: int, node: ModelNode,
+               channel: Optional[_Channel] = None,
+               hooks: Optional[EngineHooks] = None) -> ReplicationEngine:
+        """A real engine for node ``n``, rebuilt from its record."""
+        engine = ReplicationEngine(
+            self._sim, n, channel or _Channel(),  # type: ignore[arg-type]
+            self._store, Database(),  # type: ignore[arg-type]
+            list(self.server_ids), self.engine_config, hooks, self._obs)
+        _restore(engine, node)
+        return engine
+
     def _run_engine(self, n: int, node: ModelNode, stimulus: Tuple,
-                    snapshot: Optional[Snapshot]) -> Tuple[Tuple, int]:
+                    snapshot: Optional[Snapshot]
+                    ) -> Tuple[EngineRecord, int]:
         channel = _Channel()
         hooks = _Hooks(self.edges_seen)
-        engine = ReplicationEngine(
-            self._sim, n, channel, self._store,  # type: ignore[arg-type]
-            Database(), list(self.server_ids), self.engine_config,
-            hooks, self._obs)
-        _restore(engine, node)
+        engine = self.engine(n, node, channel, hooks)
         deliver = channel.message_handler
         conf = engine.conf
         if snapshot is not None and node.state is _S.EXCHANGE_ACTIONS:
@@ -306,21 +308,8 @@ class Model:
                 conf.view_id, frozenset(stimulus[1]), transitional=True))
         else:  # pragma: no cover - exhaustive
             raise ModelInternalError(f"unknown stimulus {stimulus}")
-        prim, vuln = engine.prim_component, engine.vulnerable
-        record = (
-            engine.state,
-            node.green + tuple(hooks.greened),
-            tuple(tuple(a.action_id) for a in engine.queue.red_actions()),
-            engine.yellow.is_valid,
-            tuple(tuple(i) for i in engine.yellow.set),
-            (prim.prim_index, prim.attempt_index, tuple(prim.servers)),
-            engine.attempt_index,
-            (vuln.prim_index, vuln.attempt_index, tuple(vuln.set),
-             tuple(sorted(m for m, b in vuln.bits.items() if b)))
-            if vuln.is_valid else None,
-            frozenset(engine._cpc_received),
-            tuple(tuple(a.action_id) for a in engine._construct_buffer))
-        return record, channel.cpcs
+        return (engine_record(engine, node.green + tuple(hooks.greened)),
+                channel.cpcs)
 
     def _node_reacts(self, state: GlobalState, n: int,
                      stimulus: Tuple) -> GlobalState:
@@ -490,11 +479,9 @@ class Model:
         node = state.nodes[n - 1]
         snapshot = _round(state, node)
         assert snapshot is not None
-        target = _green_target(snapshot)[1]
-        if node.green != target[:len(node.green)]:
-            self.violations.append(
-                f"green-prefix: node {n} green {node.green} diverges "
-                f"from retransmitted prefix {target}")
+        holder, target = _green_target(snapshot)
+        self.violations.extend(green_prefix({n: node.green,
+                                             holder: target}))
         return self._node_reacts(state, n, ("retrans",))
 
     # ------------------------------------------------------------------
@@ -519,7 +506,7 @@ class Model:
             node = self._react(state, n, ("reg", epoch, members))[0]
             nodes[n - 1] = node._replace(view=(epoch, members),
                                          dirty=False, inbox=())
-        snapshot = tuple((n, _report(nodes[n - 1])) for n in members)
+        snapshot = tuple((n, record_report(nodes[n - 1])) for n in members)
         live_epochs = {epoch}
         reports = [(epoch, snapshot)]
         state = state._replace(nodes=tuple(nodes))
@@ -600,7 +587,7 @@ class Model:
         return state._replace(nodes=tuple(nodes))
 
     # ==================================================================
-    # safety invariants
+    # the rules of repro.core.invariants
     # ==================================================================
     def check_safety(self, state: GlobalState,
                      event_kind: Optional[str] = None) -> List[str]:
@@ -610,133 +597,25 @@ class Model:
         because the skipped checks held in the predecessor."""
         if event_kind == "client":
             return []  # only enqueues inbox messages
-        found: List[str] = []
-        found.extend(self._check_single_primary(state))
-        found.extend(self._check_vulnerable_net(state))
+        records = dict(zip(self.server_ids, state.nodes))
+        found = single_primary(records, {
+            n: node.view[0] for n, node in records.items()
+            if n not in state.down and node.view is not None})
+        found.extend(vulnerable_net(records, state.comps,
+                                    self._oracle_policy, self.server_ids))
         if event_kind != "fault":  # faults never touch green or prim
-            found.extend(self._check_green_prefixes(state))
-            found.extend(self._check_unique_installs(state))
+            found.extend(green_prefix({n: node.green
+                                       for n, node in records.items()}))
+            found.extend(unique_install(records))
         return found
 
-    def _check_single_primary(self, state: GlobalState) -> List[str]:
-        epochs = {}
-        for n in self.server_ids:
-            node = state.nodes[n - 1]
-            if n not in state.down and node.state is _S.REG_PRIM:
-                assert node.view is not None
-                epochs[n] = node.view[0]
-        if len(set(epochs.values())) > 1:
-            return [f"single-primary: RegPrim in different views "
-                    f"{epochs}"]
-        return []
-
-    def _check_green_prefixes(self, state: GlobalState) -> List[str]:
-        found = []
-        greens = [(n, state.nodes[n - 1].green)
-                  for n in self.server_ids]
-        for i in range(len(greens)):
-            for j in range(i + 1, len(greens)):
-                (a, ga), (b, gb) = greens[i], greens[j]
-                common = min(len(ga), len(gb))
-                if ga[:common] != gb[:common]:
-                    found.append(
-                        f"green-prefix: nodes {a} and {b} diverge: "
-                        f"{ga} vs {gb}")
-        return found
-
-    def _check_unique_installs(self, state: GlobalState) -> List[str]:
-        by_index: Dict[int, Set[Tuple]] = {}
-        for n in self.server_ids:
-            prim = state.nodes[n - 1].prim
-            if prim[0] > 0:
-                by_index.setdefault(prim[0], set()).add(
-                    (prim[1], prim[2]))
-        return [f"unique-install: prim index {idx} installed as "
-                f"{sorted(variants)}"
-                for idx, variants in by_index.items()
-                if len(variants) > 1]
-
-    def _check_vulnerable_net(self, state: GlobalState) -> List[str]:
-        """Vulnerable-record correctness, operationally: for the
-        maximal installed primary P, any component holding a quorum of
-        the *previous* primary's members must contain a holder of P or
-        a member still vulnerable to the attempt that installed it —
-        otherwise that component could install a divergent primary."""
-        best: Optional[Tuple[int, int, Tuple[int, ...]]] = None
-        for n in self.server_ids:
-            prim = state.nodes[n - 1].prim
-            if prim[0] > 0 and (best is None
-                                or (prim[0], prim[1]) > best[:2]):
-                best = prim
-        if best is None:
-            return []
-        idx, att, _servers = best
-        prev_servers: Optional[Tuple[int, ...]] = None
-        for n in self.server_ids:
-            prim = state.nodes[n - 1].prim
-            if prim[0] == idx - 1:
-                prev_servers = prim[2]
-                break
-        if prev_servers is None and idx > 1:
-            return []  # the previous installation is fully superseded
-        last_prim = prev_servers or ()
-        found = []
-        for comp in state.comps:
-            members = tuple(n for n in comp if n not in state.down)
-            if not members:
-                continue
-            if not self._oracle_policy.is_quorum(
-                    members, last_prim, self.server_ids):
-                continue
-            guarded = False
-            for n in members:
-                node = state.nodes[n - 1]
-                if (node.prim[0], node.prim[1]) >= (idx, att):
-                    guarded = True
-                elif node.vuln is not None \
-                        and node.vuln[0] == idx - 1 \
-                        and node.vuln[1] == att:
-                    guarded = True
-            if not guarded:
-                found.append(
-                    f"vulnerable-net: component {members} holds a "
-                    f"quorum of prim {idx - 1} ({last_prim}) with no "
-                    f"holder of, or vulnerability to, install "
-                    f"({idx}, {att})")
-        return found
-
-    # ==================================================================
-    # liveness: quiescence + the wedge oracle
-    # ==================================================================
     def find_wedges(self, state: GlobalState) -> List[str]:
         """Liveness check for a *quiescent* state: components that are
         stuck although the (unmutated) protocol says a primary should
         exist or an install should have completed."""
-        found = []
-        for comp in state.comps:
-            members = tuple(n for n in comp if n not in state.down)
-            if not members:
-                continue
-            states = {state.nodes[n - 1].state for n in members}
-            if _S.CONSTRUCT in states:
-                found.append(
-                    f"construct-stuck: component {members} quiescent "
-                    f"with a member in Construct (votes can no longer "
-                    f"arrive)")
-                continue
-            if states <= {_S.NON_PRIM, _S.UN}:
-                knowledge = _knowledge(tuple(
-                    (n, _report(state.nodes[n - 1])) for n in members))
-                kp = knowledge.prim_component
-                last_prim = tuple(kp.servers)
-                if not knowledge.any_vulnerable() \
-                        and self._oracle_policy.is_quorum(
-                            members, last_prim, self.server_ids):
-                    found.append(
-                        f"quorum-wedge: component {members} is "
-                        f"quiescent and non-primary, but holds an "
-                        f"unvetoed quorum of prim {last_prim}")
-        return found
+        records = dict(zip(self.server_ids, state.nodes))
+        return construct_stuck(records, state.comps) + quorum_wedge(
+            records, state.comps, self._oracle_policy, self.server_ids)
 
 
 # ======================================================================
@@ -769,11 +648,6 @@ def _restore(engine: ReplicationEngine, node: ModelNode) -> None:
     engine.state = node.state
 
 
-def _report(node: ModelNode) -> Report:
-    return (node.green, node.prim, node.attempt, node.vuln,
-            node.yellow_valid, node.yellow)
-
-
 def _round(state: GlobalState, node: ModelNode) -> Optional[Snapshot]:
     """The frozen reports of the exchange round of ``node``'s view."""
     if node.view is None:
@@ -784,8 +658,9 @@ def _round(state: GlobalState, node: ModelNode) -> Optional[Snapshot]:
 def _deliver_round(deliver: Callable[..., None], view_id: ViewId,
                    snapshot: Snapshot) -> None:
     """Deliver a round's state messages, in member order."""
-    for member, msg in _reports(snapshot, view_id):
-        deliver(msg, member, False, ServiceLevel.SAFE)
+    for member, report in snapshot:
+        deliver(report_message(member, view_id, report), member, False,
+                ServiceLevel.SAFE)
 
 
 def _tokens(state: GlobalState) -> Iterator[ActionTok]:
@@ -808,30 +683,6 @@ def _green_target(snapshot: Snapshot
         if len(report[0]) > len(target):
             holder, target = member, report[0]
     return holder, target
-
-
-def _reports(snapshot: Snapshot, conf_id: ViewId
-             ) -> List[Tuple[int, EngineStateMsg]]:
-    """The frozen reports as the state messages the engine receives."""
-    msgs = []
-    for member, (green, prim, attempt, vuln, yv, yellow) in snapshot:
-        vulnerable = Vulnerable()
-        if vuln is not None:
-            vulnerable = Vulnerable(VALID, vuln[0], vuln[1], vuln[2],
-                                    {m: (m in vuln[3]) for m in vuln[2]})
-        msgs.append((member, EngineStateMsg(
-            server_id=member, conf_id=conf_id,
-            green_count=len(green), red_cut={}, green_lines={},
-            attempt_index=attempt,
-            prim_component=PrimComponent(prim[0], prim[1], prim[2]),
-            vulnerable=vulnerable, yellow_valid=yv,
-            yellow_ids=tuple(ActionId(*tok) for tok in yellow))))
-    return msgs
-
-
-def _knowledge(snapshot: Snapshot) -> Knowledge:
-    return compute_knowledge(
-        {member: msg for member, msg in _reports(snapshot, ViewId(0, 0))})
 
 
 def canonicalize(state: GlobalState) -> GlobalState:

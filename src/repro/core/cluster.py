@@ -4,8 +4,9 @@
 replicas on any :class:`~repro.runtime.base.Runtime` and
 :class:`~repro.runtime.base.Transport` pair, names clients, injects
 every fault (partition, heal, crash, recovery, online join) through the
-:class:`~repro.net.Topology` the transport obeys, and carries the
-consistency assertions that encode the paper's correctness theorems.
+:class:`~repro.net.Topology` the transport obeys, and evaluates the
+paper's safety rules (:mod:`repro.core.invariants`) over its real
+engines.
 :class:`ReplicaCluster` adds what virtual time needs (the simulator,
 the seeded network, stepping time); its asyncio counterpart is
 :class:`~repro.runtime.LiveCluster`.  Used by the tests, the examples,
@@ -24,8 +25,9 @@ from ..sim import RandomStreams, Simulator
 from ..storage import DiskProfile
 from .client import Client
 from .engine import EngineConfig
+from .invariants import (EngineRecord, engine_record, green_prefix,
+                         single_primary, unique_install, vulnerable_net)
 from .replica import Replica
-from .state_machine import EngineState
 
 
 class Cluster:
@@ -186,24 +188,27 @@ class Cluster:
         return [n for n, r in self.replicas.items()
                 if r.running and r.engine.in_primary]
 
+    def engine_records(self) -> Dict[int, EngineRecord]:
+        """The rules' record of every hosted replica, in node order;
+        the green line is the applied log.  A crashed replica keeps its
+        last records, as the model checker keeps a down node's."""
+        return {n: engine_record(r.engine, tuple(r.database.applied_log))
+                for n, r in sorted(self.replicas.items())}
+
+    def components(self) -> List[Tuple[int, ...]]:
+        """The topology's components, restricted to running replicas."""
+        running = {r.node for r in self.running_replicas()}
+        comps = (tuple(sorted(n for n in comp if n in running))
+                 for comp in self.topology.components())
+        return [comp for comp in comps if comp]
+
     # ==================================================================
-    # consistency checks (the paper's theorems, executable)
+    # consistency checks: the rules of repro.core.invariants
     # ==================================================================
     def assert_prefix_consistent(self) -> None:
-        """Global Total Order: any two applied logs agree on their
-        common prefix (Theorem 1)."""
-        logs = list(self.applied_logs().items())
-        for i in range(len(logs)):
-            for j in range(i + 1, len(logs)):
-                (node_a, log_a), (node_b, log_b) = logs[i], logs[j]
-                common = min(len(log_a), len(log_b))
-                if log_a[:common] != log_b[:common]:
-                    diverge = next(k for k in range(common)
-                                   if log_a[k] != log_b[k])
-                    raise AssertionError(
-                        f"total order violated between {node_a} and "
-                        f"{node_b} at position {diverge}: "
-                        f"{log_a[diverge]} vs {log_b[diverge]}")
+        """``green-prefix`` over the running replicas' applied logs:
+        Global Total Order (Theorem 1)."""
+        _raise(green_prefix(self.applied_logs()))
 
     def assert_same_green_order(self) -> List[ActionId]:
         """Every running replica applied the identical green order
@@ -217,24 +222,32 @@ class Cluster:
 
     def assert_converged(self) -> None:
         """After a fault-free stable period, all running replicas hold
-        identical green sequences and database states (Liveness)."""
+        identical green sequences and database states (Liveness), and
+        the safety rules of :meth:`assert_single_primary` hold."""
         self.assert_same_green_order()
         digests = {r.node: r.database.digest()
                    for r in self.running_replicas()}
         if len(set(digests.values())) > 1:
             raise AssertionError(f"database digests differ: {digests}")
+        self.assert_single_primary()
 
     def assert_single_primary(self) -> None:
-        """At most one component believes it is primary."""
-        prims = set()
-        for replica in self.replicas.values():
-            if replica.running and replica.engine.state \
-                    == EngineState.REG_PRIM:
-                conf = replica.engine.conf
-                if conf is not None:
-                    prims.add(conf.view_id)
-        if len(prims) > 1:
-            raise AssertionError(f"multiple primary components: {prims}")
+        """``single-primary``, ``unique-install`` and ``vulnerable-net``
+        over :meth:`engine_records`, the running replicas' views and
+        :meth:`components`, under the configured quorum policy."""
+        records = self.engine_records()
+        views = {r.node: r.engine.conf.view_id
+                 for r in self.running_replicas()
+                 if r.engine.conf is not None}
+        policy = (self.engine_config or EngineConfig()).quorum
+        _raise(single_primary(records, views) + unique_install(records)
+               + vulnerable_net(records, self.components(), policy,
+                                sorted(self.directory)))
+
+
+def _raise(findings: List[str]) -> None:
+    if findings:
+        raise AssertionError("; ".join(findings))
 
 
 class ReplicaCluster(Cluster):

@@ -1,4 +1,4 @@
-"""Model checker, mutation self-tests, coverage pin, and TLA+ export."""
+"""Model checker, mutation self-tests and coverage pin."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.check.coverage import (DIRECTED_TRACES, PORTFOLIO,
 from repro.check.mc import ModelChecker, run_check
 from repro.check.model import Model, ModelConfig
 from repro.check.mutations import MUTATIONS, mutation
-from repro.check.tla import MODULE_NAME, edge_count, export_tla
 from repro.core.engine import ReplicationEngine
 from repro.core.state_machine import EVS_SHADOWED_EDGES
 
@@ -176,12 +175,6 @@ class TestCli:
                    "--max-actions", "0", "--expect-violation"])
         assert rc == 1  # clean run, but a violation was demanded
 
-    def test_tla_mode_writes_the_module(self, tmp_path):
-        from repro.check.cli import main
-        out = tmp_path / "Figure4.tla"
-        assert main(["--tla", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == export_tla()
-
     def test_fuzz_shrink_out_writes_replayable_repro(self, tmp_path):
         from repro.check.cli import main
         out_dir = tmp_path / "repros"
@@ -195,28 +188,3 @@ class TestCli:
         from repro.tools.scenario import ScenarioError, run_scenario
         with pytest.raises(ScenarioError):
             run_scenario(spec)
-
-
-class TestTlaExport:
-    def test_edge_count_matches_the_table(self):
-        assert edge_count() == 18
-
-    def test_module_structure(self):
-        text = export_tla()
-        lines = text.splitlines()
-        assert lines[0] == f"---- MODULE {MODULE_NAME} ----"
-        assert lines[-1].startswith("====")
-        assert "EXTENDS Naturals" in text
-        assert "TypeOK == state \\in [Servers -> States]" in text
-        assert 'Init == state = [s \\in Servers |-> "NonPrim"]' in text
-        assert "Spec == Init /\\ [][Next]_state" in text
-        # One action predicate per input kind.
-        for name in ("Action", "RegConf", "TransConf", "StateMsg",
-                     "CpcMsg", "Client"):
-            assert f"{name}(s)" in text
-
-    def test_one_disjunct_per_declared_edge(self):
-        text = export_tla()
-        assert text.count('/\\ state[s] = "') == edge_count()
-        # The EVS-shadowed edges are exported but annotated.
-        assert text.count("EVS-shadowed") == len(EVS_SHADOWED_EDGES)

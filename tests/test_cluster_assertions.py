@@ -1,7 +1,8 @@
 """The cluster's executable consistency assertions must actually fire
 on violations (tests of the test oracles).
 
-The checks live in the runtime-neutral cluster base, so the oracle
+The checks are the rules of ``repro.core.invariants``, evaluated by the
+runtime-neutral cluster base over real engines, so the oracle
 cases run on a simulated cluster and on a live one (asyncio on an
 in-process transport); the crash and leave cases stay on the
 simulator, which can step time around the fault."""
@@ -10,7 +11,7 @@ import asyncio
 
 import pytest
 
-from repro.core import EngineState
+from repro.core import EngineState, PrimComponent
 from repro.db import ActionId
 from repro.gcs import Configuration, ViewId
 from repro.runtime import AsyncioRuntime, LiveCluster
@@ -63,7 +64,7 @@ def prefix_violation_detected(c):
     # Forge a divergent applied log at replica 2.
     log = c.replicas[2].database.applied_log
     log[0] = ActionId(99, 99)
-    with pytest.raises(AssertionError, match="total order violated"):
+    with pytest.raises(AssertionError, match="^green-prefix: "):
         c.assert_prefix_consistent()
 
 
@@ -83,13 +84,40 @@ def digest_divergence_detected(c):
 def multiple_primaries_detected(c):
     # Forge two different views both claiming RegPrim.
     c.replicas[1].engine.conf = Configuration(ViewId(99, 1), frozenset([1]))
-    with pytest.raises(AssertionError, match="multiple primary"):
+    with pytest.raises(AssertionError, match="^single-primary: "):
+        c.assert_single_primary()
+
+
+def duplicate_install_detected(c):
+    # Replica 2 claims replica 1's primary index with another attempt.
+    prim = c.replicas[1].engine.prim_component
+    c.replicas[2].engine.prim_component = PrimComponent(
+        prim.prim_index, prim.attempt_index + 1, prim.servers)
+    with pytest.raises(AssertionError, match="^unique-install: "):
+        c.assert_single_primary()
+
+
+def unguarded_quorum_detected(c):
+    # Replica 1, cut off alone, claims the next primary, while the
+    # quorum {2, 3} of the current one neither holds that install nor
+    # is vulnerable to an attempt at it.
+    c.partition([1], [2, 3])
+    prim = c.replicas[1].engine.prim_component
+    for n in (2, 3):
+        vulnerable = c.replicas[n].engine.vulnerable
+        assert not (vulnerable.is_valid
+                    and vulnerable.prim_index == prim.prim_index)
+    c.replicas[1].engine.prim_component = PrimComponent(
+        prim.prim_index + 1, 0, (1,))
+    with pytest.raises(AssertionError,
+                       match=r"^vulnerable-net: component \(2, 3\) "):
         c.assert_single_primary()
 
 
 ORACLES = [healthy_cluster_converges, prefix_violation_detected,
            count_divergence_detected, digest_divergence_detected,
-           multiple_primaries_detected]
+           multiple_primaries_detected, duplicate_install_detected,
+           unguarded_quorum_detected]
 
 
 def test_assert_converged_passes_on_healthy_cluster(cluster):
@@ -110,6 +138,14 @@ def test_digest_divergence_detected(cluster):
 
 def test_multiple_primaries_detected(cluster):
     multiple_primaries_detected(cluster)
+
+
+def test_duplicate_install_detected(cluster):
+    duplicate_install_detected(cluster)
+
+
+def test_unguarded_quorum_detected(cluster):
+    unguarded_quorum_detected(cluster)
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda f: f.__name__)
