@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
-from ..db import Action, ActionId, ActionType, Database
+from ..db import Action, ActionId, ActionType, Database, is_plain
 from ..gcs import Configuration, GroupChannel, ServiceLevel, ViewId
 from ..obs import Observability, action_trace_id
 from ..obs.spans import STALENESS_STRIDE
@@ -226,7 +226,12 @@ class ReplicationEngine:
         In RegPrim and NonPrim the action is journaled, synced, and
         multicast (A.1/A.2); in the intermediate states it is buffered
         (A.3/A.4/A.6/A.9/A.11/A.12) and issued when the engine settles.
+        Raises ``TypeError`` unless every argument is plain data
+        (:func:`repro.db.is_plain`), the only data the wire carries.
         """
+        if not is_plain((update, query, client, meta)):
+            raise TypeError("submit takes plain data only (repro.db."
+                            "is_plain)")
         if self.exited:
             raise RuntimeError(f"server {self.server_id} has left the system")
         self.stats["client_requests"] += 1

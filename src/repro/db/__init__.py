@@ -1,7 +1,7 @@
 """Database substrate: actions, deterministic state machine, dirty views,
 snapshot transfer, and the mini statement language."""
 
-from .action import (Action, ActionId, ActionType, join_action,
+from .action import (Action, ActionId, ActionType, is_plain, join_action,
                      leave_action)
 from .applied_log import AppliedLog
 from .database import Database
@@ -24,6 +24,7 @@ __all__ = [
     "execute_query",
     "execute_statement",
     "execute_update",
+    "is_plain",
     "join_action",
     "leave_action",
 ]

@@ -12,6 +12,7 @@ reconfiguration actions ``PERSISTENT_JOIN`` and ``PERSISTENT_LEAVE``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, NamedTuple, Optional, Tuple
@@ -102,3 +103,27 @@ def leave_action(action_id: ActionId, leaving_server: int,
     """Build a PERSISTENT_LEAVE removing ``leaving_server``."""
     return Action(action_id=action_id, green_line=green_line,
                   type=ActionType.PERSISTENT_LEAVE, leave_id=leaving_server)
+
+
+def is_plain(value: Any) -> bool:
+    """Whether ``value`` is *plain data*: ``None``, ``bool``, ``int``,
+    ``float``, ``str``, ``bytes``, or a ``tuple``, ``list`` or ``dict``
+    of plain data, exact types only (a subclass would come back as its
+    base type).  An action's free-form fields hold nothing else: it is
+    what the wire codec carries in them.  Nesting past the
+    interpreter's limit raises RecursionError."""
+    cls = value.__class__
+    if cls is str:               # a lone surrogate has no utf-8 form
+        return value.isascii() or not _SURROGATE.search(value)
+    if (value is None or cls is int or cls is bool or cls is float
+            or cls is bytes):
+        return True
+    if cls is tuple or cls is list:
+        return all(map(is_plain, value))
+    if cls is dict:
+        return all(is_plain(key) and is_plain(item)
+                   for key, item in value.items())
+    return False
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")

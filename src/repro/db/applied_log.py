@@ -10,6 +10,7 @@ tuple per entry.  The class reads as a sequence of ``ActionId``.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from typing import Any, Iterable, Iterator, List, Sequence, Union, overload
 
@@ -41,6 +42,24 @@ class AppliedLog(Sequence[ActionId]):
     def __init__(self, ids: Iterable[ActionId] = ()) -> None:
         self.words = (ids.words[:] if isinstance(ids, AppliedLog) else
                       array("Q", [pack_id(*i) for i in ids]))
+
+    @property
+    def packed(self) -> bytes:
+        """The words as little-endian bytes (the wire form)."""
+        words = self.words
+        if sys.byteorder != "little":
+            words = words[:]
+            words.byteswap()
+        return words.tobytes()
+
+    @classmethod
+    def from_packed(cls, data: bytes) -> "AppliedLog":
+        """Inverse of :attr:`packed`; ValueError unless whole words."""
+        log = cls()
+        log.words.frombytes(data)
+        if sys.byteorder != "little":
+            log.words.byteswap()
+        return log
 
     def append(self, action_id: ActionId) -> None:
         self.words.append(pack_id(*action_id))

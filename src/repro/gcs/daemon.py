@@ -141,7 +141,6 @@ class GcsDaemon(Actor):
         self._outbox: List[Tuple[Any, ServiceLevel, int, int]] = []
 
         self._last_heard: Dict[int, float] = {}
-        self._known_joined: Set[int] = set()
         self._nack_signature: Tuple = ()
         self._unstamped_signature: Tuple = ()
         # The application's durable green count, advertised on every
@@ -286,7 +285,6 @@ class GcsDaemon(Actor):
         self._reset_round()
         self._outbox = []
         self._last_heard = {}
-        self._known_joined = set()
         self.green_line = 0
 
     def recover(self) -> None:
@@ -567,10 +565,6 @@ class GcsDaemon(Actor):
         if msg.green_line:
             # Lines start at zero and only grow: zero tells nothing.
             self.listener.on_green_line(msg.node, msg.green_line)
-        if msg.joined:
-            self._known_joined.add(msg.node)
-        else:
-            self._known_joined.discard(msg.node)
         if (self.ordering is not None and msg.view_id is not None
                 and msg.view_id == self.ordering.view_id):
             self.ordering.add_ack(msg.node, msg.ack_seq)
@@ -636,7 +630,6 @@ class GcsDaemon(Actor):
         self._enter_gather(self.attempt + 1)
 
     def _on_leave(self, msg: LeaveMsg) -> None:
-        self._known_joined.discard(msg.node)
         if (self.joined and self.view is not None
                 and msg.node in self.view.members):
             self._enter_gather(self.attempt + 1)
@@ -681,7 +674,6 @@ class GcsDaemon(Actor):
     def _on_gather(self, msg: GatherMsg) -> None:
         if not msg.joined or not self.joined:
             return
-        self._known_joined.add(msg.node)
         if self.state == DaemonState.GATHER:
             if msg.attempt > self.attempt:
                 self._enter_gather(msg.attempt)

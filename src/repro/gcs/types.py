@@ -117,9 +117,10 @@ class DataMsg:
     64-bit id assigned at submission (0 = untraced) that rides the
     message — including retransmissions and next-view resubmission —
     so per-node flight-recorder events can be joined into one causal
-    timeline by ``repro-trace``.  It is mirrored into the binary wire
-    frame (:mod:`repro.net.codec`, wire version 2) rather than buried
-    in the pickled payload.
+    timeline by ``repro-trace``.  It is a field of the binary wire
+    frame (:mod:`repro.net.codec`, since wire version 2) beside the
+    payload, so a receiver reads it without decoding the payload's
+    fields.
     """
 
     view_id: ViewId
@@ -195,8 +196,8 @@ class ChanData:
     """A sequenced channel payload.
 
     ``trace`` carries the distributed-tracing context of the payload
-    (0 = untraced); it survives go-back-N retransmission and is packed
-    into the binary wire frame alongside the sequence number.
+    (0 = untraced); it survives go-back-N retransmission and travels
+    as a field of the message's wire record.
     """
 
     src: int

@@ -1,58 +1,44 @@
-"""Struct-packed binary wire codec for live transports.
-
-``AsyncioTransport`` used to pickle every datagram separately; this
-module replaces that with a compact framed format:
+"""Binary wire codec for live transports: one grammar of plain values.
 
 frame   := magic(u8) version(u8) src(i32) item
 item    := tag(u8) length(u32) body
-body    := struct-packed fields of the hot message types; nested
-           application payloads recurse into another *item*
 
-Hot GCS/channel message types get dedicated encoders (a DataMsg header
-packs to 33 bytes — including the trace-context id — vs ~200 for its
-pickle), and so does the engine's per-action message
-(:class:`~repro.core.messages.EngineActionMsg`, :data:`TAG_ACTION`):
-its fixed fields are struct-packed, and the free-form ``client``,
-``query``, ``update`` and ``meta`` travel as *plain values* — ``None``,
-``bool``, 64-bit ``int``, ``float``, ``str``, ``bytes``, ``tuple``,
-``list`` and ``dict`` of those, each tagged and length-checked.
-Decoding an engine action therefore never resolves a global or calls
-anything, and every count is checked against the bytes left before a
-container is built, so a corrupt frame costs time and memory bounded
-by its length.  (Neither ``marshal`` nor a restricted unpickler gives
-that bound: a corrupted length or memo index makes them pre-allocate
-or zero gigabytes for a frame of a few bytes.)
+``DataMsg``, ``StampMsg``, ``AckMsg``, ``RetransDataMsg`` and the
+engine's :class:`~repro.core.messages.EngineActionMsg` keep struct
+layouts: they travel once per action or grow with the load.  Every
+other payload is one :data:`TAG_VALUE` item holding a *value* (the
+``_V_*`` kinds below) or a *record*: an index into :data:`RECORDS`
+followed by its fields.  Anything else makes :func:`encode_frame`
+raise ``TypeError``; nothing falls back to another encoding.
 
-Everything else — an engine action holding any other value type,
-exchange/CPC/membership messages, snapshot chunks, arbitrary
-application payloads — falls back whole to the :data:`TAG_PICKLE`
-escape hatch, so the codec never constrains what the protocol can
-carry.  Every datagram carries exactly one payload.
-
-Trust model: the pickle escape hatch means frames must only be accepted
-from trusted endpoints, exactly like the previous all-pickle format —
-every node of a deployment is part of one trust domain (the same
-assumption ``multiprocessing`` makes).  Do not expose transport ports
-to untrusted networks.  Malformed or truncated frames raise
-:class:`CodecError`, which receive loops turn into a counted drop —
-garbage off the wire must never crash the daemon.
-
-This is deliberately the **only** module in the repository that touches
-``struct``-level framing (enforced by ``tests/test_import_policy.py``):
-one place to audit wire compatibility, one place to bump ``VERSION``.
+Decoding calls nothing outside the record table and refuses a record
+whose fields do not match its class's annotations.  Every count is
+checked against the bytes left before a container is built, so a
+corrupt frame costs time and memory bounded by its length.  Malformed
+or ill-typed frames raise :class:`CodecError`, which receive loops
+count as a drop.  The checks are of types, not of meaning: a
+well-typed frame is trusted like any group member.  This is the
+**only** module that touches ``struct``-level framing
+(``tests/test_import_policy.py``): one place to audit wire
+compatibility, one place to bump ``VERSION``.  docs/ARCHITECTURE.md
+gives the full wire format.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
-from typing import Any, Callable, Dict, List, Tuple
+import typing
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.messages import EngineActionMsg
-from ..db.action import Action, ActionId, ActionType
-from ..gcs.types import (AckMsg, ChanAck, ChanData, DataMsg, HeartbeatMsg,
-                         NackMsg, RetransDataMsg, ServiceLevel, StampMsg,
-                         ViewId)
+from ..core.messages import EngineActionMsg, EngineCpcMsg, EngineStateMsg
+from ..core.reconfig import JoinRequest, TransferBusy, TransferHeader
+from ..core.records import PrimComponent, Vulnerable
+from ..db import Action, ActionId, ActionType, AppliedLog, SnapshotChunk
+from ..gcs.types import (AckMsg, ChanAck, ChanData, DataMsg, FlushDoneMsg,
+                         FlushPlanMsg, FlushRetransCmd, GatherMsg,
+                         HeartbeatMsg, InstallMsg, LeaveMsg, NackMsg,
+                         ProposeMsg, RetransDataMsg, ServiceLevel,
+                         StampMsg, StateReportMsg, ViewId)
 
 
 class CodecError(ValueError):
@@ -60,27 +46,21 @@ class CodecError(ValueError):
 
 
 MAGIC = 0xC3
-# Version 2: DataMsg, ChanData, and retransmission items carry a
-# signed 64-bit trace-context field (0 = untraced).  Version 3: the
-# HeartbeatMsg body ends with the sender's durable green line.
-# Version 4: engine actions have their own tag instead of a pickle.
-# Version 5: the HeartbeatMsg body drops its group-namespace field.
-# Frames of any other version are rejected with :class:`CodecError` — a
-# mixed-version peer would otherwise be misparsed, not refused.
-VERSION = 5
+# v2: trace-context fields; v3: heartbeat green line; v4: engine-action
+# tag; v5: heartbeat without group field; v6: value items and records
+# replace the pickle escape hatch, compact ints.  Any other version is
+# refused: a mixed-version peer would otherwise be misparsed.
+VERSION = 6
 
+# Retired tags decode as unknown and are never reused: 0 (pickle), 1,
+# 5, 6, 7, 9 and 10.  TAG_PICKLE keeps its name for tools reading it.
 TAG_PICKLE = 0
-# Tag 1 (the retired wire-batch frame) decodes as unknown; never reuse it.
 TAG_DATA = 2
 TAG_STAMP = 3
 TAG_ACK = 4
-TAG_HEARTBEAT = 5
-# Tag 6 (a retired ordering message) decodes as unknown; never reuse it.
-TAG_NACK = 7
 TAG_RETRANS = 8
-TAG_CHANDATA = 9
-TAG_CHANACK = 10
 TAG_ACTION = 11
+TAG_VALUE = 12
 
 _HEADER = struct.Struct("!BBi")          # magic, version, src
 _ITEM = struct.Struct("!BI")             # tag, body length
@@ -89,15 +69,9 @@ _DATA = struct.Struct("!iiiqBiq")        # view, origin, fifo, svc, size,
 _STAMP_ENTRY = struct.Struct("!qiq")     # seq, origin, fifo_seq
 _VIEW_COUNT = struct.Struct("!iiI")      # view + entry count
 _ACK = struct.Struct("!iiiq")            # view, node, ack_seq
-_HEARTBEAT = struct.Struct("!iB")        # node, flags
-_HEARTBEAT_TAIL = struct.Struct("!qq")   # ack_seq, green_line
-_VIEW = struct.Struct("!ii")
 _SEQ = struct.Struct("!q")
-_NACK = struct.Struct("!iiiqI")          # view, node, want, missing count
 _RETRANS_ITEM = struct.Struct("!qiqBiq")  # seq, origin, fifo, svc,
                                           # size, trace
-_CHANDATA = struct.Struct("!iqiq")       # src, seq, size, trace
-_CHANACK = struct.Struct("!iq")          # src, ack_seq
 _ACTION = struct.Struct("!iqqiB")        # creator, index, message green
                                          # line, size, flags
 _ACTION_ID = struct.Struct("!iq")        # Action.green_line
@@ -114,23 +88,38 @@ _A_LEAVE = 0x20                          # + _SERVER
 _A_LINE = 0x40                           # + _ACTION_ID
 _A_KNOWN = 0x7F
 
-# Plain-value tags of an engine action's free-form fields.
+# Value tags.  A sized kind (str, bytes, big int, tuple, list, dict)
+# has a long head (tag, u32) and a short one (tag | _V_SHORT, u8).
 _V_NONE = 0
 _V_FALSE = 1
 _V_TRUE = 2
 _V_INT = 3                               # + i64
 _V_FLOAT = 4                             # + f64
-_V_STR = 5                               # + u32 length, utf-8
-_V_BYTES = 6                             # + u32 length, raw
-_V_TUPLE = 7                             # + u32 count, items
-_V_LIST = 8                              # + u32 count, items
-_V_DICT = 9                              # + u32 count, key/value pairs
+_V_STR = 5                               # + length, utf-8
+_V_BYTES = 6                             # + length, raw
+_V_BIGINT = 7                            # + length, signed big-endian
+_V_TUPLE = 8                             # + count, items
+_V_LIST = 9                              # + count, items
+_V_DICT = 10                             # + count, key/value pairs
+_V_INT8 = 11                             # + i8
+_V_INT16 = 12                            # + i16
+_V_INT32 = 13                            # + i32
+_V_RECORD = 14                           # + u8 class index, fields
+_V_SHORT = 0x10
 _V_HEAD = struct.Struct("!BI")           # tag + length or count
+_V_SHORT_HEAD = struct.Struct("!BB")
+_V_INT8_ITEM = struct.Struct("!Bb")
+_V_INT16_ITEM = struct.Struct("!Bh")
+_V_INT32_ITEM = struct.Struct("!Bi")
 _V_INT_ITEM = struct.Struct("!Bq")
 _V_FLOAT_ITEM = struct.Struct("!Bd")
 _V_NONE_ITEM = bytes((_V_NONE,))
 _V_FALSE_ITEM = bytes((_V_FALSE,))
 _V_TRUE_ITEM = bytes((_V_TRUE,))
+_CONSTANTS = (None, False, True)            # by tag
+_SCALARS = {_V_INT8: _V_INT8_ITEM, _V_INT16: _V_INT16_ITEM,
+            _V_INT32: _V_INT32_ITEM, _V_INT: _V_INT_ITEM,
+            _V_FLOAT: _V_FLOAT_ITEM}
 
 _SERVICE_INDEX = {level: index for index, level
                   in enumerate(ServiceLevel)}
@@ -140,13 +129,58 @@ _ACTION_TYPE_INDEX = {kind: index for index, kind
 _ACTION_TYPE_BY_INDEX = tuple(ActionType)
 
 
+def _check(hint: Any) -> Callable[[Any], bool]:
+    """A test that a decoded field holds what its annotation ``hint``
+    names: exact classes, tuple items and dict entries included."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if args[-1:] == (Ellipsis,):                   # Tuple[X, ...]
+        item = _check(args[0])
+        return lambda value: (value.__class__ is tuple
+                              and all(map(item, value)))
+    tests = tuple(map(_check, args))
+    if hint is Any:
+        return lambda value: True
+    if origin is Union:
+        return lambda value: any(test(value) for test in tests)
+    if origin is dict:
+        return lambda value: value.__class__ is dict and all(
+            tests[0](k) and tests[1](v) for k, v in value.items())
+    if origin is tuple:
+        return lambda value: (
+            value.__class__ is tuple and len(value) == len(tests)
+            and all(test(item) for test, item in zip(tests, value)))
+    return lambda value: value.__class__ is hint
+
+
+def _record(cls: type, build: Optional[Callable[..., Any]] = None,
+            hints: Optional[Dict[str, Any]] = None) -> Tuple[Any, ...]:
+    """A row of :data:`RECORDS`; a record's fields are its class's
+    annotations, in declaration order."""
+    hints = hints or typing.get_type_hints(cls)
+    return (cls, tuple(hints), build or cls,
+            tuple(map(_check, hints.values())))
+
+
+#: The record table: (class, field names, constructor, field type
+#: tests), indexed by the byte after a record tag.  A new index or
+#: field list of these classes changes the wire: bump VERSION.
+RECORDS: Tuple[Tuple[Any, ...], ...] = (
+    *(_record(cls) for cls in (
+        ViewId, ActionId, PrimComponent, Vulnerable,
+        HeartbeatMsg, NackMsg, ChanData, ChanAck,
+        GatherMsg, ProposeMsg, StateReportMsg, FlushPlanMsg,
+        FlushRetransCmd, FlushDoneMsg, InstallMsg, LeaveMsg,
+        EngineStateMsg, EngineCpcMsg,
+        JoinRequest, TransferHeader, TransferBusy, SnapshotChunk)),
+    _record(AppliedLog, AppliedLog.from_packed, {"packed": bytes}),
+)
+_RECORD_INDEX = {row[0]: (index, row[1])
+                 for index, row in enumerate(RECORDS)}
+
+
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
-def _enc_view(view_id: ViewId) -> bytes:
-    return _VIEW.pack(view_id.epoch, view_id.coordinator)
-
-
 def _enc_data(msg: DataMsg) -> bytes:
     return (_DATA.pack(msg.view_id.epoch, msg.view_id.coordinator,
                        msg.origin, msg.fifo_seq,
@@ -166,22 +200,6 @@ def _enc_ack(msg: AckMsg) -> bytes:
                      msg.node, msg.ack_seq)
 
 
-def _enc_heartbeat(msg: HeartbeatMsg) -> bytes:
-    flags = (1 if msg.joined else 0) | (2 if msg.view_id is not None else 0)
-    body = _HEARTBEAT.pack(msg.node, flags)
-    if msg.view_id is not None:
-        body += _enc_view(msg.view_id)
-    return body + _HEARTBEAT_TAIL.pack(msg.ack_seq, msg.green_line)
-
-
-def _enc_nack(msg: NackMsg) -> bytes:
-    parts = [_NACK.pack(msg.view_id.epoch, msg.view_id.coordinator,
-                        msg.node, msg.want_stamps_from,
-                        len(msg.missing_data))]
-    parts.extend(_SEQ.pack(seq) for seq in msg.missing_data)
-    return b"".join(parts)
-
-
 def _enc_retrans(msg: RetransDataMsg) -> bytes:
     parts = [_VIEW_COUNT.pack(msg.view_id.epoch, msg.view_id.coordinator,
                               len(msg.items))]
@@ -193,47 +211,58 @@ def _enc_retrans(msg: RetransDataMsg) -> bytes:
     return b"".join(parts)
 
 
-def _enc_chandata(msg: ChanData) -> bytes:
-    return (_CHANDATA.pack(msg.src, msg.seq, msg.size, msg.trace)
-            + encode_payload(msg.payload))
-
-
-def _enc_chanack(msg: ChanAck) -> bytes:
-    return _CHANACK.pack(msg.src, msg.ack_seq)
-
-
 def _enc_value(value: Any, parts: List[bytes]) -> None:
-    """Append one plain value; TypeError for anything else (exact
-    builtin types only: an IntEnum or a str subclass would come back as
-    its base type, so it takes the escape hatch instead)."""
+    """Append one value; TypeError for anything outside the grammar."""
     cls = value.__class__
-    if cls is str:
-        data = value.encode()
-        parts.append(_V_HEAD.pack(_V_STR, len(data)))
+    if cls is str or cls is bytes:
+        data = value.encode() if cls is str else value
+        tag = _V_STR if cls is str else _V_BYTES
+        parts.append(_V_SHORT_HEAD.pack(tag | _V_SHORT, len(data))
+                     if len(data) < 256 else _V_HEAD.pack(tag, len(data)))
         parts.append(data)
+    elif cls is int:
+        if -0x80 <= value < 0x80:
+            parts.append(_V_INT8_ITEM.pack(_V_INT8, value))
+        elif -0x8000 <= value < 0x8000:
+            parts.append(_V_INT16_ITEM.pack(_V_INT16, value))
+        elif -0x80000000 <= value < 0x80000000:
+            parts.append(_V_INT32_ITEM.pack(_V_INT32, value))
+        elif -0x8000000000000000 <= value < 0x8000000000000000:
+            parts.append(_V_INT_ITEM.pack(_V_INT, value))
+        else:
+            data = value.to_bytes((value.bit_length() + 8) // 8, "big",
+                                  signed=True)
+            parts.append(_V_SHORT_HEAD.pack(_V_BIGINT | _V_SHORT, len(data))
+                         if len(data) < 256
+                         else _V_HEAD.pack(_V_BIGINT, len(data)))
+            parts.append(data)
     elif value is None:
         parts.append(_V_NONE_ITEM)
-    elif cls is int:
-        parts.append(_V_INT_ITEM.pack(_V_INT, value))
-    elif cls is tuple or cls is list:
-        parts.append(_V_HEAD.pack(_V_TUPLE if cls is tuple else _V_LIST,
-                                  len(value)))
-        for item in value:
-            _enc_value(item, parts)
-    elif cls is dict:
-        parts.append(_V_HEAD.pack(_V_DICT, len(value)))
-        for key, item in value.items():
-            _enc_value(key, parts)
-            _enc_value(item, parts)
+    elif cls is tuple or cls is list or cls is dict:
+        tag = _V_TUPLE if cls is tuple else _V_LIST if cls is list \
+            else _V_DICT
+        count = len(value)
+        parts.append(_V_SHORT_HEAD.pack(tag | _V_SHORT, count)
+                     if count < 256 else _V_HEAD.pack(tag, count))
+        if cls is dict:
+            for key, item in value.items():
+                _enc_value(key, parts)
+                _enc_value(item, parts)
+        else:
+            for item in value:
+                _enc_value(item, parts)
     elif cls is bool:
         parts.append(_V_TRUE_ITEM if value else _V_FALSE_ITEM)
     elif cls is float:
         parts.append(_V_FLOAT_ITEM.pack(_V_FLOAT, value))
-    elif cls is bytes:
-        parts.append(_V_HEAD.pack(_V_BYTES, len(value)))
-        parts.append(value)
     else:
-        raise TypeError(f"not plain data: {cls.__name__}")
+        record = _RECORD_INDEX.get(cls)
+        if record is None:
+            raise TypeError(f"not a wire value: {cls.__name__}")
+        index, names = record
+        parts.append(_V_SHORT_HEAD.pack(_V_RECORD, index))
+        for name in names:
+            _enc_value(getattr(value, name), parts)
 
 
 def _enc_action(msg: EngineActionMsg) -> bytes:
@@ -266,36 +295,31 @@ def _enc_action(msg: EngineActionMsg) -> bytes:
     return b"".join(parts)
 
 
+def _enc_value_item(value: Any) -> bytes:
+    parts: List[bytes] = []
+    _enc_value(value, parts)
+    return b"".join(parts)
+
+
 _ENCODERS: Dict[type, Tuple[int, Callable[[Any], bytes]]] = {
     DataMsg: (TAG_DATA, _enc_data),
     StampMsg: (TAG_STAMP, _enc_stamp),
     AckMsg: (TAG_ACK, _enc_ack),
-    HeartbeatMsg: (TAG_HEARTBEAT, _enc_heartbeat),
-    NackMsg: (TAG_NACK, _enc_nack),
     RetransDataMsg: (TAG_RETRANS, _enc_retrans),
-    ChanData: (TAG_CHANDATA, _enc_chandata),
-    ChanAck: (TAG_CHANACK, _enc_chanack),
     EngineActionMsg: (TAG_ACTION, _enc_action),
 }
+_VALUE_ENCODER = (TAG_VALUE, _enc_value_item)
 
 
 def encode_payload(obj: Any) -> bytes:
-    """Encode one payload as a tagged item (compact when possible,
-    pickled otherwise)."""
-    entry = _ENCODERS.get(obj.__class__)
-    if entry is not None:
-        tag, encoder = entry
-        try:
-            body = encoder(obj)
-            return _ITEM.pack(tag, len(body)) + body
-        except (struct.error, OverflowError, KeyError, TypeError,
-                ValueError, RecursionError):
-            # A field out of the packed range, an exotic subtype, a
-            # value that is not plain data, or an unexpected item
-            # shape: the escape hatch below carries it.
-            pass
-    body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return _ITEM.pack(TAG_PICKLE, len(body)) + body
+    """Encode one payload as a tagged item; ``TypeError`` when it is
+    outside the grammar (including a struct field out of its range)."""
+    tag, encoder = _ENCODERS.get(obj.__class__, _VALUE_ENCODER)
+    try:
+        body = encoder(obj)
+    except (struct.error, ValueError, RecursionError) as exc:
+        raise TypeError(f"not encodable: {exc!r}") from None
+    return _ITEM.pack(tag, len(body)) + body
 
 
 def encode_frame(src: int, payload: Any) -> bytes:
@@ -312,32 +336,17 @@ def _need(buf: bytes, offset: int, count: int) -> None:
                          f"offset {offset}, have {len(buf)}")
 
 
-def _service(index: int) -> ServiceLevel:
-    if not 0 <= index < len(_SERVICE_BY_INDEX):
-        raise CodecError(f"unknown service level {index}")
-    return _SERVICE_BY_INDEX[index]
-
-
-def _dec_pickle(body: bytes) -> Any:
-    try:
-        return pickle.loads(body)
-    except Exception as exc:
-        raise CodecError(f"bad pickled payload: {exc!r}") from None
-
-
 def _dec_data(body: bytes) -> DataMsg:
-    _need(body, 0, _DATA.size)
     epoch, coord, origin, fifo_seq, svc, size, trace = \
         _DATA.unpack_from(body, 0)
     payload, end = _decode_item(body, _DATA.size)
     if end != len(body):
         raise CodecError("trailing bytes in DataMsg body")
     return DataMsg(ViewId(epoch, coord), origin, fifo_seq, payload,
-                   _service(svc), size, trace)
+                   _SERVICE_BY_INDEX[svc], size, trace)
 
 
 def _dec_stamp(body: bytes) -> StampMsg:
-    _need(body, 0, _VIEW_COUNT.size)
     epoch, coord, count = _VIEW_COUNT.unpack_from(body, 0)
     _need(body, _VIEW_COUNT.size, count * _STAMP_ENTRY.size)
     stamps = tuple(
@@ -356,113 +365,77 @@ def _dec_ack(body: bytes) -> AckMsg:
     return AckMsg(ViewId(epoch, coord), node, ack_seq)
 
 
-def _dec_heartbeat(body: bytes) -> HeartbeatMsg:
-    _need(body, 0, _HEARTBEAT.size)
-    node, flags = _HEARTBEAT.unpack_from(body, 0)
-    offset = _HEARTBEAT.size
-    view_id = None
-    if flags & 2:
-        _need(body, offset, _VIEW.size)
-        view_id = ViewId(*_VIEW.unpack_from(body, offset))
-        offset += _VIEW.size
-    _need(body, offset, _HEARTBEAT_TAIL.size)
-    ack_seq, green_line = _HEARTBEAT_TAIL.unpack_from(body, offset)
-    if offset + _HEARTBEAT_TAIL.size != len(body):
-        raise CodecError("trailing bytes in HeartbeatMsg body")
-    return HeartbeatMsg(node, view_id, bool(flags & 1), ack_seq,
-                        green_line)
-
-
-def _dec_nack(body: bytes) -> NackMsg:
-    _need(body, 0, _NACK.size)
-    epoch, coord, node, want, count = _NACK.unpack_from(body, 0)
-    _need(body, _NACK.size, count * _SEQ.size)
-    missing = tuple(
-        _SEQ.unpack_from(body, _NACK.size + i * _SEQ.size)[0]
-        for i in range(count))
-    if _NACK.size + count * _SEQ.size != len(body):
-        raise CodecError("trailing bytes in NackMsg body")
-    return NackMsg(ViewId(epoch, coord), node, missing, want)
-
-
 def _dec_retrans(body: bytes) -> RetransDataMsg:
-    _need(body, 0, _VIEW_COUNT.size)
     epoch, coord, count = _VIEW_COUNT.unpack_from(body, 0)
     offset = _VIEW_COUNT.size
     items: List[Tuple] = []
     for _ in range(count):
-        _need(body, offset, _RETRANS_ITEM.size)
         seq, origin, fifo_seq, svc, size, trace = \
             _RETRANS_ITEM.unpack_from(body, offset)
         payload, offset = _decode_item(body, offset + _RETRANS_ITEM.size)
-        items.append((seq, origin, fifo_seq, payload, _service(svc),
-                      size, trace))
+        items.append((seq, origin, fifo_seq, payload,
+                      _SERVICE_BY_INDEX[svc], size, trace))
     if offset != len(body):
         raise CodecError("trailing bytes in RetransDataMsg body")
     return RetransDataMsg(ViewId(epoch, coord), tuple(items))
 
 
-def _dec_chandata(body: bytes) -> ChanData:
-    _need(body, 0, _CHANDATA.size)
-    src, seq, size, trace = _CHANDATA.unpack_from(body, 0)
-    payload, end = _decode_item(body, _CHANDATA.size)
-    if end != len(body):
-        raise CodecError("trailing bytes in ChanData body")
-    return ChanData(src, seq, payload, size, trace)
-
-
-def _dec_chanack(body: bytes) -> ChanAck:
-    if len(body) != _CHANACK.size:
-        raise CodecError("bad ChanAck body size")
-    src, ack_seq = _CHANACK.unpack(body)
-    return ChanAck(src, ack_seq)
-
-
 def _dec_value(buf: bytes, offset: int) -> Tuple[Any, int]:
-    """One plain value at ``offset``; returns it and the next offset.
-    Every item takes at least one byte, so a count larger than the
-    bytes left is refused before anything is built."""
+    """One value at ``offset``; returns it and the next offset.  Every
+    value takes at least one byte, so a count larger than the bytes
+    left is refused before anything is built."""
     tag = buf[offset]
-    if tag == _V_STR or tag == _V_BYTES:
-        length = _V_HEAD.unpack_from(buf, offset)[1]
-        start = offset + _V_HEAD.size
-        end = start + length
-        if end > len(buf):
-            raise CodecError("truncated plain value")
-        data = buf[start:end]
-        return (data.decode() if tag == _V_STR else data), end
-    if tag == _V_NONE:
-        return None, offset + 1
-    if tag == _V_INT:
-        return (_V_INT_ITEM.unpack_from(buf, offset)[1],
-                offset + _V_INT_ITEM.size)
-    if tag == _V_TUPLE or tag == _V_LIST or tag == _V_DICT:
+    if tag >= _V_SHORT:
+        tag -= _V_SHORT
+        if not _V_STR <= tag <= _V_DICT:
+            raise CodecError(f"unknown value tag {tag + _V_SHORT}")
+        count = buf[offset + 1]
+        offset += 2
+    elif _V_STR <= tag <= _V_DICT:
         count = _V_HEAD.unpack_from(buf, offset)[1]
         offset += _V_HEAD.size
-        width = 2 if tag == _V_DICT else 1
-        if count * width > len(buf) - offset:
-            raise CodecError("plain container count exceeds its frame")
-        if tag == _V_DICT:
-            mapping: Dict[Any, Any] = {}
-            for _ in range(count):
-                key, offset = _dec_value(buf, offset)
-                mapping[key], offset = _dec_value(buf, offset)
-            return mapping, offset
-        items: List[Any] = []
+    else:
+        scalar = _SCALARS.get(tag)
+        if scalar is not None:
+            return scalar.unpack_from(buf, offset)[1], offset + scalar.size
+        if tag <= _V_TRUE:
+            return _CONSTANTS[tag], offset + 1
+        if tag != _V_RECORD:
+            raise CodecError(f"unknown value tag {tag}")
+        index = buf[offset + 1]
+        if index >= len(RECORDS):
+            raise CodecError(f"unknown record class {index}")
+        cls, names, build, checks = RECORDS[index]
+        count = len(names)
+        offset += 2
+    if tag <= _V_BIGINT:
+        end = offset + count
+        if end > len(buf):
+            raise CodecError("truncated value")
+        data = buf[offset:end]
+        if tag == _V_BIGINT:
+            return int.from_bytes(data, "big", signed=True), end
+        return (data.decode() if tag == _V_STR else data), end
+    if count * (2 if tag == _V_DICT else 1) > len(buf) - offset:
+        raise CodecError("container count exceeds its frame")
+    if tag == _V_DICT:
+        mapping: Dict[Any, Any] = {}
         for _ in range(count):
-            item, offset = _dec_value(buf, offset)
-            items.append(item)
-        return (tuple(items) if tag == _V_TUPLE else items), offset
-    if tag == _V_FALSE or tag == _V_TRUE:
-        return tag == _V_TRUE, offset + 1
-    if tag == _V_FLOAT:
-        return (_V_FLOAT_ITEM.unpack_from(buf, offset)[1],
-                offset + _V_FLOAT_ITEM.size)
-    raise CodecError(f"unknown plain value tag {tag}")
+            key, offset = _dec_value(buf, offset)
+            mapping[key], offset = _dec_value(buf, offset)
+        return mapping, offset
+    items: List[Any] = []
+    for _ in range(count):
+        item, offset = _dec_value(buf, offset)
+        items.append(item)
+    if tag == _V_RECORD:
+        if not all(check(item) for check, item in zip(checks, items)):
+            raise CodecError(f"ill-typed {cls.__name__} record")
+        return build(*items), offset
+    return (tuple(items) if tag == _V_TUPLE else items), offset
 
 
 def _dec_action(body: bytes) -> EngineActionMsg:
-    _need(body, 0, _ACTION.size)
     creator, index, green_line, size, flags = _ACTION.unpack_from(body, 0)
     kind = flags & _A_TYPE
     if flags & ~_A_KNOWN or kind >= len(_ACTION_TYPE_BY_INDEX):
@@ -471,31 +444,21 @@ def _dec_action(body: bytes) -> EngineActionMsg:
     green_pos = join_id = leave_id = None
     line = None
     if flags & _A_GREEN_POS:
-        _need(body, offset, _SEQ.size)
         (green_pos,) = _SEQ.unpack_from(body, offset)
         offset += _SEQ.size
     if flags & _A_JOIN:
-        _need(body, offset, _SERVER.size)
         (join_id,) = _SERVER.unpack_from(body, offset)
         offset += _SERVER.size
     if flags & _A_LEAVE:
-        _need(body, offset, _SERVER.size)
         (leave_id,) = _SERVER.unpack_from(body, offset)
         offset += _SERVER.size
     if flags & _A_LINE:
-        _need(body, offset, _ACTION_ID.size)
         line = ActionId(*_ACTION_ID.unpack_from(body, offset))
         offset += _ACTION_ID.size
-    try:
-        client, offset = _dec_value(body, offset)
-        query, offset = _dec_value(body, offset)
-        update, offset = _dec_value(body, offset)
-        meta, offset = _dec_value(body, offset)
-    except (IndexError, struct.error, UnicodeDecodeError, TypeError,
-            RecursionError) as exc:
-        # Truncated, a non-utf-8 string, an unhashable dict key, or
-        # nesting past the interpreter's limit.
-        raise CodecError(f"bad engine action value: {exc!r}") from None
+    client, offset = _dec_value(body, offset)
+    query, offset = _dec_value(body, offset)
+    update, offset = _dec_value(body, offset)
+    meta, offset = _dec_value(body, offset)
     if offset != len(body):
         raise CodecError("trailing bytes in EngineActionMsg body")
     action = Action(ActionId(creator, index), line, client, query, update,
@@ -505,17 +468,20 @@ def _dec_action(body: bytes) -> EngineActionMsg:
                            bool(flags & _A_RETRANS))
 
 
+def _dec_value_item(body: bytes) -> Any:
+    value, end = _dec_value(body, 0)
+    if end != len(body):
+        raise CodecError("trailing bytes in value body")
+    return value
+
+
 _DECODERS: Dict[int, Callable[[bytes], Any]] = {
-    TAG_PICKLE: _dec_pickle,
     TAG_DATA: _dec_data,
     TAG_STAMP: _dec_stamp,
     TAG_ACK: _dec_ack,
-    TAG_HEARTBEAT: _dec_heartbeat,
-    TAG_NACK: _dec_nack,
     TAG_RETRANS: _dec_retrans,
-    TAG_CHANDATA: _dec_chandata,
-    TAG_CHANACK: _dec_chanack,
     TAG_ACTION: _dec_action,
+    TAG_VALUE: _dec_value_item,
 }
 
 
@@ -543,7 +509,16 @@ def decode_frame(blob: bytes) -> Tuple[int, Any]:
         raise CodecError(f"bad magic byte 0x{magic:02x}")
     if version != VERSION:
         raise CodecError(f"unsupported wire version {version}")
-    payload, end = _decode_item(blob, _HEADER.size)
+    try:
+        payload, end = _decode_item(blob, _HEADER.size)
+    except CodecError:
+        raise
+    except (IndexError, struct.error, ValueError, TypeError,
+            RecursionError) as exc:
+        # Truncated, an unknown service level, a non-utf-8 string, an
+        # unhashable dict key, an applied log of partial words, or
+        # nesting past the interpreter's limit.
+        raise CodecError(f"malformed frame: {exc!r}") from None
     if end != len(blob):
         raise CodecError("trailing bytes after frame payload")
     return src, payload

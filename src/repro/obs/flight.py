@@ -14,7 +14,7 @@ Two kinds of events share each node's ring:
   ``engine.install``/``compact``/``exit``/``unexpected_action``,
   ``gcs.gather``/``propose``/``install``/``suspect``/``retrans``,
   ``replica.crash``/``recover``/``joined``, ``runtime.callback_error``
-  and ``transport.oversize``.  Their detail is a dict of named fields;
+  and ``transport.oversize``/``unencodable``.  Their detail is a dict of named fields;
   :meth:`FlightHub.count` keeps exact per-kind totals however many
   the ring has evicted.
 * **Per-action events** (``submit``/``send``/``recv``/``red``/

@@ -7,7 +7,7 @@ Two backends for the asyncio runtime:
   latency.  No sockets, no serialization; the backend of choice for
   conformance tests and single-process live clusters.
 * :class:`AsyncioTransport` — real UDP sockets (one per hosted node,
-  loopback or LAN), datagrams framed by the struct-packed binary codec
+  loopback or LAN), datagrams framed by the binary wire codec
   (:mod:`repro.net.codec`), non-blocking receive via
   ``loop.add_reader``.  A process hosts any subset of the cluster's
   nodes; the address map names them all.
@@ -25,7 +25,9 @@ promises — exactly the contract the GCS daemon's NACK and flush
 machinery is built for.  That includes size: a frame that encodes
 larger than ``_MAX_DGRAM`` is a counted drop (``oversize_dropped``,
 ``repro_transport_oversize_dropped_total``, one ``transport.oversize``
-event in the sender's log), never an exception inside an event-loop callback.
+event in the sender's log), never an exception inside an event-loop
+callback, and so is a payload outside the codec's grammar (one
+``transport.unencodable`` event).
 Nothing upstream bounds message size yet: NACK stamp replies and flush
 plans grow with the backlog, and the joiner's ``TransferHeader`` still
 carries the representative's whole applied log (one 8-byte word per
@@ -134,13 +136,7 @@ class AsyncioTransport(_LiveFabric):
     (``open(node, sock=...)``), which lets a parent process bind all
     ports race-free and fork the cluster.
 
-    Wire format: the struct-packed frames of :mod:`repro.net.codec`.
-    The GCS data plane and the engine's action messages have compact
-    encoders and never unpickle; exchange, membership and transfer
-    messages still take the pickle escape hatch, so frames are only
-    safe from trusted endpoints — every node of a deployment is part of
-    one trust domain, exactly as with multiprocessing.  Do not expose
-    these ports to untrusted networks.
+    Wire format: the frames of :mod:`repro.net.codec`.
 
     ``bytes_sent`` counts *real encoded bytes* handed to the kernel
     (loopback deliveries count their declared size — they are never
@@ -237,15 +233,8 @@ class AsyncioTransport(_LiveFabric):
                 self.datagrams_dropped += 1
                 continue
             if blob is None:
-                blob = codec.encode_frame(src, payload)
-                if len(blob) > _MAX_DGRAM:
-                    self.oversize_dropped += 1
-                    if self._obs is not None:
-                        self._obs.flight_hub.recorder(src).record(
-                            self.runtime.now, "transport.oversize",
-                            detail={"bytes": len(blob),
-                                    "payload": type(payload).__name__})
-            if len(blob) > _MAX_DGRAM:
+                blob = self._frame(src, payload)
+            if not blob:
                 self.datagrams_dropped += 1
                 continue
             self.bytes_sent += len(blob)
@@ -255,6 +244,26 @@ class AsyncioTransport(_LiveFabric):
                 # Full socket buffer or transient network error: UDP
                 # semantics say drop; the GCS NACK path recovers.
                 self.datagrams_dropped += 1
+
+    def _frame(self, src: int, payload: Any) -> bytes:
+        """The frame for ``payload``, or ``b""`` when it cannot be sent:
+        outside the codec's grammar, or larger than one datagram.  Each
+        such payload leaves one event in the sender's log."""
+        try:
+            blob = codec.encode_frame(src, payload)
+        except TypeError:
+            blob, kind = b"", "transport.unencodable"
+        else:
+            if len(blob) <= _MAX_DGRAM:
+                return blob
+            self.oversize_dropped += 1
+            kind = "transport.oversize"
+        if self._obs is not None:
+            self._obs.flight_hub.recorder(src).record(
+                self.runtime.now, kind,
+                detail={"bytes": len(blob),
+                        "payload": type(payload).__name__})
+        return b""
 
     # -- receiving ------------------------------------------------------
     def _on_readable(self, node: int, sock: socket.socket) -> None:

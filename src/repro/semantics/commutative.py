@@ -17,11 +17,9 @@ from .service import QueryService, ReplicatedService
 class InventoryStore:
     """A commutative counter store (inventory with relaxed stock)."""
 
-    def __init__(self, service: ReplicatedService, prefix: str = "inv:",
-                 allow_negative: bool = True):
+    def __init__(self, service: ReplicatedService, prefix: str = "inv:"):
         self.service = service
         self.prefix = prefix
-        self.allow_negative = allow_negative
 
     def _key(self, item: str) -> str:
         return self.prefix + item

@@ -1,5 +1,5 @@
 """Import policy: which modules may reach the host, the wire format or
-randomness.
+randomness, and that none reaches an object serializer.
 
 The protocol stack runs unchanged under the deterministic simulator and
 on asyncio because it reaches the event loop, sockets and clocks only
@@ -21,16 +21,22 @@ HOST_MODULES = frozenset({
     "signal", "subprocess", "multiprocessing", "concurrent",
 })
 
+#: Object serializers: decoding their output can call arbitrary code.
+SERIALIZER_MODULES = frozenset({"pickle", "marshal", "shelve", "copyreg"})
+
 #: Top-level module -> the capability importing it takes.
 CAPABILITY = {**{name: "host" for name in HOST_MODULES},
+              **{name: "serializer" for name in SERIALIZER_MODULES},
               "struct": "framing", "random": "random"}
 
 #: Capability -> the modules allowed to take it (``pkg.*`` covers the
 #: package and everything under it).
 ALLOWED = {
     "host": ("repro.runtime.*", "repro.tools.*", "repro.obs.export"),
-    # The binary wire format lives in exactly one module.
+    # The binary wire format lives in exactly one module, and carries
+    # plain values and records only.
     "framing": ("repro.net.codec",),
+    "serializer": (),
     # Seeded generators only: the simulator's streams, the network
     # models that draw from them, and the fuzzer's schedules.
     "random": ("repro.sim.rng", "repro.net.latency", "repro.net.network",
@@ -120,8 +126,10 @@ def test_flight_recorder_reads_no_clock():
 def test_the_walker_sees_every_edge_kind():
     tree = ast.parse("import asyncio.events\nfrom time import monotonic\n"
                      "import struct, random\nfrom . import records\n"
-                     "open('f')\nos.fsync(3)\n")
+                     "open('f')\nos.fsync(3)\nimport pickle\n"
+                     "from copyreg import pickle\n")
     assert sorted((c, w) for c, _line, w in edges(tree)) == [
         ("file-io", "open()"), ("file-io", "os.fsync()"),
         ("framing", "import struct"), ("host", "import asyncio.events"),
-        ("host", "import time"), ("random", "import random")]
+        ("host", "import time"), ("random", "import random"),
+        ("serializer", "import copyreg"), ("serializer", "import pickle")]

@@ -1,4 +1,7 @@
-"""Binary wire codec: differential round-trips and frame fuzzing."""
+"""Binary wire codec: differential round-trips and frame fuzzing.
+
+``pickle`` appears here only as a reference oracle: the codec never
+uses it."""
 
 import enum
 import pickle
@@ -8,11 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import EngineActionMsg
-from repro.db import Action, ActionId, join_action, leave_action
+from repro.core.messages import EngineActionMsg, EngineCpcMsg, EngineStateMsg
+from repro.core.reconfig import JoinRequest, TransferBusy, TransferHeader
+from repro.core.records import PrimComponent, Vulnerable
+from repro.db import (Action, ActionId, AppliedLog, SnapshotChunk, is_plain,
+                      join_action, leave_action)
 from repro.gcs.types import (AckMsg, ChanAck, ChanData, DataMsg,
-                             HeartbeatMsg, NackMsg, RetransDataMsg,
-                             ServiceLevel, StampMsg, ViewId)
+                             FlushDoneMsg, FlushPlanMsg, FlushRetransCmd,
+                             GatherMsg, HeartbeatMsg, InstallMsg, LeaveMsg,
+                             NackMsg, ProposeMsg, RetransDataMsg,
+                             ServiceLevel, StampMsg, StateReportMsg, ViewId)
 from repro.net import codec
 
 VIEW = ViewId(3, 1)
@@ -45,8 +53,38 @@ ENGINE_ACTIONS = [
                            update=("SET", "k", None)), green_line=40),
 ]
 
-#: One of every wire type the codec packs compactly, plus payloads that
-#: must take the pickle escape hatch.
+_VULNERABLE = Vulnerable("valid", 3, 9, (1, 2, 4), {1: True, 2: False,
+                                                   4: True})
+_LOG = AppliedLog([ActionId(1, 1), ActionId(2, 1), ActionId(1, 2)])
+
+#: Every record kind of the wire, as the protocol sends it.
+RECORD_CORPUS = [
+    GatherMsg(4, 2, True),
+    ProposeMsg(1, 2, (1, 2, 4)),
+    StateReportMsg(2, 5, VIEW, ((5, 2, 7), (6, 3, 0)), (5, 6), 6, 4, 5,
+                   (1, 2, 3)),
+    StateReportMsg(3, 1, None, (), (), -1, -1, -1, ()),
+    FlushPlanMsg(1, 5, VIEW, ((5, 2, 7), (70_000, 3, 2 ** 40)), (5,), 4),
+    FlushRetransCmd(1, 5, 2, 3, VIEW, (5, 6)),
+    FlushDoneMsg(2, 5),
+    InstallMsg(1, 5, ViewId(4, 1), (1, 2, 3), ((1, (1, 2)), (3, (3,)))),
+    LeaveMsg(3),
+    EngineStateMsg(2, VIEW, 40, {1: 12, 2: 30}, {1: 38, 2: 40}, 6,
+                   PrimComponent(2, 6, (1, 2, 3)), _VULNERABLE, True,
+                   (ActionId(1, 13), ActionId(2, 31))),
+    EngineCpcMsg(2, VIEW),
+    JoinRequest(4),
+    JoinRequest(4, "t-2-17", 3),
+    TransferHeader("t-2-17", 3, (1, 2, 3, 4),
+                   {"applied_count": 3, "applied_log": _LOG,
+                    "applied_cut": {1: 2, 2: 1},
+                    "last_applied": ActionId(1, 2)}, 2, (5,)),
+    TransferBusy(4),
+    SnapshotChunk("t-2-17", 0, 2, (("k1", 3), ("k2", [1, "x", None]))),
+]
+
+#: One of every wire type the codec carries, struct-packed or as a
+#: value.
 CORPUS = [
     DataMsg(VIEW, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE, 180),
     DataMsg(VIEW, 14, 0, None, ServiceLevel.AGREED, 48),
@@ -73,11 +111,11 @@ CORPUS = [
     RetransDataMsg(VIEW, ()),
     ChanData(1, 9, {"state": [1, 2, 3]}, 320),
     ChanAck(2, 17),
-    # escape-hatch payloads: no dedicated encoder
+    # plain values: one value item each
     ("raw", "tuple"),
     {"a": 1},
     None,
-] + ENGINE_ACTIONS
+] + ENGINE_ACTIONS + RECORD_CORPUS
 
 
 @pytest.mark.parametrize("payload", CORPUS,
@@ -102,12 +140,28 @@ def test_compact_encoding_beats_pickle_for_hot_types():
     assert len(codec.encode_frame(1, data)) <= 120
 
 
-def test_out_of_range_field_takes_escape_hatch():
-    # size exceeds the packed i32: the encoder must fall back to
-    # pickle rather than corrupt or crash.
-    msg = DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 2 ** 40)
+@pytest.mark.parametrize("msg", [
+    # size beyond the packed i32
+    DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 2 ** 40),
+    # a trace id beyond the packed i64
+    DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 180, 2 ** 64),
+], ids=["DataMsg-size", "DataMsg-trace"])
+def test_out_of_range_fields_are_refused(msg):
+    """A field out of its packed range is refused whole with TypeError:
+    nothing falls back to another encoding."""
+    with pytest.raises(TypeError):
+        codec.encode_frame(1, msg)
+
+
+@pytest.mark.parametrize("msg", [
+    ChanData(1, 9, "payload", 64, 2 ** 64),
+    HeartbeatMsg(4, VIEW, True, 12, 2 ** 64),
+], ids=["ChanData-trace", "HeartbeatMsg-green-line"])
+def test_record_fields_beyond_64_bits_roundtrip(msg):
+    """A record's int field has no packed range: past 64 bits it takes
+    the sized int kind."""
     blob = codec.encode_frame(1, msg)
-    assert blob[codec._HEADER.size] == codec.TAG_PICKLE
+    assert blob[codec._HEADER.size] == codec.TAG_VALUE
     assert codec.decode_frame(blob)[1] == msg
 
 
@@ -127,9 +181,10 @@ def test_version1_frames_are_rejected():
     lack the green line, so a silent accept would shear every field
     after the header (v2 heartbeat bodies would even fail only on
     length), a v3 peer pickles the engine actions a v4 peer no longer
-    unpickles, and v4 heartbeats carry a group field v5 dropped."""
-    assert codec.VERSION == 5
-    for old in (1, 2, 3, 4):
+    unpickles, v4 heartbeats carry a group field v5 dropped, and a v5
+    peer pickles what v6 sends as records."""
+    assert codec.VERSION == 6
+    for old in (1, 2, 3, 4, 5):
         frame = codec._HEADER.pack(codec.MAGIC, old, 7) \
             + codec.encode_payload(("x",))
         with pytest.raises(codec.CodecError,
@@ -157,21 +212,7 @@ def test_heartbeat_green_line_roundtrips_any_64bit_value(line, in_view):
     for the full signed 64-bit range, with and without a view id."""
     msg = HeartbeatMsg(4, VIEW if in_view else None, in_view, 12, line)
     blob = codec.encode_frame(1, msg)
-    assert blob[codec._HEADER.size] == codec.TAG_HEARTBEAT
-    assert codec.decode_frame(blob)[1] == msg
-
-
-def test_heartbeat_green_line_out_of_range_takes_escape_hatch():
-    msg = HeartbeatMsg(4, VIEW, True, 12, 2 ** 64)
-    blob = codec.encode_frame(1, msg)
-    assert blob[codec._HEADER.size] == codec.TAG_PICKLE
-    assert codec.decode_frame(blob)[1] == msg
-
-
-def test_trace_field_out_of_range_takes_escape_hatch():
-    msg = DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 180, 2 ** 64)
-    blob = codec.encode_frame(1, msg)
-    assert blob[codec._HEADER.size] == codec.TAG_PICKLE
+    assert blob[codec._HEADER.size] == codec.TAG_VALUE
     assert codec.decode_frame(blob)[1] == msg
 
 
@@ -181,13 +222,17 @@ def test_untraced_messages_default_to_trace_zero():
 
 
 def test_unknown_tag_raises():
-    # 6 is the retired token-ring tag and 1 the retired wire-batch
-    # frame: neither may decode as anything.
-    for tag in (250, 6, 1):
-        frame = codec._HEADER.pack(codec.MAGIC, codec.VERSION, 1) \
-            + codec._ITEM.pack(tag, 0)
-        with pytest.raises(codec.CodecError, match="unknown payload tag"):
-            codec.decode_frame(frame)
+    # Retired tags — 0 the pickle escape hatch, 1 the wire-batch frame,
+    # 6 the token ring, 5/7/9/10 the heartbeat, NACK and channel
+    # layouts — may not decode as anything, whatever their body.
+    body = pickle.dumps(("x",))
+    for tag in (250, 0, 1, 5, 6, 7, 9, 10):
+        for payload in (b"", body):
+            frame = codec._HEADER.pack(codec.MAGIC, codec.VERSION, 1) \
+                + codec._ITEM.pack(tag, len(payload)) + payload
+            with pytest.raises(codec.CodecError,
+                               match="unknown payload tag"):
+                codec.decode_frame(frame)
 
 
 def test_trailing_bytes_raise():
@@ -217,13 +262,13 @@ def test_random_bytes_never_crash(blob):
 
 @settings(max_examples=100, deadline=None)
 @given(st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=20)
-    | st.binary(max_size=20),
+    st.none() | st.booleans() | st.integers()
+    | st.text(max_size=20) | st.binary(max_size=20),
     lambda children: st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(st.text(max_size=5), children, max_size=4),
     max_leaves=10))
 def test_random_payloads_roundtrip(payload):
-    """Any picklable application payload survives the frame."""
+    """Any plain value survives the frame."""
     src, decoded = codec.decode_frame(codec.encode_frame(2, payload))
     assert src == 2
     assert decoded == payload
@@ -267,9 +312,9 @@ def _shape(value):
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
-_KEYS = _TEXT | st.integers(-2 ** 63, 2 ** 63 - 1) | st.binary(max_size=8)
+_KEYS = _TEXT | st.integers() | st.binary(max_size=8)
 _PLAIN = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 63, 2 ** 63 - 1)
+    st.none() | st.booleans() | st.integers()
     | st.floats(allow_nan=False) | _TEXT | st.binary(max_size=12),
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
@@ -311,16 +356,122 @@ class _Opaque:
 
 
 @pytest.mark.parametrize("value", [_Level.HIGH, _Name("k"), _Opaque(3),
-                                   2 ** 64, {1, 2}],
+                                   {1, 2}, "\ud800"],
                          ids=["IntEnum", "str-subclass", "object",
-                              "bigint", "set"])
-def test_non_plain_values_take_the_escape_hatch_whole(value):
+                              "set", "lone-surrogate"])
+def test_non_plain_values_are_refused(value):
+    """A value outside the grammar is refused whole, in an action and
+    as a payload of its own, and the submission predicate agrees."""
     msg = EngineActionMsg(Action(ActionId(1, 2), update=("SET", "k", value)))
+    for payload in (msg, value, [value]):
+        with pytest.raises(TypeError):
+            codec.encode_frame(1, payload)
+    assert not is_plain(value)
+    assert not is_plain(("SET", "k", value))
+
+
+def test_big_ints_are_plain_values():
+    """An int of any size is plain data, in an action and as a payload
+    of its own: INC has no bound on a sum, and a snapshot must carry
+    whatever the database holds."""
+    for value in (2 ** 64, -2 ** 64, 2 ** 63, -2 ** 63 - 1, 7 ** 400):
+        msg = EngineActionMsg(Action(ActionId(1, 2),
+                                     update=("SET", "k", value)))
+        for payload in (msg, value, [value],
+                        SnapshotChunk("t", 0, 1, (("k", value),))):
+            assert codec.decode_frame(codec.encode_frame(1, payload)) \
+                == (1, payload)
+        assert is_plain(value)
+
+
+def _codec_takes(value):
+    """The codec's own check: does an action holding ``value`` encode?"""
+    try:
+        codec.encode_payload(EngineActionMsg(Action(ActionId(1, 2),
+                                                    update=value)))
+    except TypeError:
+        return False
+    return True
+
+
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+              min_size=1, max_size=2)
+    | st.binary(max_size=8) | st.sets(st.integers(), max_size=2)
+    | st.sampled_from([_Level.HIGH, _Name("k"), _Opaque(1),
+                       frozenset({1}), 1j]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, children, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY)
+def test_is_plain_agrees_with_the_codec(value):
+    """The submission predicate, defined below both the engine and the
+    codec, accepts exactly what the codec encodes in an action."""
+    assert is_plain(value) == _codec_takes(value)
+
+
+def test_records_are_wire_values_but_not_submissions():
+    """The codec also carries the protocol's own records; a client
+    submission may not hold one."""
+    assert _codec_takes(("SET", "k", VIEW))
+    assert not is_plain(("SET", "k", VIEW))
+
+
+def test_record_table_is_the_wire_vocabulary():
+    """Exactly the protocol's cold types are records; the five hot
+    types keep their struct layouts."""
+    assert {row[0] for row in codec.RECORDS} == {
+        type(msg) for msg in RECORD_CORPUS} | {
+        ViewId, ActionId, PrimComponent, Vulnerable, AppliedLog,
+        HeartbeatMsg, NackMsg, ChanData, ChanAck}
+    assert set(codec._ENCODERS) == {DataMsg, StampMsg, AckMsg,
+                                    RetransDataMsg, EngineActionMsg}
+
+
+@pytest.mark.parametrize("msg", RECORD_CORPUS + [HeartbeatMsg(9, VIEW,
+                                                              True, 55)],
+                         ids=lambda m: type(m).__name__)
+def test_records_are_smaller_than_their_pickles(msg):
+    assert len(codec.encode_payload(msg)) < len(pickle.dumps(msg))
+
+
+def test_compact_ints_take_the_fewest_bytes():
+    for value, size in ((0, 2), (-128, 2), (127, 2), (128, 3),
+                        (-32768, 3), (32768, 5), (2 ** 31, 9),
+                        (-2 ** 63, 9), (2 ** 63, 11), (-2 ** 63 - 1, 11),
+                        (2 ** 2032, 257), (2 ** 2040, 261)):
+        parts = []
+        codec._enc_value(value, parts)
+        assert len(b"".join(parts)) == size, value
+        assert codec._dec_value(b"".join(parts), 0) == (value, size)
+
+
+@pytest.mark.parametrize("msg", [
+    HeartbeatMsg(4, VIEW, True, 0, "x"),
+    HeartbeatMsg(4, VIEW, True, 0, 1.5),
+    HeartbeatMsg(4, VIEW, 1, 0, 3),
+    HeartbeatMsg(4, (3, 1), True, 0, 3),
+    NackMsg(VIEW, 3, ("x",), 5),
+    StateReportMsg(2, 5, VIEW, ((5, 2),), (5,), 6, 4, 5, (1,)),
+    InstallMsg(1, 5, VIEW, (1, 2), ((1, [1, 2]),)),
+    EngineStateMsg(2, VIEW, 40, {1: "12"}, {}, 6,
+                   PrimComponent(2, 6, (1,)), _VULNERABLE, True, ()),
+    JoinRequest(4, 17, 3),
+], ids=["green-line-str", "green-line-float", "joined-int",
+        "view-id-tuple", "nack-seq-str", "stamp-arity", "trans-set-list",
+        "red-cut-str", "transfer-id-int"])
+def test_ill_typed_records_are_refused(msg):
+    """A well-formed frame whose record fields do not match the class's
+    annotations is refused: the protocol never sees, say, a heartbeat
+    whose green line is a string."""
     blob = codec.encode_frame(1, msg)
-    assert blob[codec._HEADER.size] == codec.TAG_PICKLE
-    decoded = codec.decode_frame(blob)[1]
-    assert decoded == msg
-    assert type(decoded.action.update[2]) is type(value)
+    with pytest.raises(codec.CodecError, match="ill-typed"):
+        codec.decode_frame(blob)
 
 
 _RESOLVED = []
@@ -357,11 +508,10 @@ def test_engine_action_counts_larger_than_the_frame_are_refused():
             codec.decode_frame(frame)
 
 
-def test_every_single_byte_corruption_of_an_engine_action_is_bounded():
-    """Every value at every byte of a traced action's frame either
-    decodes or raises CodecError, and no corruption allocates more than
-    a small multiple of the frame."""
-    blob = codec.encode_frame(1, ENGINE_ACTIONS[1])
+def _corruption_peak(payload):
+    """Decode every value at every byte of ``payload``'s frame; each
+    must decode or raise CodecError.  Returns the peak allocation."""
+    blob = codec.encode_frame(1, payload)
     tracemalloc.start()
     try:
         for pos in range(len(blob)):
@@ -372,7 +522,22 @@ def test_every_single_byte_corruption_of_an_engine_action_is_bounded():
                     codec.decode_frame(bytes(corrupt))
                 except codec.CodecError:
                     pass
-        _current, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 1024
+
+
+def test_every_single_byte_corruption_of_an_engine_action_is_bounded():
+    """Every value at every byte of a traced action's frame either
+    decodes or raises CodecError, and no corruption allocates more than
+    a small multiple of the frame."""
+    assert _corruption_peak(ENGINE_ACTIONS[1]) < 64 * 1024
+
+
+def test_every_single_byte_corruption_of_a_record_is_bounded():
+    """The same for records nesting records, a dict and an applied log
+    (a corrupt class index or field count included)."""
+    state = next(m for m in RECORD_CORPUS if type(m) is EngineStateMsg)
+    header = next(m for m in RECORD_CORPUS if type(m) is TransferHeader)
+    for msg in (state, header):
+        assert _corruption_peak(msg) < 64 * 1024

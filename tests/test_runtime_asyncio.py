@@ -359,6 +359,72 @@ def test_udp_oversize_frame_is_a_counted_drop_not_an_exception():
             in obs.flight_hub.recorder(1).events()] == ["transport.oversize"]
 
 
+def test_udp_unencodable_payload_is_a_counted_drop_not_an_exception():
+    """A payload outside the codec's grammar is dropped at send with one
+    ``transport.unencodable`` event; the socket keeps working."""
+    async def scenario():
+        rt = AsyncioRuntime()
+        net = AsyncioTransport(rt, loopback_addresses([1, 2]),
+                               Topology([1, 2]))
+        obs = Observability()
+        net.observe(obs)
+        got = []
+        try:
+            net.attach(1, lambda d: got.append((1, d.payload)))
+            net.attach(2, lambda d: got.append((2, d.payload)))
+            odd = {1, 2}
+            # The loopback leg is never encoded, so it still arrives.
+            net.multicast(1, (1, 2), odd)
+            net.send(1, 2, "small")
+            await asyncio.sleep(0.05)
+        finally:
+            net.close()
+        return net, obs, got, odd
+
+    net, obs, got, odd = run(scenario())
+    assert sorted(got, key=repr) == sorted([(1, odd), (2, "small")],
+                                           key=repr)
+    assert net.datagrams_dropped == 1
+    assert net.oversize_dropped == 0
+    [row] = obs.flight_hub.select("transport.unencodable")
+    assert row["node"] == 1 and row["detail"]["payload"] == "set"
+    assert obs.flight_hub.count("transport.unencodable") == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("update", ("SET", "k", {1, 2})),
+    ("query", ("GET", object())),
+    ("client", 1j),
+    ("meta", {"ts": Observability}),
+])
+def test_submit_refuses_values_outside_the_wire_grammar(field, value):
+    """Both runtimes refuse at submission what the wire cannot carry,
+    before the action is numbered, and keep accepting plain data."""
+    from repro.core import ReplicaCluster
+    from repro.runtime import LiveCluster
+
+    def refuses(cluster):
+        replica = cluster.replicas[1]
+        kwargs = {"update": ("SET", "k", 1), field: value}
+        with pytest.raises(TypeError, match="plain data"):
+            replica.submit(**kwargs)
+        assert replica.engine.stats["client_requests"] == 0
+        return replica.submit(("SET", "k", 1), client="c", meta={"n": 1})
+
+    sim = ReplicaCluster(1)
+    sim.start_all()
+    assert refuses(sim).index == 1
+
+    async def live():
+        cluster = LiveCluster([1])
+        try:
+            cluster.start_all()
+            return refuses(cluster)
+        finally:
+            cluster.shutdown()
+    assert run(live()).index == 1
+
+
 def test_fault_on_a_node_hosted_elsewhere_only_changes_the_topology():
     from repro.runtime import LiveCluster
 
@@ -378,9 +444,10 @@ def test_fault_on_a_node_hosted_elsewhere_only_changes_the_topology():
 def test_udp_join_after_a_thousand_actions_converges():
     """An online join (Section 5.1) over real UDP: the new replica binds
     an OS-assigned port, takes the transfer from its peer and reaches
-    the same green order and digest.  A join after 7,250 applied
-    actions still completes; after 7,500 the transfer header outgrows
-    one datagram (ROADMAP 9)."""
+    the same green order and digest, with every value past 64 bits in
+    the snapshot it receives.  A join after 7,250 applied actions still
+    completes; after 7,500 the transfer header outgrows one datagram
+    (ROADMAP 9)."""
     from repro.core.state_machine import EngineState
     from repro.runtime import udp_cluster
 
@@ -393,7 +460,8 @@ def test_udp_join_after_a_thousand_actions_converges():
             for chunk in range(5):
                 for i in range(200):
                     n = chunk * 200 + i
-                    cluster.submit(1 + n % 3, ("SET", f"k{n % 50}", n))
+                    cluster.submit(1 + n % 3,
+                                   ("SET", f"k{n % 50}", n << 64))
                 await cluster.wait_green((chunk + 1) * 200, timeout=10)
             cluster.add_replica(4, peer=2)
 
@@ -407,6 +475,7 @@ def test_udp_join_after_a_thousand_actions_converges():
             await cluster.wait_until(converged, timeout=10,
                                      what="replica 4 joining")
             cluster.assert_converged()
+            assert cluster.replicas[4].database.state["k49"] >= 2 ** 64
             return cluster.green_counts(), cluster.transport
         finally:
             cluster.shutdown()
