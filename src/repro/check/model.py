@@ -152,7 +152,9 @@ class _Channel:
         self.green_line_handler: Any = None
         self.cpcs = 0
 
-    def multicast(self, payload: Any, *args: Any, **kwargs: Any) -> None:
+    def multicast(self, payload: Any,
+                  service: ServiceLevel = ServiceLevel.SAFE,
+                  size: int = 200) -> None:
         if payload.__class__ is EngineCpcMsg:
             self.cpcs += 1
         elif payload.__class__ is not EngineStateMsg \

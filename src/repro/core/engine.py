@@ -276,8 +276,7 @@ class ReplicationEngine:
             rec((self.sim.now, "submit", trace, None))
         if self._staleness and "ts" not in meta:
             meta["ts"] = self.sim.now
-        return Action(action_id=action_id,
-                      green_line=None, client=client, query=query,
+        return Action(action_id=action_id, client=client, query=query,
                       update=update, meta=meta,
                       size=self.config.action_size)
 
@@ -304,15 +303,11 @@ class ReplicationEngine:
             return
         rec = self._flight_append
         for action in actions:
-            msg = EngineActionMsg(action=action, green_line=green_line)
-            if rec is None:
-                self.channel.multicast(msg, ServiceLevel.SAFE,
-                                       size=action.size)
-            else:
-                trace = action.meta.get("trace", 0)
-                rec((self.sim.now, "send", trace, None))
-                self.channel.multicast(msg, ServiceLevel.SAFE,
-                                       size=action.size, trace=trace)
+            if rec is not None:
+                rec((self.sim.now, "send", action.meta.get("trace", 0), None))
+            self.channel.multicast(
+                EngineActionMsg(action=action, green_line=green_line),
+                ServiceLevel.SAFE, size=action.size)
 
     def _handle_buffered(self) -> None:
         """Handle_buff_requests (A.8): batch-journal, one sync, send."""

@@ -45,21 +45,14 @@ class JoinRequest:
 
 @dataclass(frozen=True)
 class TransferHeader:
-    """Representative -> joiner: transfer metadata."""
+    """Representative -> joiner: transfer metadata.  The joiner's
+    green count is ``header["applied_count"]``, the snapshot's
+    position."""
 
     transfer_id: str
-    green_count: int
     servers: tuple
     header: dict
-    total_chunks: int
     removed: tuple = ()
-
-
-@dataclass(frozen=True)
-class TransferBusy:
-    """Member -> joiner: join known but not green here yet; retry."""
-
-    joiner_id: int
 
 
 class RepresentativeRole:
@@ -96,10 +89,8 @@ class RepresentativeRole:
                                 chunk_items=self.chunk_items)
         header = TransferHeader(
             transfer_id=transfer_id,
-            green_count=position + 1,
             servers=tuple(self.replica.engine.queue.servers),
             header=sender.header,
-            total_chunks=sender.total,
             removed=tuple(sorted(self.replica.engine.removed_servers)))
         self._senders[transfer_id] = sender
         self._sender_meta[transfer_id] = header
@@ -133,10 +124,10 @@ class RepresentativeRole:
                 # rebuild a sender from our own (equivalent) state.
                 # Safe only if our database is at least at the join
                 # point, which is implied by the join being green here.
+                # Until it is, send nothing: the joiner's retry timer
+                # re-requests.
                 if engine.queue.green_lines.get(joiner, 0) \
                         > engine.queue.green_count:
-                    self.replica.endpoint.send(joiner,
-                                               TransferBusy(joiner), 64)
                     return
                 snapshot = self.replica.database.snapshot()
                 transfer_id = f"resume-{self.replica.node}-{joiner}-" \
@@ -146,10 +137,8 @@ class RepresentativeRole:
                 self._senders[transfer_id] = sender
                 self._sender_meta[transfer_id] = TransferHeader(
                     transfer_id=transfer_id,
-                    green_count=snapshot["applied_count"],
                     servers=tuple(engine.queue.servers),
                     header=sender.header,
-                    total_chunks=sender.total,
                     removed=tuple(sorted(engine.removed_servers)))
                 self._stream(joiner, transfer_id, 0)
         else:
@@ -217,8 +206,7 @@ class JoinerProtocol:
     def on_message(self, payload: Any) -> bool:
         """Returns True if the payload belonged to the join protocol."""
         if self._done:
-            return isinstance(payload, (TransferHeader, SnapshotChunk,
-                                        TransferBusy))
+            return isinstance(payload, (TransferHeader, SnapshotChunk))
         if isinstance(payload, TransferHeader):
             self.header = payload
             self.receiver.begin(payload.transfer_id, payload.header)
@@ -227,8 +215,6 @@ class JoinerProtocol:
         if isinstance(payload, SnapshotChunk):
             self.receiver.accept(payload)
             self._check_complete()
-            return True
-        if isinstance(payload, TransferBusy):
             return True
         return False
 

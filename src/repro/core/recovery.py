@@ -9,7 +9,9 @@ record store:
    journaled after it, replayed in order;
 2. the action queue — green prefix, then the red-actions snapshot taken
    at the last exchange, then the paper's A.13 step: every ongoingQueue
-   action not yet covered by the red cut is re-marked red;
+   action not yet covered by the red cut is re-marked red, and only the
+   own actions still above the red cut stay in ``engine.ongoing`` (the
+   rest are red or green already, as A.14 leaves them);
 3. the persistent records — primComponent, vulnerable (a server that
    crashed while vulnerable *stays* vulnerable), yellow, counters.
 
@@ -94,13 +96,15 @@ def recover_engine(engine: ReplicationEngine) -> None:
     # 2. red actions snapshot from the last exchange, then A.13 proper
     for action in view.get("red_actions", []) or []:
         engine.queue.mark_red(action)
-    for action in ongoing:
-        engine.ongoing[action.action_id] = action
-    for action_id in sorted(engine.ongoing):
-        action = engine.ongoing[action_id]
-        if engine.queue.red_cut.get(engine.server_id, 0) \
-                == action_id.index - 1:
-            engine.queue.mark_red(action)
+    journaled = {action.action_id: action for action in ongoing}
+    red_cut = engine.queue.red_cut
+    for action_id in sorted(journaled):
+        if red_cut.get(engine.server_id, 0) == action_id.index - 1:
+            engine.queue.mark_red(journaled[action_id])
+    cut = red_cut.get(engine.server_id, 0)
+    for action_id in sorted(journaled):
+        if action_id.index > cut:
+            engine.ongoing[action_id] = journaled[action_id]
 
     # 3. persistent records
     prim = view.get("prim_component")
@@ -128,7 +132,7 @@ def recover_engine(engine: ReplicationEngine) -> None:
     engine.attempt_index = view.get("attempt_index", 0)
     engine.removed_servers = set(view.get("removed_servers", []))
     engine.action_index = max(view.get("action_index", 0),
-                              max((a.index for a in engine.ongoing),
+                              max((a.index for a in journaled),
                                   default=0))
     for server, line in (view.get("green_lines") or {}).items():
         if server in engine.queue.green_lines:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Set, Tuple)
 
-from ..db import Action, ActionId, ActionType, Database, DirtyView
+from ..db import Action, ActionId, Database
 from ..gcs import (GcsDaemon, GcsSettings, GroupChannel,
                    ReliableChannelEndpoint)
 from ..net import Datagram
@@ -90,7 +90,6 @@ class Replica:
         self.wal = WriteAheadLog(self.disk, obs=self.obs)
         self.store = StableStore(self.wal)
         self.database = Database()
-        self.dirty_view = DirtyView(self.database)
 
         self.gcs_settings = gcs_settings or GcsSettings()
         self.daemon = GcsDaemon(sim, node, network, directory,
@@ -186,7 +185,6 @@ class Replica:
         self.database = Database()
         for name, procedure in self.procedures.items():
             self.database.register_procedure(name, procedure)
-        self.dirty_view = DirtyView(self.database)
         self.engine = ReplicationEngine(
             self.sim, self.node, self.channel, self.store, self.database,
             [self.node], self.engine_config, _ReplicaHooks(self),
@@ -219,11 +217,12 @@ class Replica:
         """CodeSegment 5.2 lines 28-30: adopt the transferred state and
         start executing the replication algorithm."""
         engine = self.engine
+        green_count = header.header["applied_count"]
         for server in header.servers:
             engine.queue.add_server(server)
         engine.removed_servers = set(header.removed)
-        engine.queue.green_offset = header.green_count
-        engine.queue.set_green_line(self.node, header.green_count)
+        engine.queue.green_offset = green_count
+        engine.queue.set_green_line(self.node, green_count)
         # The inherited database incorporates every action in its
         # applied log (Theorem 2): the red cut must reflect that, or the
         # first exchange would wait for retransmission of actions that
@@ -238,7 +237,7 @@ class Replica:
         engine._sync()
         self.daemon.join()
         self._log.record(self.sim.now, "replica.joined",
-                         detail={"green": header.green_count})
+                         detail={"green": green_count})
 
     def leave(self) -> ActionId:
         """Voluntarily and permanently leave the replicated system."""
@@ -279,7 +278,6 @@ class Replica:
     # engine upcalls
     # ==================================================================
     def _on_green(self, action: Action, position: int, result: Any) -> None:
-        self.dirty_view.invalidate()
         # Every replica pays the per-action processing cost; clients see
         # their response once the replication server's CPU caught up.
         ready = self.cpu.take(self.engine_config.apply_cpu)

@@ -52,8 +52,6 @@ class Action:
     Fields follow the paper's Action message structure:
 
     action_id   identifier (creating server, index)
-    green_line  the creator's last green action id at creation time
-                (used for white-line computation / garbage collection)
     client      identifier of the requesting client
     query       read part: evaluated against the database state at the
                 point the action is ordered; ``None`` for pure updates
@@ -69,7 +67,6 @@ class Action:
     """
 
     action_id: ActionId
-    green_line: Optional[ActionId] = None
     client: Optional[Any] = None
     query: Optional[Tuple] = None
     update: Optional[Tuple] = None
@@ -91,18 +88,16 @@ class Action:
         return f"Action[{self.action_id}/{self.type.value}]"
 
 
-def join_action(action_id: ActionId, joining_server: int,
-                green_line: Optional[ActionId] = None) -> Action:
+def join_action(action_id: ActionId, joining_server: int) -> Action:
     """Build a PERSISTENT_JOIN announcing ``joining_server``."""
-    return Action(action_id=action_id, green_line=green_line,
-                  type=ActionType.PERSISTENT_JOIN, join_id=joining_server)
+    return Action(action_id=action_id, type=ActionType.PERSISTENT_JOIN,
+                  join_id=joining_server)
 
 
-def leave_action(action_id: ActionId, leaving_server: int,
-                 green_line: Optional[ActionId] = None) -> Action:
+def leave_action(action_id: ActionId, leaving_server: int) -> Action:
     """Build a PERSISTENT_LEAVE removing ``leaving_server``."""
-    return Action(action_id=action_id, green_line=green_line,
-                  type=ActionType.PERSISTENT_LEAVE, leave_id=leaving_server)
+    return Action(action_id=action_id, type=ActionType.PERSISTENT_LEAVE,
+                  leave_id=leaving_server)
 
 
 def is_plain(value: Any) -> bool:

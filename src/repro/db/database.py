@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from .action import Action, ActionId, ActionType
+from .action import Action, ActionType
 from .applied_log import AppliedLog
 from .sql import Procedure, StatementError, execute_query, execute_update
 
@@ -32,7 +32,6 @@ class Database:
         self.state: Dict[str, Any] = {}
         self.applied_count = 0
         self.applied_cut: Dict[int, int] = {}
-        self.last_applied: Optional[ActionId] = None
         self._adopt_log(AppliedLog())
         self._procedures: Dict[str, Procedure] = {}
 
@@ -84,7 +83,6 @@ class Database:
         # Global FIFO Order: a creator's actions are applied in index
         # order, so its latest applied index is its highest.
         self.applied_cut[server_id] = index
-        self.last_applied = action_id
         return result
 
     def query(self, query: Tuple) -> Any:
@@ -107,7 +105,6 @@ class Database:
             "applied_count": self.applied_count,
             "applied_log": AppliedLog(self.applied_log),
             "applied_cut": dict(self.applied_cut),
-            "last_applied": self.last_applied,
         }
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
@@ -115,7 +112,6 @@ class Database:
         self.state = json.loads(snapshot["state"])
         self.applied_count = snapshot["applied_count"]
         self.applied_cut = dict(snapshot["applied_cut"])
-        self.last_applied = snapshot["last_applied"]
         self._adopt_log(AppliedLog(snapshot["applied_log"]))
 
     # ------------------------------------------------------------------

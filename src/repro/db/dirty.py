@@ -7,8 +7,9 @@ information.  The paper: "a dirty version of the database is maintained
 while the replicas are not in the primary component."
 
 The overlay replays the replica's red/yellow suffix on top of the green
-state.  It is rebuilt lazily and invalidated whenever the green state or
-the red suffix changes.
+state.  It is rebuilt lazily, at the next dirty query after the green
+state (its ``applied_count``) or the red suffix changed, so applying a
+green action costs the overlay nothing.
 """
 
 from __future__ import annotations
@@ -27,29 +28,27 @@ class DirtyView:
     def __init__(self, database: Database):
         self.database = database
         self._state: Optional[Dict[str, Any]] = None
+        self._green = 0                 # database.applied_count at build
         self._applied = 0
         self._suffix: List[Action] = []
-
-    def invalidate(self) -> None:
-        """Discard the materialized overlay (green state changed)."""
-        self._state = None
-        self._applied = 0
-        self._suffix = []
 
     def refresh(self, pending: Iterable[Action]) -> None:
         """Bring the overlay up to date with the red/yellow suffix.
 
         ``pending`` is the replica's current not-yet-green suffix in
-        local order.  If it extends the previously applied suffix, only
-        the new tail is replayed; otherwise the overlay is rebuilt.
+        local order.  If the green state is unchanged and ``pending``
+        extends the previously applied suffix, only the new tail is
+        replayed; otherwise the overlay is rebuilt.
         """
         pending = list(pending)
         if (self._state is None
+                or self._green != self.database.applied_count
                 or pending[:self._applied] != self._suffix[:self._applied]
                 or len(pending) < self._applied):
             # Deep: replaying an APPEND must not grow a list the green
             # state holds.
             self._state = copy.deepcopy(self.database.state)
+            self._green = self.database.applied_count
             self._applied = 0
         for action in pending[self._applied:]:
             if (action.type is ActionType.ACTION

@@ -36,8 +36,7 @@ class SnapshotSender:
                  chunk_items: int = 64):
         self.transfer_id = transfer_id
         self.header = {k: snapshot[k] for k in
-                       ("applied_count", "applied_log", "applied_cut",
-                        "last_applied")}
+                       ("applied_count", "applied_log", "applied_cut")}
         items = sorted(json.loads(snapshot["state"]).items(),
                        key=lambda kv: str(kv[0]))
         if chunk_items <= 0:

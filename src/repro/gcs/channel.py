@@ -32,9 +32,9 @@ class _PeerState:
     def __init__(self) -> None:
         self.next_out = 0
         self.acked = 0
-        self.outstanding: Dict[int, Tuple[Any, int, int]] = {}
+        self.outstanding: Dict[int, Tuple[Any, int]] = {}
         self.next_in = 0
-        self.buffer: Dict[int, Tuple[Any, int]] = {}
+        self.buffer: Dict[int, Any] = {}
 
 
 class ReliableChannelEndpoint(Actor):
@@ -52,7 +52,6 @@ class ReliableChannelEndpoint(Actor):
         self.node = node
         self.network = network
         self.on_message = on_message
-        self.retransmit_interval = retransmit_interval
         self._peers: Dict[int, _PeerState] = {}
         # Native counts on the datapath; mirrored into the registry at
         # collection time (one inc per message would be measurable on
@@ -105,28 +104,25 @@ class ReliableChannelEndpoint(Actor):
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def send(self, peer: int, payload: Any, size: int = 200,
-             trace: int = 0) -> None:
+    def send(self, peer: int, payload: Any, size: int = 200) -> None:
         """Queue ``payload`` for reliable in-order delivery to ``peer``."""
         if not self._running:
             return
         state = self._peer(peer)
         seq = state.next_out
         state.next_out += 1
-        state.outstanding[seq] = (payload, size, trace)
+        state.outstanding[seq] = (payload, size)
         self.sends += 1
-        self.network.send(self.node, peer,
-                          ChanData(self.node, seq, payload, size, trace),
+        self.network.send(self.node, peer, ChanData(self.node, seq, payload),
                           size)
 
     def _retransmit(self) -> None:
         for peer, state in self._peers.items():
             for seq in sorted(state.outstanding):
-                payload, size, trace = state.outstanding[seq]
+                payload, size = state.outstanding[seq]
                 self.retransmits += 1
-                self.network.send(
-                    self.node, peer,
-                    ChanData(self.node, seq, payload, size, trace), size)
+                self.network.send(self.node, peer,
+                                  ChanData(self.node, seq, payload), size)
 
     # ------------------------------------------------------------------
     # receiving
@@ -147,12 +143,11 @@ class ReliableChannelEndpoint(Actor):
             return
         state = self._peer(msg.src)
         if msg.seq >= state.next_in:
-            state.buffer[msg.seq] = (msg.payload, msg.size)
+            state.buffer[msg.seq] = msg.payload
         delivered = []
         while state.next_in in state.buffer:
-            payload, _size = state.buffer.pop(state.next_in)
+            delivered.append(state.buffer.pop(state.next_in))
             state.next_in += 1
-            delivered.append(payload)
         self.network.send(self.node, msg.src,
                           ChanAck(self.node, state.next_in), 64)
         self.deliveries += len(delivered)

@@ -138,7 +138,7 @@ class GcsDaemon(Actor):
         self._sent_done = False
 
         # buffered application sends while membership is in progress
-        self._outbox: List[Tuple[Any, ServiceLevel, int, int]] = []
+        self._outbox: List[Tuple[Any, ServiceLevel, int]] = []
 
         self._last_heard: Dict[int, float] = {}
         self._nack_signature: Tuple = ()
@@ -296,21 +296,18 @@ class GcsDaemon(Actor):
     # ==================================================================
     def multicast(self, payload: Any,
                   service: ServiceLevel = ServiceLevel.SAFE,
-                  size: int = 200, trace: int = 0) -> None:
+                  size: int = 200) -> None:
         """Multicast ``payload`` to the current group with ``service``
         guarantees.  While a membership change is in progress the send
-        is buffered and re-issued in the next regular configuration.
-        ``trace`` is the payload's distributed-tracing context (0 =
-        untraced); it rides the wire frame and survives buffering,
-        retransmission, and next-view resubmission."""
+        is buffered and re-issued in the next regular configuration."""
         if not self.joined:
             raise RuntimeError(f"node {self.node} is not a group member")
         if self.state != DaemonState.OPERATIONAL or self.ordering is None:
-            self._outbox.append((payload, service, size, trace))
+            self._outbox.append((payload, service, size))
             return
         ordering = self.ordering
         msg = DataMsg(ordering.view_id, self.node, ordering.fifo_out,
-                      payload, service, size + _HEADER_SIZE, trace)
+                      payload, service, size + _HEADER_SIZE)
         ordering.fifo_out += 1
         self.messages_multicast += 1
         ordering.add_data(msg)
@@ -785,8 +782,7 @@ class GcsDaemon(Actor):
             return self.ordering.state_report(self.node, self.attempt)
         return StateReportMsg(
             node=self.node, attempt=self.attempt, old_view_id=None,
-            stamps=(), have_data=(), ack_seq=-1, stability_line=-1,
-            delivered_seq=-1, old_members=())
+            stamps=(), have_data=(), stability_line=-1)
 
     def _on_report(self, msg: StateReportMsg) -> None:
         if (self.state != DaemonState.FLUSH
@@ -842,9 +838,8 @@ class GcsDaemon(Actor):
                     commands.setdefault((holder, report.node),
                                         []).append(seq)
             for (holder, to_node), seqs in sorted(commands.items()):
-                cmd = FlushRetransCmd(self.node, self.attempt, holder,
-                                      to_node, old_view_id,
-                                      tuple(sorted(seqs)))
+                cmd = FlushRetransCmd(self.node, self.attempt, to_node,
+                                      old_view_id, tuple(sorted(seqs)))
                 if holder == self.node:
                     self._on_retrans_cmd(cmd)
                 else:
@@ -997,9 +992,9 @@ class GcsDaemon(Actor):
         outbox, self._outbox = self._outbox, []
         for data in resubmit:
             self.multicast(data.payload, data.service,
-                           data.size - _HEADER_SIZE, data.trace)
-        for payload, service, size, trace in outbox:
-            self.multicast(payload, service, size, trace)
+                           data.size - _HEADER_SIZE)
+        for payload, service, size in outbox:
+            self.multicast(payload, service, size)
 
     # ==================================================================
     # misc

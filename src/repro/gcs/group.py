@@ -46,8 +46,8 @@ class GroupChannel(GcsListener):
     # -- messaging --------------------------------------------------------
     def multicast(self, payload: Any,
                   service: ServiceLevel = ServiceLevel.SAFE,
-                  size: int = 200, trace: int = 0) -> None:
-        self.daemon.multicast(payload, service, size, trace)
+                  size: int = 200) -> None:
+        self.daemon.multicast(payload, service, size)
 
     def advertise_green_line(self, line: int) -> None:
         """Publish this member's durable green count on its heartbeats."""

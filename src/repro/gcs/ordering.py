@@ -290,11 +290,7 @@ class ViewOrdering:
         return nxt
 
     def retrans_items(self, seqs: List[int]) -> List[Tuple]:
-        """Build retransmission payloads for stamped seqs we hold.
-
-        Items carry the trace context so a message recovered via NACK
-        keeps its causal identity at the receiver.
-        """
+        """Build retransmission payloads for stamped seqs we hold."""
         items: List[Tuple] = []
         for s in seqs:
             key = self.key_at.get(s)
@@ -302,18 +298,18 @@ class ViewOrdering:
                 continue
             msg = self.data[key]
             items.append((s, msg.origin, msg.fifo_seq, msg.payload,
-                          msg.service, msg.size, msg.trace))
+                          msg.service, msg.size))
         return items
 
     def accept_retrans(self, items: Tuple[Tuple, ...]) -> None:
-        for seq, origin, fifo_seq, payload, service, size, trace in items:
+        for seq, origin, fifo_seq, payload, service, size in items:
             if seq < self.pruned_below:
                 continue
             self._record_stamp(seq, (origin, fifo_seq))
             key = (origin, fifo_seq)
             if key not in self.data:
                 self.data[key] = DataMsg(self.view_id, origin, fifo_seq,
-                                         payload, service, size, trace)
+                                         payload, service, size)
             if self.key_at.get(seq) in self.data:
                 self._missing.discard(seq)
         self._advance_ack()
@@ -327,10 +323,8 @@ class ViewOrdering:
         have = tuple(s for s, k in ordered if k in self.data)
         return StateReportMsg(
             node=node, attempt=attempt, old_view_id=self.view_id,
-            stamps=stamps, have_data=have, ack_seq=self.ack_seq,
-            stability_line=self.stability_line,
-            delivered_seq=self.delivered_seq,
-            old_members=tuple(sorted(self.members)))
+            stamps=stamps, have_data=have,
+            stability_line=self.stability_line)
 
     def unstamped_own(self) -> List[DataMsg]:
         """My own data messages never stamped (to re-submit next view)."""

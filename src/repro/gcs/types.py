@@ -111,17 +111,7 @@ class GcsSettings:
 
 @dataclass(frozen=True)
 class DataMsg:
-    """Application payload multicast by its origin within a view.
-
-    ``trace`` is the distributed-tracing context: a deterministic
-    64-bit id assigned at submission (0 = untraced) that rides the
-    message — including retransmissions and next-view resubmission —
-    so per-node flight-recorder events can be joined into one causal
-    timeline by ``repro-trace``.  It is a field of the binary wire
-    frame (:mod:`repro.net.codec`, since wire version 2) beside the
-    payload, so a receiver reads it without decoding the payload's
-    fields.
-    """
+    """Application payload multicast by its origin within a view."""
 
     view_id: ViewId
     origin: int
@@ -129,7 +119,6 @@ class DataMsg:
     payload: object
     service: ServiceLevel
     size: int
-    trace: int = 0
 
 
 @dataclass(frozen=True)
@@ -193,18 +182,11 @@ class RetransDataMsg:
 
 @dataclass(frozen=True)
 class ChanData:
-    """A sequenced channel payload.
-
-    ``trace`` carries the distributed-tracing context of the payload
-    (0 = untraced); it survives go-back-N retransmission and travels
-    as a field of the message's wire record.
-    """
+    """A sequenced channel payload."""
 
     src: int
     seq: int
     payload: Any
-    size: int
-    trace: int = 0
 
 
 @dataclass(frozen=True)
@@ -244,10 +226,7 @@ class StateReportMsg:
     old_view_id: Optional[ViewId]
     stamps: Tuple[Tuple[int, int, int], ...]   # (seq, origin, fifo_seq)
     have_data: Tuple[int, ...]                 # seqs with payload held
-    ack_seq: int                               # own cumulative receipt
     stability_line: int                        # known min ack across view
-    delivered_seq: int                         # delivered prefix (regular)
-    old_members: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -264,12 +243,11 @@ class FlushPlanMsg:
 
 @dataclass(frozen=True)
 class FlushRetransCmd:
-    """Coordinator tells ``holder`` to send ``seqs`` of ``old_view_id``
-    to ``to_node``."""
+    """Coordinator tells the member it is sent to (a holder) to send
+    ``seqs`` of ``old_view_id`` to ``to_node``."""
 
     coordinator: int
     attempt: int
-    holder: int
     to_node: int
     old_view_id: ViewId
     seqs: Tuple[int, ...]

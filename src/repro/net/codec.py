@@ -31,7 +31,7 @@ import typing
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.messages import EngineActionMsg, EngineCpcMsg, EngineStateMsg
-from ..core.reconfig import JoinRequest, TransferBusy, TransferHeader
+from ..core.reconfig import JoinRequest, TransferHeader
 from ..core.records import PrimComponent, Vulnerable
 from ..db import Action, ActionId, ActionType, AppliedLog, SnapshotChunk
 from ..gcs.types import (AckMsg, ChanAck, ChanData, DataMsg, FlushDoneMsg,
@@ -48,9 +48,11 @@ class CodecError(ValueError):
 MAGIC = 0xC3
 # v2: trace-context fields; v3: heartbeat green line; v4: engine-action
 # tag; v5: heartbeat without group field; v6: value items and records
-# replace the pickle escape hatch, compact ints.  Any other version is
-# refused: a mixed-version peer would otherwise be misparsed.
-VERSION = 6
+# replace the pickle escape hatch, compact ints; v7: write-only fields
+# deleted (GCS trace ids, Action.green_line, TransferBusy, ...).  Any
+# other version is refused: a mixed-version peer would otherwise be
+# misparsed.
+VERSION = 7
 
 # Retired tags decode as unknown and are never reused: 0 (pickle), 1,
 # 5, 6, 7, 9 and 10.  TAG_PICKLE keeps its name for tools reading it.
@@ -64,17 +66,14 @@ TAG_VALUE = 12
 
 _HEADER = struct.Struct("!BBi")          # magic, version, src
 _ITEM = struct.Struct("!BI")             # tag, body length
-_DATA = struct.Struct("!iiiqBiq")        # view, origin, fifo, svc, size,
-                                         # trace
+_DATA = struct.Struct("!iiiqBi")         # view, origin, fifo, svc, size
 _STAMP_ENTRY = struct.Struct("!qiq")     # seq, origin, fifo_seq
 _VIEW_COUNT = struct.Struct("!iiI")      # view + entry count
 _ACK = struct.Struct("!iiiq")            # view, node, ack_seq
 _SEQ = struct.Struct("!q")
-_RETRANS_ITEM = struct.Struct("!qiqBiq")  # seq, origin, fifo, svc,
-                                          # size, trace
+_RETRANS_ITEM = struct.Struct("!qiqBi")  # seq, origin, fifo, svc, size
 _ACTION = struct.Struct("!iqqiB")        # creator, index, message green
                                          # line, size, flags
-_ACTION_ID = struct.Struct("!iq")        # Action.green_line
 _SERVER = struct.Struct("!i")            # join_id / leave_id
 
 # Engine-action flags.  The low two bits are the ActionType index; each
@@ -85,8 +84,7 @@ _A_RETRANS = 0x04
 _A_GREEN_POS = 0x08                      # + _SEQ
 _A_JOIN = 0x10                           # + _SERVER
 _A_LEAVE = 0x20                          # + _SERVER
-_A_LINE = 0x40                           # + _ACTION_ID
-_A_KNOWN = 0x7F
+_A_KNOWN = 0x3F
 
 # Value tags.  A sized kind (str, bytes, big int, tuple, list, dict)
 # has a long head (tag, u32) and a short one (tag | _V_SHORT, u8).
@@ -171,7 +169,7 @@ RECORDS: Tuple[Tuple[Any, ...], ...] = (
         GatherMsg, ProposeMsg, StateReportMsg, FlushPlanMsg,
         FlushRetransCmd, FlushDoneMsg, InstallMsg, LeaveMsg,
         EngineStateMsg, EngineCpcMsg,
-        JoinRequest, TransferHeader, TransferBusy, SnapshotChunk)),
+        JoinRequest, TransferHeader, SnapshotChunk)),
     _record(AppliedLog, AppliedLog.from_packed, {"packed": bytes}),
 )
 _RECORD_INDEX = {row[0]: (index, row[1])
@@ -184,7 +182,7 @@ _RECORD_INDEX = {row[0]: (index, row[1])
 def _enc_data(msg: DataMsg) -> bytes:
     return (_DATA.pack(msg.view_id.epoch, msg.view_id.coordinator,
                        msg.origin, msg.fifo_seq,
-                       _SERVICE_INDEX[msg.service], msg.size, msg.trace)
+                       _SERVICE_INDEX[msg.service], msg.size)
             + encode_payload(msg.payload))
 
 
@@ -203,10 +201,9 @@ def _enc_ack(msg: AckMsg) -> bytes:
 def _enc_retrans(msg: RetransDataMsg) -> bytes:
     parts = [_VIEW_COUNT.pack(msg.view_id.epoch, msg.view_id.coordinator,
                               len(msg.items))]
-    for seq, origin, fifo_seq, payload, service, size, trace in msg.items:
+    for seq, origin, fifo_seq, payload, service, size in msg.items:
         parts.append(_RETRANS_ITEM.pack(seq, origin, fifo_seq,
-                                        _SERVICE_INDEX[service], size,
-                                        trace))
+                                        _SERVICE_INDEX[service], size))
         parts.append(encode_payload(payload))
     return b"".join(parts)
 
@@ -282,9 +279,6 @@ def _enc_action(msg: EngineActionMsg) -> bytes:
     if action.leave_id is not None:
         flags |= _A_LEAVE
         parts.append(_SERVER.pack(action.leave_id))
-    if action.green_line is not None:
-        flags |= _A_LINE
-        parts.append(_ACTION_ID.pack(*action.green_line))
     creator, index = action.action_id
     parts[0] = _ACTION.pack(creator, index, msg.green_line, action.size,
                             flags)
@@ -337,13 +331,12 @@ def _need(buf: bytes, offset: int, count: int) -> None:
 
 
 def _dec_data(body: bytes) -> DataMsg:
-    epoch, coord, origin, fifo_seq, svc, size, trace = \
-        _DATA.unpack_from(body, 0)
+    epoch, coord, origin, fifo_seq, svc, size = _DATA.unpack_from(body, 0)
     payload, end = _decode_item(body, _DATA.size)
     if end != len(body):
         raise CodecError("trailing bytes in DataMsg body")
     return DataMsg(ViewId(epoch, coord), origin, fifo_seq, payload,
-                   _SERVICE_BY_INDEX[svc], size, trace)
+                   _SERVICE_BY_INDEX[svc], size)
 
 
 def _dec_stamp(body: bytes) -> StampMsg:
@@ -370,11 +363,11 @@ def _dec_retrans(body: bytes) -> RetransDataMsg:
     offset = _VIEW_COUNT.size
     items: List[Tuple] = []
     for _ in range(count):
-        seq, origin, fifo_seq, svc, size, trace = \
+        seq, origin, fifo_seq, svc, size = \
             _RETRANS_ITEM.unpack_from(body, offset)
         payload, offset = _decode_item(body, offset + _RETRANS_ITEM.size)
         items.append((seq, origin, fifo_seq, payload,
-                      _SERVICE_BY_INDEX[svc], size, trace))
+                      _SERVICE_BY_INDEX[svc], size))
     if offset != len(body):
         raise CodecError("trailing bytes in RetransDataMsg body")
     return RetransDataMsg(ViewId(epoch, coord), tuple(items))
@@ -442,7 +435,6 @@ def _dec_action(body: bytes) -> EngineActionMsg:
         raise CodecError(f"bad engine action flags 0x{flags:02x}")
     offset = _ACTION.size
     green_pos = join_id = leave_id = None
-    line = None
     if flags & _A_GREEN_POS:
         (green_pos,) = _SEQ.unpack_from(body, offset)
         offset += _SEQ.size
@@ -452,16 +444,13 @@ def _dec_action(body: bytes) -> EngineActionMsg:
     if flags & _A_LEAVE:
         (leave_id,) = _SERVER.unpack_from(body, offset)
         offset += _SERVER.size
-    if flags & _A_LINE:
-        line = ActionId(*_ACTION_ID.unpack_from(body, offset))
-        offset += _ACTION_ID.size
     client, offset = _dec_value(body, offset)
     query, offset = _dec_value(body, offset)
     update, offset = _dec_value(body, offset)
     meta, offset = _dec_value(body, offset)
     if offset != len(body):
         raise CodecError("trailing bytes in EngineActionMsg body")
-    action = Action(ActionId(creator, index), line, client, query, update,
+    action = Action(ActionId(creator, index), client, query, update,
                     _ACTION_TYPE_BY_INDEX[kind], join_id, leave_id, size,
                     meta)
     return EngineActionMsg(action, green_line, green_pos,

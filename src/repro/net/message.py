@@ -19,15 +19,14 @@ class Datagram:
     hottest allocations in the whole simulator.
     """
 
-    __slots__ = ("src", "dst", "payload", "size", "sent_at")
+    __slots__ = ("src", "dst", "payload", "size")
 
-    def __init__(self, src: int, dst: int, payload: Any, size: int = 200,
-                 sent_at: float = 0.0) -> None:
+    def __init__(self, src: int, dst: int, payload: Any,
+                 size: int = 200) -> None:
         self.src = src
         self.dst = dst
         self.payload = payload
         self.size = size
-        self.sent_at = sent_at
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return (f"Datagram {self.src}->{self.dst} "
@@ -35,5 +34,4 @@ class Datagram:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Datagram(src={self.src}, dst={self.dst}, "
-                f"payload={self.payload!r}, size={self.size}, "
-                f"sent_at={self.sent_at})")
+                f"payload={self.payload!r}, size={self.size})")

@@ -194,7 +194,7 @@ class Network:
             if loss_rate > 0.0 and rng_random() < loss_rate:
                 self.datagrams_dropped += 1
                 continue
-            datagram = Datagram(src, dst, payload, size, now)
+            datagram = Datagram(src, dst, payload, size)
             extra_delay = 0.0
             if interceptor is not None:
                 verdict = interceptor(datagram)

@@ -114,7 +114,6 @@ class MemoryTransport(_LiveFabric):
                   size: int = 200) -> None:
         if src not in self._handlers:
             return
-        now = self.runtime.now
         for dst in dsts:
             self.datagrams_sent += 1
             self.bytes_sent += size
@@ -122,7 +121,7 @@ class MemoryTransport(_LiveFabric):
                 self.datagrams_dropped += 1
                 continue
             self.runtime.post(self.latency, self._deliver,
-                              Datagram(src, dst, payload, size, now))
+                              Datagram(src, dst, payload, size))
 
 
 class AsyncioTransport(_LiveFabric):
@@ -225,8 +224,7 @@ class AsyncioTransport(_LiveFabric):
                 # so billed at its declared size.
                 self.bytes_sent += size
                 self.runtime.loop.call_soon(
-                    self._deliver,
-                    Datagram(src, dst, payload, size, self.runtime.now))
+                    self._deliver, Datagram(src, dst, payload, size))
                 continue
             addr = self.addresses.get(dst)
             if addr is None:
@@ -283,8 +281,7 @@ class AsyncioTransport(_LiveFabric):
                 # crashed receive loop.
                 self.datagrams_dropped += 1
                 continue
-            self._deliver(Datagram(src, node, payload, len(blob),
-                                   self.runtime.now))
+            self._deliver(Datagram(src, node, payload, len(blob)))
 
 
 def loopback_addresses(server_ids: Sequence[int],

@@ -6,8 +6,7 @@ from .active import ActiveTransactions, register_everywhere
 from .commutative import InventoryStore
 from .interactive import InteractiveTransaction
 from .session import (SessionClient, install_session_procedures)
-from .service import (BlockedQuery, QueryService, ReplicatedService,
-                      install_standard_procedures)
+from .service import BlockedQuery, QueryService, ReplicatedService
 from .timestamp import TimestampStore
 
 __all__ = [
@@ -20,6 +19,5 @@ __all__ = [
     "SessionClient",
     "install_session_procedures",
     "TimestampStore",
-    "install_standard_procedures",
     "register_everywhere",
 ]

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..core import EngineState, Replica
-from ..db import execute_query
+from ..db import DirtyView
 
 
 class QueryService(Enum):
@@ -50,6 +50,7 @@ class ReplicatedService:
         self._waiting_consistent: List[Tuple[Tuple, Callable]] = []
         # (own action_index when issued, query, on_result), FIFO
         self._waiting_local: Deque[Tuple[int, Tuple, Callable]] = deque()
+        self._dirty = DirtyView(replica.database)
         replica.add_green_listener(
             lambda _a, _p, _r: self._drain_waiting())
         replica.add_state_listener(
@@ -86,8 +87,11 @@ class ReplicatedService:
                 on_result(result)
             return result
         if service is QueryService.DIRTY:
+            if self._dirty.database is not self.replica.database:
+                # Recovery built a new database.
+                self._dirty = DirtyView(self.replica.database)
             pending = self.replica.engine.queue.red_actions()
-            result = self.replica.dirty_view.query(query, pending)
+            result = self._dirty.query(query, pending)
             if on_result is not None:
                 on_result(result)
             return result
@@ -175,9 +179,3 @@ def _certify(state, args) -> bool:
     for key, value in updates:
         state[key] = value
     return True
-
-
-def install_standard_procedures(database) -> None:
-    """Register the semantics layer's procedures on a database."""
-    database.register_procedure("lww_set", _lww_set)
-    database.register_procedure("certify", _certify)

@@ -49,7 +49,7 @@ class DiskProfile:
 
 
 class WriteRequest:
-    """One outstanding write.
+    """One outstanding forced write.
 
     ``replace`` marks a log-rewrite request: on completion the payload
     (a list) atomically *replaces* the durable contents instead of
@@ -58,17 +58,14 @@ class WriteRequest:
     the list of buffered writes it makes durable, in write order.
     """
 
-    __slots__ = ("payload", "callback", "forced", "issued_at", "done",
-                 "replace", "extend")
+    __slots__ = ("payload", "callback", "issued_at", "replace", "extend")
 
     def __init__(self, payload: Any, callback: Optional[Callback],
-                 forced: bool, issued_at: float, replace: bool = False,
+                 issued_at: float, replace: bool = False,
                  extend: bool = False):
         self.payload = payload
         self.callback = callback
-        self.forced = forced
         self.issued_at = issued_at
-        self.done = False
         self.replace = replace
         self.extend = extend
 
@@ -133,7 +130,7 @@ class SimulatedDisk:
         (forced) or buffered (async)."""
         if forced:
             self.forced_writes += 1
-            request = WriteRequest(payload, callback, True, self.sim.now)
+            request = WriteRequest(payload, callback, self.sim.now)
             self._queue.append(request)
             self._maybe_start_sync()
         else:
@@ -162,8 +159,8 @@ class SimulatedDisk:
         written to the side and renamed over the old one).
         """
         self.forced_writes += 1
-        request = WriteRequest(list(contents), callback, True,
-                               self.sim.now, replace=True)
+        request = WriteRequest(list(contents), callback, self.sim.now,
+                               replace=True)
         self._queue.append(request)
         self._maybe_start_sync()
 
@@ -196,8 +193,7 @@ class SimulatedDisk:
                 on_durable()
             if callback is not None:
                 callback()
-        request = WriteRequest(staged, durable, True, self.sim.now,
-                               extend=True)
+        request = WriteRequest(staged, durable, self.sim.now, extend=True)
         self.forced_writes += 1
         self._queue.append(request)
         self._maybe_start_sync()
@@ -225,7 +221,6 @@ class SimulatedDisk:
         now = self.sim.now
         histogram = self._h_sync_wait
         for request in batch:
-            request.done = True
             if request.extend:
                 self.durable.extend(request.payload)
             elif request.replace:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EngineConfig
+from repro.core import EngineConfig, EngineState, ReplicaCluster
 from repro.sim import Simulator
 from repro.storage import DiskProfile, LogRecord, SimulatedDisk, \
     WriteAheadLog
@@ -146,3 +146,26 @@ class TestEngineCompaction:
         cluster.run_for(2.5)
         cluster.assert_converged()
         assert cluster.replicas[3].database.state.get("red-one") == 1
+
+    def test_recovery_leaves_no_green_action_ongoing(self):
+        """A.13 re-marks only the journaled own actions above the red
+        cut; the rest are green already and must not stay ongoing, or
+        every later compaction would journal them again."""
+        cluster = ReplicaCluster(3, seed=1)
+        cluster.start_all(settle=1.0)
+        for i in range(50):
+            cluster.submit(1, ("SET", f"k{i}", i))
+            cluster.run_for(0.01)
+        cluster.run_for(1.0)
+        cluster.crash(1)
+        cluster.run_for(0.2)
+        cluster.recover(1)
+        cluster.run_for(2.0)
+        engine = cluster.replicas[1].engine
+        assert engine.state is EngineState.REG_PRIM
+        assert engine.queue.green_count == 50
+        assert len(engine.ongoing) == 0
+        engine.compact_log()
+        cluster.run_for(0.5)
+        assert [r for r in cluster.replicas[1].wal.recover()
+                if r.kind == "ongoing"] == []

@@ -111,7 +111,7 @@ class TestDatabase:
         assert db.state == {"k": 1}
         assert db.applied_count == 1
         assert db.applied_log == [action.action_id]
-        assert db.last_applied == action.action_id
+        assert db.applied_cut == {1: 1}
 
     def test_apply_join_leave_take_slots_without_state_change(self):
         db = Database()
@@ -176,12 +176,16 @@ class TestDirtyView:
         assert view.query(("GET", "n"), pending) == 2
 
     def test_invalidate_rebuilds_from_green(self):
+        """A green applied since the last query invalidates the view by
+        itself: no call is needed, so applying a green costs the view
+        nothing."""
         db = Database()
         view = DirtyView(db)
-        assert view.query(("GET", "k"), []) is None
+        pending = [make_action(server=2, update=("INC", "n", 1))]
+        assert view.query(("GET", "k"), pending) is None
         db.apply(make_action(update=("SET", "k", 1)))
-        view.invalidate()
-        assert view.query(("GET", "k"), []) == 1
+        assert view.query(("GET", "k"), pending) == 1
+        assert view.query(("GET", "n"), pending) == 1
 
     def test_shrunk_suffix_rebuilds(self):
         db = Database()

@@ -128,7 +128,7 @@ class TestReportHandling:
         coordinator._round_coordinator = 1
         coordinator._proposal_members = (1, 2, 3)
         stale = StateReportMsg(2, coordinator.attempt - 1, None, (), (),
-                               -1, -1, -1, ())
+                               -1)
         coordinator._on_report(stale)
         assert 2 not in coordinator._reports
 

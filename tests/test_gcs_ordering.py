@@ -189,8 +189,9 @@ class TestFlushSupport:
         assert report.old_view_id == ordering.view_id
         assert len(report.stamps) == 2
         assert report.have_data == (0, 1)
-        assert report.ack_seq == 1
-        assert report.old_members == (1, 2, 3)
+        assert (report.node, report.attempt) == (1, 4)
+        # Only this member has acked: nothing is stable yet.
+        assert report.stability_line == -1
 
     def test_unstamped_own(self):
         ordering = make_ordering(me=2)  # not the sequencer

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import EngineActionMsg, EngineCpcMsg, EngineStateMsg
-from repro.core.reconfig import JoinRequest, TransferBusy, TransferHeader
+from repro.core.reconfig import JoinRequest, TransferHeader
 from repro.core.records import PrimComponent, Vulnerable
 from repro.db import (Action, ActionId, AppliedLog, SnapshotChunk, is_plain,
                       join_action, leave_action)
@@ -48,8 +48,8 @@ ENGINE_ACTIONS = [
         (7, [("SET", "a", 1), ("DEL", "b")], {"keys": ["a", "b"],
                                               "blob": b"\x00\xff",
                                               "ok": True, "w": -0.5})))),
-    # Action.green_line set (white-line gossip in the action itself)
-    EngineActionMsg(Action(ActionId(3, 2), green_line=ActionId(1, 40),
+    # a None inside the update and a client id
+    EngineActionMsg(Action(ActionId(3, 2), client=17,
                            update=("SET", "k", None)), green_line=40),
 ]
 
@@ -61,11 +61,10 @@ _LOG = AppliedLog([ActionId(1, 1), ActionId(2, 1), ActionId(1, 2)])
 RECORD_CORPUS = [
     GatherMsg(4, 2, True),
     ProposeMsg(1, 2, (1, 2, 4)),
-    StateReportMsg(2, 5, VIEW, ((5, 2, 7), (6, 3, 0)), (5, 6), 6, 4, 5,
-                   (1, 2, 3)),
-    StateReportMsg(3, 1, None, (), (), -1, -1, -1, ()),
+    StateReportMsg(2, 5, VIEW, ((5, 2, 7), (6, 3, 0)), (5, 6), 4),
+    StateReportMsg(3, 1, None, (), (), -1),
     FlushPlanMsg(1, 5, VIEW, ((5, 2, 7), (70_000, 3, 2 ** 40)), (5,), 4),
-    FlushRetransCmd(1, 5, 2, 3, VIEW, (5, 6)),
+    FlushRetransCmd(1, 5, 3, VIEW, (5, 6)),
     FlushDoneMsg(2, 5),
     InstallMsg(1, 5, ViewId(4, 1), (1, 2, 3), ((1, (1, 2)), (3, (3,)))),
     LeaveMsg(3),
@@ -75,11 +74,9 @@ RECORD_CORPUS = [
     EngineCpcMsg(2, VIEW),
     JoinRequest(4),
     JoinRequest(4, "t-2-17", 3),
-    TransferHeader("t-2-17", 3, (1, 2, 3, 4),
+    TransferHeader("t-2-17", (1, 2, 3, 4),
                    {"applied_count": 3, "applied_log": _LOG,
-                    "applied_cut": {1: 2, 2: 1},
-                    "last_applied": ActionId(1, 2)}, 2, (5,)),
-    TransferBusy(4),
+                    "applied_cut": {1: 2, 2: 1}}, (5,)),
     SnapshotChunk("t-2-17", 0, 2, (("k1", 3), ("k2", [1, "x", None]))),
 ]
 
@@ -88,10 +85,9 @@ RECORD_CORPUS = [
 CORPUS = [
     DataMsg(VIEW, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE, 180),
     DataMsg(VIEW, 14, 0, None, ServiceLevel.AGREED, 48),
-    # trace-context field (wire v2): traced data and channel payloads
-    DataMsg(VIEW, 2, 8, ("SET", "k", 2), ServiceLevel.SAFE, 180,
-            (2 << 32) | 8),
-    ChanData(1, 10, {"state": [4]}, 320, (1 << 62) | 12345),
+    # an engine action in its DataMsg, as the GCS sends it
+    DataMsg(VIEW, 2, 8, ENGINE_ACTIONS[1], ServiceLevel.SAFE, 200),
+    ChanData(1, 10, {"state": [4]}),
     StampMsg(VIEW, ((5, 2, 7), (6, 3, 0))),
     StampMsg(VIEW, ()),
     AckMsg(VIEW, 4, 1234),
@@ -107,9 +103,9 @@ CORPUS = [
     NackMsg(VIEW, 3, (7, 9, 11), 5),
     NackMsg(VIEW, 3, (), 0),
     RetransDataMsg(VIEW, ((5, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE,
-                           180, (2 << 32) | 7),)),
+                           180),)),
     RetransDataMsg(VIEW, ()),
-    ChanData(1, 9, {"state": [1, 2, 3]}, 320),
+    ChanData(1, 9, {"state": [1, 2, 3]}),
     ChanAck(2, 17),
     # plain values: one value item each
     ("raw", "tuple"),
@@ -143,9 +139,9 @@ def test_compact_encoding_beats_pickle_for_hot_types():
 @pytest.mark.parametrize("msg", [
     # size beyond the packed i32
     DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 2 ** 40),
-    # a trace id beyond the packed i64
-    DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 180, 2 ** 64),
-], ids=["DataMsg-size", "DataMsg-trace"])
+    # a fifo sequence number beyond the packed i64
+    DataMsg(VIEW, 2, 2 ** 64, "x", ServiceLevel.SAFE, 180),
+], ids=["DataMsg-size", "DataMsg-fifo"])
 def test_out_of_range_fields_are_refused(msg):
     """A field out of its packed range is refused whole with TypeError:
     nothing falls back to another encoding."""
@@ -154,9 +150,9 @@ def test_out_of_range_fields_are_refused(msg):
 
 
 @pytest.mark.parametrize("msg", [
-    ChanData(1, 9, "payload", 64, 2 ** 64),
+    ChanData(1, 2 ** 64, "payload"),
     HeartbeatMsg(4, VIEW, True, 12, 2 ** 64),
-], ids=["ChanData-trace", "HeartbeatMsg-green-line"])
+], ids=["ChanData-seq", "HeartbeatMsg-green-line"])
 def test_record_fields_beyond_64_bits_roundtrip(msg):
     """A record's int field has no packed range: past 64 bits it takes
     the sized int kind."""
@@ -181,27 +177,16 @@ def test_version1_frames_are_rejected():
     lack the green line, so a silent accept would shear every field
     after the header (v2 heartbeat bodies would even fail only on
     length), a v3 peer pickles the engine actions a v4 peer no longer
-    unpickles, v4 heartbeats carry a group field v5 dropped, and a v5
-    peer pickles what v6 sends as records."""
-    assert codec.VERSION == 6
-    for old in (1, 2, 3, 4, 5):
+    unpickles, v4 heartbeats carry a group field v5 dropped, a v5
+    peer pickles what v6 sends as records, and v6 carries the fields
+    v7 deleted."""
+    assert codec.VERSION == 7
+    for old in (1, 2, 3, 4, 5, 6):
         frame = codec._HEADER.pack(codec.MAGIC, old, 7) \
             + codec.encode_payload(("x",))
         with pytest.raises(codec.CodecError,
                            match=f"wire version {old}"):
             codec.decode_frame(frame)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1))
-def test_trace_field_roundtrips_any_64bit_value(trace):
-    """The trace-context id survives the frame for the full signed
-    64-bit range, on both traced wire types."""
-    data = DataMsg(VIEW, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE,
-                   180, trace)
-    assert codec.decode_frame(codec.encode_frame(1, data))[1] == data
-    chan = ChanData(1, 9, "payload", 64, trace)
-    assert codec.decode_frame(codec.encode_frame(1, chan))[1] == chan
 
 
 @settings(max_examples=100, deadline=None)
@@ -214,11 +199,6 @@ def test_heartbeat_green_line_roundtrips_any_64bit_value(line, in_view):
     blob = codec.encode_frame(1, msg)
     assert blob[codec._HEADER.size] == codec.TAG_VALUE
     assert codec.decode_frame(blob)[1] == msg
-
-
-def test_untraced_messages_default_to_trace_zero():
-    msg = DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 180)
-    assert codec.decode_frame(codec.encode_frame(1, msg))[1].trace == 0
 
 
 def test_unknown_tag_raises():
@@ -457,7 +437,7 @@ def test_compact_ints_take_the_fewest_bytes():
     HeartbeatMsg(4, VIEW, 1, 0, 3),
     HeartbeatMsg(4, (3, 1), True, 0, 3),
     NackMsg(VIEW, 3, ("x",), 5),
-    StateReportMsg(2, 5, VIEW, ((5, 2),), (5,), 6, 4, 5, (1,)),
+    StateReportMsg(2, 5, VIEW, ((5, 2),), (5,), 4),
     InstallMsg(1, 5, VIEW, (1, 2), ((1, [1, 2]),)),
     EngineStateMsg(2, VIEW, 40, {1: "12"}, {}, 6,
                    PrimComponent(2, 6, (1,)), _VULNERABLE, True, ()),

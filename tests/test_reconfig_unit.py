@@ -4,9 +4,8 @@ using lightweight fake replicas — no cluster in the loop."""
 import pytest
 
 from repro.core.reconfig import (JoinRequest, JoinerProtocol,
-                                 RepresentativeRole, TransferBusy,
-                                 TransferHeader)
-from repro.db import Database, SnapshotSender
+                                 RepresentativeRole, TransferHeader)
+from repro.db import Database, SnapshotChunk, SnapshotSender
 from repro.db.action import Action, ActionId
 from repro.sim import Simulator
 
@@ -81,9 +80,10 @@ class TestRepresentativeRole:
         assert len(headers) == 1
         peer, header = headers[0]
         assert peer == 9
-        assert header.green_count == 5
+        assert header.header["applied_count"] == 5
         # 5 keys at 2 per chunk -> 3 chunks.
-        assert header.total_chunks == 3
+        chunks = [p for _peer, p in replica.endpoint.of_type(SnapshotChunk)]
+        assert [(c.seq, c.total) for c in chunks] == [(0, 3), (1, 3), (2, 3)]
         assert len(replica.endpoint.sent) == 1 + 3
 
     def test_resume_streams_from_requested_chunk(self):
@@ -119,7 +119,8 @@ class TestRepresentativeRole:
         # Our green count (5) is behind the joiner's entry point (9).
         replica.engine.queue.green_lines[9] = 9
         role.on_join_request(JoinRequest(9, transfer_id="gone"))
-        assert replica.endpoint.of_type(TransferBusy)
+        # Nothing is sent: the joiner's retry timer re-requests.
+        assert replica.endpoint.sent == []
 
 
 class TestJoinerProtocol:
@@ -154,8 +155,7 @@ class TestJoinerProtocol:
         snapshot.apply(Action(action_id=ActionId(1, 1),
                               update=("SET", "x", 1)))
         sender = SnapshotSender("t9", snapshot.snapshot(), chunk_items=2)
-        header = TransferHeader("t9", 1, (1, 2, 9), sender.header,
-                                sender.total)
+        header = TransferHeader("t9", (1, 2, 9), sender.header)
         assert joiner.on_message(header)
         for seq in range(sender.total):
             joiner.on_message(sender.chunk(seq))
@@ -170,6 +170,12 @@ class TestJoinerProtocol:
         assert not joiner.on_message({"not": "ours"})
 
     def test_busy_is_consumed_quietly(self):
-        _sim, _replica, joiner, ready = self.make_joiner()
-        assert joiner.on_message(TransferBusy(9))
+        """A representative behind the join point answers nothing; the
+        retry timer asks again, of the next peer."""
+        sim, replica, joiner, ready = self.make_joiner()
+        joiner.start()
+        sim.run(until=0.6)   # one retry period, no answer
+        peers = [peer for peer, _p in
+                 replica.endpoint.of_type(JoinRequest)]
+        assert peers == [1, 2]
         assert ready == []

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.semantics import (InventoryStore, QueryService,
-                             ReplicatedService, TimestampStore,
-                             install_standard_procedures)
+                             ReplicatedService, TimestampStore)
 
 from conftest import make_cluster
 
@@ -28,18 +27,16 @@ class TestJoinerSemantics:
                           service=QueryService.WEAK) == "value"
 
     def test_lww_store_works_across_join(self, cluster):
-        for replica in cluster.replicas.values():
-            install_standard_procedures(replica.database)
-        svc1 = ReplicatedService(cluster.replicas[1])
-        store1 = TimestampStore(svc1)
+        # The service registers its procedures durably on every
+        # replica, the joiner as soon as it exists: it must carry them
+        # before it can apply CALL updates.
+        svc = {n: ReplicatedService(r)
+               for n, r in cluster.replicas.items()}
+        store1 = TimestampStore(svc[1])
         store1.set("k", "v1", timestamp=10.0)
         cluster.run_for(1.0)
-        cluster.add_replica(4, peer=3)
+        svc4 = ReplicatedService(cluster.add_replica(4, peer=3))
         cluster.run_for(5.0)
-        # The joiner's database must carry the procedure registrations
-        # before it can apply CALL updates.
-        install_standard_procedures(cluster.replicas[4].database)
-        svc4 = ReplicatedService(cluster.replicas[4])
         store4 = TimestampStore(svc4)
         assert store4.get("k", QueryService.WEAK) == "v1"
         store4.set("k", "v2", timestamp=20.0)

@@ -25,14 +25,6 @@ from repro.net.network import Network
 
 _RECORD_NAMES = {row[0]: row[1] for row in codec.RECORDS}
 
-#: Record kinds the scenario below never sends, with the reason.
-UNREACHED = {
-    # Sent only when a joiner resumes at a member that ordered its
-    # PERSISTENT_JOIN but has not applied up to it yet; a join into a
-    # connected primary is served by its first contact.
-    "TransferBusy": "needs a transfer resumed at a lagging member",
-}
-
 
 def _records(value, found):
     """Add the class name of every record inside ``value`` to ``found``."""
@@ -151,8 +143,7 @@ def test_nothing_travels_as_a_pickle(runs):
 
 def test_every_record_kind_is_exercised(runs):
     _plain, _wired, _tags, kinds, _unequal, _chunks = runs
-    table = {cls.__name__ for cls in _RECORD_NAMES}
-    assert kinds == table - set(UNREACHED)
+    assert kinds == {cls.__name__ for cls in _RECORD_NAMES}
 
 
 def test_a_join_carries_an_int_past_64_bits(runs):
