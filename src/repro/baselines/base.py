@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import EngineConfig, ReplicaCluster
-from ..db import ActionId
 from ..gcs import GcsSettings
 from ..net import NetworkProfile
 from ..sim import Simulator

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..gcs import (Configuration, GcsDaemon, GcsListener, GcsSettings,
                    ServiceLevel)
@@ -41,7 +41,7 @@ class CorelAction:
 
     txn_id: Tuple[int, int]          # (origin, local index)
     update: Tuple
-    size: int = 200
+    wire_size = 200
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ class CorelAck:
 
     txn_id: Tuple[int, int]
     node: int
+    wire_size = 64
 
 
 class CorelReplica(GcsListener):
@@ -84,7 +85,7 @@ class CorelReplica(GcsListener):
         txn_id = (self.node, next(self.local_index))
         self.pending_complete[txn_id] = on_complete
         self.daemon.multicast(CorelAction(txn_id, update),
-                              ServiceLevel.AGREED, size=200)
+                              ServiceLevel.AGREED)
 
     # ------------------------------------------------------------------
     # GCS callbacks
@@ -108,7 +109,7 @@ class CorelReplica(GcsListener):
         # The end-to-end acknowledgment is itself a group multicast
         # (n multicasts per action in total — COReL's cost model).
         self.daemon.multicast(CorelAck(action.txn_id, self.node),
-                              ServiceLevel.FIFO, size=64)
+                              ServiceLevel.FIFO)
 
     def _note_ack(self, txn_id: Tuple[int, int], node: int) -> None:
         self.acks.setdefault(txn_id, set()).add(node)

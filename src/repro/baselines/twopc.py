@@ -21,8 +21,8 @@ ablation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..db.sql import execute_update
 from ..net import Datagram, Network, NetworkProfile, Topology
@@ -38,6 +38,7 @@ class Prepare:
     txn_id: TxnId
     update: Tuple
     keys: Tuple[str, ...]
+    wire_size = 200
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,19 @@ class Vote:
     txn_id: TxnId
     node: int
     yes: bool
+    wire_size = 64
 
 
 @dataclass(frozen=True)
 class Commit:
     txn_id: TxnId
+    wire_size = 64
 
 
 @dataclass(frozen=True)
 class Abort:
     txn_id: TxnId
+    wire_size = 64
 
 
 def update_keys(update: Tuple) -> Tuple[str, ...]:
@@ -111,7 +115,7 @@ class TwoPCReplica(Actor):
         self.coordinating[txn_id] = coord
         prepare = Prepare(txn_id, update, update_keys(update))
         for participant in sorted(others):
-            self.system.network.send(self.node, participant, prepare, 200)
+            self.system.network.send(self.node, participant, prepare)
         # The coordinator is also a participant for its own action.
         self._participant_prepare(prepare, local=True)
         self.after(self.system.timeout, self._check_timeout, txn_id)
@@ -145,7 +149,7 @@ class TwoPCReplica(Actor):
                          coord.on_complete)
         commit = Commit(coord.txn_id)
         for participant in sorted(coord.participants):
-            self.system.network.send(self.node, participant, commit, 64)
+            self.system.network.send(self.node, participant, commit)
         del self.coordinating[coord.txn_id]
 
     def _decide_abort(self, coord: _Coordinator) -> None:
@@ -153,7 +157,7 @@ class TwoPCReplica(Actor):
         self.aborted += 1
         abort = Abort(coord.txn_id)
         for participant in sorted(coord.participants):
-            self.system.network.send(self.node, participant, abort, 64)
+            self.system.network.send(self.node, participant, abort)
         self._release(coord.txn_id)
         del self.coordinating[coord.txn_id]
 
@@ -192,7 +196,7 @@ class TwoPCReplica(Actor):
         if coordinator == self.node:
             self._on_vote(vote)
         else:
-            self.system.network.send(self.node, coordinator, vote, 64)
+            self.system.network.send(self.node, coordinator, vote)
 
     def _on_commit(self, commit: Commit) -> None:
         if commit.txn_id in self.prepared:

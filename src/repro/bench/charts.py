@@ -16,7 +16,7 @@ without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 Series = Dict[str, List[Tuple[float, float]]]
 

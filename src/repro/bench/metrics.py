@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 # Canonical percentile lives with the observability instruments; kept
 # importable from here for the benchmark suite's historical call sites.

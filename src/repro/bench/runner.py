@@ -3,7 +3,7 @@ measure steady-state throughput and latency in simulated time."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 from ..baselines.base import ReplicationSystemAPI
 from .metrics import RunResult, summarize

@@ -12,7 +12,7 @@ contention (matching the paper's setup, which bypassed the database).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..baselines.base import ReplicationSystemAPI
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
-from ..core.state_machine import (EDGES_BY_INPUT, EVS_SHADOWED_EDGES,
-                                  EngineInput, EngineState)
+from ..core.state_machine import EDGES_BY_INPUT, EVS_SHADOWED_EDGES
 from .mc import ModelChecker
 from .model import EdgeUse, Event, Model, ModelConfig, canonicalize
 

@@ -153,8 +153,7 @@ class _Channel:
         self.cpcs = 0
 
     def multicast(self, payload: Any,
-                  service: ServiceLevel = ServiceLevel.SAFE,
-                  size: int = 200) -> None:
+                  service: ServiceLevel = ServiceLevel.SAFE) -> None:
         if payload.__class__ is EngineCpcMsg:
             self.cpcs += 1
         elif payload.__class__ is not EngineStateMsg \

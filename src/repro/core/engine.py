@@ -30,7 +30,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
 from ..db import Action, ActionId, ActionType, Database, is_plain
-from ..gcs import Configuration, GroupChannel, ServiceLevel, ViewId
+from ..gcs import Configuration, GroupChannel, ServiceLevel
 from ..obs import Observability, action_trace_id
 from ..obs.spans import STALENESS_STRIDE
 
@@ -47,9 +47,6 @@ from .state_machine import EngineInput, EngineState, check_transition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.base import Runtime
-
-# Declared wire size (bytes) of the engine's state and CPC messages.
-_CONTROL_SIZE = 128
 
 
 @dataclass
@@ -305,9 +302,8 @@ class ReplicationEngine:
         for action in actions:
             if rec is not None:
                 rec((self.sim.now, "send", action.meta.get("trace", 0), None))
-            self.channel.multicast(
-                EngineActionMsg(action=action, green_line=green_line),
-                ServiceLevel.SAFE, size=action.size)
+            self.channel.multicast(EngineActionMsg(
+                action=action, green_line=green_line), ServiceLevel.SAFE)
 
     def _handle_buffered(self) -> None:
         """Handle_buff_requests (A.8): batch-journal, one sync, send."""
@@ -619,7 +615,7 @@ class ReplicationEngine:
             yellow_valid=self.yellow.is_valid,
             yellow_ids=tuple(self.yellow.set))
         self.stats["state_msgs_sent"] += 1
-        self.channel.multicast(msg, ServiceLevel.SAFE, size=_CONTROL_SIZE)
+        self.channel.multicast(msg, ServiceLevel.SAFE)
 
     def _on_state_msg(self, msg: EngineStateMsg) -> None:
         if self.state != EngineState.EXCHANGE_STATES:
@@ -651,10 +647,9 @@ class ReplicationEngine:
         for pos, action in self.queue.green_slice(self._plan.green_start,
                                                   self._plan.green_target):
             self.stats["retrans_actions"] += 1
-            self.channel.multicast(
-                EngineActionMsg(action=action, green_pos=pos, retrans=True,
-                                green_line=self.queue.green_count),
-                ServiceLevel.SAFE, size=action.size)
+            self.channel.multicast(EngineActionMsg(
+                action=action, green_pos=pos, retrans=True,
+                green_line=self.queue.green_count), ServiceLevel.SAFE)
 
     def _retransmit_if_my_turn(self) -> None:
         """Red tails go out once our green prefix reached the target, so
@@ -672,10 +667,9 @@ class ReplicationEngine:
                 if action.action_id.index <= floor:
                     continue
                 self.stats["retrans_actions"] += 1
-                self.channel.multicast(
-                    EngineActionMsg(action=action, retrans=True,
-                                    green_line=self.queue.green_count),
-                    ServiceLevel.SAFE, size=action.size)
+                self.channel.multicast(EngineActionMsg(
+                    action=action, retrans=True,
+                    green_line=self.queue.green_count), ServiceLevel.SAFE)
 
     def _check_end_of_retrans(self, cause: EngineInput) -> None:
         if (self.state != EngineState.EXCHANGE_ACTIONS
@@ -760,9 +754,8 @@ class ReplicationEngine:
             return
         assert self.conf is not None
         self.stats["cpc_sent"] += 1
-        self.channel.multicast(
-            EngineCpcMsg(self.server_id, self.conf.view_id),
-            ServiceLevel.SAFE, size=_CONTROL_SIZE)
+        self.channel.multicast(EngineCpcMsg(self.server_id, self.conf.view_id),
+                               ServiceLevel.SAFE)
 
     def _on_cpc(self, msg: EngineCpcMsg) -> None:
         if self.conf is None or msg.conf_id != self.conf.view_id:

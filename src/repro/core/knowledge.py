@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..db import ActionId
 from .messages import EngineStateMsg
 from .records import PrimComponent, Vulnerable, Yellow
 

@@ -12,7 +12,7 @@ Three message types, mirroring Appendix A's "Message Structure":
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..db import Action, ActionId
@@ -35,6 +35,10 @@ class EngineActionMsg:
     green_pos: Optional[int] = None
     retrans: bool = False
 
+    @property
+    def wire_size(self) -> int:
+        return self.action.size
+
 
 @dataclass(frozen=True)
 class EngineStateMsg:
@@ -50,6 +54,7 @@ class EngineStateMsg:
     vulnerable: Vulnerable
     yellow_valid: bool
     yellow_ids: Tuple[ActionId, ...]
+    wire_size = 128
 
 
 @dataclass(frozen=True)
@@ -58,3 +63,4 @@ class EngineCpcMsg:
 
     server_id: int
     conf_id: ViewId
+    wire_size = 128

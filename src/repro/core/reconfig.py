@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from ..db import (Action, ActionId, SnapshotChunk, SnapshotReceiver,
-                  SnapshotSender, join_action, leave_action)
+from ..db import (Action, SnapshotChunk, SnapshotReceiver, SnapshotSender,
+                  join_action, leave_action)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.base import Runtime
@@ -41,6 +41,7 @@ class JoinRequest:
     joiner_id: int
     transfer_id: Optional[str] = None
     next_needed: int = 0
+    wire_size = 128
 
 
 @dataclass(frozen=True)
@@ -53,16 +54,15 @@ class TransferHeader:
     servers: tuple
     header: dict
     removed: tuple = ()
+    wire_size = 512
 
 
 class RepresentativeRole:
     """Member-side join support: announce joiners, stream snapshots."""
 
-    def __init__(self, replica: "Any", chunk_items: int = 64,
-                 chunk_size: int = 8192) -> None:
+    def __init__(self, replica: "Any", chunk_items: int = 64) -> None:
         self.replica = replica
         self.chunk_items = chunk_items
-        self.chunk_size = chunk_size
         self._senders: Dict[str, SnapshotSender] = {}
         self._sender_meta: Dict[str, TransferHeader] = {}
         self.transfers_started = 0
@@ -103,10 +103,9 @@ class RepresentativeRole:
         header = self._sender_meta[transfer_id]
         self.transfers_started += 1
         self.chunks_streamed += sender.total - from_chunk
-        self.replica.endpoint.send(joiner_id, header, size=512)
+        self.replica.endpoint.send(joiner_id, header)
         for seq in range(from_chunk, sender.total):
-            self.replica.endpoint.send(joiner_id, sender.chunk(seq),
-                                       size=self.chunk_size)
+            self.replica.endpoint.send(joiner_id, sender.chunk(seq))
 
     # -- join requests arriving over the channel ------------------------
     def on_join_request(self, request: JoinRequest) -> None:
@@ -196,11 +195,8 @@ class JoinerProtocol:
 
     def _request(self) -> None:
         transfer_id = self.receiver.transfer_id
-        self.replica.endpoint.send(
-            self.current_peer,
-            JoinRequest(self.replica.node, transfer_id,
-                        self.receiver.next_needed),
-            size=128)
+        self.replica.endpoint.send(self.current_peer, JoinRequest(
+            self.replica.node, transfer_id, self.receiver.next_needed))
 
     # -- channel deliveries ----------------------------------------------
     def on_message(self, payload: Any) -> bool:

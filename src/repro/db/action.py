@@ -61,7 +61,7 @@ class Action:
     type        ACTION / PERSISTENT_JOIN / PERSISTENT_LEAVE
     join_id     for PERSISTENT_JOIN: the id of the joining server
     leave_id    for PERSISTENT_LEAVE: the id of the leaving server
-    size        wire size in bytes (the paper uses 200-byte actions)
+    size        price in bytes on the simulated link (the paper's is 200)
     meta        free-form application metadata (e.g. timestamps for the
                 timestamp-update semantics)
     """

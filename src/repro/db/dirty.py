@@ -15,7 +15,7 @@ green action costs the overlay nothing.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .action import Action, ActionType
 from .database import Database

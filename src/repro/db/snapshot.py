@@ -23,6 +23,7 @@ class SnapshotChunk:
     seq: int
     total: int
     items: tuple
+    wire_size = 8192
 
     @property
     def is_last(self) -> bool:

@@ -13,7 +13,7 @@ received payload is answered by one cumulative ``ChanAck``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..net import Datagram
 from ..sim import Actor
@@ -32,7 +32,7 @@ class _PeerState:
     def __init__(self) -> None:
         self.next_out = 0
         self.acked = 0
-        self.outstanding: Dict[int, Tuple[Any, int]] = {}
+        self.outstanding: Dict[int, Any] = {}
         self.next_in = 0
         self.buffer: Dict[int, Any] = {}
 
@@ -104,25 +104,23 @@ class ReliableChannelEndpoint(Actor):
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def send(self, peer: int, payload: Any, size: int = 200) -> None:
+    def send(self, peer: int, payload: Any) -> None:
         """Queue ``payload`` for reliable in-order delivery to ``peer``."""
         if not self._running:
             return
         state = self._peer(peer)
         seq = state.next_out
         state.next_out += 1
-        state.outstanding[seq] = (payload, size)
+        state.outstanding[seq] = payload
         self.sends += 1
-        self.network.send(self.node, peer, ChanData(self.node, seq, payload),
-                          size)
+        self.network.send(self.node, peer, ChanData(self.node, seq, payload))
 
     def _retransmit(self) -> None:
         for peer, state in self._peers.items():
             for seq in sorted(state.outstanding):
-                payload, size = state.outstanding[seq]
                 self.retransmits += 1
-                self.network.send(self.node, peer,
-                                  ChanData(self.node, seq, payload), size)
+                self.network.send(self.node, peer, ChanData(
+                    self.node, seq, state.outstanding[seq]))
 
     # ------------------------------------------------------------------
     # receiving
@@ -149,7 +147,7 @@ class ReliableChannelEndpoint(Actor):
             delivered.append(state.buffer.pop(state.next_in))
             state.next_in += 1
         self.network.send(self.node, msg.src,
-                          ChanAck(self.node, state.next_in), 64)
+                          ChanAck(self.node, state.next_in))
         self.deliveries += len(delivered)
         for payload in delivered:
             self.on_message(msg.src, payload)

@@ -37,8 +37,8 @@ computes per-member transitional configurations.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List,
-                    Optional, Set, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Set, Tuple)
 
 from ..net import Datagram
 from ..obs.flight import FlightRecorder
@@ -58,14 +58,6 @@ from .types import (AckMsg, Configuration, DataMsg, FlushDoneMsg,
 #: runs (seconds): far below any timer's resolution, far above the
 #: rounding error of ``heard + failure_timeout``.
 _FD_SLACK = 1e-6
-
-#: Declared wire sizes (bytes) the daemon bills its messages at: the
-#: header every data message adds to its payload, one order stamp, an
-#: ack, and any other control message.
-_HEADER_SIZE = 48
-_STAMP_ENTRY_SIZE = 16
-_ACK_SIZE = 64
-_CONTROL_SIZE = 96
 
 
 class GcsListener:
@@ -138,7 +130,7 @@ class GcsDaemon(Actor):
         self._sent_done = False
 
         # buffered application sends while membership is in progress
-        self._outbox: List[Tuple[Any, ServiceLevel, int]] = []
+        self._outbox: List[Tuple[Any, ServiceLevel]] = []
 
         self._last_heard: Dict[int, float] = {}
         self._nack_signature: Tuple = ()
@@ -295,25 +287,24 @@ class GcsDaemon(Actor):
     # application interface
     # ==================================================================
     def multicast(self, payload: Any,
-                  service: ServiceLevel = ServiceLevel.SAFE,
-                  size: int = 200) -> None:
+                  service: ServiceLevel = ServiceLevel.SAFE) -> None:
         """Multicast ``payload`` to the current group with ``service``
         guarantees.  While a membership change is in progress the send
         is buffered and re-issued in the next regular configuration."""
         if not self.joined:
             raise RuntimeError(f"node {self.node} is not a group member")
         if self.state != DaemonState.OPERATIONAL or self.ordering is None:
-            self._outbox.append((payload, service, size))
+            self._outbox.append((payload, service))
             return
         ordering = self.ordering
         msg = DataMsg(ordering.view_id, self.node, ordering.fifo_out,
-                      payload, service, size + _HEADER_SIZE)
+                      payload, service)
         ordering.fifo_out += 1
         self.messages_multicast += 1
         ordering.add_data(msg)
         others = [m for m in ordering.members if m != self.node]
         if others:
-            self.network.multicast(self.node, others, msg, msg.size)
+            self.network.multicast(self.node, others, msg)
         if self.node == ordering.sequencer:
             self._arm_stamp_timer()
         self._after_progress()
@@ -398,10 +389,9 @@ class GcsDaemon(Actor):
         if not batch:
             return
         msg = StampMsg(self.ordering.view_id, tuple(batch))
-        size = _HEADER_SIZE + _STAMP_ENTRY_SIZE * len(batch)
         others = [m for m in self.ordering.members if m != self.node]
         if others:
-            self.network.multicast(self.node, others, msg, size)
+            self.network.multicast(self.node, others, msg)
         self._after_progress()
 
     def _after_progress(self) -> None:
@@ -427,7 +417,7 @@ class GcsDaemon(Actor):
         ordering.note_ack_sent()
         others = [m for m in ordering.members if m != self.node]
         if others:
-            self.network.multicast(self.node, others, msg, _ACK_SIZE)
+            self.network.multicast(self.node, others, msg)
         self._try_deliver()
         if self.state == DaemonState.OPERATIONAL:
             ordering.prune_stable()
@@ -477,7 +467,7 @@ class GcsDaemon(Actor):
             if not candidates:
                 return
             target = max(candidates)[1]
-        self.network.send(self.node, target, nack, _CONTROL_SIZE)
+        self.network.send(self.node, target, nack)
 
     def _resend_unstamped(self, ordering: ViewOrdering) -> None:
         """(Non-sequencer) A DataMsg lost on its way to the sequencer is
@@ -500,8 +490,7 @@ class GcsDaemon(Actor):
             key = (self.node, fifo)
             msg = ordering.data.get(key)
             if msg is not None and key not in ordering.stamp_of:
-                self.network.send(self.node, ordering.sequencer, msg,
-                                  msg.size)
+                self.network.send(self.node, ordering.sequencer, msg)
 
     def _on_nack(self, msg: NackMsg) -> None:
         if not self._current_view_msg(msg.view_id):
@@ -509,10 +498,8 @@ class GcsDaemon(Actor):
         assert self.ordering is not None
         items = self.ordering.retrans_items(list(msg.missing_data))
         if items:
-            size = sum(item[5] for item in items)
             self.network.send(self.node, msg.node,
-                              RetransDataMsg(msg.view_id, tuple(items)),
-                              size)
+                              RetransDataMsg(msg.view_id, tuple(items)))
             self._log.record(self.sim.now, "gcs.retrans",
                              detail={"to": msg.node, "count": len(items)})
         if msg.want_stamps_from >= 0:
@@ -521,9 +508,8 @@ class GcsDaemon(Actor):
                 for s, k in sorted(self.ordering.key_at.items())
                 if s >= msg.want_stamps_from)
             if stamps:
-                size = _HEADER_SIZE + _STAMP_ENTRY_SIZE * len(stamps)
                 self.network.send(self.node, msg.node,
-                                  StampMsg(msg.view_id, stamps), size)
+                                  StampMsg(msg.view_id, stamps))
 
     def _on_retrans(self, msg: RetransDataMsg) -> None:
         if not self._current_view_msg(msg.view_id):
@@ -541,22 +527,17 @@ class GcsDaemon(Actor):
     def _other_directory(self) -> List[int]:
         return sorted(n for n in self.directory if n != self.node)
 
-    def _control_multicast(self, dsts: List[int], payload: Any,
-                           size: Optional[int] = None) -> None:
+    def _control_multicast(self, dsts: List[int], payload: Any) -> None:
         if dsts:
-            self.network.multicast(self.node, dsts, payload,
-                                   size or _CONTROL_SIZE)
+            self.network.multicast(self.node, dsts, payload)
 
     def _send_heartbeat(self) -> None:
         if self.state == DaemonState.DOWN:
             return
         ack = self.ordering.ack_seq if self.ordering is not None else -1
         view_id = self.ordering.view_id if self.ordering is not None else None
-        self._control_multicast(
-            self._other_directory(),
-            HeartbeatMsg(self.node, view_id, self.joined, ack,
-                         self.green_line),
-            _ACK_SIZE)
+        self._control_multicast(self._other_directory(), HeartbeatMsg(
+            self.node, view_id, self.joined, ack, self.green_line))
 
     def _on_heartbeat(self, msg: HeartbeatMsg) -> None:
         if msg.green_line:
@@ -774,8 +755,7 @@ class GcsDaemon(Actor):
         if msg.coordinator == self.node:
             self._on_report(report)
         else:
-            self.network.send(self.node, msg.coordinator, report,
-                              _CONTROL_SIZE + 24 * len(report.stamps))
+            self.network.send(self.node, msg.coordinator, report)
 
     def _build_report(self) -> StateReportMsg:
         if self.ordering is not None:
@@ -822,9 +802,8 @@ class GcsDaemon(Actor):
             plan = FlushPlanMsg(self.node, self.attempt, old_view_id,
                                 union_stamps, data_available, stable_line)
             members = [r.node for r in reports]
-            size = _CONTROL_SIZE + _STAMP_ENTRY_SIZE * len(union_stamps)
             others = [m for m in members if m != self.node]
-            self._control_multicast(others, plan, size)
+            self._control_multicast(others, plan)
             if self.node in members:
                 self._on_plan(plan)
             # retransmission commands
@@ -843,7 +822,7 @@ class GcsDaemon(Actor):
                 if holder == self.node:
                     self._on_retrans_cmd(cmd)
                 else:
-                    self.network.send(self.node, holder, cmd, _CONTROL_SIZE)
+                    self.network.send(self.node, holder, cmd)
         self._phase_timer.start()
         self._maybe_install()
 
@@ -864,14 +843,13 @@ class GcsDaemon(Actor):
         items = self.ordering.retrans_items(list(msg.seqs))
         if not items:
             return
-        size = sum(item[5] for item in items)
         retrans = RetransDataMsg(msg.old_view_id, tuple(items))
         self._log.record(self.sim.now, "gcs.retrans",
                          detail={"to": msg.to_node, "count": len(items)})
         if msg.to_node == self.node:
             self._on_retrans(retrans)
         else:
-            self.network.send(self.node, msg.to_node, retrans, size)
+            self.network.send(self.node, msg.to_node, retrans)
 
     def _check_flush_complete(self) -> None:
         if (self.state != DaemonState.FLUSH or self._my_plan is None
@@ -892,8 +870,7 @@ class GcsDaemon(Actor):
             self._on_flush_done(done)
         else:
             assert self._round_coordinator is not None
-            self.network.send(self.node, self._round_coordinator, done,
-                              _CONTROL_SIZE)
+            self.network.send(self.node, self._round_coordinator, done)
 
     def _on_flush_done(self, msg: FlushDoneMsg) -> None:
         if (self.state != DaemonState.FLUSH
@@ -991,10 +968,9 @@ class GcsDaemon(Actor):
         self.listener.on_regular_conf(self.view)
         outbox, self._outbox = self._outbox, []
         for data in resubmit:
-            self.multicast(data.payload, data.service,
-                           data.size - _HEADER_SIZE)
-        for payload, service, size in outbox:
-            self.multicast(payload, service, size)
+            self.multicast(data.payload, data.service)
+        for payload, service in outbox:
+            self.multicast(payload, service)
 
     # ==================================================================
     # misc

@@ -45,9 +45,8 @@ class GroupChannel(GcsListener):
 
     # -- messaging --------------------------------------------------------
     def multicast(self, payload: Any,
-                  service: ServiceLevel = ServiceLevel.SAFE,
-                  size: int = 200) -> None:
-        self.daemon.multicast(payload, service, size)
+                  service: ServiceLevel = ServiceLevel.SAFE) -> None:
+        self.daemon.multicast(payload, service)
 
     def advertise_green_line(self, line: int) -> None:
         """Publish this member's durable green count on its heartbeats."""

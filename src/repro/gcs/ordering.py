@@ -25,7 +25,7 @@ suffix*, not the view's lifetime.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, final
+from typing import Dict, FrozenSet, List, Set, Tuple, final
 
 from .types import DataMsg, ServiceLevel, StateReportMsg, ViewId
 
@@ -298,18 +298,18 @@ class ViewOrdering:
                 continue
             msg = self.data[key]
             items.append((s, msg.origin, msg.fifo_seq, msg.payload,
-                          msg.service, msg.size))
+                          msg.service))
         return items
 
     def accept_retrans(self, items: Tuple[Tuple, ...]) -> None:
-        for seq, origin, fifo_seq, payload, service, size in items:
+        for seq, origin, fifo_seq, payload, service in items:
             if seq < self.pruned_below:
                 continue
             self._record_stamp(seq, (origin, fifo_seq))
             key = (origin, fifo_seq)
             if key not in self.data:
                 self.data[key] = DataMsg(self.view_id, origin, fifo_seq,
-                                         payload, service, size)
+                                         payload, service)
             if self.key_at.get(seq) in self.data:
                 self._missing.discard(seq)
         self._advance_ack()

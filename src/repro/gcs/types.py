@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, FrozenSet, NamedTuple, Optional, Tuple
 
+from ..net.message import wire_size
+
 
 class ServiceLevel(Enum):
     """Delivery guarantees, weakest to strongest.
@@ -108,6 +110,11 @@ class GcsSettings:
 # ----------------------------------------------------------------------
 # wire messages (GCS-internal protocol)
 # ----------------------------------------------------------------------
+# ``wire_size``: each kind's price in bytes on the simulated link
+# (repro.net.message.wire_size); a data message adds _HEADER to its
+# payload's.
+_HEADER = 48
+
 
 @dataclass(frozen=True)
 class DataMsg:
@@ -118,7 +125,10 @@ class DataMsg:
     fifo_seq: int
     payload: object
     service: ServiceLevel
-    size: int
+
+    @property
+    def wire_size(self) -> int:
+        return _HEADER + wire_size(self.payload)
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,10 @@ class StampMsg:
 
     view_id: ViewId
     stamps: Tuple[Tuple[int, int, int], ...]
+
+    @property
+    def wire_size(self) -> int:
+        return _HEADER + 16 * len(self.stamps)
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,7 @@ class AckMsg:
     view_id: ViewId
     node: int
     ack_seq: int
+    wire_size = 64
 
 
 @dataclass(frozen=True)
@@ -155,6 +170,7 @@ class HeartbeatMsg:
     joined: bool
     ack_seq: int
     green_line: int = 0
+    wire_size = 64
 
 
 @dataclass(frozen=True)
@@ -165,15 +181,20 @@ class NackMsg:
     node: int
     missing_data: Tuple[int, ...]
     want_stamps_from: int
+    wire_size = 96
 
 
 @dataclass(frozen=True)
 class RetransDataMsg:
     """Retransmitted stamped messages: (seq, origin, fifo_seq, payload,
-    service, size) tuples."""
+    service) tuples, each priced as the data message it repeats."""
 
     view_id: ViewId
     items: Tuple[Tuple, ...]
+
+    @property
+    def wire_size(self) -> int:
+        return sum(_HEADER + wire_size(item[3]) for item in self.items)
 
 
 # -- reliable point-to-point channel messages ---------------------------
@@ -188,6 +209,10 @@ class ChanData:
     seq: int
     payload: Any
 
+    @property
+    def wire_size(self) -> int:
+        return wire_size(self.payload)
+
 
 @dataclass(frozen=True)
 class ChanAck:
@@ -195,6 +220,7 @@ class ChanAck:
 
     src: int
     ack_seq: int
+    wire_size = 64
 
 
 # -- membership protocol messages --------------------------------------
@@ -206,6 +232,7 @@ class GatherMsg:
     node: int
     attempt: int
     joined: bool
+    wire_size = 96
 
 
 @dataclass(frozen=True)
@@ -215,6 +242,7 @@ class ProposeMsg:
     coordinator: int
     attempt: int
     members: Tuple[int, ...]
+    wire_size = 96
 
 
 @dataclass(frozen=True)
@@ -228,6 +256,10 @@ class StateReportMsg:
     have_data: Tuple[int, ...]                 # seqs with payload held
     stability_line: int                        # known min ack across view
 
+    @property
+    def wire_size(self) -> int:
+        return 96 + 24 * len(self.stamps)
+
 
 @dataclass(frozen=True)
 class FlushPlanMsg:
@@ -240,6 +272,10 @@ class FlushPlanMsg:
     data_available: Tuple[int, ...]
     stable_line: int
 
+    @property
+    def wire_size(self) -> int:
+        return 96 + 16 * len(self.union_stamps)
+
 
 @dataclass(frozen=True)
 class FlushRetransCmd:
@@ -251,6 +287,7 @@ class FlushRetransCmd:
     to_node: int
     old_view_id: ViewId
     seqs: Tuple[int, ...]
+    wire_size = 96
 
 
 @dataclass(frozen=True)
@@ -259,6 +296,7 @@ class FlushDoneMsg:
 
     node: int
     attempt: int
+    wire_size = 96
 
 
 @dataclass(frozen=True)
@@ -271,6 +309,7 @@ class InstallMsg:
     members: Tuple[int, ...]
     # node -> members of the new view coming from node's old view
     trans_sets: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    wire_size = 96
 
 
 @dataclass(frozen=True)
@@ -278,3 +317,4 @@ class LeaveMsg:
     """Voluntary group leave announcement."""
 
     node: int
+    wire_size = 96

@@ -49,10 +49,10 @@ MAGIC = 0xC3
 # v2: trace-context fields; v3: heartbeat green line; v4: engine-action
 # tag; v5: heartbeat without group field; v6: value items and records
 # replace the pickle escape hatch, compact ints; v7: write-only fields
-# deleted (GCS trace ids, Action.green_line, TransferBusy, ...).  Any
-# other version is refused: a mixed-version peer would otherwise be
-# misparsed.
-VERSION = 7
+# deleted (GCS trace ids, Action.green_line, TransferBusy, ...); v8:
+# no declared size in data messages and retransmitted items.  Any other
+# version is refused: a mixed-version peer would otherwise be misparsed.
+VERSION = 8
 
 # Retired tags decode as unknown and are never reused: 0 (pickle), 1,
 # 5, 6, 7, 9 and 10.  TAG_PICKLE keeps its name for tools reading it.
@@ -66,12 +66,12 @@ TAG_VALUE = 12
 
 _HEADER = struct.Struct("!BBi")          # magic, version, src
 _ITEM = struct.Struct("!BI")             # tag, body length
-_DATA = struct.Struct("!iiiqBi")         # view, origin, fifo, svc, size
+_DATA = struct.Struct("!iiiqB")          # view, origin, fifo, svc
 _STAMP_ENTRY = struct.Struct("!qiq")     # seq, origin, fifo_seq
 _VIEW_COUNT = struct.Struct("!iiI")      # view + entry count
 _ACK = struct.Struct("!iiiq")            # view, node, ack_seq
 _SEQ = struct.Struct("!q")
-_RETRANS_ITEM = struct.Struct("!qiqBi")  # seq, origin, fifo, svc, size
+_RETRANS_ITEM = struct.Struct("!qiqB")   # seq, origin, fifo, svc
 _ACTION = struct.Struct("!iqqiB")        # creator, index, message green
                                          # line, size, flags
 _SERVER = struct.Struct("!i")            # join_id / leave_id
@@ -182,7 +182,7 @@ _RECORD_INDEX = {row[0]: (index, row[1])
 def _enc_data(msg: DataMsg) -> bytes:
     return (_DATA.pack(msg.view_id.epoch, msg.view_id.coordinator,
                        msg.origin, msg.fifo_seq,
-                       _SERVICE_INDEX[msg.service], msg.size)
+                       _SERVICE_INDEX[msg.service])
             + encode_payload(msg.payload))
 
 
@@ -201,9 +201,9 @@ def _enc_ack(msg: AckMsg) -> bytes:
 def _enc_retrans(msg: RetransDataMsg) -> bytes:
     parts = [_VIEW_COUNT.pack(msg.view_id.epoch, msg.view_id.coordinator,
                               len(msg.items))]
-    for seq, origin, fifo_seq, payload, service, size in msg.items:
+    for seq, origin, fifo_seq, payload, service in msg.items:
         parts.append(_RETRANS_ITEM.pack(seq, origin, fifo_seq,
-                                        _SERVICE_INDEX[service], size))
+                                        _SERVICE_INDEX[service]))
         parts.append(encode_payload(payload))
     return b"".join(parts)
 
@@ -331,12 +331,12 @@ def _need(buf: bytes, offset: int, count: int) -> None:
 
 
 def _dec_data(body: bytes) -> DataMsg:
-    epoch, coord, origin, fifo_seq, svc, size = _DATA.unpack_from(body, 0)
+    epoch, coord, origin, fifo_seq, svc = _DATA.unpack_from(body, 0)
     payload, end = _decode_item(body, _DATA.size)
     if end != len(body):
         raise CodecError("trailing bytes in DataMsg body")
     return DataMsg(ViewId(epoch, coord), origin, fifo_seq, payload,
-                   _SERVICE_BY_INDEX[svc], size)
+                   _SERVICE_BY_INDEX[svc])
 
 
 def _dec_stamp(body: bytes) -> StampMsg:
@@ -363,11 +363,10 @@ def _dec_retrans(body: bytes) -> RetransDataMsg:
     offset = _VIEW_COUNT.size
     items: List[Tuple] = []
     for _ in range(count):
-        seq, origin, fifo_seq, svc, size = \
-            _RETRANS_ITEM.unpack_from(body, offset)
+        seq, origin, fifo_seq, svc = _RETRANS_ITEM.unpack_from(body, offset)
         payload, offset = _decode_item(body, offset + _RETRANS_ITEM.size)
         items.append((seq, origin, fifo_seq, payload,
-                      _SERVICE_BY_INDEX[svc], size))
+                      _SERVICE_BY_INDEX[svc]))
     if offset != len(body):
         raise CodecError("trailing bytes in RetransDataMsg body")
     return RetransDataMsg(ViewId(epoch, coord), tuple(items))

@@ -2,7 +2,7 @@
 
 Delivery pipeline for one datagram::
 
-    sender egress port (FIFO, send_overhead + size/bandwidth)
+    sender egress port (FIFO, send_overhead + wire_size/bandwidth)
       -> propagation (+ seeded jitter)
         -> receiver ingress port (FIFO, recv_overhead)
           -> handler callback
@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, final
 
 from ..sim.kernel import Simulator
 from .latency import NetworkProfile
-from .message import Datagram
+from .message import Datagram, wire_size
 from .topology import Topology
 
 Handler = Callable[[Datagram], None]
@@ -127,13 +127,11 @@ class Network:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def send(self, src: int, dst: int, payload: Any,
-             size: int = 200) -> None:
+    def send(self, src: int, dst: int, payload: Any) -> None:
         """Send one unicast datagram (fire and forget)."""
-        self._send_batch(src, (dst,), payload, size)
+        self._send_batch(src, (dst,), payload)
 
-    def multicast(self, src: int, dsts: Iterable[int], payload: Any,
-                  size: int = 200) -> None:
+    def multicast(self, src: int, dsts: Iterable[int], payload: Any) -> None:
         """Send to several destinations with a single egress serialization.
 
         The source is *not* implicitly included; GCS layers that need
@@ -144,14 +142,14 @@ class Network:
         """
         if not isinstance(dsts, (tuple, list)):
             dsts = tuple(dsts)
-        self._send_batch(src, dsts, payload, size)
+        self._send_batch(src, dsts, payload)
 
-    def _send_batch(self, src: int, dsts: Iterable[int], payload: Any,
-                    size: int) -> None:
+    def _send_batch(self, src: int, dsts: Iterable[int], payload: Any) -> None:
         topology = self.topology
         if not topology.is_alive(src) or src not in self._handlers:
             return
         port = self._ports[src]  # attach() guarantees the port exists
+        size = wire_size(payload)
         now = self.sim.now
         free = port.egress_free_at
         done = ((now if now > free else free) + self._send_overhead
@@ -194,7 +192,7 @@ class Network:
             if loss_rate > 0.0 and rng_random() < loss_rate:
                 self.datagrams_dropped += 1
                 continue
-            datagram = Datagram(src, dst, payload, size)
+            datagram = Datagram(src, dst, payload)
             extra_delay = 0.0
             if interceptor is not None:
                 verdict = interceptor(datagram)

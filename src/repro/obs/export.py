@@ -22,7 +22,7 @@ import json
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .metrics import COUNTER, HISTOGRAM, MetricsRegistry
+from .metrics import HISTOGRAM, MetricsRegistry
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")

@@ -132,13 +132,11 @@ class Transport(Protocol):
     def is_attached(self, node: int) -> bool:
         ...
 
-    def send(self, src: int, dst: int, payload: Any,
-             size: int = 200) -> None:
+    def send(self, src: int, dst: int, payload: Any) -> None:
         """Send one unicast datagram (fire and forget)."""
         ...
 
-    def multicast(self, src: int, dsts: Iterable[int], payload: Any,
-                  size: int = 200) -> None:
+    def multicast(self, src: int, dsts: Iterable[int], payload: Any) -> None:
         """Send ``payload`` to several destinations.  The source is not
         implicitly included; consumers handle self-delivery themselves."""
         ...

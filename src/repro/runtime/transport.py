@@ -5,7 +5,9 @@ Two backends for the asyncio runtime:
 * :class:`MemoryTransport` — all nodes in one process, datagrams handed
   across through the runtime's timer queue with a small configurable
   latency.  No sockets, no serialization; the backend of choice for
-  conformance tests and single-process live clusters.
+  conformance tests and single-process live clusters.  Its
+  ``bytes_sent`` bills each delivery at the payload kind's price
+  (:func:`~repro.net.message.wire_size`), as the simulator does.
 * :class:`AsyncioTransport` — real UDP sockets (one per hosted node,
   loopback or LAN), datagrams framed by the binary wire codec
   (:mod:`repro.net.codec`), non-blocking receive via
@@ -43,7 +45,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable,
                     Optional, Sequence, Tuple)
 
 from ..net import Topology, codec
-from ..net.message import Datagram
+from ..net.message import Datagram, wire_size
 from .asyncio_runtime import AsyncioRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,14 +108,13 @@ class MemoryTransport(_LiveFabric):
     def attach(self, node: int, handler: Handler) -> None:
         self._handlers[node] = handler
 
-    def send(self, src: int, dst: int, payload: Any,
-             size: int = 200) -> None:
-        self.multicast(src, (dst,), payload, size)
+    def send(self, src: int, dst: int, payload: Any) -> None:
+        self.multicast(src, (dst,), payload)
 
-    def multicast(self, src: int, dsts: Iterable[int], payload: Any,
-                  size: int = 200) -> None:
+    def multicast(self, src: int, dsts: Iterable[int], payload: Any) -> None:
         if src not in self._handlers:
             return
+        size = wire_size(payload)
         for dst in dsts:
             self.datagrams_sent += 1
             self.bytes_sent += size
@@ -121,7 +122,7 @@ class MemoryTransport(_LiveFabric):
                 self.datagrams_dropped += 1
                 continue
             self.runtime.post(self.latency, self._deliver,
-                              Datagram(src, dst, payload, size))
+                              Datagram(src, dst, payload))
 
 
 class AsyncioTransport(_LiveFabric):
@@ -137,10 +138,9 @@ class AsyncioTransport(_LiveFabric):
 
     Wire format: the frames of :mod:`repro.net.codec`.
 
-    ``bytes_sent`` counts *real encoded bytes* handed to the kernel
-    (loopback deliveries count their declared size — they are never
-    encoded); received ``Datagram.size`` is the actual frame length,
-    not the sender's hand-estimate.
+    ``bytes_sent`` counts *real encoded bytes* handed to the kernel;
+    loopback deliveries are never encoded, so they count their kind's
+    price (:func:`~repro.net.message.wire_size`).
     """
 
     def __init__(self, runtime: AsyncioRuntime,
@@ -202,12 +202,10 @@ class AsyncioTransport(_LiveFabric):
         self._handlers[node] = handler
 
     # -- sending --------------------------------------------------------
-    def send(self, src: int, dst: int, payload: Any,
-             size: int = 200) -> None:
-        self.multicast(src, (dst,), payload, size)
+    def send(self, src: int, dst: int, payload: Any) -> None:
+        self.multicast(src, (dst,), payload)
 
-    def multicast(self, src: int, dsts: Iterable[int], payload: Any,
-                  size: int = 200) -> None:
+    def multicast(self, src: int, dsts: Iterable[int], payload: Any) -> None:
         sock = self._sockets.get(src)
         if sock is None or src not in self._handlers:
             return
@@ -221,10 +219,10 @@ class AsyncioTransport(_LiveFabric):
                 # Loopback without a kernel round-trip, but still
                 # asynchronous: the handler runs on a later loop tick,
                 # never re-entrantly inside the send.  Never encoded,
-                # so billed at its declared size.
-                self.bytes_sent += size
+                # so billed at its kind's price.
+                self.bytes_sent += wire_size(payload)
                 self.runtime.loop.call_soon(
-                    self._deliver, Datagram(src, dst, payload, size))
+                    self._deliver, Datagram(src, dst, payload))
                 continue
             addr = self.addresses.get(dst)
             if addr is None:
@@ -281,7 +279,7 @@ class AsyncioTransport(_LiveFabric):
                 # crashed receive loop.
                 self.datagrams_dropped += 1
                 continue
-            self._deliver(Datagram(src, node, payload, len(blob)))
+            self._deliver(Datagram(src, node, payload))
 
 
 def loopback_addresses(server_ids: Sequence[int],

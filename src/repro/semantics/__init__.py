@@ -5,7 +5,7 @@ active actions, and interactive (read-certify-write) transactions."""
 from .active import ActiveTransactions, register_everywhere
 from .commutative import InventoryStore
 from .interactive import InteractiveTransaction
-from .session import (SessionClient, install_session_procedures)
+from .session import SessionClient
 from .service import BlockedQuery, QueryService, ReplicatedService
 from .timestamp import TimestampStore
 
@@ -17,7 +17,6 @@ __all__ = [
     "QueryService",
     "ReplicatedService",
     "SessionClient",
-    "install_session_procedures",
     "TimestampStore",
     "register_everywhere",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from ..db import Database
 from .service import ReplicatedService
 
 Procedure = Callable[[Dict[str, Any], Any], Any]

@@ -20,7 +20,6 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..db import execute_update
-from .service import ReplicatedService
 
 _session_ids = itertools.count(1)
 
@@ -37,11 +36,6 @@ def _session_apply(state: Dict[str, Any], args: Any) -> Tuple[bool, Any]:
     result = execute_update(state, update)
     state[key] = seq
     return (True, result)
-
-
-def install_session_procedures(database) -> None:
-    """Register the session guard on a database (every replica)."""
-    database.register_procedure("session_apply", _session_apply)
 
 
 class SessionClient:

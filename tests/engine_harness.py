@@ -32,7 +32,7 @@ class FakeChannel:
         self.green_line = 0
         self.sent: List[Tuple[Any, ServiceLevel]] = []
 
-    def multicast(self, payload, service=ServiceLevel.SAFE, size=200):
+    def multicast(self, payload, service=ServiceLevel.SAFE):
         self.sent.append((payload, service))
 
     def advertise_green_line(self, line):

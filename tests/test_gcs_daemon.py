@@ -282,9 +282,9 @@ def _spy_sends(h):
     sent = []
     original = h.network.multicast
 
-    def multicast(src, dsts, payload, size=200):
+    def multicast(src, dsts, payload):
         sent.append((h.sim.now, src, type(payload).__name__))
-        original(src, dsts, payload, size)
+        original(src, dsts, payload)
     h.network.multicast = multicast
     return sent
 
@@ -357,10 +357,10 @@ def test_one_dispatch_burst_leaves_as_one_stamp_batch():
     stamped = []
     spied = h.network.multicast
 
-    def multicast(src, dsts, payload, size=200):
+    def multicast(src, dsts, payload):
         if isinstance(payload, StampMsg):
             stamped.append(len(payload.stamps))
-        spied(src, dsts, payload, size)
+        spied(src, dsts, payload)
     h.network.multicast = multicast
     for i in range(5):
         h.daemons[1].multicast(("burst", i))       # one dispatch

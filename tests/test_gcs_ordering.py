@@ -11,7 +11,7 @@ def make_ordering(members=(1, 2, 3), me=2):
 
 
 def data(view, origin, fifo, service=ServiceLevel.SAFE):
-    return DataMsg(view, origin, fifo, f"m{origin}.{fifo}", service, 200)
+    return DataMsg(view, origin, fifo, f"m{origin}.{fifo}", service)
 
 
 class TestIngestion:

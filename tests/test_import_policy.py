@@ -1,5 +1,6 @@
 """Import policy: which modules may reach the host, the wire format or
-randomness, and that none reaches an object serializer.
+randomness, that none reaches an object serializer, and that every
+imported name is used.
 
 The protocol stack runs unchanged under the deterministic simulator and
 on asyncio because it reaches the event loop, sockets and clocks only
@@ -133,3 +134,58 @@ def test_the_walker_sees_every_edge_kind():
         ("framing", "import struct"), ("host", "import asyncio.events"),
         ("host", "import time"), ("random", "import random"),
         ("serializer", "import copyreg"), ("serializer", "import pickle")]
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def unused_imports(tree):
+    """(line, name) of every name ``tree`` imports and never uses.  A
+    use is a ``Name`` (the root of an attribute chain is one) or a name
+    inside a string annotation."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+    used = names(tree)
+    for hint in filter(None, annotations(tree)):
+        for leaf in ast.walk(hint):
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value,
+                                                             str):
+                used |= names(ast.parse(leaf.value, mode="eval"))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_import_is_used():
+    """CI runs no linter and mypy does not flag an unused import, so
+    one left behind by a deletion would stay.  A package's
+    ``__init__`` re-exports what it imports and is exempt."""
+    unused = [f"{module_name(path)}:{line}: {name}"
+              for path in sorted((SRC / "repro").rglob("*.py"))
+              if path.name != "__init__.py"
+              for line, name in unused_imports(
+                  ast.parse(path.read_text("utf-8")))]
+    assert unused == [], "\n".join(unused)
+
+
+def test_the_use_finder_sees_every_use_kind():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import a.b, c, d as e\n"
+                     "from f import g, h as i, j, k, m\n"
+                     "a.b.x(e)\n"
+                     "def n(p: 'Optional[g]') -> 'i': ...\n"
+                     "q: 'j' = 'k'\n")
+    assert unused_imports(tree) == [(2, "c"), (3, "k"), (3, "m")]

@@ -83,10 +83,10 @@ RECORD_CORPUS = [
 #: One of every wire type the codec carries, struct-packed or as a
 #: value.
 CORPUS = [
-    DataMsg(VIEW, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE, 180),
-    DataMsg(VIEW, 14, 0, None, ServiceLevel.AGREED, 48),
+    DataMsg(VIEW, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE),
+    DataMsg(VIEW, 14, 0, None, ServiceLevel.AGREED),
     # an engine action in its DataMsg, as the GCS sends it
-    DataMsg(VIEW, 2, 8, ENGINE_ACTIONS[1], ServiceLevel.SAFE, 200),
+    DataMsg(VIEW, 2, 8, ENGINE_ACTIONS[1], ServiceLevel.SAFE),
     ChanData(1, 10, {"state": [4]}),
     StampMsg(VIEW, ((5, 2, 7), (6, 3, 0))),
     StampMsg(VIEW, ()),
@@ -102,8 +102,7 @@ CORPUS = [
     HeartbeatMsg(109, None, True, -1, 2 ** 40),
     NackMsg(VIEW, 3, (7, 9, 11), 5),
     NackMsg(VIEW, 3, (), 0),
-    RetransDataMsg(VIEW, ((5, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE,
-                           180),)),
+    RetransDataMsg(VIEW, ((5, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE),)),
     RetransDataMsg(VIEW, ()),
     ChanData(1, 9, {"state": [1, 2, 3]}),
     ChanAck(2, 17),
@@ -125,23 +124,23 @@ def test_differential_roundtrip_vs_pickle(payload):
 
 
 def test_compact_encoding_beats_pickle_for_hot_types():
-    msg = DataMsg(VIEW, 2, 7, ("SET", "key", 1), ServiceLevel.SAFE, 180)
+    msg = DataMsg(VIEW, 2, 7, ("SET", "key", 1), ServiceLevel.SAFE)
     assert len(codec.encode_frame(1, msg)) < len(pickle.dumps(msg))
     ack = AckMsg(VIEW, 4, 1234)
     assert len(codec.encode_frame(1, ack)) < len(pickle.dumps(ack))
     action = ENGINE_ACTIONS[0]
     assert len(codec.encode_frame(1, action)) < len(pickle.dumps(action)) / 3
     # One fresh action in its DataMsg, as the GCS sends it.
-    data = DataMsg(VIEW, 2, 7, action, ServiceLevel.SAFE, 200)
+    data = DataMsg(VIEW, 2, 7, action, ServiceLevel.SAFE)
     assert len(codec.encode_frame(1, data)) <= 120
 
 
 @pytest.mark.parametrize("msg", [
-    # size beyond the packed i32
-    DataMsg(VIEW, 2, 7, "x", ServiceLevel.SAFE, 2 ** 40),
+    # an origin beyond the packed i32
+    DataMsg(VIEW, 2 ** 40, 7, "x", ServiceLevel.SAFE),
     # a fifo sequence number beyond the packed i64
-    DataMsg(VIEW, 2, 2 ** 64, "x", ServiceLevel.SAFE, 180),
-], ids=["DataMsg-size", "DataMsg-fifo"])
+    DataMsg(VIEW, 2, 2 ** 64, "x", ServiceLevel.SAFE),
+], ids=["DataMsg-origin", "DataMsg-fifo"])
 def test_out_of_range_fields_are_refused(msg):
     """A field out of its packed range is refused whole with TypeError:
     nothing falls back to another encoding."""
@@ -178,10 +177,11 @@ def test_version1_frames_are_rejected():
     after the header (v2 heartbeat bodies would even fail only on
     length), a v3 peer pickles the engine actions a v4 peer no longer
     unpickles, v4 heartbeats carry a group field v5 dropped, a v5
-    peer pickles what v6 sends as records, and v6 carries the fields
-    v7 deleted."""
-    assert codec.VERSION == 7
-    for old in (1, 2, 3, 4, 5, 6):
+    peer pickles what v6 sends as records, v6 carries the fields v7
+    deleted, and v7 data messages and retransmitted items carry the
+    declared size v8 deleted."""
+    assert codec.VERSION == 8
+    for old in (1, 2, 3, 4, 5, 6, 7):
         frame = codec._HEADER.pack(codec.MAGIC, old, 7) \
             + codec.encode_payload(("x",))
         with pytest.raises(codec.CodecError,
@@ -259,7 +259,7 @@ def test_random_payloads_roundtrip(payload):
 def test_single_byte_corruption_is_contained(pos, value):
     """Flipping any byte either decodes (to *something*) or raises
     CodecError — never an unhandled exception."""
-    msg = DataMsg(VIEW, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE, 180)
+    msg = DataMsg(VIEW, 2, 7, ("SET", "k", 1), ServiceLevel.SAFE)
     blob = bytearray(codec.encode_frame(1, msg))
     blob[pos % len(blob)] = value
     try:

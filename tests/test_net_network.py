@@ -18,9 +18,16 @@ def make_net(nodes=(1, 2, 3), profile=None, seed=0):
     return sim, topo, net, inboxes
 
 
+class Priced:
+    """A payload the link bills at ``wire_size`` bytes."""
+
+    def __init__(self, wire_size):
+        self.wire_size = wire_size
+
+
 def test_unicast_delivery():
     sim, _topo, net, inboxes = make_net()
-    net.send(1, 2, "hello", 100)
+    net.send(1, 2, "hello")
     sim.run()
     assert len(inboxes[2]) == 1
     assert inboxes[2][0].payload == "hello"
@@ -29,14 +36,14 @@ def test_unicast_delivery():
 
 def test_self_delivery():
     sim, _topo, net, inboxes = make_net()
-    net.send(1, 1, "loop", 100)
+    net.send(1, 1, "loop")
     sim.run()
     assert len(inboxes[1]) == 1
 
 
 def test_multicast_fans_out():
     sim, _topo, net, inboxes = make_net()
-    net.multicast(1, [2, 3], "m", 100)
+    net.multicast(1, [2, 3], "m")
     sim.run()
     assert len(inboxes[2]) == 1
     assert len(inboxes[3]) == 1
@@ -48,7 +55,7 @@ def test_delivery_latency_includes_serialization():
                              bandwidth=1e6, send_overhead=0.0,
                              recv_overhead=0.0, jitter=0.0)
     sim, _topo, net, inboxes = make_net(profile=profile)
-    net.send(1, 2, "x", 1000)  # 1000 B at 1 MB/s = 1 ms serialization
+    net.send(1, 2, Priced(1000))  # 1000 B at 1 MB/s = 1 ms serialization
     sim.run()
     assert sim.now == pytest.approx(0.002)
 
@@ -61,8 +68,8 @@ def test_egress_serializes_back_to_back_sends():
     times = []
     net.detach(2)
     net.attach(2, lambda d: times.append(sim.now))
-    net.send(1, 2, "a", 1000)
-    net.send(1, 2, "b", 1000)
+    net.send(1, 2, Priced(1000))
+    net.send(1, 2, Priced(1000))
     sim.run()
     assert times == [pytest.approx(0.001), pytest.approx(0.002)]
 
@@ -75,8 +82,8 @@ def test_ingress_serializes_deliveries():
     times = []
     net.detach(3)
     net.attach(3, lambda d: times.append(sim.now))
-    net.send(1, 3, "a", 10)
-    net.send(2, 3, "b", 10)
+    net.send(1, 3, "a")
+    net.send(2, 3, "b")
     sim.run()
     assert times == [pytest.approx(0.001), pytest.approx(0.002)]
 
@@ -84,7 +91,7 @@ def test_ingress_serializes_deliveries():
 def test_partition_blocks_at_send():
     sim, topo, net, inboxes = make_net()
     topo.partition([[1], [2, 3]])
-    net.send(1, 2, "x", 100)
+    net.send(1, 2, "x")
     sim.run()
     assert inboxes[2] == []
     assert net.datagrams_dropped == 1
@@ -93,7 +100,7 @@ def test_partition_blocks_at_send():
 def test_partition_cuts_in_flight_messages():
     profile = NetworkProfile(propagation_delay=0.010, jitter=0.0)
     sim, topo, net, inboxes = make_net(profile=profile)
-    net.send(1, 2, "x", 100)
+    net.send(1, 2, "x")
     sim.schedule(0.001, lambda: topo.partition([[1], [2, 3]]))
     sim.run()
     assert inboxes[2] == []
@@ -102,7 +109,7 @@ def test_partition_cuts_in_flight_messages():
 def test_crashed_sender_cannot_send():
     sim, topo, net, inboxes = make_net()
     topo.crash(1)
-    net.send(1, 2, "x", 100)
+    net.send(1, 2, "x")
     sim.run()
     assert inboxes[2] == []
     assert net.datagrams_sent == 0
@@ -110,7 +117,7 @@ def test_crashed_sender_cannot_send():
 
 def test_crashed_destination_drops():
     sim, topo, net, inboxes = make_net()
-    net.send(1, 2, "x", 100)
+    net.send(1, 2, "x")
     topo.crash(2)
     sim.run()
     assert inboxes[2] == []
@@ -119,7 +126,7 @@ def test_crashed_destination_drops():
 def test_detached_destination_drops():
     sim, _topo, net, inboxes = make_net()
     net.detach(2)
-    net.send(1, 2, "x", 100)
+    net.send(1, 2, "x")
     sim.run()
     assert inboxes[2] == []
 
@@ -127,7 +134,7 @@ def test_detached_destination_drops():
 def test_loss_model_drops_deterministically():
     profile = NetworkProfile(loss_rate=1.0)
     sim, _topo, net, inboxes = make_net(profile=profile)
-    net.send(1, 2, "x", 100)
+    net.send(1, 2, "x")
     sim.run()
     assert inboxes[2] == []
     assert net.datagrams_dropped == 1
@@ -137,7 +144,7 @@ def test_partial_loss_statistics():
     profile = NetworkProfile(loss_rate=0.5, jitter=0.0)
     sim, _topo, net, inboxes = make_net(profile=profile, seed=3)
     for _ in range(200):
-        net.send(1, 2, "x", 100)
+        net.send(1, 2, "x")
     sim.run()
     delivered = len(inboxes[2])
     assert 60 < delivered < 140  # ~100 expected
@@ -146,7 +153,7 @@ def test_partial_loss_statistics():
 def test_instant_profile_zero_latency():
     sim, _topo, net, inboxes = make_net(
         profile=lossless_instant_profile())
-    net.send(1, 2, "x", 100)
+    net.send(1, 2, "x")
     sim.run()
     assert sim.now == 0.0
     assert len(inboxes[2]) == 1
@@ -154,7 +161,8 @@ def test_instant_profile_zero_latency():
 
 def test_bytes_accounting():
     sim, _topo, net, _ = make_net()
-    net.send(1, 2, "x", 123)
-    net.multicast(1, [2, 3], "y", 77)
+    net.send(1, 2, Priced(123))
+    net.multicast(1, [2, 3], Priced(77))
+    net.send(1, 2, "unpriced")
     sim.run()
-    assert net.bytes_sent == 200
+    assert net.bytes_sent == 123 + 77 + 200

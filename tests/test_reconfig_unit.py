@@ -14,7 +14,7 @@ class FakeEndpoint:
     def __init__(self):
         self.sent = []
 
-    def send(self, peer, payload, size=200):
+    def send(self, peer, payload):
         self.sent.append((peer, payload))
 
     def of_type(self, kind):

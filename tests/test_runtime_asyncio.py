@@ -339,7 +339,7 @@ def test_udp_oversize_frame_is_a_counted_drop_not_an_exception():
             net.attach(2, lambda d: got.append((2, d.payload)))
             huge = b"x" * 70_000
             # The loopback leg is never encoded, so it still arrives.
-            net.multicast(1, (1, 2), huge, size=len(huge))
+            net.multicast(1, (1, 2), huge)
             net.send(1, 2, "small")
             await asyncio.sleep(0.05)
         finally:

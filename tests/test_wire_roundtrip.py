@@ -6,9 +6,9 @@ through :func:`repro.net.codec.encode_frame` and
 protocol through load, a partition, a crash and recovery, a heal, a
 lossy stretch, a join whose snapshot holds an int past 64 bits, and a
 leave.  The run must be the same run: the
-same event count and database digests as without the codec, every
-decoded payload equal to the one sent, no item on the retired pickle
-tag, and every record kind of the wire exercised.
+same event count, database digests and simulated bytes as without the
+codec, every decoded payload equal to the one sent, no item on the
+retired pickle tag, and every record kind of the wire exercised.
 """
 
 import dataclasses
@@ -90,7 +90,9 @@ def _scenario():
     assert cluster.replicas[4].database.state["big"] == 2 ** 64 + 2 ** 63
     digests = {node: replica.database.digest()
                for node, replica in cluster.replicas.items()}
-    return cluster.sim.events_processed, digests
+    network = cluster.network
+    return (cluster.sim.events_processed, digests, network.bytes_sent,
+            network.datagrams_sent)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +103,7 @@ def runs():
     send_batch = Network._send_batch
     decode_item = codec._decode_item
 
-    def through_the_codec(self, src, dsts, payload, size):
+    def through_the_codec(self, src, dsts, payload):
         src_out, decoded = codec.decode_frame(codec.encode_frame(src,
                                                                  payload))
         if src_out != src or decoded != payload:
@@ -110,7 +112,7 @@ def runs():
         if type(decoded) is ChanData and type(decoded.payload) is \
                 SnapshotChunk:
             chunks.append(decoded.payload)
-        send_batch(self, src, dsts, decoded, size)
+        send_batch(self, src, dsts, decoded)
 
     def counted(buf, offset):
         tags[buf[offset]] += 1
@@ -131,6 +133,14 @@ def test_the_codec_leaves_the_run_unchanged(runs):
     assert unequal == []
     assert wired == plain
     assert len(set(plain[1].values())) == 1
+
+
+def test_every_kind_keeps_its_price(runs):
+    """The scenario sends every record kind, so one kind priced off its
+    declared ``wire_size`` moves the simulated byte count even where
+    the event count cannot see it."""
+    events, _digests, bytes_sent, datagrams_sent = runs[0]
+    assert (events, bytes_sent, datagrams_sent) == (23_629, 476_440, 2_827)
 
 
 def test_nothing_travels_as_a_pickle(runs):
